@@ -11,6 +11,7 @@ pair it reports is the same pair the exactness check reports.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,6 +102,12 @@ class ContinuousChain:
             raise ChainError("components are not aligned with the ladder")
         if len(self.nodes) != max(len(self.delta) - 1, 0):
             raise ChainError("one glued node per consecutive pair is required")
+        for comp in self.components:
+            if not 0 <= comp.target_index <= self.model.d:
+                raise ChainError(
+                    f"component {format_rational(comp.index)} targets"
+                    f" {comp.target_index}, outside 0..{self.model.d}"
+                )
 
     def component_at(self, i: Fraction) -> ChainComponent:
         return self.components[self.delta.position(i)]
@@ -109,9 +116,8 @@ class ContinuousChain:
 def _component_for(model: CurveModel, i: Fraction, v: Subspace) -> ChainComponent:
     degree = orbit_degree(model.split, v)
     kind = ComponentKind.FIXED if degree == 0 else ComponentKind.ORBIT
-    if i.denominator == 1:
-        return ChainComponent(i, v, kind, "component", int(i), degree)
-    return ChainComponent(i, v, kind, "node", -(-i.numerator // i.denominator), degree)
+    target_kind = "component" if i.denominator == 1 else "node"
+    return ChainComponent(i, v, kind, target_kind, math.ceil(i), degree)
 
 
 def build_chain(g: LimitLinearSeries) -> ContinuousChain:
@@ -230,6 +236,17 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
         degree_failures.append(
             f"orbit degrees sum to {recomputed_total}, expected {c.rank + 1}"
         )
+    for comp in c.components:
+        if comp.target_index != math.ceil(comp.index):
+            degree_failures.append(
+                f"component {format_rational(comp.index)} targets"
+                f" {comp.target_index}, expected {math.ceil(comp.index)}"
+            )
+    hilbert = (recomputed_total, 0, _target_counts(c), 1)
+    if c.hilbert != hilbert:
+        degree_failures.append(
+            f"stored Hilbert data {c.hilbert} differs from the recomputed {hilbert}"
+        )
 
     transversality_failures: list[str] = []
     for (i, j), node in zip(pairs, c.nodes):
@@ -317,16 +334,22 @@ def hilbert_coefficients(c: ContinuousChain) -> tuple[int, int, tuple[int, ...],
     """
     split = c.model.split
     total = sum(orbit_degree(split, comp.base_space) for comp in c.components)
-    counts = [0] * (c.model.d + 1)
-    for comp in c.components:
-        if comp.target_kind == "component":
-            counts[comp.target_index] += 1
+    counts = _target_counts(c)
     for t, count in enumerate(counts):
         if count != 1:
             raise ChainError(
                 f"target component {t} is covered {count} times, expected exactly once"
             )
-    return (total, 0, tuple(counts), 1)
+    return (total, 0, counts, 1)
+
+
+def _target_counts(c: ContinuousChain) -> tuple[int, ...]:
+    """How many components map onto each component of the target chain."""
+    counts = [0] * (c.model.d + 1)
+    for comp in c.components:
+        if comp.target_kind == "component":
+            counts[comp.target_index] += 1
+    return tuple(counts)
 
 
 def emit_dot(c: ContinuousChain) -> str:

@@ -15,7 +15,7 @@ from .chain import ChainBuildError, ChainError, ContinuousChain, build_chain, em
 from .delta import NumericalData
 from .generate import GenerationError, random_exact_lls
 from .linalg import format_rational
-from .oracle import degree_via_pluecker, limit_via_pluecker, sample_orbit_check
+from .oracle import MAX_SAMPLES, degree_via_pluecker, limit_via_pluecker, sample_orbit_check
 from .series import LimitLinearSeries, check_compatible, check_exact, numerical_data, reduce_minimal
 from .serialize import SchemaError, SubspaceTask, dumps_instance, load_instance
 from .torus import Direction, limit, orbit_degree
@@ -191,6 +191,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return _verify_chain(chain, args.oracle, args.samples)
 
 
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_SAMPLES}, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodalseries",
@@ -241,7 +248,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="validate a chain (or a series via its chain)")
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true", help="also run the brute-force oracle")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument(
+        "--samples", type=_sample_count, default=20,
+        help=f"orbit samples per component, 1..{MAX_SAMPLES}",
+    )
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -7,6 +7,8 @@ first-block part plus the embedded second-block image, which makes the
 linking equalities hold by construction; randomness enters through the
 kernel choices and the graph images. Rejection happens only on the cheap
 generic-position checks, never on the linking conditions themselves.
+Linked orbit pairs are built the same way, from a block profile chosen
+first.
 
 All randomness flows from one integer seed through per-stage substreams, so
 every failure is reproducible.
@@ -31,7 +33,6 @@ from .series import (
 from .torus import (
     Direction,
     TorusSplit,
-    block_profile,
     embed_block,
     is_fixed,
     limit,
@@ -52,19 +53,26 @@ _STEP_TRIES = 30
 # generic random subspaces
 
 
+def _independent_rows(
+    ambient_dim: int, count: int, rng: random.Random
+) -> tuple[list[list[Fraction]], Subspace]:
+    """``count`` scruffy random vectors of Q^n that are independent, and their span."""
+    for _ in range(200):
+        rows = [
+            [Fraction(rng.randint(-4, 4)) for _ in range(ambient_dim)]
+            for _ in range(count)
+        ]
+        span = Subspace.from_spanning(ambient_dim, rows)
+        if span.dim == count:
+            return rows, span
+    raise GenerationError(f"could not hit a rank-{count} subspace of Q^{ambient_dim}")
+
+
 def random_subspace(ambient_dim: int, dim: int, rng: random.Random) -> Subspace:
     """A uniformly scruffy random subspace with exactly the requested dimension."""
     if not 0 <= dim <= ambient_dim:
         raise ValueError("dimension out of range")
-    for _ in range(200):
-        rows = [
-            [Fraction(rng.randint(-4, 4)) for _ in range(ambient_dim)]
-            for _ in range(dim)
-        ]
-        candidate = Subspace.from_spanning(ambient_dim, rows)
-        if candidate.dim == dim:
-            return candidate
-    raise GenerationError(f"could not hit a rank-{dim} subspace of Q^{ambient_dim}")
+    return _independent_rows(ambient_dim, dim, rng)[1]
 
 
 def random_nonfixed_subspace(
@@ -120,8 +128,6 @@ def _graph_partner(
     meets the second block in exactly ``fixed_second``; retried until it is
     nonfixed (some graph image escapes the fixed part).
     """
-    if over_first.dim == 0:
-        return None
     base_rows = [
         tuple(embedded)
         for embedded in embed_block(split, over_first, 1).basis_rows()
@@ -143,6 +149,23 @@ def _graph_partner(
     return None
 
 
+def _linked_profiles(split: TorusSplit, dim: int) -> list[tuple[int, int, int]]:
+    """Block sizes (a, k, m) of forward-linked pairs of dimension ``dim``.
+
+    The first subspace has a = dim inside_first, k = dim inside_second and
+    orbit degree m, so dim = a + k + m. Its first-block projection needs
+    room (a + m <= dim1), the partner's graph base is its first-block part
+    (a >= 1), and the partner can only move if one second-block direction
+    lies outside the first subspace's projection (k + m <= dim2 - 1).
+    """
+    return [
+        (a, dim - a - m, m)
+        for m in range(1, dim + 1)
+        for a in range(1, dim - m + 1)
+        if a + m <= split.dim1 and dim - a <= split.dim2 - 1
+    ]
+
+
 def random_linked_pair(
     split: TorusSplit,
     dim: int,
@@ -156,49 +179,57 @@ def random_linked_pair(
     the second subspace's first-block projection equals the first one's
     first-block part (or the mirrored version). With ``meeting`` the shared
     boundary limit lies on both closures; otherwise the remaining block is
-    perturbed so the closures are disjoint.
+    replaced so the closures are disjoint.
+
+    The pair is built from a block profile drawn first, so no draw waits on
+    a rare event. Such a pair exists exactly when both blocks have
+    dimension at least 2 and 2 <= dim <= dim1 + dim2 - 2; otherwise
+    GenerationError is raised at once.
     """
-    for _ in range(400):
-        v = random_nonfixed_subspace(split, dim, rng)
-        profile = block_profile(split, v)
-        if not mirrored:
-            over = profile.inside_first
-            fixed_part = profile.onto_second
-            free_room = split.dim2 - fixed_part.dim
-            block_dim, block = split.dim2, 2
+    work = _swap(split) if mirrored else split
+    profiles = _linked_profiles(work, dim)
+    if not profiles:
+        raise GenerationError(
+            f"no linked orbit pair of dimension {dim} exists for blocks of"
+            f" dimensions {split.dim1} and {split.dim2}: it needs both blocks of"
+            " dimension at least 2 and 2 <= dim <= dim1 + dim2 - 2"
+        )
+    a, k, m = rng.choice(profiles)
+    first_rows, _ = _independent_rows(work.dim1, a + m, rng)
+    second_rows, onto_second = _independent_rows(work.dim2, k + m, rng)
+    zero1 = [Fraction(0)] * work.dim1
+    zero2 = [Fraction(0)] * work.dim2
+    # v = A + B + graph(C -> Phi): first-block part A, second-block part B,
+    # and m mixed rows pairing C with Phi
+    rows = (
+        [row + zero2 for row in first_rows[:a]]
+        + [zero1 + row for row in second_rows[:k]]
+        + [c + phi for c, phi in zip(first_rows[a:], second_rows[k:])]
+    )
+    v = Subspace.from_spanning(work.ambient_dim, rows)
+    fixed_part = onto_second
+    if not meeting:
+        for _ in range(_STEP_TRIES):
+            fixed_part = random_subspace(work.dim2, k + m, rng)
+            if fixed_part != onto_second:
+                break
         else:
-            over = profile.inside_second
-            fixed_part = profile.onto_first
-            free_room = split.dim1 - fixed_part.dim
-            block_dim, block = split.dim1, 1
-        if over.dim == 0 or free_room == 0:
-            continue
-        if not meeting:
-            replacement = random_subspace(block_dim, fixed_part.dim, rng)
-            if replacement == fixed_part or block_dim - replacement.dim == 0:
-                continue
-            fixed_part = replacement
-        if not mirrored:
-            partner = _graph_partner(split, over, fixed_part, rng)
-        else:
-            partner = _graph_partner(
-                _swap(split), over, fixed_part, rng
-            )
-            partner = _unswap(split, partner) if partner is not None else None
-        if partner is None:
-            continue
-        return v, partner
-    raise GenerationError("could not build a linked orbit pair for these block sizes")
+            raise GenerationError("could not draw a second-block part that breaks the meeting")
+    over = Subspace.from_spanning(work.dim1, first_rows[:a])
+    partner = _graph_partner(work, over, fixed_part, rng)
+    if partner is None:
+        raise GenerationError("could not draw a nonfixed partner over the first-block part")
+    if mirrored:
+        return _unswap(split, v), _unswap(split, partner)
+    return v, partner
 
 
 def _swap(split: TorusSplit) -> TorusSplit:
     return TorusSplit(split.dim2, split.dim1)
 
 
-def _unswap(split: TorusSplit, v: Subspace | None) -> Subspace | None:
+def _unswap(split: TorusSplit, v: Subspace) -> Subspace:
     """Move a subspace built in swapped block order back to the original order."""
-    if v is None:
-        return None
     rows = [row[split.dim2 :] + row[: split.dim2] for row in v.basis_rows()]
     return Subspace.from_spanning(split.ambient_dim, rows)
 

@@ -8,6 +8,7 @@ Values are immutable and hashable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,14 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# p or p/q in decimal digits, with an optional minus sign and q nonzero
+_RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
 def parse_rational(text: str) -> Fraction:
+    """Read ``p`` or ``p/q``; any other text raises ValueError."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational of the form p or p/q: {text!r}")
     return Fraction(text)
 
 

@@ -129,6 +129,11 @@ class OrbitSampleReport:
     failures: tuple[str, ...]
 
 
+# distinct values of p/q with 1 <= |p| <= 9 and 1 <= q <= 9, the pool that
+# _random_torus_elements draws from
+MAX_SAMPLES = 110
+
+
 def _random_torus_elements(rng: random.Random, count: int) -> list[Fraction]:
     out: set[Fraction] = set()
     while len(out) < count:
@@ -146,8 +151,14 @@ def sample_orbit_check(
 
     For random torus elements x, the moved base space must lie inside the
     matching twisted section space, and on orbit components distinct x must
-    give distinct points. Fixed components must not move at all.
+    give distinct points. Fixed components must not move at all. Takes 1 to
+    MAX_SAMPLES samples per component.
     """
+    if not 1 <= samples_per_component <= MAX_SAMPLES:
+        raise ValueError(
+            f"samples per component must lie in 1..{MAX_SAMPLES},"
+            f" got {samples_per_component}"
+        )
     rng = random.Random(seed)
     failures: list[str] = []
     for comp in chain.components:

@@ -173,3 +173,27 @@ def test_component_consistency_is_enforced():
             target_index=1,
             grassmann_degree=0,
         )
+
+
+def test_validate_chain_detects_fabricated_hilbert_data():
+    chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
+    fabricated = dataclasses.replace(chain, hilbert=(99, 5, (7, 7, 7), -3))
+    report = validate_chain(fabricated)
+    assert not report.degree.passed
+    assert [c.passed for c in report.checks] == [True, False, True, True, True]
+    assert any("Hilbert" in f for f in report.degree.failures)
+
+
+def test_validate_chain_detects_wrong_target_indices():
+    chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
+    retargeted = tuple(dataclasses.replace(comp, target_index=0) for comp in chain.components)
+    report = validate_chain(dataclasses.replace(chain, components=retargeted))
+    assert [c.passed for c in report.checks] == [True, False, True, True, True]
+    assert any("targets 0, expected 3" in f for f in report.degree.failures)
+
+
+def test_chain_rejects_targets_outside_the_degree():
+    chain = build_chain(series_e4())
+    wrapped = dataclasses.replace(chain.components[1], target_index=-1)
+    with pytest.raises(ChainError, match="outside"):
+        dataclasses.replace(chain, components=(chain.components[0], wrapped))

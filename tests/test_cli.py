@@ -8,6 +8,7 @@ from nodalseries.generate import random_exact_lls
 from nodalseries.linalg import Subspace
 from nodalseries.serialize import (
     SubspaceTask,
+    dumps_instance,
     load_instance,
     loads_instance,
     save_instance,
@@ -173,3 +174,29 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "build-chain" in result.stdout
+
+
+@pytest.mark.parametrize("samples", ["0", "111"])
+def test_verify_refuses_sample_counts_outside_the_pool(e4_file, samples, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", e4_file, "--oracle", "--samples", samples])
+    assert excinfo.value.code == 2
+    assert "1..110" in capsys.readouterr().err
+
+
+def test_verify_fails_on_fabricated_chain_metadata(tmp_path, capsys):
+    chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
+    payload = json.loads(dumps_instance(chain))
+    payload["hilbert"] = {"grassmann": 99, "picard": 5, "targets": [7, 7, 7], "constant": -3}
+    for comp in payload["components"]:
+        comp["target"]["index"] = 0
+    path = tmp_path / "fabricated.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "degree budget: FAIL" in out
+    assert len([line for line in out.splitlines() if not line.startswith("  ")]) == 5
+    for comp in payload["components"]:
+        comp["target"]["index"] = -5
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == 2

@@ -5,6 +5,9 @@ import pytest
 from nodalseries.chain import build_chain, validate_chain
 from nodalseries.generate import (
     GenerationError,
+    _graph_partner,
+    _swap,
+    _unswap,
     corrupt_exactness,
     exact_minimal_profiles,
     minimal_series_exists,
@@ -15,7 +18,7 @@ from nodalseries.generate import (
     random_subspace,
 )
 from nodalseries.series import check_compatible, check_exact, membership_failures, numerical_data
-from nodalseries.torus import TorusSplit, is_fixed, orbit_intersection
+from nodalseries.torus import TorusSplit, block_profile, is_fixed, orbit_intersection
 
 from conftest import feasible_parameters
 
@@ -150,3 +153,89 @@ def test_linked_pair_generation_respects_requests():
         assert orbit_intersection(split, v, vp) is not None
         v, vp = random_linked_pair(split, 3, rng, meeting=False, mirrored=mirrored)
         assert orbit_intersection(split, v, vp) is None
+
+
+RECIPES = [(True, False), (True, True), (False, False), (False, True)]
+
+
+def rejection_linked_pair(split, dim, rng, meeting, mirrored, draws):
+    """The former rejection sampler, kept as a reference with a draw budget.
+
+    It draws generic nonfixed subspaces until one has the block profile a
+    linked pair needs, so it raises whenever no pair of these sizes exists.
+    """
+    for _ in range(draws):
+        v = random_nonfixed_subspace(split, dim, rng)
+        profile = block_profile(split, v)
+        if not mirrored:
+            over, fixed_part = profile.inside_first, profile.onto_second
+            block_dim = split.dim2
+        else:
+            over, fixed_part = profile.inside_second, profile.onto_first
+            block_dim = split.dim1
+        if over.dim == 0 or block_dim == fixed_part.dim:
+            continue
+        if not meeting:
+            replacement = random_subspace(block_dim, fixed_part.dim, rng)
+            if replacement == fixed_part:
+                continue
+            fixed_part = replacement
+        if not mirrored:
+            partner = _graph_partner(split, over, fixed_part, rng)
+        else:
+            partner = _graph_partner(_swap(split), over, fixed_part, rng)
+            partner = _unswap(split, partner) if partner is not None else None
+        if partner is not None:
+            return v, partner
+    raise GenerationError("reference sampler found no linked pair")
+
+
+def assert_linked(split, v, vp, meeting, mirrored):
+    assert v.dim == vp.dim
+    assert not is_fixed(split, v) and not is_fixed(split, vp)
+    pv, pvp = block_profile(split, v), block_profile(split, vp)
+    if mirrored:
+        assert pvp.onto_second == pv.inside_second
+    else:
+        assert pvp.onto_first == pv.inside_first
+    assert (orbit_intersection(split, v, vp) is not None) == meeting
+
+
+def test_linked_pairs_exist_exactly_where_the_reference_finds_them():
+    rng = random.Random(2024)
+    built = reference_found = 0
+    for dim1 in range(1, 5):
+        for dim2 in range(1, 5):
+            split = TorusSplit(dim1, dim2)
+            # every dimension that has nonfixed subspaces
+            for dim in range(1, split.ambient_dim):
+                for meeting, mirrored in RECIPES:
+                    try:
+                        v, vp = random_linked_pair(split, dim, rng, meeting, mirrored)
+                    except GenerationError:
+                        with pytest.raises(GenerationError):
+                            rejection_linked_pair(split, dim, rng, meeting, mirrored, draws=10)
+                        continue
+                    built += 1
+                    assert_linked(split, v, vp, meeting, mirrored)
+                    try:
+                        ref = rejection_linked_pair(split, dim, rng, meeting, mirrored, draws=3)
+                    except GenerationError:
+                        continue
+                    reference_found += 1
+                    assert_linked(split, *ref, meeting, mirrored)
+    # pairs exist iff both blocks have dimension >= 2 and 2 <= dim <= dim1 + dim2 - 2
+    assert built == 4 * sum(
+        max(dim1 + dim2 - 3, 0) for dim1 in range(2, 5) for dim2 in range(2, 5)
+    )
+    assert reference_found > 0
+
+
+def test_linked_pair_raises_at_once_without_a_block_profile():
+    rng = random.Random(5)
+    state = rng.getstate()
+    for split, dim in ((TorusSplit(2, 2), 3), (TorusSplit(1, 4), 2), (TorusSplit(3, 3), 1)):
+        for meeting, mirrored in RECIPES:
+            with pytest.raises(GenerationError, match="no linked orbit pair"):
+                random_linked_pair(split, dim, rng, meeting, mirrored)
+    assert rng.getstate() == state

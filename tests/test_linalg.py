@@ -206,3 +206,11 @@ def test_contains_vector_and_subspace():
     assert not v.contains_vector((1, 0, 0))
     assert v.contains(Subspace.from_spanning(3, [(1, 1, 1)]))
     assert not Subspace.zero(3).contains(v)
+
+
+@pytest.mark.parametrize(
+    "text", [" 1.0e0 ", "1.5", "1_000", "1e999999", "+1", "1/0", "1/00", "1/-2", " 1", "", "1/", "/2", "١"]
+)
+def test_parse_rational_accepts_only_the_documented_form(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)

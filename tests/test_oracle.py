@@ -102,3 +102,10 @@ def test_sample_orbit_check_accepts_fixed_components():
     assert "fixed" in kinds
     report = sample_orbit_check(chain, samples_per_component=8, seed=3)
     assert report.passed
+
+
+@pytest.mark.parametrize("samples", [0, 111])
+def test_sample_orbit_check_refuses_counts_outside_the_pool(samples):
+    chain = build_chain(random_exact_lls(1, 0, (1,), seed=1))
+    with pytest.raises(ValueError, match="1..110"):
+        sample_orbit_check(chain, samples_per_component=samples, seed=0)

@@ -99,3 +99,19 @@ def test_dimension_mismatch_rejected_on_load():
     payload["spaces"]["0"] = [["1", "0", "0", "1"], ["0", "1", "0", "0"]]
     with pytest.raises(SchemaError):
         loads_instance(json.dumps(payload))
+
+
+@pytest.mark.parametrize("entry", [" 1.0e0 ", "1.5", "1_000", "1e999999", "1/0", 1])
+def test_lenient_rationals_rejected(entry):
+    payload = {"schema_version": 1, "kind": "subspace", "dim1": 1, "dim2": 1, "basis": [["1", entry]]}
+    with pytest.raises(SchemaError):
+        loads_instance(json.dumps(payload))
+
+
+@pytest.mark.parametrize("target", [-5, 3])
+def test_chain_targets_outside_the_degree_rejected(target):
+    chain = build_chain(random_exact_lls(2, 1, (2, 2), seed=3))
+    payload = json.loads(dumps_instance(chain))
+    payload["components"][0]["target"]["index"] = target
+    with pytest.raises(SchemaError, match="outside 0..2"):
+        loads_instance(json.dumps(payload))

@@ -22,8 +22,8 @@ from nodalseries import (
     limit,
     limit_via_pluecker,
     orbit_degree,
-    orbit_weight_profile,
     pluecker,
+    weight_profile_via_pluecker,
 )
 
 split = TorusSplit(2, 2)
@@ -55,7 +55,7 @@ print("both are fixed points:", is_fixed(split, zero), is_fixed(split, infty))
 print()
 
 print("orbit closure degree:", orbit_degree(split, v))
-print("weight profile of nonzero minors:", sorted(orbit_weight_profile(split, v)))
+print("weight profile of nonzero minors:", sorted(weight_profile_via_pluecker(split, v)))
 print("nonzero Pluecker coordinates:")
 for cols, value in pluecker(v).items():
     if value != 0:

@@ -19,7 +19,6 @@ from nodalseries import (
     build_delta,
     check_compatible,
     check_exact,
-    is_exact_via_sum,
     numerical_data,
     section_space,
 )
@@ -61,5 +60,5 @@ for name, g in (("exact choice", exact_series), ("lazy choice", lazy_series)):
     print("down kernels:", data.down_kernels)
     print("up kernels:  ", data.up_kernels)
     print("mobile dims: ", data.mobile, "(sum", data.total_mobile(), "vs rank+1 =", g.rank + 1, ")")
-    print("counting formula agrees:", is_exact_via_sum(data) == report.passed)
+    print("counting formula agrees:", data.is_exact() == report.passed)
     print()

@@ -19,8 +19,6 @@ from .linalg import (
     parse_rational,
     pluecker,
     rref,
-    subspace_intersection,
-    subspace_sum,
 )
 from .torus import (
     BlockProfile,
@@ -34,7 +32,6 @@ from .torus import (
     meeting_is_transverse,
     orbit_degree,
     orbit_intersection,
-    orbit_weight_profile,
 )
 from .delta import DeltaSet, NumericalData, build_delta, consecutive_pairs, support_subset
 from .curve import (
@@ -49,8 +46,6 @@ from .series import (
     LinkReport,
     check_compatible,
     check_exact,
-    is_exact_via_sum,
-    is_minimal,
     membership_failures,
     numerical_data,
     project_level_one,
@@ -71,10 +66,12 @@ from .chain import (
     validate_chain,
 )
 from .oracle import (
+    compare_chain,
     degree_via_pluecker,
     limit_via_pluecker,
     sample_orbit_check,
     subspace_from_minors,
+    weight_profile_via_pluecker,
 )
 from .generate import (
     GenerationError,

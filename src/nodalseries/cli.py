@@ -15,10 +15,13 @@ from .chain import ChainBuildError, ChainError, ContinuousChain, build_chain, em
 from .delta import NumericalData
 from .generate import GenerationError, random_exact_lls
 from .linalg import format_rational
-from .oracle import MAX_SAMPLES, degree_via_pluecker, limit_via_pluecker, sample_orbit_check
+from .oracle import MAX_SAMPLES, compare_chain, sample_orbit_check
 from .series import LimitLinearSeries, check_compatible, check_exact, numerical_data, reduce_minimal
 from .serialize import SchemaError, SubspaceTask, dumps_instance, load_instance
 from .torus import Direction, limit, orbit_degree
+
+# gen and verify enumerate minors exhaustively, so they stay desk-sized
+MAX_DEGREE = 8
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -131,9 +134,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         delta = tuple(int(part) for part in args.delta.split(","))
     else:
         delta = ()
-    if not 0 <= args.d <= 8:
-        # minor enumeration is exhaustive, so the CLI keeps instances desk-sized
-        print("error: the generator handles degrees 0 through 8", file=sys.stderr)
+    if not 0 <= args.d <= MAX_DEGREE:
+        print(f"error: the generator handles degrees 0 through {MAX_DEGREE}", file=sys.stderr)
         return 1
     try:
         g = random_exact_lls(args.d, args.r, delta, args.seed)
@@ -149,20 +151,7 @@ def _verify_chain(chain: ContinuousChain, use_oracle: bool, samples: int) -> int
     print(report.summary())
     ok = report.passed
     if use_oracle:
-        split = chain.model.split
-        mismatch = []
-        for comp in chain.components:
-            for direction in (Direction.ZERO, Direction.INFINITY):
-                if limit(split, comp.base_space, direction) != limit_via_pluecker(
-                    split, comp.base_space, direction
-                ):
-                    mismatch.append(
-                        f"limit mismatch at {format_rational(comp.index)} ({direction.value})"
-                    )
-            if orbit_degree(split, comp.base_space) != degree_via_pluecker(
-                split, comp.base_space
-            ):
-                mismatch.append(f"degree mismatch at {format_rational(comp.index)}")
+        mismatch = compare_chain(chain)
         print(f"oracle limits/degrees: {'pass' if not mismatch else 'FAIL'}")
         for line in mismatch:
             print(f"  - {line}")
@@ -176,6 +165,12 @@ def _verify_chain(chain: ContinuousChain, use_oracle: bool, samples: int) -> int
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     obj = load_instance(args.file)
+    if isinstance(obj, (LimitLinearSeries, ContinuousChain)) and obj.model.d > MAX_DEGREE:
+        print(
+            f"error: verify handles degrees 0 through {MAX_DEGREE}, got {obj.model.d}",
+            file=sys.stderr,
+        )
+        return 2
     if isinstance(obj, LimitLinearSeries):
         exact = check_exact(obj)
         data = numerical_data(obj)

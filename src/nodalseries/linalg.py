@@ -236,7 +236,8 @@ class Subspace:
     def basis_rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self.basis.rows()
 
-    def contains_vector(self, vector: Sequence[_Entry]) -> bool:
+    def residual(self, vector: Sequence[_Entry]) -> tuple[Fraction, ...]:
+        """The vector reduced by the basis pivots: linear, and zero exactly on members."""
         vec = [Fraction(e) for e in vector]
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
@@ -246,7 +247,10 @@ class Subspace:
             if vec[pivot] != 0:
                 factor = vec[pivot]
                 vec = [a - factor * b for a, b in zip(vec, row)]
-        return all(e == 0 for e in vec)
+        return tuple(vec)
+
+    def contains_vector(self, vector: Sequence[_Entry]) -> bool:
+        return not any(self.residual(vector))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -264,16 +268,6 @@ class Subspace:
 
     def __str__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Smallest subspace containing both arguments."""
-    return sum_and_intersection(a, b)[0]
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Largest subspace contained in both arguments."""
-    return sum_and_intersection(a, b)[1]
 
 
 def sum_and_intersection(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:

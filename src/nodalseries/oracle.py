@@ -5,7 +5,7 @@ degrees are recomputed from scratch by enumerating minors (with a cofactor
 determinant of its own) and scaling them by their block weights, then
 reconstructing the limiting subspace from the surviving Pluecker vector by
 solving incidence conditions. Agreement with the structural formulas is
-exact, with zero tolerance.
+exact, with zero tolerance; :func:`compare_chain` checks it on a chain.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Mapping, Sequence
 
 from .chain import ComponentKind, ContinuousChain
 from .curve import twisted_space_at
-from .linalg import Subspace
-from .torus import Direction, TorusSplit, act
+from .linalg import Subspace, format_rational
+from .torus import Direction, TorusSplit, act, limit, orbit_degree
 
 
 def _cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -111,15 +111,43 @@ def limit_via_pluecker(split: TorusSplit, v: Subspace, direction: Direction) -> 
     return subspace_from_minors(v.ambient_dim, v.dim, survivors)
 
 
+def weight_profile_via_pluecker(split: TorusSplit, v: Subspace) -> set[tuple[int, int]]:
+    """Block weights (n1, n2) of the nonzero minors of v.
+
+    The first coordinates always form a gap-free integer interval
+    [dim(v meet W1), dim(projection of v to W1)].
+    """
+    weights = set()
+    for cols, value in minor_table(v).items():
+        if value != 0:
+            first = sum(1 for c in cols if c < split.dim1)
+            weights.add((first, len(cols) - first))
+    return weights
+
+
 def degree_via_pluecker(split: TorusSplit, v: Subspace) -> int:
     """Orbit degree recomputed as the spread of first-block minor weights."""
-    table = minor_table(v)
-    levels = [
-        sum(1 for c in cols if c < split.dim1)
-        for cols, value in table.items()
-        if value != 0
-    ]
+    levels = [first for first, _ in weight_profile_via_pluecker(split, v)]
     return max(levels) - min(levels)
+
+
+def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
+    """Each component's structural limits and degree against the oracle's.
+
+    Returns one line per disagreement; empty when everything agrees.
+    """
+    split = chain.model.split
+    mismatch = []
+    for comp in chain.components:
+        v = comp.base_space
+        for direction in (Direction.ZERO, Direction.INFINITY):
+            if limit(split, v, direction) != limit_via_pluecker(split, v, direction):
+                mismatch.append(
+                    f"limit mismatch at {format_rational(comp.index)} ({direction.value})"
+                )
+        if orbit_degree(split, v) != degree_via_pluecker(split, v):
+            mismatch.append(f"degree mismatch at {format_rational(comp.index)}")
+    return tuple(mismatch)
 
 
 @dataclass(frozen=True)

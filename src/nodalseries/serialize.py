@@ -17,7 +17,7 @@ from typing import Any
 
 from .chain import ChainComponent, ChainError, ComponentKind, ContinuousChain
 from .curve import CurveModel
-from .delta import build_delta
+from .delta import DeltaSet, build_delta
 from .linalg import Subspace, format_rational, parse_rational
 from .series import LimitLinearSeries, membership_failures
 from .torus import TorusSplit
@@ -35,6 +35,24 @@ class SubspaceTask:
 
     split: TorusSplit
     subspace: Subspace
+
+
+def _integer(value: Any, field: str) -> int:
+    """An integer field; JSON floats, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise SchemaError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _ladder(d: int, steps: Any, listed: int, what: str) -> DeltaSet:
+    """The file's ladder, checked against the file's size before it is built."""
+    steps = [_integer(s, "a delta entry") for s in steps]
+    size = 1 + sum(steps)
+    if size != listed:
+        raise SchemaError(
+            f"delta gives a ladder of {size} indices but the file lists {listed} {what}"
+        )
+    return build_delta(d, steps)
 
 
 def _matrix_json(v: Subspace) -> list[list[str]]:
@@ -66,10 +84,10 @@ def series_to_json(g: LimitLinearSeries) -> dict:
 
 def series_from_json(payload: dict) -> LimitLinearSeries:
     try:
-        model = CurveModel(int(payload["d"]))
-        rank = int(payload["r"])
-        ladder = build_delta(model.d, [int(s) for s in payload["delta"]])
+        model = CurveModel(_integer(payload["d"], "d"))
+        rank = _integer(payload["r"], "r")
         raw_spaces = payload["spaces"]
+        ladder = _ladder(model.d, payload["delta"], len(raw_spaces), "spaces")
         spaces = []
         for i in ladder.indices:
             key = format_rational(i)
@@ -122,9 +140,9 @@ def chain_to_json(c: ContinuousChain) -> dict:
 
 def chain_from_json(payload: dict) -> ContinuousChain:
     try:
-        model = CurveModel(int(payload["d"]))
-        rank = int(payload["r"])
-        ladder = build_delta(model.d, [int(s) for s in payload["delta"]])
+        model = CurveModel(_integer(payload["d"], "d"))
+        rank = _integer(payload["r"], "r")
+        ladder = _ladder(model.d, payload["delta"], len(payload["components"]), "components")
         components = []
         for raw in payload["components"]:
             components.append(
@@ -133,8 +151,8 @@ def chain_from_json(payload: dict) -> ContinuousChain:
                     base_space=_subspace_from_json(model.ambient_dim, raw["basis"]),
                     kind=ComponentKind(raw["kind"]),
                     target_kind=raw["target"]["kind"],
-                    target_index=int(raw["target"]["index"]),
-                    grassmann_degree=int(raw["degree"]),
+                    target_index=_integer(raw["target"]["index"], "a target index"),
+                    grassmann_degree=_integer(raw["degree"], "a component degree"),
                 )
             )
         nodes = tuple(
@@ -142,10 +160,10 @@ def chain_from_json(payload: dict) -> ContinuousChain:
         )
         hil = payload["hilbert"]
         hilbert = (
-            int(hil["grassmann"]),
-            int(hil["picard"]),
-            tuple(int(t) for t in hil["targets"]),
-            int(hil["constant"]),
+            _integer(hil["grassmann"], "hilbert grassmann"),
+            _integer(hil["picard"], "hilbert picard"),
+            tuple(_integer(t, "a hilbert target") for t in hil["targets"]),
+            _integer(hil["constant"], "hilbert constant"),
         )
         return ContinuousChain(model, rank, ladder, tuple(components), nodes, hilbert)
     except SchemaError:
@@ -166,7 +184,7 @@ def subspace_task_to_json(task: SubspaceTask) -> dict:
 
 def subspace_task_from_json(payload: dict) -> SubspaceTask:
     try:
-        split = TorusSplit(int(payload["dim1"]), int(payload["dim2"]))
+        split = TorusSplit(_integer(payload["dim1"], "dim1"), _integer(payload["dim2"], "dim2"))
         subspace = _subspace_from_json(split.ambient_dim, payload["basis"])
         return SubspaceTask(split, subspace)
     except SchemaError:

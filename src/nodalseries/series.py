@@ -17,8 +17,8 @@ from typing import Iterator
 
 from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, NumericalData, build_delta, consecutive_pairs, support_subset
-from .linalg import Subspace, pluecker
-from .torus import act, meet_block, project_block, weight
+from .linalg import Subspace
+from .torus import TorusSplit, act, meet_block, project_block
 
 
 @dataclass(frozen=True)
@@ -153,16 +153,6 @@ def numerical_data(g: LimitLinearSeries) -> NumericalData:
     return NumericalData(g.rank, g.delta.indices, tuple(down), tuple(up))
 
 
-def is_exact_via_sum(data: NumericalData) -> bool:
-    """Counting form of exactness: mobile dimensions sum to rank + 1."""
-    return data.is_exact()
-
-
-def is_minimal(data: NumericalData) -> bool:
-    """Positive mobile dimension at every non-integer index."""
-    return data.is_minimal()
-
-
 def membership_failures(g: LimitLinearSeries) -> tuple[Fraction, ...]:
     """Indices whose space leaves its section space (empty for valid series)."""
     return tuple(
@@ -187,39 +177,31 @@ def reduce_minimal(g: LimitLinearSeries) -> LimitLinearSeries:
     return LimitLinearSeries(g.model, g.rank, reduced_delta, spaces)
 
 
-def _scaling_witness(g1: LimitLinearSeries, v1: Subspace, v2: Subspace) -> Fraction | None:
-    """A nonzero c with act(c, v1) == v2, or None.
+def _scaling_witness(split: TorusSplit, v1: Subspace, v2: Subspace) -> Fraction | None:
+    """The nonzero c with act(c, v1) == v2, or None.
 
-    Candidates come from ratios of matching Pluecker minors: scaling by c
-    multiplies the minor at column set I by c**(-n1(I)), so two minors whose
-    first-block weights differ by one determine c.
+    Each basis row (w1|w2) of v1 must move into v2 as u*(w1|0) + (0|w2) with
+    u = 1/c. Reducing against v2 is linear, so with residuals a of (w1|0) and
+    b of (0|w2) the condition reads u*a + b = 0: the first row with a != 0
+    fixes the only candidate. When every residual vanishes, v1 lies in v2 and
+    only the identity can work.
     """
-    split = g1.model.split
     if v1.dim != v2.dim:
         return None
-    p1 = pluecker(v1)
-    p2 = pluecker(v2)
-    support1 = {k for k, val in p1.items() if val != 0}
-    support2 = {k for k, val in p2.items() if val != 0}
-    if support1 != support2:
-        return None
-    base = min(support1)
-    base_level = weight(split, base)[0]
-    for cols in sorted(support1):
-        level = weight(split, cols)[0]
-        ratio = p2[cols] / p1[cols]
-        if level == base_level + 1:
-            candidate = 1 / ratio
-        elif level == base_level - 1:
-            candidate = ratio
-        else:
-            continue
-        if candidate != 0 and act(split, candidate, v1) == v2:
-            return candidate
-    # No weight variation: v1 is fixed, so only the identity can work.
-    if act(split, Fraction(1), v1) == v2:
-        return Fraction(1)
-    return None
+    zeros1 = (Fraction(0),) * split.dim1
+    zeros2 = (Fraction(0),) * split.dim2
+    for row in v1.basis_rows():
+        a = v2.residual(row[: split.dim1] + zeros2)
+        b = v2.residual(zeros1 + row[split.dim1 :])
+        k = next((k for k, e in enumerate(a) if e != 0), None)
+        if k is not None:
+            if b[k] == 0:
+                return None
+            c = -a[k] / b[k]
+            return c if act(split, c, v1) == v2 else None
+        if any(b):
+            return None
+    return Fraction(1) if v1 == v2 else None
 
 
 def torus_equivalence_witnesses(
@@ -240,7 +222,7 @@ def torus_equivalence_witnesses(
                 return None
             witnesses[i] = Fraction(1)
         else:
-            c = _scaling_witness(g1, v1, v2)
+            c = _scaling_witness(g1.model.split, v1, v2)
             if c is None:
                 return None
             witnesses[i] = c

@@ -2,9 +2,9 @@
 
 The ambient space splits into two coordinate blocks; the torus scales the
 first block by 1/x and fixes the second. Orbit closures of nonfixed points
-are rational curves whose boundary points, degree and weight profile are all
-computed structurally from four block invariants of the moving subspace:
-its intersection with each block and its projection onto each block.
+are rational curves whose boundary points and degree are computed
+structurally from four block invariants of the moving subspace: its
+intersection with each block and its projection onto each block.
 """
 
 from __future__ import annotations
@@ -135,10 +135,7 @@ def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
 
 def is_fixed(split: TorusSplit, v: Subspace) -> bool:
     """True when v is a fixed point, i.e. splits as (v meet W1) + (v meet W2)."""
-    _check_member(split, v)
-    return (
-        meet_block(split, v, 1).dim + meet_block(split, v, 2).dim == v.dim
-    )
+    return orbit_degree(split, v) == 0
 
 
 def limit(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
@@ -158,28 +155,13 @@ def limit(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
 
 def orbit_degree(split: TorusSplit, v: Subspace) -> int:
     """Degree of the orbit closure of v in the Grassmannian; 0 iff fixed."""
-    profile = block_profile(split, v)
-    return profile.onto_first.dim - profile.inside_first.dim
+    return project_block(split, v, 1).dim - meet_block(split, v, 1).dim
 
 
 def weight(split: TorusSplit, cols: tuple[int, ...]) -> tuple[int, int]:
     """How many of the given ambient columns lie in each block."""
     first = sum(1 for c in cols if c < split.dim1)
     return (first, len(cols) - first)
-
-
-def orbit_weight_profile(split: TorusSplit, v: Subspace) -> set[tuple[int, int]]:
-    """Block weights (n1, n2) of the nonzero Pluecker minors of v.
-
-    The first coordinates always form a gap-free integer interval
-    [dim(v meet W1), dim(projection of v to W1)].
-    """
-    _check_member(split, v)
-    return {
-        weight(split, cols)
-        for cols, value in pluecker(v).items()
-        if value != 0
-    }
 
 
 def orbit_intersection(split: TorusSplit, v: Subspace, vp: Subspace) -> Subspace | None:

@@ -22,7 +22,6 @@ from nodalseries.oracle import degree_via_pluecker, limit_via_pluecker
 from nodalseries.series import (
     LimitLinearSeries,
     check_exact,
-    is_exact_via_sum,
     numerical_data,
     reduce_minimal,
     torus_equivalent,
@@ -149,7 +148,7 @@ def test_criterion_5_exactness_equivalence(exact_corpus, padded_corpus, corrupte
     assert len(instances) >= 300
     failures = []
     for g in instances:
-        if check_exact(g).passed != is_exact_via_sum(numerical_data(g)):
+        if check_exact(g).passed != numerical_data(g).is_exact():
             failures.append(g)
     _report(
         5,

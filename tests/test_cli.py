@@ -3,7 +3,7 @@ import json
 import pytest
 
 from nodalseries.chain import build_chain
-from nodalseries.cli import main
+from nodalseries.cli import MAX_DEGREE, main
 from nodalseries.generate import random_exact_lls
 from nodalseries.linalg import Subspace
 from nodalseries.serialize import (
@@ -200,3 +200,46 @@ def test_verify_fails_on_fabricated_chain_metadata(tmp_path, capsys):
         comp["target"]["index"] = -5
     path.write_text(json.dumps(payload))
     assert main(["verify", str(path)]) == 2
+
+
+def test_non_integer_field_exit_code(tmp_path, e4_file, capsys):
+    with open(e4_file) as handle:
+        payload = json.load(handle)
+    payload["d"] = 1.5
+    path = tmp_path / "float_degree.json"
+    path.write_text(json.dumps(payload))
+    for command in ("check", "verify"):
+        assert main([command, str(path)]) == 2
+    assert "must be a JSON integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("as_chain", [False, True])
+def test_verify_refuses_degrees_above_the_cap(tmp_path, capsys, as_chain):
+    g = random_exact_lls(MAX_DEGREE + 1, 0, (1,) * (MAX_DEGREE + 1), seed=0)
+    path = tmp_path / "large.json"
+    save_instance(build_chain(g) if as_chain else g, path)
+    assert main(["verify", str(path), "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"degrees 0 through {MAX_DEGREE}, got {MAX_DEGREE + 1}" in captured.err
+    # the commands without minor enumeration stay uncapped
+    if not as_chain:
+        assert main(["check", str(path)]) == 0
+
+
+def test_verify_accepts_the_cap_degree(tmp_path):
+    path = tmp_path / "cap.json"
+    delta = ",".join(["1"] * MAX_DEGREE)
+    args = ["--d", str(MAX_DEGREE), "--r", "0", "--delta", delta, "--seed", "1"]
+    assert main(["gen", *args, "-o", str(path)]) == 0
+    assert main(["verify", str(path), "--oracle", "--samples", "2"]) == 0
+
+
+def test_verify_oracle_fails_on_a_wrong_structural_limit(e4_file, monkeypatch, capsys):
+    import nodalseries.oracle
+
+    monkeypatch.setattr(nodalseries.oracle, "limit", lambda split, v, direction: v)
+    assert main(["verify", e4_file]) == 0
+    assert main(["verify", e4_file, "--oracle", "--samples", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "oracle limits/degrees: FAIL\n  - limit mismatch at 0 (zero)\n" in out

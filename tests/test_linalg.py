@@ -12,8 +12,6 @@ from nodalseries.linalg import (
     parse_rational,
     pluecker,
     rref,
-    subspace_intersection,
-    subspace_sum,
     zero_coordinate_section,
 )
 from nodalseries.oracle import minor_table, subspace_from_minors
@@ -82,30 +80,30 @@ def test_canonicity_under_shuffle_and_scale():
 def test_sum_idempotent_and_coordinate_axes():
     e1 = Subspace.from_spanning(2, [(1, 0)])
     e2 = Subspace.from_spanning(2, [(0, 1)])
-    assert subspace_sum(e1, e1) == e1
-    assert subspace_sum(e1, e2) == Subspace.full(2)
+    assert e1 + e1 == e1
+    assert e1 + e2 == Subspace.full(2)
 
 
 def test_sum_elimination_case():
     a = Subspace.from_spanning(2, [(1, 1)])
     b = Subspace.from_spanning(2, [(0, 1)])
-    assert subspace_sum(a, b) == Subspace.full(2)
+    assert a + b == Subspace.full(2)
 
 
 def test_intersection_examples():
     v = Subspace.from_spanning(3, [(1, 0, 0), (0, 1, 0)])
-    assert subspace_intersection(v, Subspace.full(3)) == v
+    assert (v & Subspace.full(3)) == v
     e1 = Subspace.from_spanning(2, [(1, 0)])
     e2 = Subspace.from_spanning(2, [(0, 1)])
-    assert subspace_intersection(e1, e2) == Subspace.zero(2)
+    assert (e1 & e2) == Subspace.zero(2)
     a = Subspace.from_spanning(3, [(1, 1, 0), (0, 0, 1)])
     b = Subspace.from_spanning(3, [(0, 1, 0), (0, 0, 1)])
-    assert subspace_intersection(a, b) == Subspace.from_spanning(3, [(0, 0, 1)])
+    assert (a & b) == Subspace.from_spanning(3, [(0, 0, 1)])
 
 
 def test_ambient_mismatch():
     with pytest.raises(ValueError):
-        subspace_sum(Subspace.zero(2), Subspace.zero(3))
+        Subspace.zero(2) + Subspace.zero(3)
 
 
 def test_modular_grassmann_identity():
@@ -118,7 +116,7 @@ def test_modular_grassmann_identity():
         b = Subspace.from_spanning(
             n, [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(rng.randint(0, n))]
         )
-        assert a.dim + b.dim == subspace_sum(a, b).dim + subspace_intersection(a, b).dim
+        assert a.dim + b.dim == (a + b).dim + (a & b).dim
 
 
 def test_pluecker_axis_line():

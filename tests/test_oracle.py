@@ -6,8 +6,10 @@ import pytest
 
 from nodalseries.chain import build_chain
 from nodalseries.generate import random_exact_lls, random_subspace
-from nodalseries.linalg import Subspace
+from nodalseries import oracle
+from nodalseries.linalg import Subspace, format_rational
 from nodalseries.oracle import (
+    compare_chain,
     degree_via_pluecker,
     limit_via_pluecker,
     minor_table,
@@ -109,3 +111,28 @@ def test_sample_orbit_check_refuses_counts_outside_the_pool(samples):
     chain = build_chain(random_exact_lls(1, 0, (1,), seed=1))
     with pytest.raises(ValueError, match="1..110"):
         sample_orbit_check(chain, samples_per_component=samples, seed=0)
+
+
+def test_compare_chain_agrees_on_built_chains():
+    for seed in range(4):
+        chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=seed))
+        assert compare_chain(chain) == ()
+
+
+def test_compare_chain_reports_wrong_structural_formulas(monkeypatch):
+    chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
+    split = chain.model.split
+    moving = [c for c in chain.components if not is_fixed(split, c.base_space)]
+    assert moving
+    # a limit that never moves is wrong exactly on the orbit components
+    monkeypatch.setattr(oracle, "limit", lambda split, v, direction: v)
+    assert compare_chain(chain) == tuple(
+        f"limit mismatch at {format_rational(c.index)} ({direction})"
+        for c in moving
+        for direction in ("zero", "infinity")
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "orbit_degree", lambda split, v: 7)
+    assert compare_chain(chain) == tuple(
+        f"degree mismatch at {format_rational(c.index)}" for c in chain.components
+    )

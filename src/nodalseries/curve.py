@@ -19,8 +19,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Rational, Subspace
+from .linalg import Matrix, Rational, Subspace
 from .torus import TorusSplit, act
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -81,33 +84,29 @@ def section_space(model: CurveModel, i: Rational) -> SectionSpace:
     and the second-block flag at level floor(i); no gluing. Integer i: inside
     the level-i flags, the kernel of the node condition
     coeff(t^i) = coeff(s^(d-i)). Either way the dimension is d + 1.
+
+    The rows are written down in canonical order: the glue row t^i + s^(d-i)
+    first (its s-entry is no other row's pivot), then the t and the s unit
+    rows.
     """
     i = Fraction(i)
     if i < 0 or i > model.d:
         raise ValueError(f"index {i} outside [0, {model.d}]")
     n = model.ambient_dim
-    rows: list[list[Fraction]] = []
-
-    def unit(coord: int) -> list[Fraction]:
-        row = [Fraction(0)] * n
-        row[coord] = Fraction(1)
-        return row
-
+    coords: list[tuple[int, ...]] = []
     if i.denominator == 1:
         level = int(i)
-        for j in range(level + 1, model.d + 1):
-            rows.append(unit(model.t_coord(j)))
-        for j in range(model.d - level + 1, model.d + 1):
-            rows.append(unit(model.s_coord(j)))
-        glue = unit(model.t_coord(level))
-        glue[model.s_coord(model.d - level)] = Fraction(1)
-        rows.append(glue)
+        coords.append((model.t_coord(level), model.s_coord(model.d - level)))
+        t_low, s_high = level + 1, level - 1
     else:
-        for j in range(math.ceil(i), model.d + 1):
-            rows.append(unit(model.t_coord(j)))
-        for j in range(model.d - math.floor(i), model.d + 1):
-            rows.append(unit(model.s_coord(j)))
-    return SectionSpace(i, Subspace.from_spanning(n, rows))
+        t_low, s_high = math.ceil(i), math.floor(i)
+    coords.extend((c,) for c in model.first_flag_coords(t_low))
+    coords.extend((c,) for c in model.second_flag_coords(s_high))
+    entries = [_ZERO] * (len(coords) * n)
+    for r, row_coords in enumerate(coords):
+        for c in row_coords:
+            entries[r * n + c] = _ONE
+    return SectionSpace(i, Subspace(n, Matrix(len(coords), n, tuple(entries))))
 
 
 def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:

@@ -238,7 +238,7 @@ class Subspace:
 
     def residual(self, vector: Sequence[_Entry]) -> tuple[Fraction, ...]:
         """The vector reduced by the basis pivots: linear, and zero exactly on members."""
-        vec = [Fraction(e) for e in vector]
+        vec = [e if isinstance(e, Fraction) else Fraction(e) for e in vector]
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match the ambient dimension")
         for i in range(self.basis.nrows):

@@ -22,32 +22,51 @@ from .linalg import Subspace, format_rational
 from .torus import Direction, TorusSplit, act, limit, orbit_degree
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _laplace_minors(
+    rows: Sequence[Sequence[Fraction]], ncols: int
+) -> dict[tuple[int, ...], Fraction]:
+    """Every len(rows)-sized minor, keyed by column index set in lex order.
+
+    One row-by-row cofactor expansion shared by all the minors: the minors
+    of the last j rows on every j-column set are built from those of the
+    last j - 1 rows by expanding along row -j, so each sub-minor is computed
+    once. No elimination, no division.
+    """
+    k = len(rows)
+    if k == 0:
+        return {(): _ONE}
+    minors = {(c,): e for c, e in enumerate(rows[-1])}
+    for j in range(2, k + 1):
+        row = rows[k - j]
+        expanded = {}
+        for cols in combinations(range(ncols), j):
+            total = 0
+            for p, c in enumerate(cols):
+                e = row[c]
+                if e:
+                    sub = minors[cols[:p] + cols[p + 1 :]]
+                    if sub:
+                        if p & 1:
+                            total -= e * sub
+                        else:
+                            total += e * sub
+            expanded[cols] = total or _ZERO
+        minors = expanded
+    return minors
+
+
 def _cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return rows[0][0]
-    total = Fraction(0)
-    sign = 1
-    for col in range(n):
-        if rows[0][col] != 0:
-            minor = [
-                [row[c] for c in range(n) if c != col] for row in rows[1:]
-            ]
-            total += sign * rows[0][col] * _cofactor_det(minor)
-        sign = -sign
-    return total
+    return _laplace_minors(rows, n)[tuple(range(n))]
 
 
 def minor_table(v: Subspace) -> dict[tuple[int, ...], Fraction]:
     """Every dim(v)-sized minor of the basis, keyed by column index set."""
-    rows = v.basis_rows()
-    n = v.dim
-    return {
-        cols: _cofactor_det([[row[c] for c in cols] for row in rows])
-        for cols in combinations(range(v.ambient_dim), n)
-    }
+    return _laplace_minors(v.basis_rows(), v.ambient_dim)
 
 
 def subspace_from_minors(
@@ -87,15 +106,12 @@ def subspace_from_minors(
     return Subspace.from_spanning(ambient_dim, vectors)
 
 
-def limit_via_pluecker(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
-    """Orbit limit recomputed by Pluecker scaling.
-
-    Scaling by the torus multiplies the minor at I by the inverse first-block
-    weight power, so toward zero only the minors of maximal first-block
-    weight survive, and toward infinity only those of minimal weight. The
-    survivors form the Pluecker vector of the limiting subspace.
-    """
-    table = minor_table(v)
+def _limit_from_table(
+    split: TorusSplit,
+    v: Subspace,
+    table: Mapping[tuple[int, ...], Fraction],
+    direction: Direction,
+) -> Subspace:
     weights = {
         cols: sum(1 for c in cols if c < split.dim1) for cols in table
     }
@@ -111,41 +127,64 @@ def limit_via_pluecker(split: TorusSplit, v: Subspace, direction: Direction) -> 
     return subspace_from_minors(v.ambient_dim, v.dim, survivors)
 
 
-def weight_profile_via_pluecker(split: TorusSplit, v: Subspace) -> set[tuple[int, int]]:
-    """Block weights (n1, n2) of the nonzero minors of v.
-
-    The first coordinates always form a gap-free integer interval
-    [dim(v meet W1), dim(projection of v to W1)].
-    """
+def _weight_profile(
+    split: TorusSplit, table: Mapping[tuple[int, ...], Fraction]
+) -> set[tuple[int, int]]:
     weights = set()
-    for cols, value in minor_table(v).items():
+    for cols, value in table.items():
         if value != 0:
             first = sum(1 for c in cols if c < split.dim1)
             weights.add((first, len(cols) - first))
     return weights
 
 
+def _degree(split: TorusSplit, table: Mapping[tuple[int, ...], Fraction]) -> int:
+    levels = [first for first, _ in _weight_profile(split, table)]
+    return max(levels) - min(levels)
+
+
+def limit_via_pluecker(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
+    """Orbit limit recomputed by Pluecker scaling.
+
+    Scaling by the torus multiplies the minor at I by the inverse first-block
+    weight power, so toward zero only the minors of maximal first-block
+    weight survive, and toward infinity only those of minimal weight. The
+    survivors form the Pluecker vector of the limiting subspace.
+    """
+    return _limit_from_table(split, v, minor_table(v), direction)
+
+
+def weight_profile_via_pluecker(split: TorusSplit, v: Subspace) -> set[tuple[int, int]]:
+    """Block weights (n1, n2) of the nonzero minors of v.
+
+    The first coordinates always form a gap-free integer interval
+    [dim(v meet W1), dim(projection of v to W1)].
+    """
+    return _weight_profile(split, minor_table(v))
+
+
 def degree_via_pluecker(split: TorusSplit, v: Subspace) -> int:
     """Orbit degree recomputed as the spread of first-block minor weights."""
-    levels = [first for first, _ in weight_profile_via_pluecker(split, v)]
-    return max(levels) - min(levels)
+    return _degree(split, minor_table(v))
 
 
 def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
     """Each component's structural limits and degree against the oracle's.
 
-    Returns one line per disagreement; empty when everything agrees.
+    Builds one minor table per component and returns one line per
+    disagreement; empty when everything agrees.
     """
     split = chain.model.split
     mismatch = []
     for comp in chain.components:
         v = comp.base_space
+        table = minor_table(v)
         for direction in (Direction.ZERO, Direction.INFINITY):
-            if limit(split, v, direction) != limit_via_pluecker(split, v, direction):
+            if limit(split, v, direction) != _limit_from_table(split, v, table, direction):
                 mismatch.append(
                     f"limit mismatch at {format_rational(comp.index)} ({direction.value})"
                 )
-        if orbit_degree(split, v) != degree_via_pluecker(split, v):
+        if orbit_degree(split, v) != _degree(split, table):
             mismatch.append(f"degree mismatch at {format_rational(comp.index)}")
     return tuple(mismatch)
 

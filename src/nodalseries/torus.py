@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Rational, Subspace, pluecker, zero_coordinate_section
+from .linalg import Matrix, Rational, Subspace, pluecker, zero_coordinate_section
 
 
 class IntersectionHypothesisError(ValueError):
@@ -74,17 +74,27 @@ def _check_member(split: TorusSplit, v: Subspace) -> None:
 
 
 def act(split: TorusSplit, x: Rational, v: Subspace) -> Subspace:
-    """Image of v under the torus element x: first block scales by 1/x."""
+    """Image of v under the torus element x: first block scales by 1/x.
+
+    Scaling columns keeps the echelon shape, so the canonical basis of the
+    image needs no elimination. A row with its pivot in the first block is
+    rescaled by x to restore the unit pivot: its first-block entries come
+    back unchanged and its second-block entries are multiplied by x. Any
+    other row is zero on the first block and stays as it is.
+    """
     _check_member(split, v)
     x = Fraction(x)
     if x == 0:
         raise ValueError("torus elements are nonzero")
-    inv = 1 / x
-    rows = [
-        tuple(e * inv for e in row[: split.dim1]) + row[split.dim1 :]
-        for row in v.basis_rows()
-    ]
-    return Subspace.from_spanning(split.ambient_dim, rows)
+    dim1 = split.dim1
+    entries: list[Fraction] = []
+    for row in v.basis_rows():
+        if any(row[:dim1]):
+            entries.extend(row[:dim1])
+            entries.extend(e * x if e else e for e in row[dim1:])
+        else:
+            entries.extend(row)
+    return Subspace(split.ambient_dim, Matrix(v.dim, split.ambient_dim, tuple(entries)))
 
 
 def project_block(split: TorusSplit, v: Subspace, block: int) -> Subspace:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +58,33 @@ def test_dimension_is_degree_plus_one():
             for numerator in range(0, d * denominator + 1):
                 i = F(numerator, denominator)
                 assert section_space(model, i).dim == d + 1
+
+
+def test_section_space_matches_elimination_of_its_generators():
+    # the flags and the glue row, spanned in an order that is not canonical
+    for d in range(0, 9):
+        model = CurveModel(d)
+        n = model.ambient_dim
+        for quarter in range(0, 4 * d + 1):
+            i = F(quarter, 4)
+            units = [model.t_coord(j) for j in range(math.ceil(i), d + 1)]
+            if i.denominator == 1:
+                level = int(i)
+                units.remove(model.t_coord(level))
+                units += [model.s_coord(j) for j in range(d - level + 1, d + 1)]
+                glue = [0] * n
+                glue[model.t_coord(level)] = glue[model.s_coord(d - level)] = 1
+                generators = [glue]
+            else:
+                units += [model.s_coord(j) for j in range(d - math.floor(i), d + 1)]
+                generators = []
+            for c in reversed(units):
+                row = [0] * n
+                row[c] = 1
+                generators.append(row)
+            space = section_space(model, i).subspace
+            assert space == Subspace.from_spanning(n, generators)
+            assert all(type(e) is F for e in space.basis.entries)
 
 
 def test_twisted_space_at_identity_and_scaling():

@@ -1,10 +1,11 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from nodalseries.chain import build_chain
+from nodalseries.chain import ComponentKind, build_chain
 from nodalseries.generate import random_exact_lls, random_subspace
 from nodalseries import oracle
 from nodalseries.linalg import Subspace, format_rational
@@ -70,6 +71,82 @@ def test_minor_table_full_enumeration():
     table = minor_table(v)
     assert len(table) == 6
     assert table[(0, 1)] == 1 and table[(1, 2)] == -1 and table[(0, 2)] == 0
+
+
+def _expand_along_first_row(rows):
+    # reference: textbook recursive cofactor expansion of one square matrix
+    if not rows:
+        return F(1)
+    total = F(0)
+    for col, e in enumerate(rows[0]):
+        if e != 0:
+            minor = [row[:col] + row[col + 1 :] for row in rows[1:]]
+            total += (-1) ** col * e * _expand_along_first_row(minor)
+    return total
+
+
+def test_minor_table_matches_per_set_expansion():
+    rng = random.Random(23)
+    spaces = [Subspace.zero(3), Subspace.full(4), Subspace.zero(1), Subspace.full(1)]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        spaces.append(random_subspace(n, rng.randint(0, n), rng))
+    for v in spaces:
+        rows = v.basis_rows()
+        expected = [
+            (cols, _expand_along_first_row([[row[c] for c in cols] for row in rows]))
+            for cols in combinations(range(v.ambient_dim), v.dim)
+        ]
+        table = minor_table(v)
+        assert list(table.items()) == expected
+        assert all(type(value) is F for value in table.values())
+
+
+def test_compare_chain_builds_one_minor_table_per_component(monkeypatch):
+    chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return minor_table(v)
+
+    monkeypatch.setattr(oracle, "minor_table", counting)
+    assert compare_chain(chain) == ()
+    assert calls == [c.base_space for c in chain.components]
+
+
+def _relabel(chain, target, kind, degree):
+    components = list(chain.components)
+    components[target] = dataclasses.replace(
+        components[target], kind=kind, grassmann_degree=degree
+    )
+    return dataclasses.replace(chain, components=tuple(components))
+
+
+def test_sample_orbit_check_flags_a_moving_component_labelled_fixed():
+    chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
+    target = next(
+        k
+        for k, c in enumerate(chain.components)
+        if c.index.denominator == 1 and c.kind is ComponentKind.ORBIT
+    )
+    report = sample_orbit_check(
+        _relabel(chain, target, ComponentKind.FIXED, 0), samples_per_component=5, seed=0
+    )
+    assert not report.passed
+    assert any("a fixed component moved" in msg for msg in report.failures)
+
+
+def test_sample_orbit_check_flags_a_fixed_component_labelled_moving():
+    chain = build_chain(random_exact_lls(1, 0, (1,), seed=1))
+    target = next(
+        k for k, c in enumerate(chain.components) if c.kind is ComponentKind.FIXED
+    )
+    report = sample_orbit_check(
+        _relabel(chain, target, ComponentKind.ORBIT, 1), samples_per_component=5, seed=0
+    )
+    assert not report.passed
+    assert any("distinct points on a moving orbit" in msg for msg in report.failures)
 
 
 def test_sample_orbit_check_passes_on_built_chain():

@@ -48,6 +48,40 @@ def test_act_group_law_on_random_subspaces():
         assert act(SPLIT22, F(3), act(SPLIT22, F(2), v)) == act(SPLIT22, F(6), v)
 
 
+def _sparse_subspace(ambient_dim, rng):
+    # random entries with many zeros, so pivots land in either block and
+    # rows can be zero on a whole block
+    rows = [
+        [rng.choice((0, 0, 0, 1, -2, F(1, 3))) for _ in range(ambient_dim)]
+        for _ in range(rng.randint(0, ambient_dim + 1))
+    ]
+    return Subspace.from_spanning(ambient_dim, rows)
+
+
+def test_act_matches_elimination_of_the_scaled_rows():
+    rng = random.Random(17)
+    xs = (F(2), F(-1), F(-3, 4), F(5, 7), F(1))
+    for dim1 in range(5):
+        for dim2 in range(5):
+            if dim1 + dim2 == 0:
+                continue
+            split = TorusSplit(dim1, dim2)
+            n = split.ambient_dim
+            spaces = [Subspace.zero(n), Subspace.full(n)]
+            spaces += [random_subspace(n, rng.randint(0, n), rng) for _ in range(3)]
+            spaces += [_sparse_subspace(n, rng) for _ in range(6)]
+            for v in spaces:
+                for x in xs:
+                    scaled = [
+                        [e / x for e in row[:dim1]] + list(row[dim1:])
+                        for row in v.basis_rows()
+                    ]
+                    moved = act(split, x, v)
+                    assert moved == Subspace.from_spanning(n, scaled)
+                    assert all(type(e) is F for e in moved.basis.entries)
+                    assert act(split, 1 / x, moved) == v
+
+
 def test_act_rejects_zero():
     with pytest.raises(ValueError):
         act(SPLIT22, F(0), span((1, 0, 1, 0)))

@@ -202,7 +202,21 @@ class ChainValidationReport:
 
 
 def validate_chain(c: ContinuousChain) -> ChainValidationReport:
-    """Re-derive every structural claim about the chain; reports, never throws."""
+    """Re-derive every structural claim about the chain; reports, never throws.
+
+    Node transversality needs no minors. At the fixed point P shared by two
+    consecutive orbit closures, the tangent space Hom(P, W/P) of the
+    Grassmannian splits into torus weight spaces -1, 0 and +1. The orbit
+    that ends at P and the orbit that starts at P have tangent lines in the
+    two opposite nonzero weight spaces. Both are nonzero, because each
+    orbit's Pluecker weight set is a gap-free interval with at least two
+    points, so each curve is smooth at its limits. Hence the meeting is
+    transverse whenever :func:`torus.orbit_intersection`'s hypotheses hold,
+    and the check fails exactly on an unlinked pair or on closures that do
+    not meet at the stored node. The first-order certificate it still runs
+    reads the weight intervals off the block profiles;
+    ``verify --oracle`` recomputes it from the Pluecker minors.
+    """
     split = c.model.split
     pairs = consecutive_pairs(c.delta)
 

@@ -4,8 +4,10 @@ This module deliberately avoids the block-profile machinery: limits and
 degrees are recomputed from scratch by enumerating minors (with a cofactor
 determinant of its own) and scaling them by their block weights, then
 reconstructing the limiting subspace from the surviving Pluecker vector by
-solving incidence conditions. Agreement with the structural formulas is
-exact, with zero tolerance; :func:`compare_chain` checks it on a chain.
+solving incidence conditions. The first-order tangent certificate at each
+node of a chain is read from the same minor tables. Agreement with the
+structural formulas is exact, with zero tolerance; :func:`compare_chain`
+checks it on a chain.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ from typing import Mapping, Sequence
 from .chain import ComponentKind, ContinuousChain
 from .curve import twisted_space_at
 from .linalg import Subspace, format_rational
-from .torus import Direction, TorusSplit, act, limit, orbit_degree
+from .torus import (
+    Direction,
+    TorusSplit,
+    act,
+    limit,
+    meeting_is_transverse,
+    orbit_degree,
+)
 
 
 _ZERO = Fraction(0)
@@ -168,17 +177,46 @@ def degree_via_pluecker(split: TorusSplit, v: Subspace) -> int:
     return _degree(split, minor_table(v))
 
 
+def _tangent_certificate(
+    split: TorusSplit,
+    ending: Mapping[tuple[int, ...], Fraction],
+    starting: Mapping[tuple[int, ...], Fraction],
+) -> bool:
+    """The first-order transversality certificate, read from two minor tables.
+
+    The orbit of ``ending`` ends (toward infinity) where the orbit of
+    ``starting`` begins (toward zero), as consecutive chain components do.
+    At the node the surviving minors sit at the lowest first-block weight of
+    the ending orbit and the highest of the starting one; the first-order
+    terms sit one level inward. Both must be nonzero, and the two end levels
+    must agree.
+    """
+    ending_levels = {first for first, _ in _weight_profile(split, ending)}
+    starting_levels = {first for first, _ in _weight_profile(split, starting)}
+    end_level = min(ending_levels)
+    start_level = max(starting_levels)
+    return (
+        end_level + 1 in ending_levels
+        and start_level - 1 in starting_levels
+        and end_level == start_level
+    )
+
+
 def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
-    """Each component's structural limits and degree against the oracle's.
+    """Structural limits, degrees and node certificates against the oracle's.
 
     Builds one minor table per component and returns one line per
-    disagreement; empty when everything agrees.
+    disagreement; empty when everything agrees. At each node between two
+    orbit components, the tangent certificate recomputed from the minor
+    tables must hold and must agree with :func:`torus.meeting_is_transverse`.
     """
     split = chain.model.split
     mismatch = []
+    tables = []
     for comp in chain.components:
         v = comp.base_space
         table = minor_table(v)
+        tables.append(table)
         for direction in (Direction.ZERO, Direction.INFINITY):
             if limit(split, v, direction) != _limit_from_table(split, v, table, direction):
                 mismatch.append(
@@ -186,6 +224,20 @@ def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
                 )
         if orbit_degree(split, v) != _degree(split, table):
             mismatch.append(f"degree mismatch at {format_rational(comp.index)}")
+    steps = zip(chain.components, chain.components[1:], tables, tables[1:])
+    for left, right, left_table, right_table in steps:
+        if left.kind is not ComponentKind.ORBIT or right.kind is not ComponentKind.ORBIT:
+            continue
+        pair = f"({format_rational(left.index)}, {format_rational(right.index)})"
+        certified = _tangent_certificate(split, left_table, right_table)
+        try:
+            structural = meeting_is_transverse(split, left.base_space, right.base_space)
+        except ValueError:
+            structural = False
+        if not certified:
+            mismatch.append(f"tangent certificate fails at {pair}")
+        if certified != structural:
+            mismatch.append(f"transversality mismatch at {pair}")
     return tuple(mismatch)
 
 

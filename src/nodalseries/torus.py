@@ -13,7 +13,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Rational, Subspace, pluecker, zero_coordinate_section
+from .linalg import Matrix, Rational, Subspace, rref
+
+
+_ZERO = Fraction(0)
 
 
 class IntersectionHypothesisError(ValueError):
@@ -97,49 +100,97 @@ def act(split: TorusSplit, x: Rational, v: Subspace) -> Subspace:
     return Subspace(split.ambient_dim, Matrix(v.dim, split.ambient_dim, tuple(entries)))
 
 
+def _canonical(ambient_dim: int, rows: list[tuple[Fraction, ...]]) -> Subspace:
+    """The subspace whose canonical basis is given row by row."""
+    entries = tuple(e for row in rows for e in row)
+    return Subspace(ambient_dim, Matrix(len(rows), ambient_dim, entries))
+
+
+def _split_echelon(
+    rows: tuple[tuple[Fraction, ...], ...], cut: int, width: int
+) -> tuple[Subspace, Subspace]:
+    """Projection to the leading ``cut`` columns and part inside the rest.
+
+    For reduced echelon rows, the leading parts of the rows with a pivot
+    before the cut are the canonical basis of the projection. The other rows
+    vanish before the cut, so their trailing parts are the canonical basis
+    of the part lying in the trailing columns.
+    """
+    onto = [row[:cut] for row in rows if any(row[:cut])]
+    inside = [row[cut:] for row in rows if not any(row[:cut])]
+    return _canonical(cut, onto), _canonical(width - cut, inside)
+
+
+def _onto_and_other_inside(
+    split: TorusSplit, v: Subspace, block: int
+) -> tuple[Subspace, Subspace]:
+    """Projection of v onto a block and the part of v inside the other block.
+
+    The canonical basis is reduced in [W1|W2] column order, so the first
+    block is read off it directly; for the second block one elimination puts
+    the basis in [W2|W1] order.
+    """
+    _check_member(split, v)
+    if block == 1:
+        return _split_echelon(v.basis_rows(), split.dim1, split.ambient_dim)
+    if block == 2:
+        dim1 = split.dim1
+        swapped = tuple(e for row in v.basis_rows() for e in row[dim1:] + row[:dim1])
+        reduced = rref(Matrix(v.dim, split.ambient_dim, swapped))
+        return _split_echelon(reduced.rows(), split.dim2, split.ambient_dim)
+    raise ValueError("block must be 1 or 2")
+
+
 def project_block(split: TorusSplit, v: Subspace, block: int) -> Subspace:
     """Projection of v onto a block, as a subspace of that block."""
-    _check_member(split, v)
-    coords = split.block_coords(block)
-    rows = [tuple(row[c] for c in coords) for row in v.basis_rows()]
-    return Subspace.from_spanning(len(coords), rows)
+    return _onto_and_other_inside(split, v, block)[0]
 
 
 def meet_block(split: TorusSplit, v: Subspace, block: int) -> Subspace:
     """Intersection of v with a block, reported inside that block."""
-    _check_member(split, v)
-    other = split.block_coords(2 if block == 1 else 1)
-    section = zero_coordinate_section(v, other)
-    coords = split.block_coords(block)
-    rows = [tuple(row[c] for c in coords) for row in section.basis_rows()]
-    return Subspace.from_spanning(len(coords), rows)
+    return _onto_and_other_inside(split, v, 3 - block)[1]
 
 
-def embed_block(split: TorusSplit, s: Subspace, block: int) -> Subspace:
-    """A block subspace viewed inside the ambient space."""
+def _padded_rows(
+    split: TorusSplit, s: Subspace, block: int
+) -> list[tuple[Fraction, ...]]:
     coords = split.block_coords(block)
     if s.ambient_dim != len(coords):
         raise ValueError("subspace does not live in the requested block")
-    rows = []
-    for row in s.basis_rows():
-        vec = [Fraction(0)] * split.ambient_dim
-        for c, e in zip(coords, row):
-            vec[c] = e
-        rows.append(vec)
-    return Subspace.from_spanning(split.ambient_dim, rows)
+    pad = (_ZERO,) * (split.ambient_dim - len(coords))
+    if block == 1:
+        return [row + pad for row in s.basis_rows()]
+    return [pad + row for row in s.basis_rows()]
+
+
+def embed_block(split: TorusSplit, s: Subspace, block: int) -> Subspace:
+    """A block subspace viewed inside the ambient space.
+
+    Zero padding keeps a canonical basis canonical.
+    """
+    return _canonical(split.ambient_dim, _padded_rows(split, s, block))
 
 
 def assemble_split_subspace(split: TorusSplit, s1: Subspace, s2: Subspace) -> Subspace:
-    """The direct sum of a first-block and a second-block subspace."""
-    return embed_block(split, s1, 1) + embed_block(split, s2, 2)
+    """The direct sum of a first-block and a second-block subspace.
+
+    The padded rows of s1 vanish on the second block and have their pivots
+    in the first; those of s2 vanish on the first block. Stacked in that
+    order they are already the canonical basis of the sum.
+    """
+    rows = _padded_rows(split, s1, 1) + _padded_rows(split, s2, 2)
+    return _canonical(split.ambient_dim, rows)
 
 
 def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
+    """All four block invariants of v, with one elimination."""
+    onto_first, inside_second = _onto_and_other_inside(split, v, 1)
+    onto_second, inside_first = _onto_and_other_inside(split, v, 2)
     return BlockProfile(
-        inside_first=meet_block(split, v, 1),
-        inside_second=meet_block(split, v, 2),
-        onto_first=project_block(split, v, 1),
-        onto_second=project_block(split, v, 2),
+        inside_first=inside_first,
+        inside_second=inside_second,
+        onto_first=onto_first,
+        onto_second=onto_second,
     )
 
 
@@ -166,12 +217,6 @@ def limit(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
 def orbit_degree(split: TorusSplit, v: Subspace) -> int:
     """Degree of the orbit closure of v in the Grassmannian; 0 iff fixed."""
     return project_block(split, v, 1).dim - meet_block(split, v, 1).dim
-
-
-def weight(split: TorusSplit, cols: tuple[int, ...]) -> tuple[int, int]:
-    """How many of the given ambient columns lie in each block."""
-    first = sum(1 for c in cols if c < split.dim1)
-    return (first, len(cols) - first)
 
 
 def orbit_intersection(split: TorusSplit, v: Subspace, vp: Subspace) -> Subspace | None:
@@ -208,18 +253,32 @@ def orbit_intersection(split: TorusSplit, v: Subspace, vp: Subspace) -> Subspace
 def meeting_is_transverse(split: TorusSplit, v: Subspace, vp: Subspace) -> bool:
     """First-order certificate that the two orbit closures meet transversally.
 
-    At the shared point the curves' tangent vectors are read off from the
-    first-order terms of their Pluecker coordinates; these live in distinct
-    weight levels of the block grading, so the certificate checks that both
-    first-order terms are nonzero and their weight levels differ.
+    The first-block weights of the nonzero Pluecker coordinates of a
+    subspace form the gap-free interval [dim inside_first, dim onto_first],
+    so both weight sets are read off the block profiles, with no minors. At
+    an orbit's limit only the minors at one end of its interval survive, and
+    the first-order term, which spans the curve's tangent line there, sits
+    one level inward. The certificate checks that both first-order terms
+    exist and that the two orbits sit at the same end level at the node.
+
+    Why it cannot fail once the orbits meet: at the shared fixed point P the
+    tangent space Hom(P, W/P) of the Grassmannian splits into torus weight
+    spaces -1, 0 and +1. The orbit that ends at P and the orbit that starts
+    at P have tangent lines in the two opposite nonzero weight spaces. Both
+    are nonzero, because a nonfixed orbit's weight interval has at least two
+    points, so each curve is smooth at its limits. Eigenvectors for distinct
+    weights are independent, so the meeting is transverse.
+
+    Raises ValueError when the closures are disjoint, and whatever
+    :func:`orbit_intersection` raises outside its regime.
     """
     point = orbit_intersection(split, v, vp)
     if point is None:
         raise ValueError("orbits do not meet; no transversality to certify")
-    v_weights = {weight(split, c)[0] for c, val in pluecker(v).items() if val != 0}
-    vp_weights = {weight(split, c)[0] for c, val in pluecker(vp).items() if val != 0}
     pv = block_profile(split, v)
     pvp = block_profile(split, vp)
+    v_weights = range(pv.inside_first.dim, pv.onto_first.dim + 1)
+    vp_weights = range(pvp.inside_first.dim, pvp.onto_first.dim + 1)
     if pvp.onto_first == pv.inside_first:
         # v ends (toward infinity) where vp begins (toward zero).
         end_level = min(v_weights)

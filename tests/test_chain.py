@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,10 +14,10 @@ from nodalseries.chain import (
     hilbert_coefficients,
     validate_chain,
 )
-from nodalseries.generate import random_exact_lls
+from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
 from nodalseries.linalg import Subspace
 from nodalseries.series import LimitLinearSeries, check_exact, torus_equivalent
-from nodalseries.torus import act
+from nodalseries.torus import IntersectionHypothesisError, act, orbit_intersection
 
 from test_series import series_e4, series_e5
 
@@ -97,16 +98,48 @@ def test_validate_chain_detects_degree_lie():
     assert not report.degree.passed
 
 
-def test_validate_transversality_on_adjacent_orbit_pairs():
+def orbit_orbit_chain():
+    """A chain with one node between two orbit components, and its position."""
     # two non-integer slots in the same gap force an orbit-orbit node
-    g = random_exact_lls(3, 1, (1, 3, 1), seed=4)
-    chain = build_chain(g)
+    chain = build_chain(random_exact_lls(3, 1, (1, 3, 1), seed=4))
     pair_kinds = [
         (a.kind, b.kind) for a, b in zip(chain.components, chain.components[1:])
     ]
-    assert (ComponentKind.ORBIT, ComponentKind.ORBIT) in pair_kinds
+    assert pair_kinds.count((ComponentKind.ORBIT, ComponentKind.ORBIT)) == 1
+    return chain, pair_kinds.index((ComponentKind.ORBIT, ComponentKind.ORBIT))
+
+
+def test_validate_transversality_on_adjacent_orbit_pairs():
+    chain, _ = orbit_orbit_chain()
     report = validate_chain(chain)
     assert report.passed, report.summary()
+
+
+def test_validate_transversality_detects_a_moved_node():
+    chain, p = orbit_orbit_chain()
+    nodes = list(chain.nodes)
+    nodes[p] = nodes[p - 1]  # the chain's previous node, a different fixed point
+    assert nodes[p] != chain.nodes[p]
+    report = validate_chain(dataclasses.replace(chain, nodes=tuple(nodes)))
+    assert report.transversality.failures == (
+        "pair (4/3, 5/3): orbit closures do not meet at the stored node",
+    )
+
+
+def test_validate_transversality_detects_an_unlinked_orbit():
+    chain, p = orbit_orbit_chain()
+    split = chain.model.split
+    left, right = chain.components[p], chain.components[p + 1]
+    unlinked = random_nonfixed_subspace(split, right.base_space.dim, random.Random(0))
+    with pytest.raises(IntersectionHypothesisError):
+        orbit_intersection(split, left.base_space, unlinked)
+    components = list(chain.components)
+    components[p + 1] = dataclasses.replace(right, base_space=unlinked)
+    report = validate_chain(dataclasses.replace(chain, components=tuple(components)))
+    assert report.transversality.failures == (
+        "pair (4/3, 5/3): neither block condition links the two orbits; the"
+        " dichotomy is only available when one orbit ends where the other begins",
+    )
 
 
 def test_evaluate_round_trip_on_the_nose():

@@ -164,13 +164,22 @@ def test_gen_degree_zero_without_delta(tmp_path):
 
 
 def test_module_entry_point_runs():
+    import os
     import subprocess
     import sys
 
+    import nodalseries
+
+    # the child does not see pytest's pythonpath, so point it at the package
+    package_parent = os.path.dirname(os.path.dirname(nodalseries.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, inherited]))
     result = subprocess.run(
         [sys.executable, "-m", "nodalseries", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "build-chain" in result.stdout

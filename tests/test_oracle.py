@@ -19,6 +19,8 @@ from nodalseries.oracle import (
 )
 from nodalseries.torus import Direction, TorusSplit, is_fixed, limit, orbit_degree
 
+from test_chain import orbit_orbit_chain
+
 SPLIT22 = TorusSplit(2, 2)
 
 
@@ -213,3 +215,19 @@ def test_compare_chain_reports_wrong_structural_formulas(monkeypatch):
     assert compare_chain(chain) == tuple(
         f"degree mismatch at {format_rational(c.index)}" for c in chain.components
     )
+
+
+def test_compare_chain_checks_the_tangent_certificate_at_orbit_nodes(monkeypatch):
+    chain, p = orbit_orbit_chain()
+    assert compare_chain(chain) == ()
+    # a structural certificate that always fails disagrees with the minors
+    monkeypatch.setattr(oracle, "meeting_is_transverse", lambda split, v, vp: False)
+    assert compare_chain(chain) == ("transversality mismatch at (4/3, 5/3)",)
+    monkeypatch.undo()
+    # an orbit glued to a copy of itself has no node where its ends meet
+    components = list(chain.components)
+    components[p + 1] = dataclasses.replace(
+        components[p + 1], base_space=components[p].base_space
+    )
+    copied = dataclasses.replace(chain, components=tuple(components))
+    assert compare_chain(copied) == ("tangent certificate fails at (4/3, 5/3)",)

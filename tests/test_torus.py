@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from nodalseries.linalg import Subspace
+from nodalseries.linalg import Subspace, zero_coordinate_section
 from nodalseries.torus import (
     Direction,
     IntersectionHypothesisError,
     TorusSplit,
     act,
+    assemble_split_subspace,
     block_profile,
     embed_block,
     is_fixed,
@@ -20,7 +21,7 @@ from nodalseries.torus import (
     project_block,
 )
 from nodalseries.generate import random_linked_pair, random_subspace
-from nodalseries.oracle import weight_profile_via_pluecker
+from nodalseries.oracle import _tangent_certificate, minor_table, weight_profile_via_pluecker
 
 SPLIT22 = TorusSplit(2, 2)
 
@@ -58,28 +59,103 @@ def _sparse_subspace(ambient_dim, rng):
     return Subspace.from_spanning(ambient_dim, rows)
 
 
+def _reference_spaces(n, rng):
+    spaces = [Subspace.zero(n), Subspace.full(n)]
+    spaces += [random_subspace(n, rng.randint(0, n), rng) for _ in range(3)]
+    spaces += [_sparse_subspace(n, rng) for _ in range(6)]
+    return spaces
+
+
+def _splits_up_to_four():
+    for dim1 in range(5):
+        for dim2 in range(5):
+            if dim1 + dim2:
+                yield TorusSplit(dim1, dim2)
+
+
+def _all_fractions(v):
+    return all(type(e) is F for e in v.basis.entries)
+
+
 def test_act_matches_elimination_of_the_scaled_rows():
     rng = random.Random(17)
     xs = (F(2), F(-1), F(-3, 4), F(5, 7), F(1))
-    for dim1 in range(5):
-        for dim2 in range(5):
-            if dim1 + dim2 == 0:
-                continue
-            split = TorusSplit(dim1, dim2)
-            n = split.ambient_dim
-            spaces = [Subspace.zero(n), Subspace.full(n)]
-            spaces += [random_subspace(n, rng.randint(0, n), rng) for _ in range(3)]
-            spaces += [_sparse_subspace(n, rng) for _ in range(6)]
-            for v in spaces:
-                for x in xs:
-                    scaled = [
-                        [e / x for e in row[:dim1]] + list(row[dim1:])
-                        for row in v.basis_rows()
-                    ]
-                    moved = act(split, x, v)
-                    assert moved == Subspace.from_spanning(n, scaled)
-                    assert all(type(e) is F for e in moved.basis.entries)
-                    assert act(split, 1 / x, moved) == v
+    for split in _splits_up_to_four():
+        dim1 = split.dim1
+        n = split.ambient_dim
+        for v in _reference_spaces(n, rng):
+            for x in xs:
+                scaled = [
+                    [e / x for e in row[:dim1]] + list(row[dim1:])
+                    for row in v.basis_rows()
+                ]
+                moved = act(split, x, v)
+                assert moved == Subspace.from_spanning(n, scaled)
+                assert _all_fractions(moved)
+                assert act(split, 1 / x, moved) == v
+
+
+def _rows_on(v, coords):
+    return [[row[c] for c in coords] for row in v.basis_rows()]
+
+
+def _padded(split, s, block):
+    rows = []
+    for row in s.basis_rows():
+        vec = [F(0)] * split.ambient_dim
+        for c, e in zip(split.block_coords(block), row):
+            vec[c] = e
+        rows.append(vec)
+    return Subspace.from_spanning(split.ambient_dim, rows)
+
+
+def test_block_invariants_match_elimination():
+    rng = random.Random(23)
+    for split in _splits_up_to_four():
+        first, second = split.block_coords(1), split.block_coords(2)
+        for v in _reference_spaces(split.ambient_dim, rng):
+            expected = {
+                "onto_first": Subspace.from_spanning(len(first), _rows_on(v, first)),
+                "onto_second": Subspace.from_spanning(len(second), _rows_on(v, second)),
+                "inside_first": Subspace.from_spanning(
+                    len(first), _rows_on(zero_coordinate_section(v, second), first)
+                ),
+                "inside_second": Subspace.from_spanning(
+                    len(second), _rows_on(zero_coordinate_section(v, first), second)
+                ),
+            }
+            profile = block_profile(split, v)
+            for field, space in expected.items():
+                assert getattr(profile, field) == space, field
+                assert _all_fractions(getattr(profile, field)), field
+            assert project_block(split, v, 1) == expected["onto_first"]
+            assert project_block(split, v, 2) == expected["onto_second"]
+            assert meet_block(split, v, 1) == expected["inside_first"]
+            assert meet_block(split, v, 2) == expected["inside_second"]
+            s1 = random_subspace(len(first), rng.randint(0, len(first)), rng)
+            s2 = random_subspace(len(second), rng.randint(0, len(second)), rng)
+            pairs = [
+                (profile.onto_first, profile.inside_second),
+                (profile.inside_first, profile.onto_second),
+                (s1, s2),
+            ]
+            for a, b in pairs:
+                embedded = (embed_block(split, a, 1), embed_block(split, b, 2))
+                assert embedded == (_padded(split, a, 1), _padded(split, b, 2))
+                assembled = assemble_split_subspace(split, a, b)
+                assert assembled == _padded(split, a, 1) + _padded(split, b, 2)
+                assert all(_all_fractions(w) for w in embedded + (assembled,))
+
+
+def test_block_helpers_reject_wrong_blocks():
+    v = span((1, 0, 1, 0))
+    for helper in (project_block, meet_block):
+        with pytest.raises(ValueError):
+            helper(SPLIT22, v, 3)
+    with pytest.raises(ValueError):
+        embed_block(SPLIT22, Subspace.full(3), 1)
+    with pytest.raises(ValueError):
+        assemble_split_subspace(SPLIT22, Subspace.full(2), Subspace.full(3))
 
 
 def test_act_rejects_zero():
@@ -274,3 +350,30 @@ def test_injectivity_of_orbit_map():
         xs = {F(k) for k in range(1, 11)}
         points = {act(SPLIT22, x, v) for x in xs}
         assert len(points) == len(xs)
+
+
+def test_meeting_is_transverse_matches_the_minor_certificate():
+    rng = random.Random(41)
+    meetings = 0
+    for dim1 in range(2, 5):
+        for dim2 in range(2, 5):
+            split = TorusSplit(dim1, dim2)
+            for dim in range(2, dim1 + dim2 - 1):
+                for meeting in (True, False):
+                    for mirrored in (False, True):
+                        v, vp = random_linked_pair(
+                            split, dim, rng, meeting=meeting, mirrored=mirrored
+                        )
+                        if not meeting:
+                            with pytest.raises(ValueError):
+                                meeting_is_transverse(split, v, vp)
+                            continue
+                        # the certificate reads the orbit that ends at the node first
+                        ending, starting = (vp, v) if mirrored else (v, vp)
+                        expected = _tangent_certificate(
+                            split, minor_table(ending), minor_table(starting)
+                        )
+                        assert meeting_is_transverse(split, v, vp) == expected
+                        assert meeting_is_transverse(split, vp, v) == expected
+                        meetings += 1
+    assert meetings == 2 * sum(d1 + d2 - 3 for d1 in range(2, 5) for d2 in range(2, 5))

@@ -20,7 +20,9 @@ from .series import LimitLinearSeries, check_compatible, check_exact, numerical_
 from .serialize import SchemaError, SubspaceTask, dumps_instance, load_instance
 from .torus import Direction, limit, orbit_degree
 
-# gen and verify enumerate minors exhaustively, so they stay desk-sized
+# gen and verify --oracle are the costly commands: gen searches profiles and
+# subspaces, and the oracle enumerates every Pluecker minor. Plain verify
+# enumerates none, but shares the cap.
 MAX_DEGREE = 8
 
 
@@ -130,15 +132,11 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.delta:
-        delta = tuple(int(part) for part in args.delta.split(","))
-    else:
-        delta = ()
     if not 0 <= args.d <= MAX_DEGREE:
         print(f"error: the generator handles degrees 0 through {MAX_DEGREE}", file=sys.stderr)
         return 1
     try:
-        g = random_exact_lls(args.d, args.r, delta, args.seed)
+        g = random_exact_lls(args.d, args.r, args.delta, args.seed)
     except (GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -193,6 +191,17 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _delta_counts(text: str) -> tuple[int, ...]:
+    if not text:
+        return ()
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodalseries",
@@ -235,7 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a random exact minimal series")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--delta", default="", help="comma-separated subdivision counts")
+    p.add_argument(
+        "--delta", type=_delta_counts, default=(), help="comma-separated subdivision counts"
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_gen)

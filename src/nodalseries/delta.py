@@ -45,8 +45,8 @@ class DeltaSet:
         )
 
 
-def build_delta(d: int, delta: Sequence[int]) -> DeltaSet:
-    """Construct the ladder; delta must list one positive count per gap."""
+def check_steps(d: int, delta: Sequence[int]) -> tuple[int, ...]:
+    """The subdivision counts as ints; one positive count per gap, or ValueError."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if len(delta) != d:
@@ -55,6 +55,12 @@ def build_delta(d: int, delta: Sequence[int]) -> DeltaSet:
     for s in steps:
         if s < 1:
             raise ValueError("subdivision counts must be positive")
+    return steps
+
+
+def build_delta(d: int, delta: Sequence[int]) -> DeltaSet:
+    """Construct the ladder; delta must list one positive count per gap."""
+    steps = check_steps(d, delta)
     indices = [Fraction(0)]
     for gap, count in enumerate(steps, start=1):
         for numerator in range(1, count + 1):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .curve import CurveModel, section_space
-from .delta import DeltaSet, build_delta
+from .delta import DeltaSet, build_delta, check_steps
 from .linalg import Subspace, zero_coordinate_section
 from .series import (
     LimitLinearSeries,
@@ -274,8 +274,15 @@ def exact_minimal_profiles(
     positive at non-integer indices, summing to r + 1 and respecting the
     flag caps of the section-space model. Empty means no exact minimal
     series of these parameters exists in the model.
+
+    The ladder has sum(delta) - d non-integer indices, each needing mobile
+    dimension at least 1, so more than r + 1 of them leave no profile; that
+    is answered before the ladder is built.
     """
-    ladder = build_delta(d, delta)
+    steps = check_steps(d, delta)
+    if sum(steps) - d > r + 1:
+        return []
+    ladder = build_delta(d, steps)
     n = len(ladder)
     future_min = [0] * (n + 1)
     for k in range(n - 1, -1, -1):
@@ -458,8 +465,6 @@ def random_exact_lls(d: int, r: int, delta: Sequence[int], seed: int) -> LimitLi
     """
     if not 0 <= r <= d:
         raise ValueError(f"rank must satisfy 0 <= r <= d, got r={r}, d={d}")
-    ladder = build_delta(d, delta)
-    model = CurveModel(d)
     profiles = exact_minimal_profiles(d, r, delta)
     if not profiles:
         raise GenerationError(
@@ -467,6 +472,8 @@ def random_exact_lls(d: int, r: int, delta: Sequence[int], seed: int) -> LimitLi
             f" ladder of delta={tuple(delta)}: every mobile-dimension profile"
             " violates the section-space flag caps"
         )
+    ladder = build_delta(d, delta)
+    model = CurveModel(d)
     last_profile: tuple[int, ...] | None = None
     for attempt in range(_MAX_ATTEMPTS):
         # one 64-bit stream per stage and per ladder index, all split from the

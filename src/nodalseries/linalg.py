@@ -18,6 +18,8 @@ Rational = Fraction
 
 _Entry = int | Fraction | str
 
+_ZERO = Fraction(0)
+
 
 def format_rational(value: Fraction) -> str:
     """Render ``p/q``, or plain ``p`` when the denominator is 1."""
@@ -52,6 +54,9 @@ class Matrix:
             raise ValueError(
                 f"expected {self.nrows * self.ncols} entries, got {len(self.entries)}"
             )
+        # exactness guard; from_rows is the coercing constructor
+        if not set(map(type, self.entries)) <= {Fraction}:
+            raise TypeError("matrix entries must be Fractions; use Matrix.from_rows")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[_Entry]], ncols: int | None = None) -> "Matrix":
@@ -184,19 +189,25 @@ class Subspace:
             raise ValueError("basis width does not match the ambient dimension")
         if self.basis.nrows > self.ambient_dim:
             raise ValueError("more basis rows than the ambient dimension")
-        # Guard canonicity: strictly increasing pivots, unit leads, cleared columns.
+        # Guard canonicity: strictly increasing pivots, unit leads, cleared
+        # columns. The pivots are kept for membership tests.
+        ncols = self.ambient_dim
+        entries = self.basis.entries
+        pivots = []
         last_pivot = -1
         for i in range(self.basis.nrows):
             row = self.basis.row(i)
-            pivot = next((j for j, e in enumerate(row) if e != 0), None)
+            pivot = next((j for j, e in enumerate(row) if e), None)
             if pivot is None:
                 raise ValueError("zero row in a subspace basis")
             if pivot <= last_pivot or row[pivot] != 1:
                 raise ValueError("basis is not in reduced row echelon form")
-            for r in range(self.basis.nrows):
-                if r != i and self.basis.at(r, pivot) != 0:
-                    raise ValueError("basis is not in reduced row echelon form")
+            column = entries[pivot::ncols]
+            if any(column[:i]) or any(column[i + 1 :]):
+                raise ValueError("basis is not in reduced row echelon form")
+            pivots.append(pivot)
             last_pivot = pivot
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     @classmethod
     def from_spanning(
@@ -237,16 +248,25 @@ class Subspace:
         return self.basis.rows()
 
     def residual(self, vector: Sequence[_Entry]) -> tuple[Fraction, ...]:
-        """The vector reduced by the basis pivots: linear, and zero exactly on members."""
+        """The vector reduced by the basis pivots: linear, and zero exactly on members.
+
+        A canonical row is zero before its pivot and 1 at it, so only its
+        nonzero entries after the pivot change the vector.
+        """
         vec = [e if isinstance(e, Fraction) else Fraction(e) for e in vector]
-        if len(vec) != self.ambient_dim:
+        ncols = self.ambient_dim
+        if len(vec) != ncols:
             raise ValueError("vector length does not match the ambient dimension")
-        for i in range(self.basis.nrows):
-            row = self.basis.row(i)
-            pivot = next(j for j, e in enumerate(row) if e != 0)
-            if vec[pivot] != 0:
-                factor = vec[pivot]
-                vec = [a - factor * b for a, b in zip(vec, row)]
+        entries = self.basis.entries
+        for i, pivot in enumerate(self._pivots):
+            factor = vec[pivot]
+            if factor:
+                vec[pivot] = _ZERO
+                start = i * ncols
+                for j in range(pivot + 1, ncols):
+                    e = entries[start + j]
+                    if e:
+                        vec[j] -= factor * e
         return tuple(vec)
 
     def contains_vector(self, vector: Sequence[_Entry]) -> bool:

@@ -12,6 +12,7 @@ checks it on a chain.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,8 +20,8 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from .chain import ComponentKind, ContinuousChain
-from .curve import twisted_space_at
-from .linalg import Subspace, format_rational
+from .curve import section_space
+from .linalg import Matrix, Subspace, format_rational
 from .torus import (
     Direction,
     TorusSplit,
@@ -40,17 +41,26 @@ def _laplace_minors(
 ) -> dict[tuple[int, ...], Fraction]:
     """Every len(rows)-sized minor, keyed by column index set in lex order.
 
-    One row-by-row cofactor expansion shared by all the minors: the minors
-    of the last j rows on every j-column set are built from those of the
-    last j - 1 rows by expanding along row -j, so each sub-minor is computed
-    once. No elimination, no division.
+    Each row is first cleared of denominators: it is scaled by the lcm of its
+    entries' denominators, and each minor of the scaled rows is the true
+    minor times the product of those scales. One row-by-row cofactor
+    expansion on Python ints is shared by all the minors: the minors of the
+    last j rows on every j-column set are built from those of the last j - 1
+    rows by expanding along row -j, so each sub-minor is computed once. No
+    elimination, and one division per nonzero minor at the end.
     """
     k = len(rows)
     if k == 0:
         return {(): _ONE}
-    minors = {(c,): e for c, e in enumerate(rows[-1])}
+    scale = 1
+    cleared = []
+    for row in rows:
+        lcm = math.lcm(*(e.denominator for e in row))
+        scale *= lcm
+        cleared.append([e.numerator * (lcm // e.denominator) for e in row])
+    minors = {(c,): e for c, e in enumerate(cleared[-1])}
     for j in range(2, k + 1):
-        row = rows[k - j]
+        row = cleared[k - j]
         expanded = {}
         for cols in combinations(range(ncols), j):
             total = 0
@@ -63,9 +73,12 @@ def _laplace_minors(
                             total -= e * sub
                         else:
                             total += e * sub
-            expanded[cols] = total or _ZERO
+            expanded[cols] = total
         minors = expanded
-    return minors
+    return {
+        cols: Fraction(value, scale) if value else _ZERO
+        for cols, value in minors.items()
+    }
 
 
 def _cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -87,32 +100,44 @@ def subspace_from_minors(
     incidence condition on the column set I0 + {j} expresses the j-th
     coordinate of any member vector through its coordinates on I0. Solving
     those conditions for the coordinate vectors on I0 yields a basis.
+
+    I0 is the lexicographically first column set with a nonzero minor, and
+    the solved rows are already the canonical basis, so no elimination
+    follows. Row k is 1 at I0[k] and 0 on the rest of I0. An entry at j
+    before I0[k] comes from the minor on I0 with I0[k] swapped for j, a
+    lexicographically earlier set, so it is 0. For a subspace, I0 is the
+    pivot set of its canonical basis: a set that agrees with the pivots
+    p_1 < ... < p_k up to position m - 1 and then takes a column before p_m
+    picks m columns supported on the first m - 1 rows, and its minor is 0.
     """
     if dim == 0:
         return Subspace.zero(ambient_dim)
     base = None
     for cols in combinations(range(ambient_dim), dim):
-        if minors.get(cols, Fraction(0)) != 0:
+        if minors.get(cols, _ZERO) != 0:
             base = cols
             break
     if base is None:
         raise ValueError("all minors vanish; not a Pluecker vector")
-    base_value = minors[base]
-    vectors = []
+    base_value = Fraction(minors[base])
+    entries = []
     for k in range(dim):
-        vec = [Fraction(0)] * ambient_dim
-        vec[base[k]] = Fraction(1)
+        vec = [_ZERO] * ambient_dim
+        vec[base[k]] = _ONE
         for j in range(ambient_dim):
             if j in base:
                 continue
             joined = tuple(sorted(base + (j,)))
-            sign_k = (-1) ** joined.index(base[k])
-            sign_j = (-1) ** joined.index(j)
             dropped_k = tuple(c for c in joined if c != base[k])
-            # 0 = sign_k * minors[joined minus base[k]] + sign_j * w_j * minors[base]
-            vec[j] = -Fraction(sign_k, sign_j) * minors.get(dropped_k, Fraction(0)) / base_value
-        vectors.append(vec)
-    return Subspace.from_spanning(ambient_dim, vectors)
+            minor = minors.get(dropped_k, _ZERO)
+            if minor:
+                # 0 = sign_k * minors[dropped_k] + sign_j * w_j * minors[base],
+                # with sign_k sign_j = (-1) ** (position of base[k] + position of j)
+                value = minor / base_value
+                odd = (joined.index(base[k]) + joined.index(j)) & 1
+                vec[j] = value if odd else -value
+        entries.extend(vec)
+    return Subspace(ambient_dim, Matrix(dim, ambient_dim, tuple(entries)))
 
 
 def _limit_from_table(
@@ -269,25 +294,27 @@ def sample_orbit_check(
     """Sample each component's orbit and verify it stays in the right fiber.
 
     For random torus elements x, the moved base space must lie inside the
-    matching twisted section space, and on orbit components distinct x must
-    give distinct points. Fixed components must not move at all. Takes 1 to
-    MAX_SAMPLES samples per component.
+    matching twisted section space, which is the component's section space
+    (built once per component) moved by the same x. On orbit components
+    distinct x must give distinct points. Fixed components must not move at
+    all. Takes 1 to MAX_SAMPLES samples per component.
     """
     if not 1 <= samples_per_component <= MAX_SAMPLES:
         raise ValueError(
             f"samples per component must lie in 1..{MAX_SAMPLES},"
             f" got {samples_per_component}"
         )
+    split = chain.model.split
     rng = random.Random(seed)
     failures: list[str] = []
     for comp in chain.components:
         stream = random.Random(rng.getrandbits(64))
         xs = _random_torus_elements(stream, samples_per_component)
+        fiber = section_space(chain.model, comp.index).subspace
         seen: set[Subspace] = set()
         for x in xs:
-            moved = act(chain.model.split, x, comp.base_space)
-            ambient = twisted_space_at(chain.model, comp.index, x)
-            if not ambient.contains(moved):
+            moved = act(split, x, comp.base_space)
+            if not act(split, x, fiber).contains(moved):
                 failures.append(
                     f"component {comp.index}: sample x={x} leaves the twisted"
                     " section space"

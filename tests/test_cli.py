@@ -108,6 +108,26 @@ def test_gen_rejects_infeasible(capsys):
     assert "no exact minimal series" in capsys.readouterr().err
 
 
+def test_gen_refuses_an_oversubdivided_ladder_at_once(capsys):
+    import time
+
+    # 10^7 - 1 non-integer indices, each needing mobile dimension >= 1, against
+    # a budget of r + 1 = 2: refused without building the ladder
+    start = time.perf_counter()
+    args = ["gen", "--d", "2", "--r", "1", "--delta", "10000000,1", "--seed", "1"]
+    assert main(args) == 1
+    assert time.perf_counter() - start < 2
+    assert "no exact minimal series" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["1,x", "1,,1"])
+def test_gen_malformed_delta_is_a_usage_error(delta, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--d", "2", "--r", "1", "--delta", delta, "--seed", "1"])
+    assert excinfo.value.code == 2
+    assert "argument --delta" in capsys.readouterr().err
+
+
 def test_verify_series_with_oracle(e4_file, capsys):
     assert main(["verify", e4_file, "--oracle", "--samples", "6"]) == 0
     out = capsys.readouterr().out

@@ -37,6 +37,22 @@ def test_rref_hand_elimination():
     ]
 
 
+def test_rref_refuses_a_matrix_of_ints():
+    # int entries would divide to a float 1/3 inside the elimination
+    with pytest.raises(TypeError):
+        rref(Matrix(1, 2, (3, 1)))
+
+
+def test_determinant_refuses_a_matrix_of_ints():
+    with pytest.raises(TypeError):
+        determinant(Matrix(2, 2, (3, 1, 1, 1)))
+
+
+def test_subspace_refuses_a_float_basis():
+    with pytest.raises(TypeError):
+        Subspace(2, Matrix(1, 2, (1, 0.5)))
+
+
 def test_from_spanning_scaling():
     assert rows_of(Subspace.from_spanning(2, [(2, 0)]).basis) == [[1, 0]]
 
@@ -212,3 +228,61 @@ def test_contains_vector_and_subspace():
 def test_parse_rational_accepts_only_the_documented_form(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+def _full_row_residual(v, vector):
+    # reference: subtract whole rows, finding each pivot anew
+    vec = [F(e) for e in vector]
+    for row in v.basis_rows():
+        pivot = next(j for j, e in enumerate(row) if e != 0)
+        if vec[pivot] != 0:
+            factor = vec[pivot]
+            vec = [a - factor * b for a, b in zip(vec, row)]
+    return tuple(vec)
+
+
+def _membership_spaces(n, rng):
+    spaces = [Subspace.zero(n), Subspace.full(n)]
+    for dim in range(1, n + 1):
+        spaces.append(
+            Subspace.from_spanning(
+                n, [[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)] for _ in range(dim)]
+            )
+        )
+        # sparse: one or two nonzero entries per spanning vector
+        sparse = []
+        for _ in range(dim):
+            vec = [F(0)] * n
+            for c in rng.sample(range(n), min(n, rng.randint(1, 2))):
+                vec[c] = F(rng.choice([-3, -1, 1, 2, 7]), rng.randint(1, 4))
+            sparse.append(vec)
+        spaces.append(Subspace.from_spanning(n, sparse))
+    return spaces
+
+
+def test_residual_and_contains_match_full_row_reduction():
+    from nodalseries.torus import TorusSplit, act
+
+    rng = random.Random(67)
+    for dim1 in range(5):
+        for dim2 in range(5):
+            n = dim1 + dim2
+            if n == 0:
+                continue
+            split = TorusSplit(dim1, dim2)
+            x = F(rng.choice([-7, -2, 3, 5]), rng.randint(1, 5))
+            spaces = _membership_spaces(n, rng)
+            spaces += [act(split, x, v) for v in spaces]
+            for v in spaces:
+                vectors = [
+                    [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(3)
+                ]
+                vectors += [list(row) for w in spaces[:6] for row in w.basis_rows()]
+                for vector in vectors:
+                    expected = _full_row_residual(v, vector)
+                    assert v.residual(vector) == expected
+                    assert v.contains_vector(vector) == (not any(expected))
+                for w in spaces:
+                    expected = all(not any(_full_row_residual(v, r)) for r in w.basis_rows())
+                    assert v.contains(w) == expected

@@ -17,7 +17,8 @@ from nodalseries.oracle import (
     sample_orbit_check,
     subspace_from_minors,
 )
-from nodalseries.torus import Direction, TorusSplit, is_fixed, limit, orbit_degree
+from nodalseries.curve import section_space
+from nodalseries.torus import Direction, TorusSplit, act, is_fixed, limit, orbit_degree
 
 from test_chain import orbit_orbit_chain
 
@@ -87,12 +88,27 @@ def _expand_along_first_row(rows):
     return total
 
 
+def _hard_rows(rng, k, n):
+    # large, coprime and negative denominators, with some zero entries
+    dens = [1, 2, 3, 7, 11, 97, 101, 2**61 - 1, 10**12 + 39]
+    return [
+        [
+            F(rng.randint(-(10**9), 10**9), rng.choice(dens) * rng.choice((1, -1)))
+            if rng.random() < 0.8
+            else F(0)
+            for _ in range(n)
+        ]
+        for _ in range(k)
+    ]
+
+
 def test_minor_table_matches_per_set_expansion():
     rng = random.Random(23)
     spaces = [Subspace.zero(3), Subspace.full(4), Subspace.zero(1), Subspace.full(1)]
     for _ in range(60):
         n = rng.randint(1, 7)
         spaces.append(random_subspace(n, rng.randint(0, n), rng))
+        spaces.append(Subspace.from_spanning(n, _hard_rows(rng, rng.randint(0, n), n)))
     for v in spaces:
         rows = v.basis_rows()
         expected = [
@@ -102,6 +118,67 @@ def test_minor_table_matches_per_set_expansion():
         table = minor_table(v)
         assert list(table.items()) == expected
         assert all(type(value) is F for value in table.values())
+
+
+def test_laplace_minors_match_per_set_expansion_on_hard_rows():
+    rng = random.Random(29)
+    cases = [([], 0), ([], 3), ([[F(0)] * 3], 3), ([[F(0)] * 2, [F(1, 3), F(-2, 7)]], 2)]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        rows = _hard_rows(rng, k, n)
+        if rng.random() < 0.2:
+            rows[rng.randrange(k)] = [F(0)] * n
+        cases.append((rows, n))
+    for rows, n in cases:
+        expected = [
+            (cols, _expand_along_first_row([[row[c] for c in cols] for row in rows]))
+            for cols in combinations(range(n), len(rows))
+        ]
+        table = oracle._laplace_minors(rows, n)
+        assert list(table.items()) == expected
+        assert all(type(value) is F for value in table.values())
+
+
+def _solved_rows_spanned(ambient_dim, dim, minors):
+    # reference: solve the incidence conditions, then eliminate
+    base = next(
+        cols for cols in combinations(range(ambient_dim), dim) if minors.get(cols, 0) != 0
+    )
+    vectors = []
+    for k in range(dim):
+        vec = [F(0)] * ambient_dim
+        vec[base[k]] = F(1)
+        for j in range(ambient_dim):
+            if j not in base:
+                joined = tuple(sorted(base + (j,)))
+                dropped = tuple(c for c in joined if c != base[k])
+                sign = (-1) ** (joined.index(base[k]) + joined.index(j))
+                vec[j] = -sign * minors.get(dropped, F(0)) / minors[base]
+        vectors.append(vec)
+    return Subspace.from_spanning(ambient_dim, vectors)
+
+
+def test_subspace_from_minors_needs_no_elimination_on_audit_splits():
+    # every split with blocks <= 5 and every dimension <= 4, as the orbit
+    # audit draws them; the full table and both limit tables
+    rng = random.Random(41)
+    for dim1 in range(6):
+        for dim2 in range(6 if dim1 else 1, 6):
+            split = TorusSplit(dim1, dim2)
+            for dim in range(1, min(4, split.ambient_dim) + 1):
+                v = random_subspace(split.ambient_dim, dim, rng)
+                table = minor_table(v)
+                weights = {cols: sum(c < dim1 for c in cols) for cols in table}
+                levels = [weights[cols] for cols, value in table.items() if value]
+                for kept in (min(levels), max(levels)):
+                    survivors = {
+                        cols: value if weights[cols] == kept else F(0)
+                        for cols, value in table.items()
+                    }
+                    rebuilt = subspace_from_minors(split.ambient_dim, dim, survivors)
+                    assert rebuilt == _solved_rows_spanned(split.ambient_dim, dim, survivors)
+                assert subspace_from_minors(split.ambient_dim, dim, table) == v
 
 
 def test_compare_chain_builds_one_minor_table_per_component(monkeypatch):
@@ -149,6 +226,34 @@ def test_sample_orbit_check_flags_a_fixed_component_labelled_moving():
     )
     assert not report.passed
     assert any("distinct points on a moving orbit" in msg for msg in report.failures)
+
+
+def test_sample_orbit_check_builds_one_section_space_per_component(monkeypatch):
+    chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
+    calls = []
+
+    def counting(model, i):
+        calls.append(i)
+        return section_space(model, i)
+
+    monkeypatch.setattr(oracle, "section_space", counting)
+    assert sample_orbit_check(chain, samples_per_component=7, seed=0).passed
+    assert calls == [c.index for c in chain.components]
+
+
+def test_sample_orbit_check_tests_the_moved_points(monkeypatch):
+    # an action that moves the series one way and the sections the other
+    # keeps every base space in its fiber but not the moved points
+    chain = build_chain(random_exact_lls(3, 1, (2, 1, 1), seed=4))
+    fiber_dim = chain.model.d + 1
+
+    def skewed(split, x, v):
+        return act(split, x if v.dim == fiber_dim else 1 / x, v)
+
+    monkeypatch.setattr(oracle, "act", skewed)
+    report = sample_orbit_check(chain, samples_per_component=4, seed=0)
+    assert not report.passed
+    assert any("leaves the twisted" in msg for msg in report.failures)
 
 
 def test_sample_orbit_check_passes_on_built_chain():

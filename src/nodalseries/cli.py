@@ -38,22 +38,25 @@ def _pair_str(pair: tuple[Fraction, Fraction]) -> str:
     return f"({format_rational(pair[0])}, {format_rational(pair[1])})"
 
 
-def _load_series(path: str) -> LimitLinearSeries:
-    obj = load_instance(path)
-    if not isinstance(obj, LimitLinearSeries):
-        raise SchemaError(f"{path} does not hold a level-delta series")
-    return obj
+_VERIFIABLE = (LimitLinearSeries, ContinuousChain)
+
+# how a file is refused that holds none of the kinds a command accepts
+_REFUSAL = {
+    LimitLinearSeries: "does not hold a level-delta series",
+    SubspaceTask: "does not hold a subspace task",
+    _VERIFIABLE: "holds neither a series nor a chain",
+}
 
 
-def _load_subspace_task(path: str) -> SubspaceTask:
+def _load(path: str, kinds: type | tuple[type, ...]):
     obj = load_instance(path)
-    if not isinstance(obj, SubspaceTask):
-        raise SchemaError(f"{path} does not hold a subspace task")
+    if not isinstance(obj, kinds):
+        raise SchemaError(f"{path} {_REFUSAL[kinds]}")
     return obj
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g = _load_series(args.file)
+    g = _load(args.file, LimitLinearSeries)
     compat = check_compatible(g)
     print(f"compatible: {str(compat.passed).lower()}")
     for failure in compat.failures:
@@ -87,13 +90,13 @@ def _numerical_json(data: NumericalData) -> str:
 
 
 def _cmd_numerical_data(args: argparse.Namespace) -> int:
-    g = _load_series(args.file)
+    g = _load(args.file, LimitLinearSeries)
     print(_numerical_json(numerical_data(g)))
     return 0
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = _load_series(args.file)
+    g = _load(args.file, LimitLinearSeries)
     try:
         reduced = reduce_minimal(g)
     except ValueError as exc:
@@ -104,7 +107,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_chain(args: argparse.Namespace) -> int:
-    g = _load_series(args.file)
+    g = _load(args.file, LimitLinearSeries)
     try:
         chain = build_chain(g)
     except ChainBuildError as exc:
@@ -118,7 +121,7 @@ def _cmd_build_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
-    task = _load_subspace_task(args.file)
+    task = _load(args.file, SubspaceTask)
     direction = Direction.ZERO if args.at == "zero" else Direction.INFINITY
     result = limit(task.split, task.subspace, direction)
     _emit(dumps_instance(SubspaceTask(task.split, result)), args.output)
@@ -126,7 +129,7 @@ def _cmd_limit(args: argparse.Namespace) -> int:
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
-    task = _load_subspace_task(args.file)
+    task = _load(args.file, SubspaceTask)
     print(orbit_degree(task.split, task.subspace))
     return 0
 
@@ -162,8 +165,8 @@ def _verify_chain(chain: ContinuousChain, use_oracle: bool, samples: int) -> int
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    obj = load_instance(args.file)
-    if isinstance(obj, (LimitLinearSeries, ContinuousChain)) and obj.model.d > MAX_DEGREE:
+    obj = _load(args.file, _VERIFIABLE)
+    if obj.model.d > MAX_DEGREE:
         print(
             f"error: verify handles degrees 0 through {MAX_DEGREE}, got {obj.model.d}",
             file=sys.stderr,
@@ -177,10 +180,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not exact.passed or not data.is_minimal():
             return 1
         chain = build_chain(obj)
-    elif isinstance(obj, ContinuousChain):
-        chain = obj
     else:
-        raise SchemaError(f"{args.file} holds neither a series nor a chain")
+        chain = obj
     return _verify_chain(chain, args.oracle, args.samples)
 
 

@@ -32,6 +32,15 @@ def format_rational(value: Fraction) -> str:
 _RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
+def _exact(entries: Iterable[_Entry]) -> tuple[_Entry, ...]:
+    """The entries unconverted, refusing the floats and bools Fraction() takes."""
+    entries = tuple(entries)
+    for kind in set(map(type, entries)):
+        if issubclass(kind, (float, bool)):
+            raise TypeError(f"{kind.__name__} entries are not exact rationals")
+    return entries
+
+
 def parse_rational(text: str) -> Fraction:
     """Read ``p`` or ``p/q``; any other text raises ValueError."""
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
@@ -60,7 +69,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[_Entry]], ncols: int | None = None) -> "Matrix":
-        rows = [tuple(Fraction(e) for e in row) for row in rows]
+        rows = [tuple(Fraction(e) for e in _exact(row)) for row in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -218,7 +227,7 @@ class Subspace:
         Equal spans produce bit-identical values regardless of the order,
         scaling or redundancy of the input vectors.
         """
-        rows = [tuple(Fraction(e) for e in v) for v in vectors]
+        rows = [tuple(Fraction(e) for e in _exact(v)) for v in vectors]
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(
@@ -253,7 +262,7 @@ class Subspace:
         A canonical row is zero before its pivot and 1 at it, so only its
         nonzero entries after the pivot change the vector.
         """
-        vec = [e if isinstance(e, Fraction) else Fraction(e) for e in vector]
+        vec = [e if isinstance(e, Fraction) else Fraction(e) for e in _exact(vector)]
         ncols = self.ambient_dim
         if len(vec) != ncols:
             raise ValueError("vector length does not match the ambient dimension")

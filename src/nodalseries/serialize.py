@@ -1,11 +1,12 @@
-"""JSON instance files: schema version 1, exact rationals as strings.
+"""JSON instance files: schema version 2, exact rationals as strings.
 
 Rationals serialize as "p/q" (or "p" when the denominator is 1); matrices as
 nested row-major arrays of such strings. Three payload kinds exist:
 a level-delta series, a chain, and a bare subspace task carrying its block
 split. Loading validates the payload against its structural invariants, and
 for series also against section-space membership; loading what was saved
-reproduces the object bit-exactly.
+reproduces the object bit-exactly. Version 1 files still load; their chains
+also store Hilbert data, which is checked and then discarded.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .linalg import Subspace, format_rational, parse_rational
 from .series import LimitLinearSeries, membership_failures
 from .torus import TorusSplit
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class SchemaError(ValueError):
@@ -129,12 +130,6 @@ def chain_to_json(c: ContinuousChain) -> dict:
             for comp in c.components
         ],
         "nodes": [_matrix_json(node) for node in c.nodes],
-        "hilbert": {
-            "grassmann": c.hilbert[0],
-            "picard": c.hilbert[1],
-            "targets": list(c.hilbert[2]),
-            "constant": c.hilbert[3],
-        },
     }
 
 
@@ -142,6 +137,20 @@ def chain_from_json(payload: dict) -> ContinuousChain:
     try:
         model = CurveModel(_integer(payload["d"], "d"))
         rank = _integer(payload["r"], "r")
+        if payload.get("schema_version") == 1:
+            # every valid chain has the same value, which version 2 re-derives
+            hil = payload["hilbert"]
+            stored = (
+                _integer(hil["grassmann"], "hilbert grassmann"),
+                _integer(hil["picard"], "hilbert picard"),
+                tuple(_integer(t, "a hilbert target") for t in hil["targets"]),
+                _integer(hil["constant"], "hilbert constant"),
+            )
+            expected = (rank + 1, 0, (1,) * (model.d + 1), 1)
+            if stored != expected:
+                raise SchemaError(f"stored Hilbert data {stored} differs from {expected}")
+        elif "hilbert" in payload:
+            raise SchemaError("only schema_version 1 chains carry hilbert data")
         ladder = _ladder(model.d, payload["delta"], len(payload["components"]), "components")
         components = []
         for raw in payload["components"]:
@@ -158,14 +167,7 @@ def chain_from_json(payload: dict) -> ContinuousChain:
         nodes = tuple(
             _subspace_from_json(model.ambient_dim, raw) for raw in payload["nodes"]
         )
-        hil = payload["hilbert"]
-        hilbert = (
-            _integer(hil["grassmann"], "hilbert grassmann"),
-            _integer(hil["picard"], "hilbert picard"),
-            tuple(_integer(t, "a hilbert target") for t in hil["targets"]),
-            _integer(hil["constant"], "hilbert constant"),
-        )
-        return ContinuousChain(model, rank, ladder, tuple(components), nodes, hilbert)
+        return ContinuousChain(model, rank, ladder, tuple(components), nodes)
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, ChainError) as exc:
@@ -222,10 +224,10 @@ def loads_instance(text: str) -> Instance:
         raise SchemaError(f"not JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise SchemaError("top-level payload must be an object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    version = payload.get("schema_version")
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):  # True == 1
         raise SchemaError(
-            f"unsupported schema_version {payload.get('schema_version')!r};"
-            f" expected {SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; expected 1 or {SCHEMA_VERSION}"
         )
     kind = payload.get("kind")
     decoder = _FROM_JSON.get(kind)

@@ -17,7 +17,7 @@ from nodalseries.chain import (
 from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
 from nodalseries.linalg import Subspace
 from nodalseries.series import LimitLinearSeries, check_exact, torus_equivalent
-from nodalseries.torus import IntersectionHypothesisError, act, orbit_intersection
+from nodalseries.torus import IntersectionHypothesisError, act, block_profile, orbit_intersection
 
 from test_series import series_e4, series_e5
 
@@ -33,7 +33,7 @@ def test_build_chain_on_worked_example():
     assert chain.components[1].target_index == 1
     # the glued node is the split space generated by (0, s)
     assert chain.nodes == (Subspace.from_spanning(4, [(0, 0, 0, 1)]),)
-    assert chain.hilbert == (1, 0, (1, 1), 1)
+    assert hilbert_coefficients(chain) == (1, 0, (1, 1), 1)
     assert sum(c.grassmann_degree for c in chain.components) == chain.rank + 1
 
 
@@ -89,13 +89,16 @@ def test_validate_chain_detects_scaled_integer_base():
     assert not report.membership.passed
 
 
-def test_validate_chain_detects_degree_lie():
+def _degree_lie():
     chain = build_chain(series_e4())
-    comp = chain.components[1]
-    lying = dataclasses.replace(comp, kind=ComponentKind.ORBIT, grassmann_degree=1)
-    corrupted = dataclasses.replace(chain, components=(chain.components[0], lying))
-    report = validate_chain(corrupted)
-    assert not report.degree.passed
+    lying = dataclasses.replace(chain.components[1], kind=ComponentKind.ORBIT, grassmann_degree=1)
+    return dataclasses.replace(chain, components=(chain.components[0], lying))
+
+
+def test_validate_chain_detects_degree_lie():
+    report = validate_chain(_degree_lie())
+    # one line: ChainComponent already ties the fixed kind to degree zero
+    assert report.degree.failures == ("component 1 stores degree 1 but its orbit has degree 0",)
 
 
 def orbit_orbit_chain():
@@ -208,15 +211,6 @@ def test_component_consistency_is_enforced():
         )
 
 
-def test_validate_chain_detects_fabricated_hilbert_data():
-    chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
-    fabricated = dataclasses.replace(chain, hilbert=(99, 5, (7, 7, 7), -3))
-    report = validate_chain(fabricated)
-    assert not report.degree.passed
-    assert [c.passed for c in report.checks] == [True, False, True, True, True]
-    assert any("Hilbert" in f for f in report.degree.failures)
-
-
 def test_validate_chain_detects_wrong_target_indices():
     chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
     retargeted = tuple(dataclasses.replace(comp, target_index=0) for comp in chain.components)
@@ -230,3 +224,88 @@ def test_chain_rejects_targets_outside_the_degree():
     wrapped = dataclasses.replace(chain.components[1], target_index=-1)
     with pytest.raises(ChainError, match="outside"):
         dataclasses.replace(chain, components=(chain.components[0], wrapped))
+
+
+def _with_base(chain, index, rows):
+    """The chain with the base space at ``index`` replaced by the span of rows."""
+    pos = chain.delta.position(index)
+    components = list(chain.components)
+    base = Subspace.from_spanning(chain.model.ambient_dim, rows)
+    components[pos] = dataclasses.replace(components[pos], base_space=base)
+    return dataclasses.replace(chain, components=tuple(components))
+
+
+def _moved_node():
+    chain, p = orbit_orbit_chain()
+    nodes = list(chain.nodes)
+    nodes[p] = nodes[p - 1]
+    return dataclasses.replace(chain, nodes=tuple(nodes))
+
+
+def _shifted_interval():
+    # 3/2 sits between fixed components; span(s^2, t^2 + s^3) lies in its
+    # section space and has the same orbit degree but weight interval [0, 1]
+    chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=3))
+    split = chain.model.split
+    pos = chain.delta.position(F(3, 2))
+    assert [c.kind for c in chain.components[pos - 1 : pos + 2]] == [
+        ComponentKind.FIXED, ComponentKind.ORBIT, ComponentKind.FIXED,
+    ]
+    assert block_profile(split, chain.components[pos].base_space).inside_first.dim == 1
+    return _with_base(chain, F(3, 2), [(0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0, 0, 1)])
+
+
+def _scaled_base():
+    chain = build_chain(series_e4())
+    moved = act(chain.model.split, F(2), chain.components[0].base_space)
+    return _with_base(chain, F(0), moved.basis_rows())
+
+
+# One mutation per reported check. Some checks cannot fail alone: a moved
+# node breaks gluing too, and weight intervals that do not meet mean limits
+# that differ.
+EVERY_CHECK_FAILS = [
+    pytest.param(
+        lambda: dataclasses.replace(
+            build_chain(series_e4()), nodes=(Subspace.from_spanning(4, [(0, 1, 0, 0)]),)
+        ),
+        [False, True, True, True, True],
+        ("node between 0 and 1 does not match both orbit limits",),
+        id="node gluing",
+    ),
+    pytest.param(
+        _degree_lie,
+        [True, False, False, True, True],
+        ("component 1 stores degree 1 but its orbit has degree 0",),
+        id="degree budget",
+    ),
+    pytest.param(
+        _moved_node,
+        [False, True, False, True, True],
+        ("pair (4/3, 5/3): orbit closures do not meet at the stored node",),
+        id="node transversality",
+    ),
+    pytest.param(
+        _shifted_interval,
+        [False, True, True, False, True],
+        (
+            "weight intervals at (1, 3/2) do not meet end-to-start: 2 vs 1",
+            "weight intervals at (3/2, 2) do not meet end-to-start: 0 vs 1",
+        ),
+        id="weight intervals",
+    ),
+    pytest.param(
+        _scaled_base,
+        [True, True, True, True, False],
+        ("base space at 0 is not an (r+1)-dimensional subspace of its section space",),
+        id="section-space membership",
+    ),
+]
+
+
+@pytest.mark.parametrize("corrupt, passed, failures", EVERY_CHECK_FAILS)
+def test_every_reported_check_can_fail(corrupt, passed, failures, request):
+    report = validate_chain(corrupt())
+    assert [c.passed for c in report.checks] == passed
+    (failing,) = [c for c in report.checks if c.name == request.node.callspec.id]
+    assert failing.failures == failures

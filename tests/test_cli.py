@@ -216,7 +216,6 @@ def test_verify_refuses_sample_counts_outside_the_pool(e4_file, samples, capsys)
 def test_verify_fails_on_fabricated_chain_metadata(tmp_path, capsys):
     chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
     payload = json.loads(dumps_instance(chain))
-    payload["hilbert"] = {"grassmann": 99, "picard": 5, "targets": [7, 7, 7], "constant": -3}
     for comp in payload["components"]:
         comp["target"]["index"] = 0
     path = tmp_path / "fabricated.json"
@@ -229,6 +228,49 @@ def test_verify_fails_on_fabricated_chain_metadata(tmp_path, capsys):
         comp["target"]["index"] = -5
     path.write_text(json.dumps(payload))
     assert main(["verify", str(path)]) == 2
+
+
+def test_verify_refuses_fabricated_v1_hilbert_data(tmp_path, capsys):
+    chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
+    payload = json.loads(dumps_instance(chain))
+    payload["schema_version"] = 1
+    payload["hilbert"] = {"grassmann": 2, "picard": 0, "targets": [1, 1, 1, 1], "constant": 1}
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == 0
+    payload["hilbert"] = {"grassmann": 99, "picard": 5, "targets": [7, 7, 7], "constant": -3}
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stored Hilbert data" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, holds, refusal",
+    [
+        pytest.param(["check"], "task", "does not hold a level-delta series", id="check"),
+        pytest.param(
+            ["build-chain"], "chain", "does not hold a level-delta series", id="build-chain"
+        ),
+        pytest.param(["degree"], "series", "does not hold a subspace task", id="degree"),
+        pytest.param(
+            ["limit", "--at", "zero"], "chain", "does not hold a subspace task", id="limit"
+        ),
+        pytest.param(["verify"], "task", "holds neither a series nor a chain", id="verify"),
+    ],
+)
+def test_commands_refuse_files_of_another_kind(tmp_path, capsys, command, holds, refusal):
+    objects = {
+        "series": series_e4(),
+        "chain": build_chain(series_e4()),
+        "task": SubspaceTask(TorusSplit(2, 2), Subspace.from_spanning(4, [(1, 0, 1, 0)])),
+    }
+    path = tmp_path / f"{holds}.json"
+    save_instance(objects[holds], path)
+    assert main([command[0], str(path), *command[1:]]) == 2
+    assert capsys.readouterr().err == f"malformed input: {path} {refusal}\n"
 
 
 def test_non_integer_field_exit_code(tmp_path, e4_file, capsys):

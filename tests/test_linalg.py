@@ -53,6 +53,33 @@ def test_subspace_refuses_a_float_basis():
         Subspace(2, Matrix(1, 2, (1, 0.5)))
 
 
+# 0.1 would otherwise be stored as 3602879701896397/36028797018963968
+INEXACT = [pytest.param(0.1, id="float"), pytest.param(True, id="bool")]
+
+
+@pytest.mark.parametrize("entry", INEXACT)
+def test_from_rows_refuses_inexact_entries(entry):
+    with pytest.raises(TypeError, match="not exact"):
+        Matrix.from_rows([[1, entry]])
+    # the exact entry types are still coerced
+    assert Matrix.from_rows([[1, F(1, 3), "2/5"]]).entries == (1, F(1, 3), F(2, 5))
+
+
+@pytest.mark.parametrize("entry", INEXACT)
+def test_from_spanning_refuses_inexact_entries(entry):
+    with pytest.raises(TypeError, match="not exact"):
+        Subspace.from_spanning(2, [(1, 0), (0, entry)])
+    assert Subspace.from_spanning(2, [(2, "1/3")]).basis_rows() == ((1, F(1, 6)),)
+
+
+@pytest.mark.parametrize("entry", INEXACT)
+def test_residual_refuses_inexact_entries(entry):
+    line = Subspace.from_spanning(2, [(1, 1)])
+    with pytest.raises(TypeError, match="not exact"):
+        line.residual((entry, 0))
+    assert line.residual((1, "1/2")) == (0, F(-1, 2))
+
+
 def test_from_spanning_scaling():
     assert rows_of(Subspace.from_spanning(2, [(2, 0)]).basis) == [[1, 0]]
 

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from nodalseries.chain import build_chain
 from nodalseries.generate import random_exact_lls
 from nodalseries.linalg import Subspace
 from nodalseries.serialize import (
+    SCHEMA_VERSION,
     SchemaError,
     SubspaceTask,
     dumps_instance,
@@ -48,8 +51,16 @@ def test_rationals_serialize_as_fraction_strings():
 def test_unknown_schema_version_rejected():
     g = random_exact_lls(1, 0, (1,), seed=0)
     payload = json.loads(dumps_instance(g))
-    payload["schema_version"] = 2
+    payload["schema_version"] = 3
     with pytest.raises(SchemaError):
+        loads_instance(json.dumps(payload))
+
+
+@pytest.mark.parametrize("version", [True, 2.0, "2", None])
+def test_schema_version_must_be_a_json_integer(version):
+    payload = _payload("series")
+    payload["schema_version"] = version
+    with pytest.raises(SchemaError, match="unsupported schema_version"):
         loads_instance(json.dumps(payload))
 
 
@@ -120,11 +131,15 @@ def test_chain_targets_outside_the_degree_rejected(target):
 def _payload(kind):
     if kind == "series":
         obj = random_exact_lls(2, 1, (2, 1), seed=9)
-    elif kind == "chain":
+    elif kind in ("chain", "chain-v1"):
         obj = build_chain(random_exact_lls(2, 1, (2, 2), seed=3))
     else:
         obj = SubspaceTask(TorusSplit(2, 2), Subspace.from_spanning(4, [(1, 0, 1, 0)]))
-    return json.loads(dumps_instance(obj))
+    payload = json.loads(dumps_instance(obj))
+    if kind == "chain-v1":
+        payload["schema_version"] = 1
+        payload["hilbert"] = {"grassmann": 2, "picard": 0, "targets": [1, 1, 1], "constant": 1}
+    return payload
 
 
 # each conversion keeps the value that int() would read back, except the
@@ -138,9 +153,9 @@ NON_INTEGERS = [
     pytest.param("subspace", ("dim1",), lambda n: n + 0.5, id="dim1-float"),
     pytest.param("chain", ("components", 0, "degree"), float, id="degree-float"),
     pytest.param("chain", ("components", 0, "target", "index"), float, id="target-float"),
-    pytest.param("chain", ("hilbert", "picard"), bool, id="picard-bool"),
+    pytest.param("chain-v1", ("hilbert", "picard"), bool, id="picard-bool"),
     pytest.param(
-        "chain", ("hilbert", "targets"), lambda ts: [float(t) for t in ts], id="targets-float"
+        "chain-v1", ("hilbert", "targets"), lambda ts: [float(t) for t in ts], id="targets-float"
     ),
 ]
 
@@ -167,3 +182,68 @@ def test_delta_is_bounded_by_the_file(kind, listed):
     # building this ladder would take about an hour
     with pytest.raises(SchemaError, match=f"ladder of 1000000002 indices .* {listed}"):
         loads_instance(json.dumps(payload))
+
+
+def test_dumps_writes_the_current_version():
+    for kind in ("series", "chain", "subspace"):
+        payload = _payload(kind)
+        assert payload["schema_version"] == SCHEMA_VERSION == 2
+        assert "hilbert" not in payload
+
+
+def test_v1_chain_loads_like_the_v2_chain():
+    v2 = loads_instance(json.dumps(_payload("chain")))
+    assert loads_instance(json.dumps(_payload("chain-v1"))) == v2
+
+
+FABRICATED_HILBERT = [
+    pytest.param({"grassmann": 99, "picard": 5, "targets": [7, 7, 7], "constant": -3}, id="all"),
+    pytest.param({"grassmann": 3}, id="grassmann"),
+    pytest.param({"picard": 5}, id="picard"),
+    pytest.param({"targets": [1, 1]}, id="targets-short"),
+    pytest.param({"targets": [1, 2, 0]}, id="targets-moved"),
+    pytest.param({"constant": -3}, id="constant"),
+]
+
+
+@pytest.mark.parametrize("fabricated", FABRICATED_HILBERT)
+def test_v1_chain_with_fabricated_hilbert_data_is_refused(fabricated):
+    payload = _payload("chain-v1")
+    payload["hilbert"].update(fabricated)
+    with pytest.raises(SchemaError, match="stored Hilbert data"):
+        loads_instance(json.dumps(payload))
+
+
+def test_v1_chain_without_hilbert_data_is_refused():
+    payload = _payload("chain-v1")
+    del payload["hilbert"]
+    with pytest.raises(SchemaError):
+        loads_instance(json.dumps(payload))
+
+
+def test_v2_chain_with_hilbert_data_is_refused():
+    payload = _payload("chain-v1")
+    payload["schema_version"] = 2
+    with pytest.raises(SchemaError, match="only schema_version 1 chains carry hilbert data"):
+        loads_instance(json.dumps(payload))
+
+
+@pytest.mark.parametrize("kind", ["series", "subspace"])
+def test_v1_series_and_subspace_files_still_load(kind):
+    current = loads_instance(json.dumps(_payload(kind)))
+    payload = _payload(kind)
+    payload["schema_version"] = 1
+    assert loads_instance(json.dumps(payload)) == current
+
+
+def test_readme_examples_load():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert [json.loads(text)["kind"] for text in examples] == [
+        "level_delta_series",
+        "chain",
+        "subspace",
+    ]
+    for text in examples:
+        obj = loads_instance(text)
+        assert json.loads(dumps_instance(obj)) == json.loads(text)

@@ -210,6 +210,14 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
     or the closures do not meet at the stored node. ``verify --oracle``
     recomputes a first-order certificate independently, from the Pluecker
     minors.
+
+    The weight-interval check is a named cross-check: it follows from node
+    gluing plus section-space membership, so it fails only beside one of
+    them. Its end conditions follow from membership, because the section
+    space at index 0 projects injectively to the first block and the one at
+    index d meets the first block in 0. Its inner condition follows from
+    gluing, because the first-block parts of the two limits at a node are
+    inside_first of the left space and onto_first of the right one.
     """
     split = c.model.split
     pairs = consecutive_pairs(c.delta)

@@ -265,8 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # no reference to the parser outlives parsing, so its reference cycles are
+    # freed by the young-generation collections while the command runs
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except SchemaError as exc:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Rational, Subspace
+from .linalg import Matrix, Rational, Subspace, exact_rational
 from .torus import TorusSplit, act
 
 _ZERO = Fraction(0)
@@ -33,6 +33,8 @@ class CurveModel:
     d: int
 
     def __post_init__(self) -> None:
+        if type(self.d) is not int:
+            raise TypeError(f"degree must be an integer, got {self.d!r}")
         if self.d < 0:
             raise ValueError("degree must be nonnegative")
 
@@ -89,7 +91,7 @@ def section_space(model: CurveModel, i: Rational) -> SectionSpace:
     first (its s-entry is no other row's pivot), then the t and the s unit
     rows.
     """
-    i = Fraction(i)
+    i = exact_rational(i)
     if i < 0 or i > model.d:
         raise ValueError(f"index {i} outside [0, {model.d}]")
     n = model.ambient_dim

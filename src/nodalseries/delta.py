@@ -46,13 +46,17 @@ class DeltaSet:
 
 
 def check_steps(d: int, delta: Sequence[int]) -> tuple[int, ...]:
-    """The subdivision counts as ints; one positive count per gap, or ValueError."""
+    """The subdivision counts; one positive integer per gap, or TypeError/ValueError."""
+    if type(d) is not int:
+        raise TypeError(f"degree must be an integer, got {d!r}")
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if len(delta) != d:
         raise ValueError(f"expected {d} subdivision counts, got {len(delta)}")
-    steps = tuple(int(s) for s in delta)
+    steps = tuple(delta)
     for s in steps:
+        if type(s) is not int:
+            raise TypeError(f"subdivision counts must be integers, got {s!r}")
         if s < 1:
             raise ValueError("subdivision counts must be positive")
     return steps

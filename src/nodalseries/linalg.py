@@ -4,6 +4,15 @@ All arithmetic uses :class:`fractions.Fraction`, so every result is exact and
 subspace equality is decidable: a subspace is stored as the reduced row
 echelon basis of its row space, which is the unique canonical representative.
 Values are immutable and hashable.
+
+Entries are coerced once, at the boundary. ``Matrix.from_rows``,
+``Subspace.from_spanning``, ``Subspace.residual`` and the file loaders take
+int, ``Fraction`` and ``"p/q"`` string entries, refuse floats and bools, and
+keep an entry that is already a ``Fraction`` as it is. Results computed
+inside the library are built as ``Matrix(...)`` or ``Subspace(...)``
+directly, and their ``__post_init__`` checks them again: every entry a
+``Fraction``, every basis canonical. Sharing one ``Fraction`` object between
+matrices is safe, because it is immutable.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ Rational = Fraction
 _Entry = int | Fraction | str
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def format_rational(value: Fraction) -> str:
@@ -32,13 +42,21 @@ def format_rational(value: Fraction) -> str:
 _RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
-def _exact(entries: Iterable[_Entry]) -> tuple[_Entry, ...]:
-    """The entries unconverted, refusing the floats and bools Fraction() takes."""
+def exact_rational(value: _Entry) -> Fraction:
+    """One exact value as a Fraction, refusing the floats and bools Fraction() takes."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"{type(value).__name__} values are not exact rationals")
+    return Fraction(value)
+
+
+def _exact(entries: Iterable[_Entry]) -> tuple[Fraction, ...]:
+    """The entries as Fractions; those that already are stay as they are."""
     entries = tuple(entries)
-    for kind in set(map(type, entries)):
-        if issubclass(kind, (float, bool)):
-            raise TypeError(f"{kind.__name__} entries are not exact rationals")
-    return entries
+    if set(map(type, entries)) <= {Fraction}:
+        return entries
+    return tuple(map(exact_rational, entries))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -69,7 +87,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[_Entry]], ncols: int | None = None) -> "Matrix":
-        rows = [tuple(Fraction(e) for e in _exact(row)) for row in rows]
+        rows = [_exact(row) for row in rows]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -124,7 +142,7 @@ def rref(m: Matrix) -> Matrix:
         pivot_row += 1
         if pivot_row == m.nrows:
             break
-    return Matrix.from_rows(work, ncols=m.ncols)
+    return Matrix(m.nrows, m.ncols, tuple(e for row in work for e in row))
 
 
 def kernel_basis(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -227,27 +245,29 @@ class Subspace:
         Equal spans produce bit-identical values regardless of the order,
         scaling or redundancy of the input vectors.
         """
-        rows = [tuple(Fraction(e) for e in _exact(v)) for v in vectors]
+        rows = [_exact(v) for v in vectors]
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(
                     f"vector of length {len(row)} in ambient dimension {ambient_dim}"
                 )
-        reduced = rref(Matrix.from_rows(rows, ncols=ambient_dim))
-        kept = [r for r in reduced.rows() if any(e != 0 for e in r)]
-        return cls(ambient_dim, Matrix.from_rows(kept, ncols=ambient_dim))
+        reduced = rref(Matrix(len(rows), ambient_dim, tuple(e for row in rows for e in row)))
+        # the zero rows of a reduced matrix are at the bottom
+        rank = next(
+            (i for i in range(reduced.nrows) if not any(reduced.row(i))), reduced.nrows
+        )
+        return cls(ambient_dim, Matrix(rank, ambient_dim, reduced.entries[: rank * ambient_dim]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.from_rows([], ncols=ambient_dim))
+        return cls(ambient_dim, Matrix(0, ambient_dim, ()))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        rows = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(ambient_dim)]
-            for i in range(ambient_dim)
-        ]
-        return cls(ambient_dim, Matrix.from_rows(rows, ncols=ambient_dim))
+        entries = tuple(
+            _ONE if i == j else _ZERO for i in range(ambient_dim) for j in range(ambient_dim)
+        )
+        return cls(ambient_dim, Matrix(ambient_dim, ambient_dim, entries))
 
     @property
     def dim(self) -> int:
@@ -262,7 +282,7 @@ class Subspace:
         A canonical row is zero before its pivot and 1 at it, so only its
         nonzero entries after the pivot change the vector.
         """
-        vec = [e if isinstance(e, Fraction) else Fraction(e) for e in _exact(vector)]
+        vec = list(_exact(vector))
         ncols = self.ambient_dim
         if len(vec) != ncols:
             raise ValueError("vector length does not match the ambient dimension")
@@ -304,25 +324,30 @@ def sum_and_intersection(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
 
     Row-reducing the block matrix [A | A; B | 0] leaves the sum in the left
     halves of the rows with nonzero left half, and the intersection in the
-    right halves of the rows whose left half vanished.
+    right halves of the rows whose left half vanished. Both sets of halves
+    are already reduced: a row with its pivot in the left half is zero
+    before it, and every other row of the reduced matrix is zero in its
+    column, and the same holds for the right halves of the remaining rows.
+    So each is read off as a canonical basis, with no second elimination.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = a.ambient_dim
-    stacked = [row + row for row in a.basis_rows()]
-    stacked += [row + tuple(Fraction(0) for _ in range(n)) for row in b.basis_rows()]
-    reduced = rref(Matrix.from_rows(stacked, ncols=2 * n))
+    zeros = (_ZERO,) * n
+    stacked = [e for row in a.basis_rows() for e in row + row]
+    stacked += [e for row in b.basis_rows() for e in row + zeros]
+    reduced = rref(Matrix(a.dim + b.dim, 2 * n, tuple(stacked)))
     sum_rows = []
     meet_rows = []
     for r in reduced.rows():
         left, right = r[:n], r[n:]
-        if any(e != 0 for e in left):
+        if any(left):
             sum_rows.append(left)
-        elif any(e != 0 for e in right):
+        elif any(right):
             meet_rows.append(right)
     return (
-        Subspace.from_spanning(n, sum_rows),
-        Subspace.from_spanning(n, meet_rows),
+        Subspace(n, Matrix(len(sum_rows), n, tuple(e for row in sum_rows for e in row))),
+        Subspace(n, Matrix(len(meet_rows), n, tuple(e for row in meet_rows for e in row))),
     )
 
 
@@ -338,14 +363,13 @@ def zero_coordinate_section(v: Subspace, coords: Iterable[int]) -> Subspace:
             raise ValueError(f"coordinate {c} outside ambient dimension {v.ambient_dim}")
     if not cols or v.dim == 0:
         return v
-    restricted = Matrix.from_rows(
-        [[row[c] for row in v.basis_rows()] for c in cols], ncols=v.dim
-    )
+    rows = v.basis_rows()
+    restricted = Matrix(len(cols), v.dim, tuple(row[c] for c in cols for row in rows))
     combos = kernel_basis(restricted)
     vectors = []
     for combo in combos:
         vec = [Fraction(0)] * v.ambient_dim
-        for coeff, row in zip(combo, v.basis_rows()):
+        for coeff, row in zip(combo, rows):
             if coeff != 0:
                 vec = [a + coeff * b for a, b in zip(vec, row)]
         vectors.append(vec)
@@ -364,9 +388,7 @@ def pluecker(v: Subspace) -> dict[tuple[int, ...], Fraction]:
     out: dict[tuple[int, ...], Fraction] = {}
     first_nonzero: Fraction | None = None
     for cols in combinations(range(v.ambient_dim), n):
-        minor = determinant(
-            Matrix.from_rows([[row[c] for c in cols] for row in rows], ncols=n)
-        )
+        minor = determinant(Matrix(n, n, tuple(row[c] for row in rows for c in cols)))
         if minor != 0 and first_nonzero is None:
             first_nonzero = minor
         out[cols] = minor

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Rational, Subspace, rref
+from .linalg import Matrix, Rational, Subspace, exact_rational, rref
 
 
 _ZERO = Fraction(0)
@@ -86,7 +86,7 @@ def act(split: TorusSplit, x: Rational, v: Subspace) -> Subspace:
     other row is zero on the first block and stays as it is.
     """
     _check_member(split, v)
-    x = Fraction(x)
+    x = exact_rational(x)
     if x == 0:
         raise ValueError("torus elements are nonzero")
     dim1 = split.dim1

@@ -51,6 +51,28 @@ def test_section_space_rejects_out_of_range():
         section_space(CurveModel(2), F(5, 2))
 
 
+@pytest.mark.parametrize("value", [pytest.param(0.5, id="float"), pytest.param(True, id="bool")])
+def test_ladder_indices_and_torus_elements_must_be_exact(value):
+    # True would otherwise be taken as the index 1
+    model = CurveModel(2)
+    with pytest.raises(TypeError, match="not exact"):
+        section_space(model, value)
+    with pytest.raises(TypeError, match="not exact"):
+        twisted_space_at(model, value, F(2))
+    with pytest.raises(TypeError, match="not exact"):
+        twisted_space_at(model, F(1), value)
+    assert section_space(model, 1) == section_space(model, F(1))
+
+
+@pytest.mark.parametrize(
+    "d", [pytest.param(2.0, id="float"), pytest.param(True, id="bool"), pytest.param(F(2), id="fraction")]
+)
+def test_curve_model_refuses_a_non_integer_degree(d):
+    # CurveModel(2.0).ambient_dim would otherwise be 6.0
+    with pytest.raises(TypeError, match="integer"):
+        CurveModel(d)
+
+
 def test_dimension_is_degree_plus_one():
     for d in range(0, 9):
         model = CurveModel(d)

@@ -45,6 +45,22 @@ def test_build_delta_rejects_bad_input():
         build_delta(1, (0,))
 
 
+@pytest.mark.parametrize(
+    "step",
+    [
+        pytest.param(1.7, id="float"),
+        pytest.param(True, id="bool"),
+        pytest.param(F(3, 2), id="fraction"),
+    ],
+)
+def test_build_delta_refuses_non_integer_counts(step):
+    # 1.7 and 3/2 would otherwise be truncated to the count 1
+    with pytest.raises(TypeError, match="integers"):
+        build_delta(2, (step, 1))
+    with pytest.raises(TypeError, match="integer"):
+        build_delta(step, (1,))
+
+
 def test_consecutive_pairs():
     assert consecutive_pairs(build_delta(1, (1,))) == ((F(0), F(1)),)
     assert consecutive_pairs(build_delta(2, (2, 1))) == (

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from nodalseries.chain import build_chain, validate_chain
+from nodalseries.generate import random_exact_lls
 from nodalseries.linalg import (
     Matrix,
     Subspace,
@@ -12,9 +14,12 @@ from nodalseries.linalg import (
     parse_rational,
     pluecker,
     rref,
+    sum_and_intersection,
     zero_coordinate_section,
 )
 from nodalseries.oracle import minor_table, subspace_from_minors
+from nodalseries.series import check_exact
+from nodalseries.torus import Direction, block_profile, limit
 
 
 def rows_of(m):
@@ -41,6 +46,8 @@ def test_rref_refuses_a_matrix_of_ints():
     # int entries would divide to a float 1/3 inside the elimination
     with pytest.raises(TypeError):
         rref(Matrix(1, 2, (3, 1)))
+    with pytest.raises(TypeError):
+        Matrix(1, 1, (1,))
 
 
 def test_determinant_refuses_a_matrix_of_ints():
@@ -313,3 +320,145 @@ def test_residual_and_contains_match_full_row_reduction():
                 for w in spaces:
                     expected = all(not any(_full_row_residual(v, r)) for r in w.basis_rows())
                     assert v.contains(w) == expected
+
+
+def _reference_rref(rows, ncols):
+    """Gauss-Jordan that coerces every input entry and every entry it computes."""
+    work = [[F(e) for e in row] for row in rows]
+    pivot_row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(pivot_row, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
+        lead = work[pivot_row][col]
+        work[pivot_row] = [F(e / lead) for e in work[pivot_row]]
+        for r in range(len(work)):
+            if r != pivot_row and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [F(a - factor * b) for a, b in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+    return work
+
+
+def _reference_span(ncols, rows):
+    return [row for row in _reference_rref(rows, ncols) if any(row)]
+
+
+def _reference_sum_and_meet(n, a_rows, b_rows):
+    """Zassenhaus as the library once ran it: each half reduced a second time."""
+    stacked = [list(r) + list(r) for r in a_rows] + [list(r) + [0] * n for r in b_rows]
+    reduced = _reference_rref(stacked, 2 * n)
+    sum_rows = [r[:n] for r in reduced if any(r[:n])]
+    meet_rows = [r[n:] for r in reduced if not any(r[:n]) and any(r[n:])]
+    return _reference_span(n, sum_rows), _reference_span(n, meet_rows)
+
+
+def _bits(rows):
+    return [[(type(e), e.numerator, e.denominator) for e in row] for row in rows]
+
+
+def _mixed(value, rng):
+    """The value as an int, a "p/q" string or a Fraction, at random."""
+    kind = rng.randrange(3)
+    if kind == 0 and value.denominator == 1:
+        return int(value)
+    if kind == 1:
+        return f"{value.numerator}/{value.denominator}"
+    return value
+
+
+def _mixed_rows(rng, nrows, ncols, rank):
+    """nrows rows spanning at most ``rank`` dimensions, some of them zero."""
+    basis = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        vec = [F(0)] * ncols
+        if rng.random() > 0.2:
+            for b in basis:
+                c = F(rng.randint(-2, 2), rng.randint(1, 2))
+                vec = [x + c * y for x, y in zip(vec, b)]
+        rows.append([_mixed(e, rng) for e in vec])
+    return rows
+
+
+def test_rref_and_from_spanning_match_a_coercing_elimination():
+    rng = random.Random(97)
+    for _ in range(300):
+        ncols = rng.randint(0, 6)
+        nrows = rng.randint(0, 6)
+        rows = _mixed_rows(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        reduced = rref(Matrix.from_rows(rows, ncols=ncols))
+        assert (reduced.nrows, reduced.ncols) == (nrows, ncols)
+        assert _bits(reduced.rows()) == _bits(_reference_rref(rows, ncols))
+        v = Subspace.from_spanning(ncols, rows)
+        assert _bits(v.basis_rows()) == _bits(_reference_span(ncols, rows))
+
+
+def _subspace_pairs(rng, n):
+    """Equal, nested, complementary, zero and overlapping pairs in Q^n."""
+    whole = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        # a random invertible change of basis keeps the n rows independent
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            whole[i] = [x + c * y for x, y in zip(whole[i], whole[j])]
+    rng.shuffle(whole)
+    k = rng.randint(0, n)
+    a_vectors = [[_mixed(e, rng) for e in row] for row in whole[:k]]
+    a = Subspace.from_spanning(n, a_vectors)
+    rescaled = []
+    for row in reversed(a_vectors):
+        c = F(rng.randint(1, 5), rng.randint(1, 5))
+        rescaled.append([c * F(e) for e in row])
+    yield "equal", a, Subspace.from_spanning(n, rescaled + a_vectors)
+    yield "nested", a, Subspace.from_spanning(n, a_vectors[: rng.randint(0, k)])
+    yield "complementary", a, Subspace.from_spanning(n, whole[k:])
+    yield "zero", a, Subspace.zero(n)
+    yield "overlapping", a, Subspace.from_spanning(n, _mixed_rows(rng, 3, n, rng.randint(0, n)))
+
+
+def test_sum_and_intersection_match_a_coercing_elimination():
+    rng = random.Random(101)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        for kind, a, b in _subspace_pairs(rng, n):
+            for left, right in ((a, b), (b, a)):
+                total, meet = sum_and_intersection(left, right)
+                ref_total, ref_meet = _reference_sum_and_meet(
+                    n, left.basis_rows(), right.basis_rows()
+                )
+                assert _bits(total.basis_rows()) == _bits(ref_total), kind
+                assert _bits(meet.basis_rows()) == _bits(ref_meet), kind
+            if kind == "equal":
+                assert total == meet == a
+            if kind == "complementary":
+                assert total == Subspace.full(n) and meet == Subspace.zero(n)
+            seen.add(kind)
+    assert len(seen) == 5
+
+
+def test_internal_results_never_pass_through_from_rows(monkeypatch):
+    # from_rows is the coercing boundary; everything computed inside the
+    # library is already Fraction and is built as Matrix(...) directly
+    g = random_exact_lls(4, 2, (2, 1, 2, 1), seed=5)
+    chain = build_chain(g)
+    split = g.model.split
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Matrix.from_rows re-coerced internal data")
+
+    monkeypatch.setattr(Matrix, "from_rows", classmethod(refuse))
+    spaces = [comp.base_space for comp in chain.components]
+    for v, w in zip(spaces, spaces[1:]):
+        assert rref(v.basis) == v.basis
+        total, meet = sum_and_intersection(v, w)
+        assert total.dim + meet.dim == v.dim + w.dim
+        profile = block_profile(split, v)
+        assert limit(split, v, Direction.ZERO).dim == v.dim
+        assert limit(split, v, Direction.INFINITY).dim == v.dim
+        assert profile.onto_first.dim + profile.inside_second.dim == v.dim
+    assert check_exact(g).passed
+    assert validate_chain(chain).passed

@@ -163,6 +163,15 @@ def test_act_rejects_zero():
         act(SPLIT22, F(0), span((1, 0, 1, 0)))
 
 
+@pytest.mark.parametrize("x", [pytest.param(0.1, id="float"), pytest.param(True, id="bool")])
+def test_act_refuses_inexact_torus_elements(x):
+    # 0.1 would otherwise scale by 3602879701896397/36028797018963968
+    v = span((1, 0, 1, 0))
+    with pytest.raises(TypeError, match="not exact"):
+        act(SPLIT22, x, v)
+    assert act(SPLIT22, 2, v) == act(SPLIT22, "2", v) == span((1, 0, 2, 0))
+
+
 def test_block_profile_diagonal_line():
     profile = block_profile(SPLIT22, span((1, 0, 1, 0)))
     assert profile.inside_first == Subspace.zero(2)

@@ -19,14 +19,7 @@ from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, consecutive_pairs
 from .linalg import Subspace, format_rational
 from .series import LimitLinearSeries, numerical_data
-from .torus import (
-    Direction,
-    IntersectionHypothesisError,
-    block_profile,
-    limit,
-    orbit_degree,
-    orbit_intersection,
-)
+from .torus import Direction, IntersectionHypothesisError, block_profile, limit, orbit_degree
 
 
 class ChainError(ValueError):
@@ -218,15 +211,16 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
     index d meets the first block in 0. Its inner condition follows from
     gluing, because the first-block parts of the two limits at a node are
     inside_first of the left space and onto_first of the right one.
+
+    Every check reads the same block profiles, one per component.
     """
     split = c.model.split
     pairs = consecutive_pairs(c.delta)
+    profiles = [block_profile(split, comp.base_space) for comp in c.components]
 
     glue_failures: list[str] = []
-    for (i, j), node in zip(pairs, c.nodes):
-        left = limit(split, c.component_at(i).base_space, Direction.INFINITY)
-        right = limit(split, c.component_at(j).base_space, Direction.ZERO)
-        if not (left == node == right):
+    for (i, j), node, left, right in zip(pairs, c.nodes, profiles, profiles[1:]):
+        if not (left.limit(Direction.INFINITY) == node == right.limit(Direction.ZERO)):
             glue_failures.append(
                 f"node between {format_rational(i)} and {format_rational(j)}"
                 " does not match both orbit limits"
@@ -234,8 +228,8 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
 
     degree_failures: list[str] = []
     recomputed_total = 0
-    for comp in c.components:
-        actual = orbit_degree(split, comp.base_space)
+    for comp, profile in zip(c.components, profiles):
+        actual = profile.degree
         recomputed_total += actual
         if actual != comp.grassmann_degree:
             degree_failures.append(
@@ -254,13 +248,12 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
             )
 
     transversality_failures: list[str] = []
-    for (i, j), node in zip(pairs, c.nodes):
-        left = c.component_at(i)
-        right = c.component_at(j)
+    steps = zip(pairs, c.nodes, c.components, c.components[1:], profiles, profiles[1:])
+    for (i, j), node, left, right, left_profile, right_profile in steps:
         if left.kind is not ComponentKind.ORBIT or right.kind is not ComponentKind.ORBIT:
             continue
         try:
-            point = orbit_intersection(split, left.base_space, right.base_space)
+            point = left_profile.meeting_point(right_profile)
         except (IntersectionHypothesisError, ValueError) as exc:
             transversality_failures.append(
                 f"pair ({format_rational(i)}, {format_rational(j)}): {exc}"
@@ -273,7 +266,6 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
             )
 
     interval_failures: list[str] = []
-    profiles = [block_profile(split, comp.base_space) for comp in c.components]
     if profiles:
         if profiles[0].onto_first.dim != c.rank + 1:
             interval_failures.append(

@@ -22,14 +22,7 @@ from typing import Mapping, Sequence
 from .chain import ComponentKind, ContinuousChain
 from .curve import section_space
 from .linalg import Matrix, Subspace, format_rational
-from .torus import (
-    Direction,
-    TorusSplit,
-    act,
-    limit,
-    meeting_is_transverse,
-    orbit_degree,
-)
+from .torus import Direction, TorusSplit, act, block_profile
 
 
 _ZERO = Fraction(0)
@@ -230,33 +223,37 @@ def _tangent_certificate(
 def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
     """Structural limits, degrees and node certificates against the oracle's.
 
-    Builds one minor table per component and returns one line per
-    disagreement; empty when everything agrees. At each node between two
-    orbit components, the tangent certificate recomputed from the minor
-    tables must hold and must agree with :func:`torus.meeting_is_transverse`.
+    Builds one minor table and one block profile per component and returns
+    one line per disagreement; empty when everything agrees. At each node
+    between two orbit components, the tangent certificate recomputed from the
+    minor tables must hold and must agree with the structural certificate
+    of :func:`torus.meeting_is_transverse`.
     """
     split = chain.model.split
     mismatch = []
     tables = []
-    for comp in chain.components:
+    profiles = [block_profile(split, comp.base_space) for comp in chain.components]
+    for comp, profile in zip(chain.components, profiles):
         v = comp.base_space
         table = minor_table(v)
         tables.append(table)
         for direction in (Direction.ZERO, Direction.INFINITY):
-            if limit(split, v, direction) != _limit_from_table(split, v, table, direction):
+            if profile.limit(direction) != _limit_from_table(split, v, table, direction):
                 mismatch.append(
                     f"limit mismatch at {format_rational(comp.index)} ({direction.value})"
                 )
-        if orbit_degree(split, v) != _degree(split, table):
+        if profile.degree != _degree(split, table):
             mismatch.append(f"degree mismatch at {format_rational(comp.index)}")
-    steps = zip(chain.components, chain.components[1:], tables, tables[1:])
-    for left, right, left_table, right_table in steps:
+    steps = zip(
+        chain.components, chain.components[1:], tables, tables[1:], profiles, profiles[1:]
+    )
+    for left, right, left_table, right_table, left_profile, right_profile in steps:
         if left.kind is not ComponentKind.ORBIT or right.kind is not ComponentKind.ORBIT:
             continue
         pair = f"({format_rational(left.index)}, {format_rational(right.index)})"
         certified = _tangent_certificate(split, left_table, right_table)
         try:
-            structural = meeting_is_transverse(split, left.base_space, right.base_space)
+            structural = left_profile.meets_transversally(right_profile)
         except ValueError:
             structural = False
         if not certified:

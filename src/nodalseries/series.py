@@ -18,7 +18,7 @@ from typing import Iterator
 from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, NumericalData, build_delta, consecutive_pairs, support_subset
 from .linalg import Subspace
-from .torus import TorusSplit, act, meet_block, project_block
+from .torus import BlockProfile, TorusSplit, act, block_profile
 
 
 @dataclass(frozen=True)
@@ -83,22 +83,24 @@ class LinkReport:
         return (self.failures[0].left, self.failures[0].right)
 
 
-def _pair_blocks(g: LimitLinearSeries, i: Fraction, j: Fraction):
+def _profiles(g: LimitLinearSeries) -> list[BlockProfile]:
+    """One block profile per space, in ladder order."""
     split = g.model.split
-    vi, vj = g.space_at(i), g.space_at(j)
-    return (
-        project_block(split, vi, 2),  # second-block image of the earlier space
-        meet_block(split, vj, 2),  # second-block part of the later space
-        project_block(split, vj, 1),  # first-block image of the later space
-        meet_block(split, vi, 1),  # first-block part of the earlier space
-    )
+    return [block_profile(split, v) for v in g.spaces]
+
+
+def _pair_blocks(g: LimitLinearSeries):
+    """Per consecutive pair (i, j): the second-block image at i and part at j,
+    then the first-block image at j and part at i."""
+    profiles = _profiles(g)
+    for (i, j), pi, pj in zip(consecutive_pairs(g.delta), profiles, profiles[1:]):
+        yield i, j, pi.onto_second, pj.inside_second, pj.onto_first, pi.inside_first
 
 
 def check_compatible(g: LimitLinearSeries) -> LinkReport:
     """Both linking inclusions at every consecutive pair, with a report."""
     failures: list[LinkFailure] = []
-    for i, j in consecutive_pairs(g.delta):
-        fwd_img, fwd_ker, bwd_img, bwd_ker = _pair_blocks(g, i, j)
+    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g):
         if not fwd_ker.contains(fwd_img):
             failures.append(
                 LinkFailure(
@@ -121,8 +123,7 @@ def check_compatible(g: LimitLinearSeries) -> LinkReport:
 def check_exact(g: LimitLinearSeries) -> LinkReport:
     """Both linking equalities at every consecutive pair, with a report."""
     failures: list[LinkFailure] = []
-    for i, j in consecutive_pairs(g.delta):
-        fwd_img, fwd_ker, bwd_img, bwd_ker = _pair_blocks(g, i, j)
+    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g):
         if fwd_img != fwd_ker:
             failures.append(
                 LinkFailure(
@@ -144,13 +145,10 @@ def check_exact(g: LimitLinearSeries) -> LinkReport:
 
 def numerical_data(g: LimitLinearSeries) -> NumericalData:
     """Block kernel dimensions at every index (uniformly, ends included)."""
-    split = g.model.split
-    down = []
-    up = []
-    for _, v in g.items():
-        down.append(meet_block(split, v, 2).dim)
-        up.append(meet_block(split, v, 1).dim)
-    return NumericalData(g.rank, g.delta.indices, tuple(down), tuple(up))
+    profiles = _profiles(g)
+    down = tuple(p.inside_second.dim for p in profiles)
+    up = tuple(p.inside_first.dim for p in profiles)
+    return NumericalData(g.rank, g.delta.indices, down, up)
 
 
 def membership_failures(g: LimitLinearSeries) -> tuple[Fraction, ...]:

@@ -48,6 +48,11 @@ class TorusSplit:
         raise ValueError("block must be 1 or 2")
 
 
+class Direction(enum.Enum):
+    ZERO = "zero"
+    INFINITY = "infinity"
+
+
 @dataclass(frozen=True)
 class BlockProfile:
     """The four block invariants of a subspace of W1 + W2.
@@ -55,7 +60,10 @@ class BlockProfile:
     ``inside_*`` is the part of the subspace lying entirely in one block
     (reported inside that block); ``onto_*`` is its projection to the block.
     Always inside_first <= onto_first, inside_second <= onto_second, and
-    dim V = dim inside_first + dim onto_second = dim onto_first + dim inside_second.
+    dim V = dim inside_first + dim onto_second = dim onto_first + dim inside_second,
+    so the orbit degree dim onto_first - dim inside_first equals
+    dim onto_second - dim inside_second. Limits, the degree and the meeting
+    of two orbits are all read off the profile: one elimination per space.
     """
 
     inside_first: Subspace
@@ -63,10 +71,64 @@ class BlockProfile:
     onto_first: Subspace
     onto_second: Subspace
 
+    @property
+    def degree(self) -> int:
+        """Orbit degree, dim onto_first - dim inside_first; 0 iff fixed."""
+        return self.onto_first.dim - self.inside_first.dim
 
-class Direction(enum.Enum):
-    ZERO = "zero"
-    INFINITY = "infinity"
+    def limit(self, direction: Direction) -> Subspace:
+        """Boundary point of the orbit closure in the given direction.
+
+        Toward zero the first-block projection survives together with the
+        part inside the second block; toward infinity the roles swap.
+        """
+        split = TorusSplit(self.onto_first.ambient_dim, self.onto_second.ambient_dim)
+        if direction is Direction.ZERO:
+            return assemble_split_subspace(split, self.onto_first, self.inside_second)
+        if direction is Direction.INFINITY:
+            return assemble_split_subspace(split, self.inside_first, self.onto_second)
+        raise ValueError(f"unknown direction {direction!r}")
+
+    def meeting_point(self, other: BlockProfile) -> Subspace | None:
+        """Common point of this orbit closure and ``other``'s; see
+        :func:`orbit_intersection`, which states the supported regime."""
+        if self.inside_first.dim + self.onto_second.dim != (
+            other.inside_first.dim + other.onto_second.dim
+        ):
+            raise ValueError("orbit intersection needs subspaces of equal dimension")
+        if self.degree == 0 or other.degree == 0:
+            raise ValueError("orbit intersection needs nonfixed subspaces")
+        forward = other.onto_first == self.inside_first
+        mirrored = other.onto_second == self.inside_second
+        if not (forward or mirrored):
+            raise IntersectionHypothesisError(
+                "neither block condition links the two orbits; the dichotomy is"
+                " only available when one orbit ends where the other begins"
+            )
+        if forward and self.onto_second == other.inside_second:
+            return self.limit(Direction.INFINITY)
+        if mirrored and self.onto_first == other.inside_first:
+            return self.limit(Direction.ZERO)
+        return None
+
+    def meets_transversally(self, other: BlockProfile) -> bool:
+        """First-order transversality certificate at the meeting point; see
+        :func:`meeting_is_transverse` for the argument."""
+        if self.meeting_point(other) is None:
+            raise ValueError("orbits do not meet; no transversality to certify")
+        # Forward linking: self ends (toward infinity) where other begins;
+        # otherwise the roles are mirrored. At the node the ending orbit sits
+        # at the low end of its weight interval, the starting one at the high end.
+        forward = other.onto_first == self.inside_first
+        ending, starting = (self, other) if forward else (other, self)
+        end_level = ending.inside_first.dim
+        start_level = starting.onto_first.dim
+        ending_tangent = end_level + 1 <= ending.onto_first.dim
+        starting_tangent = start_level - 1 >= starting.inside_first.dim
+        # The first-order terms sit at weight levels end+1 and start-1; when the
+        # levels agree at the point (end == start) those are eigenvectors for
+        # distinct torus weights, hence independent once both are nonzero.
+        return ending_tangent and starting_tangent and end_level == start_level
 
 
 def _check_member(split: TorusSplit, v: Subspace) -> None:
@@ -196,27 +258,21 @@ def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
 
 def is_fixed(split: TorusSplit, v: Subspace) -> bool:
     """True when v is a fixed point, i.e. splits as (v meet W1) + (v meet W2)."""
-    return orbit_degree(split, v) == 0
+    return block_profile(split, v).degree == 0
 
 
 def limit(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
-    """Boundary point of the orbit closure of v in the given direction.
-
-    Toward zero the first-block projection survives together with the part of
-    v inside the second block; toward infinity the roles swap. Fixed points
-    are their own limits.
-    """
-    profile = block_profile(split, v)
-    if direction is Direction.ZERO:
-        return assemble_split_subspace(split, profile.onto_first, profile.inside_second)
-    if direction is Direction.INFINITY:
-        return assemble_split_subspace(split, profile.inside_first, profile.onto_second)
-    raise ValueError(f"unknown direction {direction!r}")
+    """Boundary point of the orbit closure of v; a fixed point is its own limit."""
+    return block_profile(split, v).limit(direction)
 
 
 def orbit_degree(split: TorusSplit, v: Subspace) -> int:
-    """Degree of the orbit closure of v in the Grassmannian; 0 iff fixed."""
-    return project_block(split, v, 1).dim - meet_block(split, v, 1).dim
+    """Degree of the orbit closure of v in the Grassmannian; 0 iff fixed.
+
+    It is dim onto_first - dim inside_first = dim onto_second - dim
+    inside_second of the block profile (:attr:`BlockProfile.degree`).
+    """
+    return block_profile(split, v).degree
 
 
 def orbit_intersection(split: TorusSplit, v: Subspace, vp: Subspace) -> Subspace | None:
@@ -226,28 +282,11 @@ def orbit_intersection(split: TorusSplit, v: Subspace, vp: Subspace) -> Subspace
     the first-block projection of vp equals the first-block part of v, or the
     second-block part of v equals the second-block projection of vp. In that
     regime the closures meet in at most one point, a fixed point which is a
-    shared boundary limit of both orbits.
+    shared boundary limit of both orbits. Outside it, ValueError says which
+    hypothesis fails (equal dimension first, then nonfixedness), and
+    IntersectionHypothesisError says that neither block condition holds.
     """
-    _check_member(split, v)
-    _check_member(split, vp)
-    if v.dim != vp.dim:
-        raise ValueError("orbit intersection needs subspaces of equal dimension")
-    if is_fixed(split, v) or is_fixed(split, vp):
-        raise ValueError("orbit intersection needs nonfixed subspaces")
-    pv = block_profile(split, v)
-    pvp = block_profile(split, vp)
-    forward = pvp.onto_first == pv.inside_first
-    mirrored = pvp.onto_second == pv.inside_second
-    if not (forward or mirrored):
-        raise IntersectionHypothesisError(
-            "neither block condition links the two orbits; the dichotomy is"
-            " only available when one orbit ends where the other begins"
-        )
-    if forward and pv.onto_second == pvp.inside_second:
-        return assemble_split_subspace(split, pv.inside_first, pv.onto_second)
-    if mirrored and pv.onto_first == pvp.inside_first:
-        return assemble_split_subspace(split, pv.onto_first, pv.inside_second)
-    return None
+    return block_profile(split, v).meeting_point(block_profile(split, vp))
 
 
 def meeting_is_transverse(split: TorusSplit, v: Subspace, vp: Subspace) -> bool:
@@ -272,26 +311,4 @@ def meeting_is_transverse(split: TorusSplit, v: Subspace, vp: Subspace) -> bool:
     Raises ValueError when the closures are disjoint, and whatever
     :func:`orbit_intersection` raises outside its regime.
     """
-    point = orbit_intersection(split, v, vp)
-    if point is None:
-        raise ValueError("orbits do not meet; no transversality to certify")
-    pv = block_profile(split, v)
-    pvp = block_profile(split, vp)
-    v_weights = range(pv.inside_first.dim, pv.onto_first.dim + 1)
-    vp_weights = range(pvp.inside_first.dim, pvp.onto_first.dim + 1)
-    if pvp.onto_first == pv.inside_first:
-        # v ends (toward infinity) where vp begins (toward zero).
-        end_level = min(v_weights)
-        start_level = max(vp_weights)
-        ending_tangent = end_level + 1 in v_weights
-        starting_tangent = start_level - 1 in vp_weights
-    else:
-        # Mirrored linking: vp ends where v begins.
-        end_level = min(vp_weights)
-        start_level = max(v_weights)
-        ending_tangent = end_level + 1 in vp_weights
-        starting_tangent = start_level - 1 in v_weights
-    # The first-order terms sit at weight levels end+1 and start-1; when the
-    # levels agree at the point (end == start) those are eigenvectors for
-    # distinct torus weights, hence independent once both are nonzero.
-    return ending_tangent and starting_tangent and end_level == start_level
+    return block_profile(split, v).meets_transversally(block_profile(split, vp))

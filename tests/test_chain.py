@@ -16,7 +16,14 @@ from nodalseries.chain import (
 )
 from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
 from nodalseries.linalg import Subspace
-from nodalseries.series import LimitLinearSeries, check_exact, torus_equivalent
+from nodalseries import torus
+from nodalseries.series import (
+    LimitLinearSeries,
+    check_compatible,
+    check_exact,
+    numerical_data,
+    torus_equivalent,
+)
 from nodalseries.torus import IntersectionHypothesisError, act, block_profile, orbit_intersection
 
 from test_series import series_e4, series_e5
@@ -143,6 +150,36 @@ def test_validate_transversality_detects_an_unlinked_orbit():
         "pair (4/3, 5/3): neither block condition links the two orbits; the"
         " dichotomy is only available when one orbit ends where the other begins",
     )
+
+
+def test_one_elimination_per_space(monkeypatch):
+    g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
+    assert len(g.spaces) == 13
+    chain = build_chain(g)
+    calls = []
+    real_rref = torus.rref
+    monkeypatch.setattr(torus, "rref", lambda m: calls.append(m) or real_rref(m))
+
+    def eliminations(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    for fn, arg in [
+        (check_compatible, g),
+        (check_exact, g),
+        (numerical_data, g),
+        (validate_chain, chain),
+    ]:
+        assert eliminations(fn, arg) == 13, fn.__name__
+    split = chain.model.split
+    left, right = next(
+        (a.base_space, b.base_space)
+        for a, b in zip(chain.components, chain.components[1:])
+        if a.kind is b.kind is ComponentKind.ORBIT
+    )
+    assert eliminations(torus.orbit_intersection, split, left, right) == 2
+    assert eliminations(torus.meeting_is_transverse, split, left, right) == 2
 
 
 def test_evaluate_round_trip_on_the_nose():

@@ -307,9 +307,18 @@ def test_verify_accepts_the_cap_degree(tmp_path):
 
 
 def test_verify_oracle_fails_on_a_wrong_structural_limit(e4_file, monkeypatch, capsys):
+    import dataclasses
+
     import nodalseries.oracle
 
-    monkeypatch.setattr(nodalseries.oracle, "limit", lambda split, v, direction: v)
+    real_profile = nodalseries.oracle.block_profile
+
+    def wrong_zero_limit(split, v):
+        # the zero limit becomes onto_first + onto_second, wrong on every orbit
+        profile = real_profile(split, v)
+        return dataclasses.replace(profile, inside_second=profile.onto_second)
+
+    monkeypatch.setattr(nodalseries.oracle, "block_profile", wrong_zero_limit)
     assert main(["verify", e4_file]) == 0
     assert main(["verify", e4_file, "--oracle", "--samples", "6"]) == 1
     out = capsys.readouterr().out

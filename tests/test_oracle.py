@@ -18,7 +18,15 @@ from nodalseries.oracle import (
     subspace_from_minors,
 )
 from nodalseries.curve import section_space
-from nodalseries.torus import Direction, TorusSplit, act, is_fixed, limit, orbit_degree
+from nodalseries.torus import (
+    BlockProfile,
+    Direction,
+    TorusSplit,
+    act,
+    is_fixed,
+    limit,
+    orbit_degree,
+)
 
 from test_chain import orbit_orbit_chain
 
@@ -308,15 +316,19 @@ def test_compare_chain_reports_wrong_structural_formulas(monkeypatch):
     split = chain.model.split
     moving = [c for c in chain.components if not is_fixed(split, c.base_space)]
     assert moving
-    # a limit that never moves is wrong exactly on the orbit components
-    monkeypatch.setattr(oracle, "limit", lambda split, v, direction: v)
+    # a limit with its directions swapped is wrong exactly on the orbit components
+    real_limit = BlockProfile.limit
+    opposite = {Direction.ZERO: Direction.INFINITY, Direction.INFINITY: Direction.ZERO}
+    monkeypatch.setattr(
+        BlockProfile, "limit", lambda self, direction: real_limit(self, opposite[direction])
+    )
     assert compare_chain(chain) == tuple(
         f"limit mismatch at {format_rational(c.index)} ({direction})"
         for c in moving
         for direction in ("zero", "infinity")
     )
     monkeypatch.undo()
-    monkeypatch.setattr(oracle, "orbit_degree", lambda split, v: 7)
+    monkeypatch.setattr(BlockProfile, "degree", property(lambda self: 7))
     assert compare_chain(chain) == tuple(
         f"degree mismatch at {format_rational(c.index)}" for c in chain.components
     )
@@ -326,7 +338,7 @@ def test_compare_chain_checks_the_tangent_certificate_at_orbit_nodes(monkeypatch
     chain, p = orbit_orbit_chain()
     assert compare_chain(chain) == ()
     # a structural certificate that always fails disagrees with the minors
-    monkeypatch.setattr(oracle, "meeting_is_transverse", lambda split, v, vp: False)
+    monkeypatch.setattr(BlockProfile, "meets_transversally", lambda self, other: False)
     assert compare_chain(chain) == ("transversality mismatch at (4/3, 5/3)",)
     monkeypatch.undo()
     # an orbit glued to a copy of itself has no node where its ends meet

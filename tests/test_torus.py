@@ -210,6 +210,9 @@ def test_block_profile_dimension_identities():
         assert p.onto_second.contains(p.inside_second)
         assert v.dim == p.inside_first.dim + p.onto_second.dim
         assert v.dim == p.onto_first.dim + p.inside_second.dim
+        assert p.degree == p.onto_first.dim - p.inside_first.dim
+        assert p.degree == p.onto_second.dim - p.inside_second.dim
+        assert p.degree == orbit_degree(split, v)
 
 
 def test_is_fixed():
@@ -257,9 +260,14 @@ def test_limit_equivariance():
 
 
 def test_orbit_degree_examples():
-    assert orbit_degree(SPLIT22, span((1, 0, 0, 0), (0, 0, 1, 0))) == 0
-    assert orbit_degree(SPLIT22, span((1, 0, 1, 0))) == 1
-    assert orbit_degree(SPLIT22, span((1, 0, 1, 0), (0, 1, 0, 1))) == 2
+    examples = [
+        (span((1, 0, 0, 0), (0, 0, 1, 0)), 0),
+        (span((1, 0, 1, 0)), 1),
+        (span((1, 0, 1, 0), (0, 1, 0, 1)), 2),
+    ]
+    for v, degree in examples:
+        assert orbit_degree(SPLIT22, v) == degree
+        assert block_profile(SPLIT22, v).degree == degree
 
 
 def test_orbit_degree_zero_iff_fixed():
@@ -324,10 +332,16 @@ def test_orbit_intersection_requires_hypothesis():
 
 def test_orbit_intersection_rejects_fixed_or_mismatched():
     v = span((1, 0, 1, 0))
-    with pytest.raises(ValueError):
+    # equal dimension is checked first, even against a fixed point
+    with pytest.raises(ValueError, match="equal dimension"):
         orbit_intersection(SPLIT22, v, span((1, 0, 0, 0), (0, 0, 1, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="equal dimension"):
         orbit_intersection(SPLIT22, v, span((1, 0, 1, 0), (0, 1, 0, 1)))
+    for fixed in (span((1, 0, 0, 0)), span((0, 0, 0, 1))):
+        with pytest.raises(ValueError, match="nonfixed"):
+            orbit_intersection(SPLIT22, v, fixed)
+        with pytest.raises(ValueError, match="nonfixed"):
+            orbit_intersection(SPLIT22, fixed, v)
 
 
 def test_orbit_intersection_meeting_and_empty():

@@ -18,8 +18,8 @@ from fractions import Fraction
 from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, consecutive_pairs
 from .linalg import Subspace, format_rational
-from .series import LimitLinearSeries, numerical_data
-from .torus import Direction, IntersectionHypothesisError, block_profile, limit, orbit_degree
+from .series import LimitLinearSeries, _numerical, _profiles
+from .torus import Direction, IntersectionHypothesisError, block_profile, orbit_degree
 
 
 class ChainError(ValueError):
@@ -99,8 +99,7 @@ class ContinuousChain:
         return self.components[self.delta.position(i)]
 
 
-def _component_for(model: CurveModel, i: Fraction, v: Subspace) -> ChainComponent:
-    degree = orbit_degree(model.split, v)
+def _component_for(i: Fraction, v: Subspace, degree: int) -> ChainComponent:
     kind = ComponentKind.FIXED if degree == 0 else ComponentKind.ORBIT
     target_kind = "component" if i.denominator == 1 else "node"
     return ChainComponent(i, v, kind, target_kind, math.ceil(i), degree)
@@ -112,14 +111,14 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
     Gluing is attempted pair by pair: the outgoing limit of each space must
     equal the incoming limit of the next one, which holds exactly when the
     linking equalities do. Afterwards minimality is enforced so that no
-    non-integer component degenerates to a constant.
+    non-integer component degenerates to a constant. Limits, minimality and
+    each component's degree are read off one block profile per space.
     """
-    split = g.model.split
+    profiles = _profiles(g)
     nodes: list[Subspace] = []
-    for i, j in consecutive_pairs(g.delta):
-        outgoing = limit(split, g.space_at(i), Direction.INFINITY)
-        incoming = limit(split, g.space_at(j), Direction.ZERO)
-        if outgoing != incoming:
+    for (i, j), left, right in zip(consecutive_pairs(g.delta), profiles, profiles[1:]):
+        outgoing = left.limit(Direction.INFINITY)
+        if outgoing != right.limit(Direction.ZERO):
             raise ChainBuildError(
                 f"gluing failed at the pair ({format_rational(i)}, {format_rational(j)}):"
                 " the outgoing and incoming orbit limits differ, so the series"
@@ -127,7 +126,7 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
                 failing_pair=(i, j),
             )
         nodes.append(outgoing)
-    data = numerical_data(g)
+    data = _numerical(g, profiles)
     if not data.is_minimal():
         lazy = [
             format_rational(i)
@@ -139,7 +138,9 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
             + ", ".join(lazy)
             + " carry no mobile dimension and would give constant components"
         )
-    components = tuple(_component_for(g.model, i, v) for i, v in g.items())
+    components = tuple(
+        _component_for(i, v, profile.degree) for (i, v), profile in zip(g.items(), profiles)
+    )
     total_degree = sum(c.grassmann_degree for c in components)
     if total_degree != g.rank + 1:
         raise ChainBuildError(

@@ -16,7 +16,15 @@ from .delta import NumericalData
 from .generate import GenerationError, random_exact_lls
 from .linalg import format_rational
 from .oracle import MAX_SAMPLES, compare_chain, sample_orbit_check
-from .series import LimitLinearSeries, check_compatible, check_exact, numerical_data, reduce_minimal
+from .series import (
+    LimitLinearSeries,
+    _compatibility,
+    _exactness,
+    _profiles,
+    check_exact,
+    numerical_data,
+    reduce_minimal,
+)
 from .serialize import SchemaError, SubspaceTask, dumps_instance, load_instance
 from .torus import Direction, limit, orbit_degree
 
@@ -57,11 +65,12 @@ def _load(path: str, kinds: type | tuple[type, ...]):
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load(args.file, LimitLinearSeries)
-    compat = check_compatible(g)
+    profiles = _profiles(g)
+    compat = _compatibility(g, profiles)
     print(f"compatible: {str(compat.passed).lower()}")
     for failure in compat.failures:
         print(f"  incompatible pair {_pair_str((failure.left, failure.right))}: {failure.message}")
-    exact = check_exact(g)
+    exact = _exactness(g, profiles)
     if exact.passed:
         print("exact: true")
     else:
@@ -264,10 +273,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args starts every call from a fresh namespace
+# and keeps no state in the parser
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    # no reference to the parser outlives parsing, so its reference cycles are
-    # freed by the young-generation collections while the command runs
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except SchemaError as exc:

@@ -39,7 +39,7 @@ def format_rational(value: Fraction) -> str:
 
 
 # p or p/q in decimal digits, with an optional minus sign and q nonzero
-_RATIONAL = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def exact_rational(value: _Entry) -> Fraction:
@@ -60,10 +60,15 @@ def _exact(entries: Iterable[_Entry]) -> tuple[Fraction, ...]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Read ``p`` or ``p/q``; any other text raises ValueError."""
-    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+    """Read ``p`` or ``p/q``; any other text raises ValueError.
+
+    The match already holds both integers, so the text is parsed once.
+    """
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not a rational of the form p or p/q: {text!r}")
-    return Fraction(text)
+    p, q = match.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
-"""JSON instance files: schema version 2, exact rationals as strings.
+"""JSON instance files: schema version 3, exact rationals as strings.
 
-Rationals serialize as "p/q" (or "p" when the denominator is 1); matrices as
-nested row-major arrays of such strings. Three payload kinds exist:
-a level-delta series, a chain, and a bare subspace task carrying its block
-split. Loading validates the payload against its structural invariants, and
-for series also against section-space membership; loading what was saved
-reproduces the object bit-exactly. Version 1 files still load; their chains
-also store Hilbert data, which is checked and then discarded.
+Rationals serialize as "p/q" (or "p" when the denominator is 1); a matrix as
+a list of its rows, each row one string of such rationals separated by
+single spaces. Three payload kinds exist: a level-delta series, a chain,
+and a bare subspace task carrying its block split. Loading validates the
+payload against its structural invariants, and for series also against
+section-space membership; loading what was saved reproduces the object
+bit-exactly.
+
+Versions 1 and 2 still load. They write a matrix as nested arrays, one
+string per entry, and a row string there is refused, as an array row is in
+version 3. Version 1 chains also store Hilbert data, which is checked and
+then discarded.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .linalg import Subspace, format_rational, parse_rational
 from .series import LimitLinearSeries, membership_failures
 from .torus import TorusSplit
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class SchemaError(ValueError):
@@ -56,13 +61,28 @@ def _ladder(d: int, steps: Any, listed: int, what: str) -> DeltaSet:
     return build_delta(d, steps)
 
 
-def _matrix_json(v: Subspace) -> list[list[str]]:
-    return [[format_rational(e) for e in row] for row in v.basis_rows()]
+def _matrix_json(v: Subspace) -> list[str]:
+    return [" ".join(map(format_rational, row)) for row in v.basis_rows()]
 
 
-def _subspace_from_json(ambient_dim: int, rows: Any) -> Subspace:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+def _row_strings(payload: dict) -> bool:
+    """Whether the payload writes each matrix row as one string (version 3)."""
+    return payload.get("schema_version") == SCHEMA_VERSION
+
+
+def _subspace_from_json(ambient_dim: int, rows: Any, row_strings: bool) -> Subspace:
+    if not isinstance(rows, list):
         raise SchemaError("a matrix must be a list of rows")
+    if row_strings:
+        if not all(isinstance(r, str) for r in rows):
+            raise SchemaError(
+                f"schema_version {SCHEMA_VERSION} writes each matrix row as one string"
+            )
+        # split on single spaces only: any other whitespace leaves a token
+        # that is not a rational
+        rows = [r.split(" ") for r in rows]
+    elif not all(isinstance(r, list) for r in rows):
+        raise SchemaError("a matrix must be a list of rows, each an array of entries")
     try:
         parsed = [[parse_rational(e) for e in row] for row in rows]
         return Subspace.from_spanning(ambient_dim, parsed)
@@ -88,13 +108,14 @@ def series_from_json(payload: dict) -> LimitLinearSeries:
         model = CurveModel(_integer(payload["d"], "d"))
         rank = _integer(payload["r"], "r")
         raw_spaces = payload["spaces"]
+        row_strings = _row_strings(payload)
         ladder = _ladder(model.d, payload["delta"], len(raw_spaces), "spaces")
         spaces = []
         for i in ladder.indices:
             key = format_rational(i)
             if key not in raw_spaces:
                 raise SchemaError(f"missing space at index {key}")
-            spaces.append(_subspace_from_json(model.ambient_dim, raw_spaces[key]))
+            spaces.append(_subspace_from_json(model.ambient_dim, raw_spaces[key], row_strings))
         extra = set(raw_spaces) - {format_rational(i) for i in ladder.indices}
         if extra:
             raise SchemaError(f"spaces at indices outside the ladder: {sorted(extra)}")
@@ -138,7 +159,7 @@ def chain_from_json(payload: dict) -> ContinuousChain:
         model = CurveModel(_integer(payload["d"], "d"))
         rank = _integer(payload["r"], "r")
         if payload.get("schema_version") == 1:
-            # every valid chain has the same value, which version 2 re-derives
+            # every valid chain has the same value, which later versions re-derive
             hil = payload["hilbert"]
             stored = (
                 _integer(hil["grassmann"], "hilbert grassmann"),
@@ -152,12 +173,13 @@ def chain_from_json(payload: dict) -> ContinuousChain:
         elif "hilbert" in payload:
             raise SchemaError("only schema_version 1 chains carry hilbert data")
         ladder = _ladder(model.d, payload["delta"], len(payload["components"]), "components")
+        row_strings = _row_strings(payload)
         components = []
         for raw in payload["components"]:
             components.append(
                 ChainComponent(
                     index=parse_rational(raw["index"]),
-                    base_space=_subspace_from_json(model.ambient_dim, raw["basis"]),
+                    base_space=_subspace_from_json(model.ambient_dim, raw["basis"], row_strings),
                     kind=ComponentKind(raw["kind"]),
                     target_kind=raw["target"]["kind"],
                     target_index=_integer(raw["target"]["index"], "a target index"),
@@ -165,7 +187,7 @@ def chain_from_json(payload: dict) -> ContinuousChain:
                 )
             )
         nodes = tuple(
-            _subspace_from_json(model.ambient_dim, raw) for raw in payload["nodes"]
+            _subspace_from_json(model.ambient_dim, raw, row_strings) for raw in payload["nodes"]
         )
         return ContinuousChain(model, rank, ladder, tuple(components), nodes)
     except SchemaError:
@@ -187,7 +209,7 @@ def subspace_task_to_json(task: SubspaceTask) -> dict:
 def subspace_task_from_json(payload: dict) -> SubspaceTask:
     try:
         split = TorusSplit(_integer(payload["dim1"], "dim1"), _integer(payload["dim2"], "dim2"))
-        subspace = _subspace_from_json(split.ambient_dim, payload["basis"])
+        subspace = _subspace_from_json(split.ambient_dim, payload["basis"], _row_strings(payload))
         return SubspaceTask(split, subspace)
     except SchemaError:
         raise
@@ -225,9 +247,9 @@ def loads_instance(text: str) -> Instance:
     if not isinstance(payload, dict):
         raise SchemaError("top-level payload must be an object")
     version = payload.get("schema_version")
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):  # True == 1
+    if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):  # True == 1
         raise SchemaError(
-            f"unsupported schema_version {version!r}; expected 1 or {SCHEMA_VERSION}"
+            f"unsupported schema_version {version!r}; expected 1, 2 or {SCHEMA_VERSION}"
         )
     kind = payload.get("kind")
     decoder = _FROM_JSON.get(kind)

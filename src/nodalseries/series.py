@@ -84,23 +84,26 @@ class LinkReport:
 
 
 def _profiles(g: LimitLinearSeries) -> list[BlockProfile]:
-    """One block profile per space, in ladder order."""
+    """One block profile per space, in ladder order.
+
+    Every report below reads only these, so a caller making several reports
+    on one series builds the list once and passes it to the ``_``-prefixed
+    forms.
+    """
     split = g.model.split
     return [block_profile(split, v) for v in g.spaces]
 
 
-def _pair_blocks(g: LimitLinearSeries):
+def _pair_blocks(g: LimitLinearSeries, profiles: list[BlockProfile]):
     """Per consecutive pair (i, j): the second-block image at i and part at j,
     then the first-block image at j and part at i."""
-    profiles = _profiles(g)
     for (i, j), pi, pj in zip(consecutive_pairs(g.delta), profiles, profiles[1:]):
         yield i, j, pi.onto_second, pj.inside_second, pj.onto_first, pi.inside_first
 
 
-def check_compatible(g: LimitLinearSeries) -> LinkReport:
-    """Both linking inclusions at every consecutive pair, with a report."""
+def _compatibility(g: LimitLinearSeries, profiles: list[BlockProfile]) -> LinkReport:
     failures: list[LinkFailure] = []
-    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g):
+    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g, profiles):
         if not fwd_ker.contains(fwd_img):
             failures.append(
                 LinkFailure(
@@ -120,10 +123,14 @@ def check_compatible(g: LimitLinearSeries) -> LinkReport:
     return LinkReport(not failures, tuple(failures))
 
 
-def check_exact(g: LimitLinearSeries) -> LinkReport:
-    """Both linking equalities at every consecutive pair, with a report."""
+def check_compatible(g: LimitLinearSeries) -> LinkReport:
+    """Both linking inclusions at every consecutive pair, with a report."""
+    return _compatibility(g, _profiles(g))
+
+
+def _exactness(g: LimitLinearSeries, profiles: list[BlockProfile]) -> LinkReport:
     failures: list[LinkFailure] = []
-    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g):
+    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g, profiles):
         if fwd_img != fwd_ker:
             failures.append(
                 LinkFailure(
@@ -143,12 +150,20 @@ def check_exact(g: LimitLinearSeries) -> LinkReport:
     return LinkReport(not failures, tuple(failures))
 
 
-def numerical_data(g: LimitLinearSeries) -> NumericalData:
-    """Block kernel dimensions at every index (uniformly, ends included)."""
-    profiles = _profiles(g)
+def check_exact(g: LimitLinearSeries) -> LinkReport:
+    """Both linking equalities at every consecutive pair, with a report."""
+    return _exactness(g, _profiles(g))
+
+
+def _numerical(g: LimitLinearSeries, profiles: list[BlockProfile]) -> NumericalData:
     down = tuple(p.inside_second.dim for p in profiles)
     up = tuple(p.inside_first.dim for p in profiles)
     return NumericalData(g.rank, g.delta.indices, down, up)
+
+
+def numerical_data(g: LimitLinearSeries) -> NumericalData:
+    """Block kernel dimensions at every index (uniformly, ends included)."""
+    return _numerical(g, _profiles(g))
 
 
 def membership_failures(g: LimitLinearSeries) -> tuple[Fraction, ...]:
@@ -166,11 +181,12 @@ def reduce_minimal(g: LimitLinearSeries) -> LimitLinearSeries:
     Requires an exact input; the result is exact and minimal with the same
     degree and rank, and reducing again is the identity.
     """
-    report = check_exact(g)
+    profiles = _profiles(g)
+    report = _exactness(g, profiles)
     if not report.passed:
         pair = report.first_failing_pair()
         raise ValueError(f"cannot reduce a non-exact series (first failing pair {pair})")
-    reduced_delta, reindex = support_subset(g.delta, numerical_data(g))
+    reduced_delta, reindex = support_subset(g.delta, _numerical(g, profiles))
     spaces = tuple(g.space_at(reindex[i]) for i in reduced_delta.indices)
     return LimitLinearSeries(g.model, g.rank, reduced_delta, spaces)
 

@@ -16,12 +16,14 @@ from nodalseries.chain import (
 )
 from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
 from nodalseries.linalg import Subspace
-from nodalseries import torus
+from nodalseries import cli, torus
+from nodalseries.serialize import save_instance
 from nodalseries.series import (
     LimitLinearSeries,
     check_compatible,
     check_exact,
     numerical_data,
+    reduce_minimal,
     torus_equivalent,
 )
 from nodalseries.torus import IntersectionHypothesisError, act, block_profile, orbit_intersection
@@ -152,10 +154,12 @@ def test_validate_transversality_detects_an_unlinked_orbit():
     )
 
 
-def test_one_elimination_per_space(monkeypatch):
+def test_one_elimination_per_space(monkeypatch, tmp_path, capsys):
     g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
     assert len(g.spaces) == 13
     chain = build_chain(g)
+    path = tmp_path / "series.json"
+    save_instance(g, path)
     calls = []
     real_rref = torus.rref
     monkeypatch.setattr(torus, "rref", lambda m: calls.append(m) or real_rref(m))
@@ -170,8 +174,14 @@ def test_one_elimination_per_space(monkeypatch):
         (check_exact, g),
         (numerical_data, g),
         (validate_chain, chain),
+        (build_chain, g),
+        (reduce_minimal, g),
     ]:
         assert eliminations(fn, arg) == 13, fn.__name__
+    # the check command makes both of its reports from one profile list;
+    # loading the file reduces through linalg.rref, which is not counted
+    assert eliminations(cli.main, ["check", str(path)]) == 13
+    assert "exact: true" in capsys.readouterr().out
     split = chain.model.split
     left, right = next(
         (a.base_space, b.base_space)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nodalseries
+from nodalseries import cli
 from nodalseries.chain import build_chain
 from nodalseries.cli import MAX_DEGREE, main
 from nodalseries.generate import random_exact_lls
@@ -16,6 +21,7 @@ from nodalseries.serialize import (
 from nodalseries.torus import TorusSplit
 
 from test_series import series_e4, series_e5
+from test_serialize import in_version
 
 
 @pytest.fixture
@@ -183,24 +189,23 @@ def test_gen_degree_zero_without_delta(tmp_path):
     assert g.model.d == 0
 
 
-def test_module_entry_point_runs():
-    import os
-    import subprocess
-    import sys
-
-    import nodalseries
-
+def _separate_run(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -m nodalseries`` with these arguments, in a fresh process."""
     # the child does not see pytest's pythonpath, so point it at the package
     package_parent = os.path.dirname(os.path.dirname(nodalseries.__file__))
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, inherited]))
-    result = subprocess.run(
-        [sys.executable, "-m", "nodalseries", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "nodalseries", *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_module_entry_point_runs():
+    result = _separate_run(["--help"])
     assert result.returncode == 0
     assert "build-chain" in result.stdout
 
@@ -232,8 +237,7 @@ def test_verify_fails_on_fabricated_chain_metadata(tmp_path, capsys):
 
 def test_verify_refuses_fabricated_v1_hilbert_data(tmp_path, capsys):
     chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
-    payload = json.loads(dumps_instance(chain))
-    payload["schema_version"] = 1
+    payload = in_version(json.loads(dumps_instance(chain)), 1)
     payload["hilbert"] = {"grassmann": 2, "picard": 0, "targets": [1, 1, 1, 1], "constant": 1}
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(payload))
@@ -323,3 +327,41 @@ def test_verify_oracle_fails_on_a_wrong_structural_limit(e4_file, monkeypatch, c
     assert main(["verify", e4_file, "--oracle", "--samples", "6"]) == 1
     out = capsys.readouterr().out
     assert "oracle limits/degrees: FAIL\n  - limit mismatch at 0 (zero)\n" in out
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    series = tmp_path / "series.json"
+    save_instance(random_exact_lls(3, 1, (1, 2, 1), seed=2), series)
+    chain = tmp_path / "chain.json"
+    assert main(["check", str(series)]) == 0
+    assert main(["build-chain", str(series), "-o", str(chain)]) == 0
+    assert main(["verify", str(chain)]) == 0
+
+
+def test_no_option_state_leaks_between_calls(tmp_path, capsys):
+    series = tmp_path / "series.json"
+    save_instance(random_exact_lls(3, 1, (1, 2, 1), seed=2), series)
+    chain = tmp_path / "chain.json"
+    assert main(["build-chain", str(series), "-o", str(chain)]) == 0
+    capsys.readouterr()
+    runs = [
+        ["verify", str(chain), "--oracle"],
+        ["verify", str(chain)],
+        ["build-chain", str(series), "-o", str(tmp_path / "again.json")],
+    ]
+    in_process = []
+    for args in runs:
+        code = main(args)
+        in_process.append((code, capsys.readouterr().out))
+    again = (tmp_path / "again.json").read_text()
+    for args, (code, out) in zip(runs, in_process):
+        separate = _separate_run(args)
+        assert (code, out) == (separate.returncode, separate.stdout), args
+    # the oracle's lines appear only where --oracle was given
+    assert "oracle" in in_process[0][1] and "oracle" not in in_process[1][1]
+    assert in_process[2][1] == "" and (tmp_path / "again.json").read_text() == again
+    assert again == chain.read_text()

@@ -257,11 +257,18 @@ def test_contains_vector_and_subspace():
 
 
 @pytest.mark.parametrize(
-    "text", [" 1.0e0 ", "1.5", "1_000", "1e999999", "+1", "1/0", "1/00", "1/-2", " 1", "", "1/", "/2", "١"]
+    "text", [" 1.0e0 ", "1.5", "1_000", "1e999999", "+1", "1/0", "1/00", "1/-2", " 1", "", "1/", "/2", "١", 1]
 )
 def test_parse_rational_accepts_only_the_documented_form(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["0", "-0", "007", "-0070", "00/1", "1/0007", "-12/0034", "9" * 40, "-" + "1234567890" * 4 + "/3"]
+)
+def test_parse_rational_reads_what_fraction_reads(text):
+    assert parse_rational(text) == F(text)
 
 
 def _full_row_residual(v, vector):

@@ -1,11 +1,13 @@
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
+from nodalseries import cli
 from nodalseries.chain import build_chain
-from nodalseries.generate import random_exact_lls
+from nodalseries.generate import random_exact_lls, random_subspace
 from nodalseries.linalg import Subspace
 from nodalseries.serialize import (
     SCHEMA_VERSION,
@@ -45,28 +47,33 @@ def test_rationals_serialize_as_fraction_strings():
     task = SubspaceTask(TorusSplit(1, 1), Subspace.from_spanning(2, [(2, 3)]))
     payload = json.loads(dumps_instance(task))
     # canonical basis scales the leading entry to one
-    assert payload["basis"] == [["1", "3/2"]]
+    assert payload["basis"] == ["1 3/2"]
 
 
 def test_unknown_schema_version_rejected():
     g = random_exact_lls(1, 0, (1,), seed=0)
     payload = json.loads(dumps_instance(g))
-    payload["schema_version"] = 3
+    payload["schema_version"] = 4
     with pytest.raises(SchemaError):
         loads_instance(json.dumps(payload))
 
 
 @pytest.mark.parametrize("version", [True, 2.0, "2", None])
 def test_schema_version_must_be_a_json_integer(version):
-    payload = _payload("series")
-    payload["schema_version"] = version
-    with pytest.raises(SchemaError, match="unsupported schema_version"):
-        loads_instance(json.dumps(payload))
+    for number in (2, 3):
+        payload = _payload("series", number)
+        # the same non-integer form of each supported number
+        payload["schema_version"] = (
+            type(version)(number) if isinstance(version, (float, str)) else version
+        )
+        with pytest.raises(SchemaError, match="unsupported schema_version"):
+            loads_instance(json.dumps(payload))
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(SchemaError):
-        loads_instance(json.dumps({"schema_version": 1, "kind": "mystery"}))
+    for version in (1, 2, 3):
+        with pytest.raises(SchemaError):
+            loads_instance(json.dumps({"schema_version": version, "kind": "mystery"}))
 
 
 def test_not_json_rejected():
@@ -75,69 +82,106 @@ def test_not_json_rejected():
 
 
 def test_bad_matrix_entries_rejected():
-    payload = {
-        "schema_version": 1,
-        "kind": "subspace",
-        "dim1": 1,
-        "dim2": 1,
-        "basis": [["1", "x"]],
-    }
-    with pytest.raises(SchemaError):
-        loads_instance(json.dumps(payload))
+    for version, basis in [(1, [["1", "x"]]), (3, ["1 x"])]:
+        payload = {
+            "schema_version": version,
+            "kind": "subspace",
+            "dim1": 1,
+            "dim2": 1,
+            "basis": basis,
+        }
+        with pytest.raises(SchemaError):
+            loads_instance(json.dumps(payload))
 
 
 def test_missing_space_rejected():
     g = random_exact_lls(1, 0, (1,), seed=1)
-    payload = json.loads(dumps_instance(g))
-    del payload["spaces"]["1"]
-    with pytest.raises(SchemaError):
-        loads_instance(json.dumps(payload))
+    for version in (2, 3):
+        payload = in_version(json.loads(dumps_instance(g)), version)
+        del payload["spaces"]["1"]
+        with pytest.raises(SchemaError):
+            loads_instance(json.dumps(payload))
 
 
 def test_membership_violation_rejected_on_load():
     g = random_exact_lls(1, 0, (1,), seed=2)
-    payload = json.loads(dumps_instance(g))
-    # a first-block line that breaks the node condition at index 0
-    payload["spaces"]["0"] = [["1", "0", "0", "0"]]
-    with pytest.raises(SchemaError) as excinfo:
-        loads_instance(json.dumps(payload))
-    assert "section space" in str(excinfo.value)
+    for version in (2, 3):
+        payload = in_version(json.loads(dumps_instance(g)), version)
+        # a first-block line that breaks the node condition at index 0
+        payload["spaces"]["0"] = _rows(version, [["1", "0", "0", "0"]])
+        with pytest.raises(SchemaError) as excinfo:
+            loads_instance(json.dumps(payload))
+        assert "section space" in str(excinfo.value)
 
 
 def test_dimension_mismatch_rejected_on_load():
     g = random_exact_lls(1, 0, (1,), seed=2)
-    payload = json.loads(dumps_instance(g))
-    payload["spaces"]["0"] = [["1", "0", "0", "1"], ["0", "1", "0", "0"]]
-    with pytest.raises(SchemaError):
-        loads_instance(json.dumps(payload))
+    for version in (2, 3):
+        payload = in_version(json.loads(dumps_instance(g)), version)
+        payload["spaces"]["0"] = _rows(version, [["1", "0", "0", "1"], ["0", "1", "0", "0"]])
+        with pytest.raises(SchemaError):
+            loads_instance(json.dumps(payload))
 
 
 @pytest.mark.parametrize("entry", [" 1.0e0 ", "1.5", "1_000", "1e999999", "1/0", 1])
 def test_lenient_rationals_rejected(entry):
-    payload = {"schema_version": 1, "kind": "subspace", "dim1": 1, "dim2": 1, "basis": [["1", entry]]}
-    with pytest.raises(SchemaError):
-        loads_instance(json.dumps(payload))
+    # version 3 has no array to hold a bare JSON number, so one stands for the row
+    v3_row = f"1 {entry}" if isinstance(entry, str) else entry
+    for version, basis in [(1, [["1", entry]]), (3, [v3_row])]:
+        payload = {"schema_version": version, "kind": "subspace", "dim1": 1, "dim2": 1, "basis": basis}
+        with pytest.raises(SchemaError):
+            loads_instance(json.dumps(payload))
 
 
 @pytest.mark.parametrize("target", [-5, 3])
 def test_chain_targets_outside_the_degree_rejected(target):
     chain = build_chain(random_exact_lls(2, 1, (2, 2), seed=3))
-    payload = json.loads(dumps_instance(chain))
-    payload["components"][0]["target"]["index"] = target
-    with pytest.raises(SchemaError, match="outside 0..2"):
-        loads_instance(json.dumps(payload))
+    for version in (2, 3):
+        payload = in_version(json.loads(dumps_instance(chain)), version)
+        payload["components"][0]["target"]["index"] = target
+        with pytest.raises(SchemaError, match="outside 0..2"):
+            loads_instance(json.dumps(payload))
 
 
-def _payload(kind):
+def _rows(version, rows):
+    """Basis rows, given as lists of entry strings, in the form of a version."""
+    if version >= 3:
+        return [" ".join(row) for row in rows]
+    return [list(row) for row in rows]
+
+
+def in_version(payload, version):
+    """A current payload rewritten as a file of an older or equal version:
+    before version 3 every matrix row is an array of entry strings."""
+    payload["schema_version"] = version
+    if version >= 3:
+        return payload
+
+    def arrays(rows):
+        return [row.split(" ") for row in rows]
+
+    if payload["kind"] == "level_delta_series":
+        payload["spaces"] = {key: arrays(rows) for key, rows in payload["spaces"].items()}
+    elif payload["kind"] == "chain":
+        for comp in payload["components"]:
+            comp["basis"] = arrays(comp["basis"])
+        payload["nodes"] = [arrays(rows) for rows in payload["nodes"]]
+    else:
+        payload["basis"] = arrays(payload["basis"])
+    return payload
+
+
+def _payload(kind, version=SCHEMA_VERSION):
     if kind == "series":
         obj = random_exact_lls(2, 1, (2, 1), seed=9)
     elif kind in ("chain", "chain-v1"):
         obj = build_chain(random_exact_lls(2, 1, (2, 2), seed=3))
     else:
         obj = SubspaceTask(TorusSplit(2, 2), Subspace.from_spanning(4, [(1, 0, 1, 0)]))
-    payload = json.loads(dumps_instance(obj))
     if kind == "chain-v1":
-        payload["schema_version"] = 1
+        version = 1
+    payload = in_version(json.loads(dumps_instance(obj)), version)
+    if kind == "chain-v1":
         payload["hilbert"] = {"grassmann": 2, "picard": 0, "targets": [1, 1, 1], "constant": 1}
     return payload
 
@@ -170,30 +214,34 @@ def _convert(payload, path, convert):
 
 @pytest.mark.parametrize("kind, path, convert", NON_INTEGERS)
 def test_integer_fields_accept_only_json_integers(kind, path, convert):
-    payload = _convert(_payload(kind), path, convert)
-    with pytest.raises(SchemaError, match="must be a JSON integer"):
-        loads_instance(json.dumps(payload))
+    # version 1 files are the only ones with hilbert data
+    for version in (1,) if kind == "chain-v1" else (2, 3):
+        payload = _convert(_payload(kind, version), path, convert)
+        with pytest.raises(SchemaError, match="must be a JSON integer"):
+            loads_instance(json.dumps(payload))
 
 
 @pytest.mark.parametrize("kind, listed", [("series", "spaces"), ("chain", "components")])
 def test_delta_is_bounded_by_the_file(kind, listed):
-    payload = _payload(kind)
-    payload["delta"] = [10**9, 1]
-    # building this ladder would take about an hour
-    with pytest.raises(SchemaError, match=f"ladder of 1000000002 indices .* {listed}"):
-        loads_instance(json.dumps(payload))
+    for version in (2, 3):
+        payload = _payload(kind, version)
+        payload["delta"] = [10**9, 1]
+        # building this ladder would take about an hour
+        with pytest.raises(SchemaError, match=f"ladder of 1000000002 indices .* {listed}"):
+            loads_instance(json.dumps(payload))
 
 
 def test_dumps_writes_the_current_version():
     for kind in ("series", "chain", "subspace"):
         payload = _payload(kind)
-        assert payload["schema_version"] == SCHEMA_VERSION == 2
+        assert payload["schema_version"] == SCHEMA_VERSION == 3
         assert "hilbert" not in payload
 
 
 def test_v1_chain_loads_like_the_v2_chain():
-    v2 = loads_instance(json.dumps(_payload("chain")))
+    v2 = loads_instance(json.dumps(_payload("chain", 2)))
     assert loads_instance(json.dumps(_payload("chain-v1"))) == v2
+    assert loads_instance(json.dumps(_payload("chain"))) == v2
 
 
 FABRICATED_HILBERT = [
@@ -222,18 +270,18 @@ def test_v1_chain_without_hilbert_data_is_refused():
 
 
 def test_v2_chain_with_hilbert_data_is_refused():
-    payload = _payload("chain-v1")
-    payload["schema_version"] = 2
-    with pytest.raises(SchemaError, match="only schema_version 1 chains carry hilbert data"):
-        loads_instance(json.dumps(payload))
+    for version in (2, 3):
+        payload = _payload("chain", version)
+        payload["hilbert"] = _payload("chain-v1")["hilbert"]
+        with pytest.raises(SchemaError, match="only schema_version 1 chains carry hilbert data"):
+            loads_instance(json.dumps(payload))
 
 
 @pytest.mark.parametrize("kind", ["series", "subspace"])
 def test_v1_series_and_subspace_files_still_load(kind):
     current = loads_instance(json.dumps(_payload(kind)))
-    payload = _payload(kind)
-    payload["schema_version"] = 1
-    assert loads_instance(json.dumps(payload)) == current
+    for version in (1, 2):
+        assert loads_instance(json.dumps(_payload(kind, version))) == current
 
 
 def test_readme_examples_load():
@@ -247,3 +295,58 @@ def test_readme_examples_load():
     for text in examples:
         obj = loads_instance(text)
         assert json.loads(dumps_instance(obj)) == json.loads(text)
+
+
+def _first_matrix(payload):
+    if payload["kind"] == "level_delta_series":
+        return payload["spaces"]["0"]
+    if payload["kind"] == "chain":
+        return payload["components"][0]["basis"]
+    return payload["basis"]
+
+
+# each command loads one payload kind and exits 2 on a malformed file
+_COMMAND = {"series": ["check"], "chain": ["verify"], "subspace": ["degree"]}
+
+ROW_FORM_DEFECTS = [
+    pytest.param(3, lambda row: row.replace(" ", "  ", 1), id="double-space"),
+    pytest.param(3, lambda row: " " + row, id="leading-space"),
+    pytest.param(3, lambda row: row + " ", id="trailing-space"),
+    pytest.param(3, lambda row: row.replace(" ", "\t", 1), id="tab"),
+    pytest.param(3, lambda row: "", id="empty-row-string"),
+    pytest.param(3, lambda row: row.split(" "), id="array-row-in-v3"),
+    pytest.param(2, lambda row: " ".join(row), id="row-string-in-v2"),
+]
+
+
+@pytest.mark.parametrize("version, defect", ROW_FORM_DEFECTS)
+def test_rows_in_the_wrong_form_are_refused(version, defect, tmp_path, capsys):
+    for kind, command in _COMMAND.items():
+        payload = _payload(kind, version)
+        rows = _first_matrix(payload)
+        rows[0] = defect(rows[0])
+        with pytest.raises(SchemaError):
+            loads_instance(json.dumps(payload))
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(command + [str(path)]) == 2, kind
+        assert "malformed input" in capsys.readouterr().err
+
+
+def _seeded_instances():
+    for d in range(9):
+        g = random_exact_lls(d, max(d - 1, 0), (2,) * d, seed=d)
+        yield g
+        yield build_chain(g)
+        rng = random.Random(d)
+        split = TorusSplit(d + 1, d + 1)
+        dim = rng.randint(0, split.ambient_dim)
+        yield SubspaceTask(split, random_subspace(split.ambient_dim, dim, rng))
+
+
+def test_v2_and_v3_text_load_to_equal_objects():
+    for obj in _seeded_instances():
+        v3 = dumps_instance(obj)
+        payload = in_version(json.loads(v3), 2)
+        v2 = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert loads_instance(v2) == loads_instance(v3) == obj

@@ -6,6 +6,9 @@ is either a fixed point or a genuine orbit curve in the Grassmannian, and
 consecutive components glue at the shared boundary limit of their orbits.
 The construction fails precisely where exactness fails, and the failing
 pair it reports is the same pair the exactness check reports.
+
+Construction reads the series' ``g.profiles``; validation and the Hilbert
+data read the chain's own ``c.profiles``, re-derived from its base spaces.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, consecutive_pairs
 from .linalg import Subspace, format_rational
-from .series import LimitLinearSeries, _numerical, _profiles
-from .torus import Direction, IntersectionHypothesisError, block_profile, orbit_degree
+from .series import LimitLinearSeries, numerical_data
+from .torus import BlockProfile, Direction, IntersectionHypothesisError, block_profile
 
 
 class ChainError(ValueError):
@@ -95,6 +99,11 @@ class ContinuousChain:
                     f" {comp.target_index}, outside 0..{self.model.d}"
                 )
 
+    @cached_property
+    def profiles(self) -> tuple[BlockProfile, ...]:
+        """One block profile per base space; not a field, so equality ignores it."""
+        return tuple(block_profile(self.model.split, c.base_space) for c in self.components)
+
     def component_at(self, i: Fraction) -> ChainComponent:
         return self.components[self.delta.position(i)]
 
@@ -114,7 +123,7 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
     non-integer component degenerates to a constant. Limits, minimality and
     each component's degree are read off one block profile per space.
     """
-    profiles = _profiles(g)
+    profiles = g.profiles
     nodes: list[Subspace] = []
     for (i, j), left, right in zip(consecutive_pairs(g.delta), profiles, profiles[1:]):
         outgoing = left.limit(Direction.INFINITY)
@@ -126,7 +135,7 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
                 failing_pair=(i, j),
             )
         nodes.append(outgoing)
-    data = _numerical(g, profiles)
+    data = numerical_data(g)
     if not data.is_minimal():
         lazy = [
             format_rational(i)
@@ -213,11 +222,10 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
     gluing, because the first-block parts of the two limits at a node are
     inside_first of the left space and onto_first of the right one.
 
-    Every check reads the same block profiles, one per component.
+    Every check reads ``c.profiles``, computed on the chain's first use.
     """
-    split = c.model.split
     pairs = consecutive_pairs(c.delta)
-    profiles = [block_profile(split, comp.base_space) for comp in c.components]
+    profiles = c.profiles
 
     glue_failures: list[str] = []
     for (i, j), node, left, right in zip(pairs, c.nodes, profiles, profiles[1:]):
@@ -324,8 +332,7 @@ def hilbert_coefficients(c: ContinuousChain) -> tuple[int, int, tuple[int, ...],
     of the target chain and must be exactly one; anything else means the
     chain is invalid and raises.
     """
-    split = c.model.split
-    total = sum(orbit_degree(split, comp.base_space) for comp in c.components)
+    total = sum(profile.degree for profile in c.profiles)
     counts = [0] * (c.model.d + 1)
     for comp in c.components:
         if comp.target_kind == "component":

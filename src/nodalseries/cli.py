@@ -16,15 +16,7 @@ from .delta import NumericalData
 from .generate import GenerationError, random_exact_lls
 from .linalg import format_rational
 from .oracle import MAX_SAMPLES, compare_chain, sample_orbit_check
-from .series import (
-    LimitLinearSeries,
-    _compatibility,
-    _exactness,
-    _profiles,
-    check_exact,
-    numerical_data,
-    reduce_minimal,
-)
+from .series import LimitLinearSeries, check_compatible, check_exact, numerical_data, reduce_minimal
 from .serialize import SchemaError, SubspaceTask, dumps_instance, load_instance
 from .torus import Direction, limit, orbit_degree
 
@@ -65,12 +57,11 @@ def _load(path: str, kinds: type | tuple[type, ...]):
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load(args.file, LimitLinearSeries)
-    profiles = _profiles(g)
-    compat = _compatibility(g, profiles)
+    compat = check_compatible(g)
     print(f"compatible: {str(compat.passed).lower()}")
     for failure in compat.failures:
         print(f"  incompatible pair {_pair_str((failure.left, failure.right))}: {failure.message}")
-    exact = _exactness(g, profiles)
+    exact = check_exact(g)
     if exact.passed:
         print("exact: true")
     else:
@@ -145,8 +136,8 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     if not 0 <= args.d <= MAX_DEGREE:
-        print(f"error: the generator handles degrees 0 through {MAX_DEGREE}", file=sys.stderr)
-        return 1
+        print(f"error: gen handles degrees 0 through {MAX_DEGREE}, got {args.d}", file=sys.stderr)
+        return 2
     try:
         g = random_exact_lls(args.d, args.r, args.delta, args.seed)
     except (GenerationError, ValueError) as exc:

@@ -129,6 +129,8 @@ def rref(m: Matrix) -> Matrix:
     work = [list(m.row(i)) for i in range(m.nrows)]
     pivot_row = 0
     for col in range(m.ncols):
+        if pivot_row == m.nrows:
+            break
         pivot = None
         for r in range(pivot_row, m.nrows):
             if work[r][col] != 0:
@@ -145,8 +147,6 @@ def rref(m: Matrix) -> Matrix:
                 factor = work[r][col]
                 work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
         pivot_row += 1
-        if pivot_row == m.nrows:
-            break
     return Matrix(m.nrows, m.ncols, tuple(e for row in work for e in row))
 
 

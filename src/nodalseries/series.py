@@ -7,12 +7,16 @@ section space there, all of one dimension r + 1. Consecutive spaces are
 second-block part of the later one and the first-block image of the later
 one sits inside the first-block part of the earlier one; the series is
 *exact* when both inclusions are equalities at every consecutive pair.
+
+Every report reads ``g.profiles``, one block profile per space computed on
+the series' first use, so later reports on the same value eliminate nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 from .curve import CurveModel, is_generalized_linear_series
@@ -55,6 +59,11 @@ class LimitLinearSeries:
                     f"space at index {i} has dimension {v.dim}, expected {self.rank + 1}"
                 )
 
+    @cached_property
+    def profiles(self) -> tuple[BlockProfile, ...]:
+        """One block profile per space; not a field, so equality ignores it."""
+        return tuple(block_profile(self.model.split, v) for v in self.spaces)
+
     def space_at(self, i: Fraction) -> Subspace:
         return self.spaces[self.delta.position(i)]
 
@@ -83,27 +92,18 @@ class LinkReport:
         return (self.failures[0].left, self.failures[0].right)
 
 
-def _profiles(g: LimitLinearSeries) -> list[BlockProfile]:
-    """One block profile per space, in ladder order.
-
-    Every report below reads only these, so a caller making several reports
-    on one series builds the list once and passes it to the ``_``-prefixed
-    forms.
-    """
-    split = g.model.split
-    return [block_profile(split, v) for v in g.spaces]
-
-
-def _pair_blocks(g: LimitLinearSeries, profiles: list[BlockProfile]):
+def _pair_blocks(g: LimitLinearSeries):
     """Per consecutive pair (i, j): the second-block image at i and part at j,
     then the first-block image at j and part at i."""
+    profiles = g.profiles
     for (i, j), pi, pj in zip(consecutive_pairs(g.delta), profiles, profiles[1:]):
         yield i, j, pi.onto_second, pj.inside_second, pj.onto_first, pi.inside_first
 
 
-def _compatibility(g: LimitLinearSeries, profiles: list[BlockProfile]) -> LinkReport:
+def check_compatible(g: LimitLinearSeries) -> LinkReport:
+    """Both linking inclusions at every consecutive pair, with a report."""
     failures: list[LinkFailure] = []
-    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g, profiles):
+    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g):
         if not fwd_ker.contains(fwd_img):
             failures.append(
                 LinkFailure(
@@ -123,14 +123,10 @@ def _compatibility(g: LimitLinearSeries, profiles: list[BlockProfile]) -> LinkRe
     return LinkReport(not failures, tuple(failures))
 
 
-def check_compatible(g: LimitLinearSeries) -> LinkReport:
-    """Both linking inclusions at every consecutive pair, with a report."""
-    return _compatibility(g, _profiles(g))
-
-
-def _exactness(g: LimitLinearSeries, profiles: list[BlockProfile]) -> LinkReport:
+def check_exact(g: LimitLinearSeries) -> LinkReport:
+    """Both linking equalities at every consecutive pair, with a report."""
     failures: list[LinkFailure] = []
-    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g, profiles):
+    for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g):
         if fwd_img != fwd_ker:
             failures.append(
                 LinkFailure(
@@ -150,20 +146,11 @@ def _exactness(g: LimitLinearSeries, profiles: list[BlockProfile]) -> LinkReport
     return LinkReport(not failures, tuple(failures))
 
 
-def check_exact(g: LimitLinearSeries) -> LinkReport:
-    """Both linking equalities at every consecutive pair, with a report."""
-    return _exactness(g, _profiles(g))
-
-
-def _numerical(g: LimitLinearSeries, profiles: list[BlockProfile]) -> NumericalData:
-    down = tuple(p.inside_second.dim for p in profiles)
-    up = tuple(p.inside_first.dim for p in profiles)
-    return NumericalData(g.rank, g.delta.indices, down, up)
-
-
 def numerical_data(g: LimitLinearSeries) -> NumericalData:
     """Block kernel dimensions at every index (uniformly, ends included)."""
-    return _numerical(g, _profiles(g))
+    down = tuple(p.inside_second.dim for p in g.profiles)
+    up = tuple(p.inside_first.dim for p in g.profiles)
+    return NumericalData(g.rank, g.delta.indices, down, up)
 
 
 def membership_failures(g: LimitLinearSeries) -> tuple[Fraction, ...]:
@@ -181,12 +168,11 @@ def reduce_minimal(g: LimitLinearSeries) -> LimitLinearSeries:
     Requires an exact input; the result is exact and minimal with the same
     degree and rank, and reducing again is the identity.
     """
-    profiles = _profiles(g)
-    report = _exactness(g, profiles)
+    report = check_exact(g)
     if not report.passed:
         pair = report.first_failing_pair()
         raise ValueError(f"cannot reduce a non-exact series (first failing pair {pair})")
-    reduced_delta, reindex = support_subset(g.delta, _numerical(g, profiles))
+    reduced_delta, reindex = support_subset(g.delta, numerical_data(g))
     spaces = tuple(g.space_at(reindex[i]) for i in reduced_delta.indices)
     return LimitLinearSeries(g.model, g.rank, reduced_delta, spaces)
 

@@ -219,6 +219,8 @@ def _padded_rows(
     coords = split.block_coords(block)
     if s.ambient_dim != len(coords):
         raise ValueError("subspace does not live in the requested block")
+    if s.dim == 0:
+        return []
     pad = (_ZERO,) * (split.ambient_dim - len(coords))
     if block == 1:
         return [row + pad for row in s.basis_rows()]

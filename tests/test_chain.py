@@ -17,7 +17,7 @@ from nodalseries.chain import (
 from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
 from nodalseries.linalg import Subspace
 from nodalseries import cli, torus
-from nodalseries.serialize import save_instance
+from nodalseries.serialize import dumps_instance, load_instance, save_instance
 from nodalseries.series import (
     LimitLinearSeries,
     check_compatible,
@@ -26,7 +26,14 @@ from nodalseries.series import (
     reduce_minimal,
     torus_equivalent,
 )
-from nodalseries.torus import IntersectionHypothesisError, act, block_profile, orbit_intersection
+from nodalseries.torus import (
+    Direction,
+    IntersectionHypothesisError,
+    act,
+    block_profile,
+    limit,
+    orbit_intersection,
+)
 
 from test_series import series_e4, series_e5
 
@@ -157,9 +164,10 @@ def test_validate_transversality_detects_an_unlinked_orbit():
 def test_one_elimination_per_space(monkeypatch, tmp_path, capsys):
     g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
     assert len(g.spaces) == 13
-    chain = build_chain(g)
-    path = tmp_path / "series.json"
-    save_instance(g, path)
+    series_path = tmp_path / "series.json"
+    chain_path = tmp_path / "chain.json"
+    save_instance(g, series_path)
+    save_instance(build_chain(g), chain_path)
     calls = []
     real_rref = torus.rref
     monkeypatch.setattr(torus, "rref", lambda m: calls.append(m) or real_rref(m))
@@ -169,19 +177,26 @@ def test_one_elimination_per_space(monkeypatch, tmp_path, capsys):
         fn(*args)
         return len(calls)
 
-    for fn, arg in [
-        (check_compatible, g),
-        (check_exact, g),
-        (numerical_data, g),
-        (validate_chain, chain),
-        (build_chain, g),
-        (reduce_minimal, g),
-    ]:
-        assert eliminations(fn, arg) == 13, fn.__name__
-    # the check command makes both of its reports from one profile list;
-    # loading the file reduces through linalg.rref, which is not counted
-    assert eliminations(cli.main, ["check", str(path)]) == 13
+    # loading reduces through linalg.rref, which is not counted
+    reports = (check_compatible, check_exact, numerical_data, build_chain, reduce_minimal)
+    for first in reports:
+        fresh = load_instance(series_path)
+        assert eliminations(first, fresh) == 13, first.__name__
+        for again in reports:
+            assert eliminations(again, fresh) == 0, (first.__name__, again.__name__)
+    chain = load_instance(chain_path)
+    assert eliminations(validate_chain, chain) == 13
+    assert eliminations(validate_chain, chain) == 0
+    assert eliminations(hilbert_coefficients, chain) == 0
+    # each command loads its file afresh; verify of a series validates the
+    # chain it built from its own base spaces, hence 13 more
+    assert eliminations(cli.main, ["check", str(series_path)]) == 13
     assert "exact: true" in capsys.readouterr().out
+    assert eliminations(cli.main, ["verify", str(series_path)]) == 26
+    # the oracle profiles the components through its own binding
+    oracle_run = ["verify", "--oracle", "--samples", "1", str(chain_path)]
+    assert eliminations(cli.main, oracle_run) == 26
+    assert "FAIL" not in capsys.readouterr().out
     split = chain.model.split
     left, right = next(
         (a.base_space, b.base_space)
@@ -190,6 +205,38 @@ def test_one_elimination_per_space(monkeypatch, tmp_path, capsys):
     )
     assert eliminations(torus.orbit_intersection, split, left, right) == 2
     assert eliminations(torus.meeting_is_transverse, split, left, right) == 2
+
+
+def test_profiles_belong_to_the_value_they_were_computed_from():
+    g = random_exact_lls(3, 2, (2, 2, 1), seed=8)
+    chain = build_chain(g)
+    assert check_exact(g).passed and validate_chain(chain).passed
+    # collapse a moving non-integer slot to its outgoing limit: the pair that
+    # ends there loses exactness, and a replaced series must see it
+    pos = next(k for k, i in enumerate(g.delta.indices) if i.denominator != 1)
+    collapsed = limit(g.model.split, g.spaces[pos], Direction.INFINITY)
+    spaces = g.spaces[:pos] + (collapsed,) + g.spaces[pos + 1 :]
+    report = check_exact(dataclasses.replace(g, spaces=spaces))
+    assert report.first_failing_pair() == (g.delta.indices[pos - 1], g.delta.indices[pos])
+    components = list(chain.components)
+    components[pos] = dataclasses.replace(components[pos], base_space=collapsed)
+    assert not validate_chain(dataclasses.replace(chain, components=tuple(components))).passed
+
+
+def test_profiled_and_unprofiled_values_are_equal():
+    g = random_exact_lls(3, 2, (2, 2, 1), seed=8)
+    chain = build_chain(g)
+    validate_chain(chain)
+    unprofiled = [
+        (g, LimitLinearSeries(g.model, g.rank, g.delta, g.spaces)),
+        (chain, dataclasses.replace(chain)),
+    ]
+    for profiled, twin in unprofiled:
+        assert "profiles" in vars(profiled) and "profiles" not in vars(twin)
+        assert "profiles" not in {f.name for f in dataclasses.fields(profiled)}
+        assert profiled == twin and hash(profiled) == hash(twin)
+        assert repr(profiled) == repr(twin)
+        assert dumps_instance(profiled) == dumps_instance(twin)
 
 
 def test_evaluate_round_trip_on_the_nose():

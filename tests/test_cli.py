@@ -109,6 +109,14 @@ def test_gen_writes_a_valid_instance(tmp_path):
     assert g == random_exact_lls(2, 1, (2, 1), seed=9)
 
 
+@pytest.mark.parametrize("d", [MAX_DEGREE + 1, -1])
+def test_gen_refuses_degrees_outside_the_cap(d, capsys):
+    assert main(["gen", "--d", str(d), "--r", "0", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gen handles degrees 0 through {MAX_DEGREE}, got {d}\n"
+
+
 def test_gen_rejects_infeasible(capsys):
     assert main(["gen", "--d", "1", "--r", "0", "--delta", "3", "--seed", "0"]) == 1
     assert "no exact minimal series" in capsys.readouterr().err
@@ -189,8 +197,11 @@ def test_gen_degree_zero_without_delta(tmp_path):
     assert g.model.d == 0
 
 
-def _separate_run(args: list[str]) -> subprocess.CompletedProcess:
-    """``python -m nodalseries`` with these arguments, in a fresh process."""
+def _separate_run(args: list[str], timeout: float | None = None) -> subprocess.CompletedProcess:
+    """``python -m nodalseries`` with these arguments, in a fresh process.
+
+    With a timeout, a run that outlasts it raises subprocess.TimeoutExpired.
+    """
     # the child does not see pytest's pythonpath, so point it at the package
     package_parent = os.path.dirname(os.path.dirname(nodalseries.__file__))
     inherited = os.environ.get("PYTHONPATH")
@@ -201,6 +212,7 @@ def _separate_run(args: list[str]) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -208,6 +220,23 @@ def test_module_entry_point_runs():
     result = _separate_run(["--help"])
     assert result.returncode == 0
     assert "build-chain" in result.stdout
+
+
+def test_empty_subspace_task_with_a_huge_block_finishes(tmp_path):
+    # a zero subspace of a 10^12-dimensional first block: nothing to eliminate
+    # and nothing to pad, so no step may walk the block's coordinates
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"schema_version": 3, "kind": "subspace", "dim1": 1000000000000, "dim2": 3, "basis": []}'
+    )
+    result = _separate_run(["degree", str(path)], timeout=20)
+    assert (result.returncode, result.stdout) == (0, "0\n")
+    for at in ("zero", "infty"):
+        result = _separate_run(["limit", str(path), "--at", at], timeout=20)
+        assert result.returncode == 0, result.stderr
+        task = loads_instance(result.stdout)
+        assert task.split == TorusSplit(10**12, 3)
+        assert task.subspace.dim == 0
 
 
 @pytest.mark.parametrize("samples", ["0", "111"])

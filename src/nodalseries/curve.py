@@ -10,7 +10,9 @@ Twisting i steps trades degree between the components. At a non-integer
 index the space of sections splits as a flag on each side with no condition
 at the node; at an integer index a single gluing condition matches the
 leading coefficients: coeff of t^i equals coeff of s^(d-i). Every section
-space has dimension d + 1.
+space has dimension d + 1. Membership is read off those equations (zero off
+the flags, and the gluing condition at integer i), so testing it builds no
+section space.
 """
 
 from __future__ import annotations
@@ -79,6 +81,27 @@ class SectionSpace:
         return self.subspace.dim
 
 
+def _section_rows(model: CurveModel, i: Fraction) -> list[tuple[int, ...]]:
+    """The ambient coordinates of each row of S_i's canonical basis.
+
+    Every entry of those rows is 0 or 1: at integer i the glue row
+    t^i + s^(d-i) comes first (its s-entry is no other row's pivot), then
+    the t and the s unit rows of the flags.
+    """
+    if i < 0 or i > model.d:
+        raise ValueError(f"index {i} outside [0, {model.d}]")
+    rows: list[tuple[int, ...]] = []
+    if i.denominator == 1:
+        level = int(i)
+        rows.append((model.t_coord(level), model.s_coord(model.d - level)))
+        t_low, s_high = level + 1, level - 1
+    else:
+        t_low, s_high = math.ceil(i), math.floor(i)
+    rows.extend((c,) for c in model.first_flag_coords(t_low))
+    rows.extend((c,) for c in model.second_flag_coords(s_high))
+    return rows
+
+
 def section_space(model: CurveModel, i: Rational) -> SectionSpace:
     """Sections of the i-step twist, as a subspace of U1 + U2.
 
@@ -86,29 +109,15 @@ def section_space(model: CurveModel, i: Rational) -> SectionSpace:
     and the second-block flag at level floor(i); no gluing. Integer i: inside
     the level-i flags, the kernel of the node condition
     coeff(t^i) = coeff(s^(d-i)). Either way the dimension is d + 1.
-
-    The rows are written down in canonical order: the glue row t^i + s^(d-i)
-    first (its s-entry is no other row's pivot), then the t and the s unit
-    rows.
     """
     i = exact_rational(i)
-    if i < 0 or i > model.d:
-        raise ValueError(f"index {i} outside [0, {model.d}]")
+    rows = _section_rows(model, i)
     n = model.ambient_dim
-    coords: list[tuple[int, ...]] = []
-    if i.denominator == 1:
-        level = int(i)
-        coords.append((model.t_coord(level), model.s_coord(model.d - level)))
-        t_low, s_high = level + 1, level - 1
-    else:
-        t_low, s_high = math.ceil(i), math.floor(i)
-    coords.extend((c,) for c in model.first_flag_coords(t_low))
-    coords.extend((c,) for c in model.second_flag_coords(s_high))
-    entries = [_ZERO] * (len(coords) * n)
-    for r, row_coords in enumerate(coords):
-        for c in row_coords:
+    entries = [_ZERO] * (len(rows) * n)
+    for r, coords in enumerate(rows):
+        for c in coords:
             entries[r * n + c] = _ONE
-    return SectionSpace(i, Subspace(n, Matrix(len(coords), n, tuple(entries))))
+    return SectionSpace(i, Subspace(n, Matrix(len(rows), n, tuple(entries))))
 
 
 def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:
@@ -123,11 +132,25 @@ def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:
 def is_generalized_linear_series(
     model: CurveModel, v: Subspace, i: Rational, expected_r: int
 ) -> bool:
-    """Membership test: v sits inside the i-th section space with dim r + 1."""
+    """Membership test: v sits inside the i-th section space with dim r + 1.
+
+    Reads S_i's equations off its rows instead of building it: a vector lies
+    in S_i exactly when it is zero off the rows' coordinates and, at integer
+    i, its t^i and s^(d-i) coefficients agree. Each basis row of v is tested.
+    """
     if expected_r < 0:
         return False
     if v.ambient_dim != model.ambient_dim:
         return False
     if v.dim != expected_r + 1:
         return False
-    return section_space(model, i).subspace.contains(v)
+    rows = _section_rows(model, exact_rational(i))
+    support = {c for coords in rows for c in coords}
+    off = [c for c in range(model.ambient_dim) if c not in support]
+    glue = rows[0] if len(rows[0]) == 2 else None
+    for row in v.basis_rows():
+        if any(row[c] for c in off):
+            return False
+        if glue is not None and row[glue[0]] != row[glue[1]]:
+            return False
+    return True

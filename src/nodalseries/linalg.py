@@ -8,10 +8,12 @@ Values are immutable and hashable.
 Entries are coerced once, at the boundary. ``Matrix.from_rows``,
 ``Subspace.from_spanning``, ``Subspace.residual`` and the file loaders take
 int, ``Fraction`` and ``"p/q"`` string entries, refuse floats and bools, and
-keep an entry that is already a ``Fraction`` as it is. Results computed
-inside the library are built as ``Matrix(...)`` or ``Subspace(...)``
-directly, and their ``__post_init__`` checks them again: every entry a
-``Fraction``, every basis canonical. Sharing one ``Fraction`` object between
+keep an entry that is already a ``Fraction`` as it is;
+``Subspace.from_spanning`` also keeps vectors that already form a canonical
+basis as they are and reduces any others. Results computed inside the
+library are built as ``Matrix(...)`` or ``Subspace(...)`` directly, and their
+``__post_init__`` checks them again: every entry a ``Fraction``, every basis
+canonical. Sharing one ``Fraction`` object between
 matrices is safe, because it is immutable.
 """
 
@@ -248,7 +250,11 @@ class Subspace:
         """Canonical subspace spanned by the given vectors.
 
         Equal spans produce bit-identical values regardless of the order,
-        scaling or redundancy of the input vectors.
+        scaling or redundancy of the input vectors. Vectors that already
+        form a canonical basis are kept as they are, with no elimination:
+        the RREF is unique, so reducing them would give the same value.
+        Any other input (a zero row, unsorted pivots, a non-unit lead, an
+        uncleared pivot column, more rows than the rank) is reduced.
         """
         rows = [_exact(v) for v in vectors]
         for row in rows:
@@ -256,7 +262,12 @@ class Subspace:
                 raise ValueError(
                     f"vector of length {len(row)} in ambient dimension {ambient_dim}"
                 )
-        reduced = rref(Matrix(len(rows), ambient_dim, tuple(e for row in rows for e in row)))
+        m = Matrix(len(rows), ambient_dim, tuple(e for row in rows for e in row))
+        try:
+            return cls(ambient_dim, m)
+        except ValueError:
+            pass  # not canonical: reduce below
+        reduced = rref(m)
         # the zero rows of a reduced matrix are at the bottom
         rank = next(
             (i for i in range(reduced.nrows) if not any(reduced.row(i))), reduced.nrows

@@ -5,8 +5,12 @@ a list of its rows, each row one string of such rationals separated by
 single spaces. Three payload kinds exist: a level-delta series, a chain,
 and a bare subspace task carrying its block split. Loading validates the
 payload against its structural invariants, and for series also against
-section-space membership; loading what was saved reproduces the object
-bit-exactly.
+section-space membership, read off each section space's equations; loading
+what was saved reproduces the object bit-exactly.
+
+Each distinct entry text is parsed once per matrix. Stored rows that are
+already a canonical basis, as written here, load as they are after one
+canonicity check; any other spanning rows are reduced to that basis.
 
 Versions 1 and 2 still load. They write a matrix as nested arrays, one
 string per entry, and a row string there is refused, as an array row is in
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
@@ -83,8 +88,19 @@ def _subspace_from_json(ambient_dim: int, rows: Any, row_strings: bool) -> Subsp
         rows = [r.split(" ") for r in rows]
     elif not all(isinstance(r, list) for r in rows):
         raise SchemaError("a matrix must be a list of rows, each an array of entries")
+    # each distinct token is parsed once per matrix; a non-string entry of a
+    # version 1 or 2 file goes to parse_rational, whose refusal names it
+    values: dict[str, Fraction] = {}
+
+    def value(token: Any) -> Fraction:
+        if type(token) is not str:
+            return parse_rational(token)
+        if token not in values:
+            values[token] = parse_rational(token)
+        return values[token]
+
     try:
-        parsed = [[parse_rational(e) for e in row] for row in rows]
+        parsed = [[value(e) for e in row] for row in rows]
         return Subspace.from_spanning(ambient_dim, parsed)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc

@@ -177,7 +177,7 @@ def test_one_elimination_per_space(monkeypatch, tmp_path, capsys):
         fn(*args)
         return len(calls)
 
-    # loading reduces through linalg.rref, which is not counted
+    # loading keeps the canonical bases a file stores and eliminates nothing
     reports = (check_compatible, check_exact, numerical_data, build_chain, reduce_minimal)
     for first in reports:
         fresh = load_instance(series_path)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -139,6 +140,46 @@ def test_membership_predicate():
     assert not is_generalized_linear_series(model, Subspace.zero(4), F(0), -1)
     # wrong dimension
     assert not is_generalized_linear_series(model, full, F(0), 0)
+
+
+def _membership_cases(rng):
+    """(model, i, v) with v inside S_i, breaking the node condition, or with
+    one coordinate off S_i's flags, at integer, half and third indices."""
+    for d in range(6):
+        model = CurveModel(d)
+        n = model.ambient_dim
+        indices = {F(k, q) for q in (1, 2, 3) for k in range(q * d + 1)}
+        for i in sorted(indices):
+            rows = section_space(model, i).subspace.basis_rows()
+            support = {c for row in rows for c in range(n) if row[c]}
+            off = [c for c in range(n) if c not in support]
+            # equal at integer i, where they are the glued pair; free otherwise
+            pair = (model.t_coord(math.ceil(i)), model.s_coord(d - math.floor(i)))
+            for _ in range(16):
+                members = []
+                for _ in range(rng.randint(1, d + 1)):
+                    coeffs = [rng.randint(-2, 2) for _ in rows]
+                    members.append(
+                        [sum(a * row[c] for a, row in zip(coeffs, rows)) for c in range(n)]
+                    )
+                kind = rng.choice(["member", "node", "off"])
+                if kind == "node":
+                    members[-1][pair[0]] += rng.choice([-1, 1])
+                elif kind == "off" and off:
+                    members[-1][rng.choice(off)] += rng.choice([-3, -1, 1, 2])
+                v = Subspace.from_spanning(n, members)
+                if v.dim:
+                    yield model, i, v
+
+
+def test_membership_reads_the_section_space_equations():
+    outcomes = set()
+    for model, i, v in _membership_cases(random.Random(31)):
+        inside = section_space(model, i).subspace.contains(v)
+        assert is_generalized_linear_series(model, v, i, v.dim - 1) == inside, (model.d, i)
+        outcomes.add((i.denominator == 1, inside))
+    # both answers occur at integer and at non-integer indices
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_flag_exchange_is_monotone_along_ladder():

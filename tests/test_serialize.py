@@ -1,14 +1,15 @@
 import json
 import random
 import re
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from nodalseries import cli
+from nodalseries import cli, curve, linalg
 from nodalseries.chain import build_chain
 from nodalseries.generate import random_exact_lls, random_subspace
-from nodalseries.linalg import Subspace
+from nodalseries.linalg import Subspace, format_rational, parse_rational
 from nodalseries.serialize import (
     SCHEMA_VERSION,
     SchemaError,
@@ -123,14 +124,27 @@ def test_dimension_mismatch_rejected_on_load():
             loads_instance(json.dumps(payload))
 
 
-@pytest.mark.parametrize("entry", [" 1.0e0 ", "1.5", "1_000", "1e999999", "1/0", 1])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        " 1.0e0 ", "1.5", "1_000", "1e999999", "1/0", 1,
+        pytest.param([1], id="array"),
+        pytest.param({"p": 1}, id="object"),
+        pytest.param(None, id="null"),
+    ],
+)
 def test_lenient_rationals_rejected(entry):
-    # version 3 has no array to hold a bare JSON number, so one stands for the row
+    # version 3 has no array to hold a bare JSON value, so one stands for the row
     v3_row = f"1 {entry}" if isinstance(entry, str) else entry
-    for version, basis in [(1, [["1", entry]]), (3, [v3_row])]:
+    for version, basis in [(1, [["1", entry]]), (2, [["1", entry]]), (3, [v3_row])]:
         payload = {"schema_version": version, "kind": "subspace", "dim1": 1, "dim2": 1, "basis": basis}
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as refused:
             loads_instance(json.dumps(payload))
+        if version < 3:
+            # an array entry of any JSON type is refused with its own text
+            assert str(refused.value) == (
+                f"bad matrix: not a rational of the form p or p/q: {entry!r}"
+            )
 
 
 @pytest.mark.parametrize("target", [-5, 3])
@@ -297,12 +311,13 @@ def test_readme_examples_load():
         assert json.loads(dumps_instance(obj)) == json.loads(text)
 
 
-def _first_matrix(payload):
+def _matrices(payload):
+    """Every matrix of a payload as its list of rows, in the order of the file."""
     if payload["kind"] == "level_delta_series":
-        return payload["spaces"]["0"]
+        return list(payload["spaces"].values())
     if payload["kind"] == "chain":
-        return payload["components"][0]["basis"]
-    return payload["basis"]
+        return [comp["basis"] for comp in payload["components"]] + payload["nodes"]
+    return [payload["basis"]]
 
 
 # each command loads one payload kind and exits 2 on a malformed file
@@ -323,7 +338,7 @@ ROW_FORM_DEFECTS = [
 def test_rows_in_the_wrong_form_are_refused(version, defect, tmp_path, capsys):
     for kind, command in _COMMAND.items():
         payload = _payload(kind, version)
-        rows = _first_matrix(payload)
+        rows = _matrices(payload)[0]
         rows[0] = defect(rows[0])
         with pytest.raises(SchemaError):
             loads_instance(json.dumps(payload))
@@ -350,3 +365,79 @@ def test_v2_and_v3_text_load_to_equal_objects():
         payload = in_version(json.loads(v3), 2)
         v2 = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert loads_instance(v2) == loads_instance(v3) == obj
+
+
+def _ambient_dim(payload):
+    if payload["kind"] == "subspace":
+        return payload["dim1"] + payload["dim2"]
+    return 2 * payload["d"] + 2
+
+
+def _scaled(rows):
+    return [[F(k + 2) * e for e in row] for k, row in enumerate(rows)]
+
+
+def _redundant(rows):
+    return rows + [[a + b for a, b in zip(rows[0], rows[-1])]] if rows else rows
+
+
+# spanning sets of each stored space that are not its canonical basis
+SPANNING_SETS = [
+    pytest.param(lambda rows, n: rows[::-1], id="permuted"),
+    pytest.param(lambda rows, n: _scaled(rows), id="scaled"),
+    pytest.param(lambda rows, n: _redundant(rows), id="redundant"),
+    pytest.param(lambda rows, n: [[F(0)] * n] + rows, id="zero-row"),
+]
+
+
+def _count_eliminations(monkeypatch):
+    calls = []
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
+    return calls
+
+
+def test_canonical_files_load_without_elimination(monkeypatch):
+    # the writer stores canonical bases, and loading keeps them as they are
+    texts = [(obj, dumps_instance(obj)) for obj in _seeded_instances()]
+    calls = _count_eliminations(monkeypatch)
+    sections = []
+    real_section_space = curve.section_space
+    monkeypatch.setattr(
+        curve, "section_space", lambda *args: sections.append(args) or real_section_space(*args)
+    )
+    for obj, text in texts:
+        assert loads_instance(text) == obj
+    assert calls == [] and sections == []
+
+
+@pytest.mark.parametrize("respan", SPANNING_SETS)
+def test_other_spanning_sets_load_to_the_canonical_value(respan, monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    for obj in _seeded_instances():
+        text = dumps_instance(obj)
+        payload = json.loads(text)
+        n = _ambient_dim(payload)
+        for rows in _matrices(payload):
+            parsed = [[parse_rational(e) for e in row.split(" ")] for row in rows]
+            rows[:] = [" ".join(map(format_rational, row)) for row in respan(parsed, n)]
+        loaded = loads_instance(json.dumps(payload))
+        assert loaded == obj
+        assert dumps_instance(loaded) == text
+    # some stored basis was not canonical and went through the elimination
+    assert calls
+
+
+@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize(
+    "lengths", [(3, 4), (3, 5), (5, 3), (4, 5)], ids=["short", "short-long", "long-short", "long"]
+)
+def test_rows_of_unequal_length_are_refused(version, lengths):
+    # (3, 5) and (5, 3) hold 8 = 2 x 4 entries, as a 2-row basis of Q^4 does
+    rows = [["1"] + ["0"] * (k - 1) for k in lengths]
+    payload = {"schema_version": version, "kind": "subspace", "dim1": 2, "dim2": 2,
+               "basis": _rows(version, rows)}
+    bad = next(k for k in lengths if k != 4)
+    with pytest.raises(SchemaError) as refused:
+        loads_instance(json.dumps(payload))
+    assert str(refused.value) == f"bad matrix: vector of length {bad} in ambient dimension 4"

@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success or a completed report, 1 on a validation failure
 (non-exact input to a constructive command, a failed verification, an
-infeasible generation request), 2 on malformed input files or arguments.
+infeasible generation request), 2 on malformed input files or arguments,
+including an output file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -26,12 +28,34 @@ from .torus import Direction, limit, orbit_degree
 MAX_DEGREE = 8
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(*outputs: tuple[str, str | None]) -> int:
+    """Write each (text, file) pair, to standard output where the file is None.
+
+    Returns 0, or 2 after a one-line error when a file cannot be written.
+    Every file is first opened for appending, which leaves it as it was, so
+    one that cannot be opened stops the command before any file is written;
+    the files this call created are removed on any error.
+    """
+    files = [(text, path) for text, path in outputs if path]
+    created = []
+    try:
+        for _, path in files:
+            existed = os.path.exists(path)
+            open(path, "a").close()
+            if not existed:
+                created.append(path)
+        for text, path in files:
+            with open(path, "w") as handle:
+                handle.write(text)
+    except OSError as exc:
+        for new in created:
+            os.remove(new)
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    for text, path in outputs:
+        if not path:
+            sys.stdout.write(text)
+    return 0
 
 
 def _pair_str(pair: tuple[Fraction, Fraction]) -> str:
@@ -102,8 +126,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(dumps_instance(reduced), args.output)
-    return 0
+    return _emit((dumps_instance(reduced), args.output))
 
 
 def _cmd_build_chain(args: argparse.Namespace) -> int:
@@ -113,19 +136,17 @@ def _cmd_build_chain(args: argparse.Namespace) -> int:
     except ChainBuildError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(dumps_instance(chain), args.output)
+    outputs = [(dumps_instance(chain), args.output)]
     if args.dot:
-        with open(args.dot, "w") as handle:
-            handle.write(emit_dot(chain))
-    return 0
+        outputs.append((emit_dot(chain), args.dot))
+    return _emit(*outputs)
 
 
 def _cmd_limit(args: argparse.Namespace) -> int:
     task = _load(args.file, SubspaceTask)
     direction = Direction.ZERO if args.at == "zero" else Direction.INFINITY
     result = limit(task.split, task.subspace, direction)
-    _emit(dumps_instance(SubspaceTask(task.split, result)), args.output)
-    return 0
+    return _emit((dumps_instance(SubspaceTask(task.split, result)), args.output))
 
 
 def _cmd_degree(args: argparse.Namespace) -> int:
@@ -143,8 +164,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except (GenerationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(dumps_instance(g), args.output)
-    return 0
+    return _emit((dumps_instance(g), args.output))
 
 
 def _verify_chain(chain: ContinuousChain, use_oracle: bool, samples: int) -> int:

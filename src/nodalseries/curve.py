@@ -21,11 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Rational, Subspace, exact_rational
+from .linalg import ONE, ZERO, Matrix, Rational, Subspace, exact_rational
 from .torus import TorusSplit, act
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -113,10 +110,10 @@ def section_space(model: CurveModel, i: Rational) -> SectionSpace:
     i = exact_rational(i)
     rows = _section_rows(model, i)
     n = model.ambient_dim
-    entries = [_ZERO] * (len(rows) * n)
+    entries = [ZERO] * (len(rows) * n)
     for r, coords in enumerate(rows):
         for c in coords:
-            entries[r * n + c] = _ONE
+            entries[r * n + c] = ONE
     return SectionSpace(i, Subspace(n, Matrix(len(rows), n, tuple(entries))))
 
 
@@ -129,28 +126,33 @@ def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:
     return act(model.split, x, section_space(model, i).subspace)
 
 
-def is_generalized_linear_series(
-    model: CurveModel, v: Subspace, i: Rational, expected_r: int
-) -> bool:
-    """Membership test: v sits inside the i-th section space with dim r + 1.
+def in_section_space(model: CurveModel, v: Subspace, i: Rational) -> bool:
+    """Whether v lies inside the i-th section space S_i.
 
     Reads S_i's equations off its rows instead of building it: a vector lies
     in S_i exactly when it is zero off the rows' coordinates and, at integer
     i, its t^i and s^(d-i) coefficients agree. Each basis row of v is tested.
     """
-    if expected_r < 0:
-        return False
     if v.ambient_dim != model.ambient_dim:
-        return False
-    if v.dim != expected_r + 1:
         return False
     rows = _section_rows(model, exact_rational(i))
     support = {c for coords in rows for c in coords}
     off = [c for c in range(model.ambient_dim) if c not in support]
     glue = rows[0] if len(rows[0]) == 2 else None
     for row in v.basis_rows():
-        if any(row[c] for c in off):
+        if any(row[c] is not ZERO and row[c] for c in off):
             return False
-        if glue is not None and row[glue[0]] != row[glue[1]]:
-            return False
+        if glue is not None:
+            t, s = row[glue[0]], row[glue[1]]
+            if t is not s and t != s:
+                return False
     return True
+
+
+def is_generalized_linear_series(
+    model: CurveModel, v: Subspace, i: Rational, expected_r: int
+) -> bool:
+    """Membership test: v sits inside the i-th section space with dim r + 1."""
+    if expected_r < 0 or v.dim != expected_r + 1:
+        return False
+    return in_section_space(model, v, i)

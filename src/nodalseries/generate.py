@@ -20,9 +20,9 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .curve import CurveModel, section_space
+from .curve import CurveModel, in_section_space, section_space
 from .delta import DeltaSet, build_delta, check_steps
-from .linalg import Subspace, zero_coordinate_section
+from .linalg import ONE, ZERO, Subspace, zero_coordinate_section
 from .series import (
     LimitLinearSeries,
     check_compatible,
@@ -89,11 +89,13 @@ def _vectors_inside(space: Subspace, count: int, rng: random.Random) -> list[tup
     rows = space.basis_rows()
     out = []
     for _ in range(count):
-        vec = [Fraction(0)] * space.ambient_dim
+        vec = [ZERO] * space.ambient_dim
         for row in rows:
             c = Fraction(rng.randint(-3, 3))
-            if c != 0:
-                vec = [a + c * b for a, b in zip(vec, row)]
+            if c:
+                for j, b in enumerate(row):
+                    if b is not ZERO and b:
+                        vec[j] = (vec[j] + c * b) or ZERO
         out.append(tuple(vec))
     return out
 
@@ -197,8 +199,8 @@ def random_linked_pair(
     a, k, m = rng.choice(profiles)
     first_rows, _ = _independent_rows(work.dim1, a + m, rng)
     second_rows, onto_second = _independent_rows(work.dim2, k + m, rng)
-    zero1 = [Fraction(0)] * work.dim1
-    zero2 = [Fraction(0)] * work.dim2
+    zero1 = [ZERO] * work.dim1
+    zero2 = [ZERO] * work.dim2
     # v = A + B + graph(C -> Phi): first-block part A, second-block part B,
     # and m mixed rows pairing C with Phi
     rows = (
@@ -329,8 +331,8 @@ def _kernel_room(model: CurveModel, i: Fraction) -> Subspace:
         level = -(-i.numerator // i.denominator)
     rows = []
     for power in range(level, model.d + 1):
-        vec = [Fraction(0)] * model.ambient_dim
-        vec[model.t_coord(power)] = Fraction(1)
+        vec = [ZERO] * model.ambient_dim
+        vec[model.t_coord(power)] = ONE
         rows.append(vec)
     return Subspace.from_spanning(model.ambient_dim, rows)
 
@@ -396,9 +398,9 @@ def _first_space(
     if mobile0:
         # The only second-block direction at index 0 is the top s power, and
         # the node condition pins the constant t coefficient to match it.
-        vec = [Fraction(0)] * model.ambient_dim
-        vec[model.t_coord(0)] = Fraction(1)
-        vec[model.s_coord(model.d)] = Fraction(1)
+        vec = [ZERO] * model.ambient_dim
+        vec[model.t_coord(0)] = ONE
+        vec[model.s_coord(model.d)] = ONE
         for j in range(1, model.d + 1):
             vec[model.t_coord(j)] += Fraction(rng.randint(-3, 3))
         rows.append(tuple(vec))
@@ -450,7 +452,7 @@ def _next_space(
             continue
         if meet_block(split, space, 2).dim != carried.dim:
             continue
-        if not section_space(model, j).subspace.contains(space):
+        if not in_section_space(model, space, j):
             continue
         return space
     return None

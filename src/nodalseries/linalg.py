@@ -15,6 +15,14 @@ library are built as ``Matrix(...)`` or ``Subspace(...)`` directly, and their
 ``__post_init__`` checks them again: every entry a ``Fraction``, every basis
 canonical. Sharing one ``Fraction`` object between
 matrices is safe, because it is immutable.
+
+The bases the library handles are mostly zeros, so 0 and 1 are two shared
+objects, ``ZERO`` and ``ONE``: ``parse_rational`` returns them, and every
+zero that ``rref`` produces is ``ZERO``. Tests for zero look at identity
+first (``e is not ZERO and e``) and fall back on the value, so a freshly
+built ``Fraction(0)`` gives the same answers, only more slowly. ``rref``
+updates the other rows only on the pivot row's nonzero columns, so its work
+follows the nonzero entries, not the size of the matrix.
 """
 
 from __future__ import annotations
@@ -22,19 +30,33 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from operator import is_not
 from typing import Iterable, Sequence
 
 Rational = Fraction
 
 _Entry = int | Fraction | str
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+_NOT_ZERO_OBJECT = partial(is_not, ZERO)
+
+
+def is_zero_vector(entries: Iterable[Fraction]) -> bool:
+    """Whether every entry is 0; the shared zeros are skipped by identity, in C."""
+    return not any(filter(_NOT_ZERO_OBJECT, entries))
 
 
 def format_rational(value: Fraction) -> str:
     """Render ``p/q``, or plain ``p`` when the denominator is 1."""
+    if value is ZERO:
+        return "0"
+    if value is ONE:
+        return "1"
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -64,13 +86,20 @@ def _exact(entries: Iterable[_Entry]) -> tuple[Fraction, ...]:
 def parse_rational(text: str) -> Fraction:
     """Read ``p`` or ``p/q``; any other text raises ValueError.
 
-    The match already holds both integers, so the text is parsed once.
+    The match already holds both integers, so the text is parsed once. The
+    values 0 and 1 come back as the shared ``ZERO`` and ``ONE``.
     """
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"not a rational of the form p or p/q: {text!r}")
     p, q = match.groups()
-    return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    p = int(p)
+    q = int(q) if q else 1
+    if not p:
+        return ZERO
+    if p == q:
+        return ONE
+    return Fraction(p, q) if q != 1 else Fraction(p)
 
 
 @dataclass(frozen=True)
@@ -126,30 +155,42 @@ def rref(m: Matrix) -> Matrix:
     """Reduced row echelon form (Gauss-Jordan); zero rows stay at the bottom.
 
     The result is the unique RREF of the input, so matrices with equal row
-    space reduce to identical values once zero rows are discarded.
+    space reduce to identical values once zero rows are discarded. The pivot
+    row is zero before the pivot column, so the other rows change only on
+    its nonzero columns after it; each pivot becomes ``ONE``, and each zero
+    that the elimination produces becomes ``ZERO``.
     """
+    ncols = m.ncols
     work = [list(m.row(i)) for i in range(m.nrows)]
     pivot_row = 0
-    for col in range(m.ncols):
+    for col in range(ncols):
         if pivot_row == m.nrows:
             break
-        pivot = None
         for r in range(pivot_row, m.nrows):
-            if work[r][col] != 0:
-                pivot = r
+            lead = work[r][col]
+            if lead is not ZERO and lead:
                 break
-        if pivot is None:
+        else:
             continue
-        work[pivot_row], work[pivot] = work[pivot], work[pivot_row]
-        lead = work[pivot_row][col]
-        if lead != 1:
-            work[pivot_row] = [e / lead for e in work[pivot_row]]
-        for r in range(m.nrows):
-            if r != pivot_row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
+        row = work[r]
+        work[r] = work[pivot_row]
+        work[pivot_row] = row
+        support = [j for j in range(col + 1, ncols) if row[j] is not ZERO and row[j]]
+        if lead is not ONE and lead != 1:
+            for j in support:
+                row[j] /= lead
+        row[col] = ONE
+        for other in work:
+            factor = other[col]
+            if other is row or factor is ZERO or not factor:
+                continue
+            for j in support:
+                a = other[j]
+                product = factor * row[j]
+                other[j] = -product if a is ZERO else (a - product) or ZERO
+            other[col] = ZERO
         pivot_row += 1
-    return Matrix(m.nrows, m.ncols, tuple(e for row in work for e in row))
+    return Matrix(m.nrows, ncols, tuple(e for row in work for e in row))
 
 
 def kernel_basis(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -159,7 +200,7 @@ def kernel_basis(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     for i in range(reduced.nrows):
         row = reduced.row(i)
         for j, e in enumerate(row):
-            if e != 0:
+            if e is not ZERO and e:
                 pivots.append(j)
                 break
     pivot_set = set(pivots)
@@ -167,10 +208,12 @@ def kernel_basis(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     for free in range(m.ncols):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * m.ncols
-        vec[free] = Fraction(1)
+        vec = [ZERO] * m.ncols
+        vec[free] = ONE
         for r, pc in enumerate(pivots):
-            vec[pc] = -reduced.at(r, free)
+            e = reduced.at(r, free)
+            if e is not ZERO and e:
+                vec[pc] = -e
         out.append(tuple(vec))
     return tuple(out)
 
@@ -181,9 +224,9 @@ def determinant(m: Matrix) -> Fraction:
         raise ValueError("determinant of a non-square matrix")
     n = m.nrows
     if n == 0:
-        return Fraction(1)
+        return ONE
     work = [list(m.row(i)) for i in range(n)]
-    det = Fraction(1)
+    det = ONE
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -191,7 +234,7 @@ def determinant(m: Matrix) -> Fraction:
                 pivot = r
                 break
         if pivot is None:
-            return Fraction(0)
+            return ZERO
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
             det = -det
@@ -227,17 +270,20 @@ class Subspace:
         # columns. The pivots are kept for membership tests.
         ncols = self.ambient_dim
         entries = self.basis.entries
+        nrows = self.basis.nrows
         pivots = []
         last_pivot = -1
-        for i in range(self.basis.nrows):
-            row = self.basis.row(i)
-            pivot = next((j for j, e in enumerate(row) if e), None)
-            if pivot is None:
+        for i, row in enumerate(self.basis.rows()):
+            for pivot, lead in enumerate(row):
+                if lead is not ZERO and lead:
+                    break
+            else:
                 raise ValueError("zero row in a subspace basis")
-            if pivot <= last_pivot or row[pivot] != 1:
+            if pivot <= last_pivot or (lead is not ONE and lead != 1):
                 raise ValueError("basis is not in reduced row echelon form")
-            column = entries[pivot::ncols]
-            if any(column[:i]) or any(column[i + 1 :]):
+            # the lead's column must be the i-th unit vector
+            column = (ZERO,) * i + (lead,) + (ZERO,) * (nrows - i - 1)
+            if entries[pivot::ncols] != column:
                 raise ValueError("basis is not in reduced row echelon form")
             pivots.append(pivot)
             last_pivot = pivot
@@ -269,9 +315,9 @@ class Subspace:
             pass  # not canonical: reduce below
         reduced = rref(m)
         # the zero rows of a reduced matrix are at the bottom
-        rank = next(
-            (i for i in range(reduced.nrows) if not any(reduced.row(i))), reduced.nrows
-        )
+        rank = reduced.nrows
+        while rank and is_zero_vector(reduced.row(rank - 1)):
+            rank -= 1
         return cls(ambient_dim, Matrix(rank, ambient_dim, reduced.entries[: rank * ambient_dim]))
 
     @classmethod
@@ -281,7 +327,7 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         entries = tuple(
-            _ONE if i == j else _ZERO for i in range(ambient_dim) for j in range(ambient_dim)
+            ONE if i == j else ZERO for i in range(ambient_dim) for j in range(ambient_dim)
         )
         return cls(ambient_dim, Matrix(ambient_dim, ambient_dim, entries))
 
@@ -305,17 +351,17 @@ class Subspace:
         entries = self.basis.entries
         for i, pivot in enumerate(self._pivots):
             factor = vec[pivot]
-            if factor:
-                vec[pivot] = _ZERO
+            if factor is not ZERO and factor:
+                vec[pivot] = ZERO
                 start = i * ncols
                 for j in range(pivot + 1, ncols):
                     e = entries[start + j]
-                    if e:
+                    if e is not ZERO and e:
                         vec[j] -= factor * e
         return tuple(vec)
 
     def contains_vector(self, vector: Sequence[_Entry]) -> bool:
-        return not any(self.residual(vector))
+        return is_zero_vector(self.residual(vector))
 
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -349,7 +395,7 @@ def sum_and_intersection(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
     n = a.ambient_dim
-    zeros = (_ZERO,) * n
+    zeros = (ZERO,) * n
     stacked = [e for row in a.basis_rows() for e in row + row]
     stacked += [e for row in b.basis_rows() for e in row + zeros]
     reduced = rref(Matrix(a.dim + b.dim, 2 * n, tuple(stacked)))
@@ -357,9 +403,9 @@ def sum_and_intersection(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
     meet_rows = []
     for r in reduced.rows():
         left, right = r[:n], r[n:]
-        if any(left):
+        if not is_zero_vector(left):
             sum_rows.append(left)
-        elif any(right):
+        elif not is_zero_vector(right):
             meet_rows.append(right)
     return (
         Subspace(n, Matrix(len(sum_rows), n, tuple(e for row in sum_rows for e in row))),
@@ -384,10 +430,12 @@ def zero_coordinate_section(v: Subspace, coords: Iterable[int]) -> Subspace:
     combos = kernel_basis(restricted)
     vectors = []
     for combo in combos:
-        vec = [Fraction(0)] * v.ambient_dim
+        vec = [ZERO] * v.ambient_dim
         for coeff, row in zip(combo, rows):
-            if coeff != 0:
-                vec = [a + coeff * b for a, b in zip(vec, row)]
+            if coeff is not ZERO and coeff:
+                for j, b in enumerate(row):
+                    if b is not ZERO and b:
+                        vec[j] += coeff * b
         vectors.append(vec)
     return Subspace.from_spanning(v.ambient_dim, vectors)
 

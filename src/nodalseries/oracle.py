@@ -21,12 +21,8 @@ from typing import Mapping, Sequence
 
 from .chain import ComponentKind, ContinuousChain
 from .curve import section_space
-from .linalg import Matrix, Subspace, format_rational
+from .linalg import ONE, ZERO, Matrix, Subspace, format_rational
 from .torus import Direction, TorusSplit, act, block_profile
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _laplace_minors(
@@ -44,7 +40,7 @@ def _laplace_minors(
     """
     k = len(rows)
     if k == 0:
-        return {(): _ONE}
+        return {(): ONE}
     scale = 1
     cleared = []
     for row in rows:
@@ -69,7 +65,7 @@ def _laplace_minors(
             expanded[cols] = total
         minors = expanded
     return {
-        cols: Fraction(value, scale) if value else _ZERO
+        cols: Fraction(value, scale) if value else ZERO
         for cols, value in minors.items()
     }
 
@@ -107,7 +103,7 @@ def subspace_from_minors(
         return Subspace.zero(ambient_dim)
     base = None
     for cols in combinations(range(ambient_dim), dim):
-        if minors.get(cols, _ZERO) != 0:
+        if minors.get(cols, ZERO) != 0:
             base = cols
             break
     if base is None:
@@ -115,14 +111,14 @@ def subspace_from_minors(
     base_value = Fraction(minors[base])
     entries = []
     for k in range(dim):
-        vec = [_ZERO] * ambient_dim
-        vec[base[k]] = _ONE
+        vec = [ZERO] * ambient_dim
+        vec[base[k]] = ONE
         for j in range(ambient_dim):
             if j in base:
                 continue
             joined = tuple(sorted(base + (j,)))
             dropped_k = tuple(c for c in joined if c != base[k])
-            minor = minors.get(dropped_k, _ZERO)
+            minor = minors.get(dropped_k, ZERO)
             if minor:
                 # 0 = sign_k * minors[dropped_k] + sign_j * w_j * minors[base],
                 # with sign_k sign_j = (-1) ** (position of base[k] + position of j)
@@ -148,7 +144,7 @@ def _limit_from_table(
     else:
         kept = min(weights[cols] for cols in support)
     survivors = {
-        cols: (value if weights[cols] == kept else Fraction(0))
+        cols: (value if weights[cols] == kept else ZERO)
         for cols, value in table.items()
     }
     return subspace_from_minors(v.ambient_dim, v.dim, survivors)

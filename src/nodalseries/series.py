@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, NumericalData, build_delta, consecutive_pairs, support_subset
-from .linalg import Subspace
+from .linalg import ONE, ZERO, Subspace, is_zero_vector
 from .torus import BlockProfile, TorusSplit, act, block_profile
 
 
@@ -188,20 +188,20 @@ def _scaling_witness(split: TorusSplit, v1: Subspace, v2: Subspace) -> Fraction 
     """
     if v1.dim != v2.dim:
         return None
-    zeros1 = (Fraction(0),) * split.dim1
-    zeros2 = (Fraction(0),) * split.dim2
+    zeros1 = (ZERO,) * split.dim1
+    zeros2 = (ZERO,) * split.dim2
     for row in v1.basis_rows():
         a = v2.residual(row[: split.dim1] + zeros2)
         b = v2.residual(zeros1 + row[split.dim1 :])
-        k = next((k for k, e in enumerate(a) if e != 0), None)
+        k = next((k for k, e in enumerate(a) if e is not ZERO and e), None)
         if k is not None:
             if b[k] == 0:
                 return None
             c = -a[k] / b[k]
             return c if act(split, c, v1) == v2 else None
-        if any(b):
+        if not is_zero_vector(b):
             return None
-    return Fraction(1) if v1 == v2 else None
+    return ONE if v1 == v2 else None
 
 
 def torus_equivalence_witnesses(
@@ -220,7 +220,7 @@ def torus_equivalence_witnesses(
         if i.denominator == 1:
             if v1 != v2:
                 return None
-            witnesses[i] = Fraction(1)
+            witnesses[i] = ONE
         else:
             c = _scaling_witness(g1.model.split, v1, v2)
             if c is None:

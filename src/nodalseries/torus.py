@@ -13,10 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Rational, Subspace, exact_rational, rref
-
-
-_ZERO = Fraction(0)
+from .linalg import ZERO, Matrix, Rational, Subspace, exact_rational, is_zero_vector, rref
 
 
 class IntersectionHypothesisError(ValueError):
@@ -154,11 +151,11 @@ def act(split: TorusSplit, x: Rational, v: Subspace) -> Subspace:
     dim1 = split.dim1
     entries: list[Fraction] = []
     for row in v.basis_rows():
-        if any(row[:dim1]):
-            entries.extend(row[:dim1])
-            entries.extend(e * x if e else e for e in row[dim1:])
-        else:
+        if is_zero_vector(row[:dim1]):
             entries.extend(row)
+        else:
+            entries.extend(row[:dim1])
+            entries.extend(e * x if e is not ZERO and e else e for e in row[dim1:])
     return Subspace(split.ambient_dim, Matrix(v.dim, split.ambient_dim, tuple(entries)))
 
 
@@ -178,8 +175,8 @@ def _split_echelon(
     vanish before the cut, so their trailing parts are the canonical basis
     of the part lying in the trailing columns.
     """
-    onto = [row[:cut] for row in rows if any(row[:cut])]
-    inside = [row[cut:] for row in rows if not any(row[:cut])]
+    onto = [row[:cut] for row in rows if not is_zero_vector(row[:cut])]
+    inside = [row[cut:] for row in rows if is_zero_vector(row[:cut])]
     return _canonical(cut, onto), _canonical(width - cut, inside)
 
 
@@ -221,7 +218,7 @@ def _padded_rows(
         raise ValueError("subspace does not live in the requested block")
     if s.dim == 0:
         return []
-    pad = (_ZERO,) * (split.ambient_dim - len(coords))
+    pad = (ZERO,) * (split.ambient_dim - len(coords))
     if block == 1:
         return [row + pad for row in s.basis_rows()]
     return [pad + row for row in s.basis_rows()]

@@ -394,3 +394,50 @@ def test_no_option_state_leaks_between_calls(tmp_path, capsys):
     assert "oracle" in in_process[0][1] and "oracle" not in in_process[1][1]
     assert in_process[2][1] == "" and (tmp_path / "again.json").read_text() == again
     assert again == chain.read_text()
+
+
+def _refused_write(args: list[str], path, capsys) -> None:
+    """The command exits 2 with one error line naming the unwritable path."""
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_gen_refuses_an_unwritable_output(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.json"
+    args = ["gen", "--d", "2", "--r", "1", "--delta", "2,1", "--seed", "9", "-o", str(out)]
+    _refused_write(args, out, capsys)
+
+
+def test_reduce_refuses_an_unwritable_output(tmp_path, capsys):
+    from nodalseries.generate import pad_with_trivial_slots
+
+    src = tmp_path / "padded.json"
+    save_instance(pad_with_trivial_slots(series_e4(), (3,), seed=0), src)
+    _refused_write(["reduce", str(src), "-o", str(tmp_path)], tmp_path, capsys)
+
+
+def test_limit_refuses_an_unwritable_output(tmp_path, capsys):
+    task = tmp_path / "task.json"
+    save_instance(SubspaceTask(TorusSplit(2, 2), Subspace.from_spanning(4, [(1, 0, 1, 0)])), task)
+    out = tmp_path / "missing" / "limit.json"
+    _refused_write(["limit", str(task), "--at", "zero", "-o", str(out)], out, capsys)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_build_chain_writes_nothing_when_one_output_is_unwritable(
+    e4_file, tmp_path, capsys, existing
+):
+    chain = tmp_path / "chain.json"
+    if existing:
+        chain.write_text("old contents\n")
+    dot = tmp_path / "missing" / "chain.dot"
+    _refused_write(["build-chain", e4_file, "-o", str(chain), "--dot", str(dot)], dot, capsys)
+    if existing:
+        assert chain.read_text() == "old contents\n"
+    else:
+        assert not chain.exists()
+    out = tmp_path / "missing" / "chain.json"
+    _refused_write(["build-chain", e4_file, "-o", str(out)], out, capsys)

@@ -46,6 +46,18 @@ def test_generator_is_deterministic():
     assert a != c  # overwhelmingly likely and fixed by the seeds
 
 
+def test_generator_builds_no_section_space(monkeypatch):
+    # membership of each new slot is read off the section space's equations
+    from nodalseries import curve, generate
+
+    built = []
+    for module in (curve, generate):
+        real = module.section_space
+        monkeypatch.setattr(module, "section_space", lambda *a, real=real: built.append(a) or real(*a))
+    g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
+    assert built == [] and not membership_failures(g)
+
+
 def test_generator_small_cases():
     g = random_exact_lls(0, 0, (), seed=3)
     assert g.rank == 0 and len(g.delta) == 1

@@ -6,6 +6,8 @@ import pytest
 from nodalseries.chain import build_chain, validate_chain
 from nodalseries.generate import random_exact_lls
 from nodalseries.linalg import (
+    ONE,
+    ZERO,
     Matrix,
     Subspace,
     determinant,
@@ -469,3 +471,89 @@ def test_internal_results_never_pass_through_from_rows(monkeypatch):
         assert profile.onto_first.dim + profile.inside_second.dim == v.dim
     assert check_exact(g).passed
     assert validate_chain(chain).passed
+
+
+def _flavoured(value, flavour, rng):
+    """0 and 1 as the shared objects, as freshly built Fractions, or either."""
+    if value not in (0, 1):
+        return F(value)
+    if flavour == "mixed":
+        flavour = rng.choice(["shared", "fresh"])
+    if flavour == "shared":
+        return ZERO if value == 0 else ONE
+    return F(int(value))
+
+
+def _sparse_rows(rng, nrows, ncols, flavour):
+    """Mostly 0 and 1, like the section-space bases; some rows dependent."""
+    values = [0] * 12 + [1] * 4 + [-1, 2, F(1, 2), F(-3, 2)]
+    rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 2 and rng.random() < 0.5:
+        i, j = rng.sample(range(nrows), 2)
+        rows[i] = [F(a) + F(b) for a, b in zip(rows[i], rows[j])]
+    return [[_flavoured(e, flavour, rng) for e in row] for row in rows]
+
+
+@pytest.mark.parametrize("flavour", ["shared", "fresh", "mixed"])
+def test_sparse_eliminations_match_a_coercing_elimination(flavour):
+    rng = random.Random(113)
+    for _ in range(300):
+        ncols = rng.randint(0, 8)
+        nrows = rng.randint(0, 6)
+        rows = _sparse_rows(rng, nrows, ncols, flavour)
+        reduced = rref(Matrix(nrows, ncols, tuple(e for row in rows for e in row)))
+        assert _bits(reduced.rows()) == _bits(_reference_rref(rows, ncols))
+        v = Subspace.from_spanning(ncols, rows)
+        assert _bits(v.basis_rows()) == _bits(_reference_span(ncols, rows))
+        # every pivot rref sets is the shared 1; with shared input, every 0 is the shared 0
+        for row in reduced.rows():
+            lead = next((e for e in row if e != 0), ONE)
+            assert lead is ONE
+        if flavour == "shared":
+            assert all(e is ZERO for e in reduced.entries if e == 0)
+        w = Subspace.from_spanning(ncols, _sparse_rows(rng, rng.randint(0, 4), ncols, flavour))
+        total, meet = sum_and_intersection(v, w)
+        ref_total, ref_meet = _reference_sum_and_meet(ncols, v.basis_rows(), w.basis_rows())
+        assert _bits(total.basis_rows()) == _bits(ref_total)
+        assert _bits(meet.basis_rows()) == _bits(ref_meet)
+
+
+@pytest.mark.parametrize("flavour", ["shared", "fresh"])
+@pytest.mark.parametrize(
+    "rows, refusal",
+    [
+        ([[0, 0, 0]], "zero row"),
+        ([[0, 1, 0], [1, 0, 0]], "reduced row echelon"),  # unsorted pivots
+        ([[0, 2, 0]], "reduced row echelon"),  # non-unit lead
+        ([[1, 1, 0], [0, 1, 0]], "reduced row echelon"),  # uncleared column
+    ],
+    ids=["zero row", "unsorted pivots", "non-unit lead", "uncleared column"],
+)
+def test_the_canonicity_guard_refuses_with_any_zero(rows, refusal, flavour):
+    rng = random.Random(0)
+    entries = tuple(_flavoured(e, flavour, rng) for row in rows for e in row)
+    with pytest.raises(ValueError, match=refusal):
+        Subspace(3, Matrix(len(rows), 3, entries))
+    # from_spanning reduces what the guard refuses
+    v = Subspace.from_spanning(3, [entries[i : i + 3] for i in range(0, len(entries), 3)])
+    assert v == Subspace.from_spanning(3, [[int(e) for e in row] for row in rows])
+
+
+def test_a_canonical_basis_of_fresh_zeros_is_accepted_and_equal():
+    fresh = Subspace(3, Matrix(2, 3, (F(1), F(0), F(5), F(0), F(1), F(0))))
+    shared = Subspace(3, Matrix(2, 3, (ONE, ZERO, F(5), ZERO, ONE, ZERO)))
+    assert fresh == shared and hash(fresh) == hash(shared)
+    assert fresh.contains_vector((F(2), F(0), F(10))) and fresh.contains(shared)
+
+
+@pytest.mark.parametrize(
+    "text, shared", [("0", ZERO), ("-0", ZERO), ("00/7", ZERO), ("1", ONE), ("0001", ONE), ("3/3", ONE)]
+)
+def test_parse_rational_returns_the_shared_zero_and_one(text, shared):
+    assert parse_rational(text) is shared
+
+
+def test_format_rational_reads_fresh_and_shared_alike():
+    for value in (ZERO, ONE, F(0), F(1), F(-1), F(2, 4)):
+        assert format_rational(value) == format_rational(F(value.numerator, value.denominator))
+    assert [format_rational(v) for v in (ZERO, ONE, F(0), F(1))] == ["0", "1", "0", "1"]

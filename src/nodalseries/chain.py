@@ -8,7 +8,13 @@ The construction fails precisely where exactness fails, and the failing
 pair it reports is the same pair the exactness check reports.
 
 Construction reads the series' ``g.profiles``; validation and the Hilbert
-data read the chain's own ``c.profiles``, re-derived from its base spaces.
+data read the chain's ``c.profiles``. Both are the block profiles that
+``torus.block_profile`` keeps on each space. A profile is a function of the
+immutable space it is kept on, so validation still checks the chain's own
+base spaces; a chain built from a series holds the series' ``Subspace``
+objects and finds their profiles already there, while a chain loaded from a
+file profiles its base spaces afresh. Plain ``verify`` of a 13-space series
+makes 13 eliminations in all.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, consecutive_pairs
@@ -99,9 +104,9 @@ class ContinuousChain:
                     f" {comp.target_index}, outside 0..{self.model.d}"
                 )
 
-    @cached_property
+    @property
     def profiles(self) -> tuple[BlockProfile, ...]:
-        """One block profile per base space; not a field, so equality ignores it."""
+        """One block profile per base space, each read from its space's memo."""
         return tuple(block_profile(self.model.split, c.base_space) for c in self.components)
 
     def component_at(self, i: Fraction) -> ChainComponent:
@@ -222,7 +227,7 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
     gluing, because the first-block parts of the two limits at a node are
     inside_first of the left space and onto_first of the right one.
 
-    Every check reads ``c.profiles``, computed on the chain's first use.
+    Every check reads ``c.profiles``, the profiles kept on the base spaces.
     """
     pairs = consecutive_pairs(c.delta)
     profiles = c.profiles

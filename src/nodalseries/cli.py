@@ -40,7 +40,8 @@ def _emit(*outputs: tuple[str, str | None]) -> int:
     created = []
     try:
         for _, path in files:
-            existed = os.path.exists(path)
+            # os.path.exists raises and catches inside; os.access raises nothing
+            existed = os.access(path, os.F_OK)
             open(path, "a").close()
             if not existed:
                 created.append(path)

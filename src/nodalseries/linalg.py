@@ -23,6 +23,15 @@ first (``e is not ZERO and e``) and fall back on the value, so a freshly
 built ``Fraction(0)`` gives the same answers, only more slowly. ``rref``
 updates the other rows only on the pivot row's nonzero columns, so its work
 follows the nonzero entries, not the size of the matrix.
+
+Besides its two fields, a ``Subspace`` keeps results derived from them in
+its instance dictionary: its pivot columns (``_pivots``, set by the
+canonicity guard) and the memos of the invariants other modules compute
+from it, ``_block_profiles`` (``torus.block_profile``, one per first-block
+size) and ``_minor_table`` (``oracle.minor_table``). None of them is a
+field, so equality, hash, repr and file text are the fields' alone. Every
+constructor starts a value with no memo, and a pickle or copy carries the
+fields and the pivots only.
 """
 
 from __future__ import annotations
@@ -288,6 +297,10 @@ class Subspace:
             pivots.append(pivot)
             last_pivot = pivot
         object.__setattr__(self, "_pivots", tuple(pivots))
+
+    def __getstate__(self) -> dict:
+        # leaves out the memos of derived invariants (see the module docstring)
+        return {name: vars(self)[name] for name in ("ambient_dim", "basis", "_pivots")}
 
     @classmethod
     def from_spanning(

@@ -8,6 +8,10 @@ solving incidence conditions. The first-order tangent certificate at each
 node of a chain is read from the same minor tables. Agreement with the
 structural formulas is exact, with zero tolerance; :func:`compare_chain`
 checks it on a chain.
+
+:func:`minor_table` computes the table of a ``Subspace`` once and keeps it
+on the value, behind a read-only view, so both limits and the degree of
+one value share one enumeration. The structural path never reads it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .chain import ComponentKind, ContinuousChain
@@ -75,9 +80,17 @@ def _cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return _laplace_minors(rows, n)[tuple(range(n))]
 
 
-def minor_table(v: Subspace) -> dict[tuple[int, ...], Fraction]:
-    """Every dim(v)-sized minor of the basis, keyed by column index set."""
-    return _laplace_minors(v.basis_rows(), v.ambient_dim)
+def minor_table(v: Subspace) -> Mapping[tuple[int, ...], Fraction]:
+    """Every dim(v)-sized minor of the basis, keyed by column index set.
+
+    The table is computed once per value and kept in v's instance
+    dictionary under ``_minor_table``; callers get a read-only view of it.
+    """
+    table = vars(v).get("_minor_table")
+    if table is None:
+        table = MappingProxyType(_laplace_minors(v.basis_rows(), v.ambient_dim))
+        vars(v)["_minor_table"] = table
+    return table
 
 
 def subspace_from_minors(

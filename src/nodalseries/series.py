@@ -8,15 +8,16 @@ second-block part of the later one and the first-block image of the later
 one sits inside the first-block part of the earlier one; the series is
 *exact* when both inclusions are equalities at every consecutive pair.
 
-Every report reads ``g.profiles``, one block profile per space computed on
-the series' first use, so later reports on the same value eliminate nothing.
+Every report reads ``g.profiles``, one block profile per space. Each profile
+is kept on its space by ``torus.block_profile``, so the first report makes
+one elimination per space, and later reports on the same spaces, or on the
+chain built from them, make none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterator
 
 from .curve import CurveModel, is_generalized_linear_series
@@ -59,9 +60,9 @@ class LimitLinearSeries:
                     f"space at index {i} has dimension {v.dim}, expected {self.rank + 1}"
                 )
 
-    @cached_property
+    @property
     def profiles(self) -> tuple[BlockProfile, ...]:
-        """One block profile per space; not a field, so equality ignores it."""
+        """One block profile per space, each read from its space's memo."""
         return tuple(block_profile(self.model.split, v) for v in self.spaces)
 
     def space_at(self, i: Fraction) -> Subspace:
@@ -148,8 +149,9 @@ def check_exact(g: LimitLinearSeries) -> LinkReport:
 
 def numerical_data(g: LimitLinearSeries) -> NumericalData:
     """Block kernel dimensions at every index (uniformly, ends included)."""
-    down = tuple(p.inside_second.dim for p in g.profiles)
-    up = tuple(p.inside_first.dim for p in g.profiles)
+    profiles = g.profiles
+    down = tuple(p.inside_second.dim for p in profiles)
+    up = tuple(p.inside_first.dim for p in profiles)
     return NumericalData(g.rank, g.delta.indices, down, up)
 
 

@@ -5,6 +5,11 @@ first block by 1/x and fixes the second. Orbit closures of nonfixed points
 are rational curves whose boundary points and degree are computed
 structurally from four block invariants of the moving subspace: its
 intersection with each block and its projection onto each block.
+
+Those four make up a :class:`BlockProfile`. :func:`block_profile` computes
+it once per ``Subspace`` value and split and keeps it on the value, so the
+limits, the degree, fixedness and the meetings of one value together make
+one elimination.
 """
 
 from __future__ import annotations
@@ -244,15 +249,26 @@ def assemble_split_subspace(split: TorusSplit, s1: Subspace, s2: Subspace) -> Su
 
 
 def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
-    """All four block invariants of v, with one elimination."""
-    onto_first, inside_second = _onto_and_other_inside(split, v, 1)
-    onto_second, inside_first = _onto_and_other_inside(split, v, 2)
-    return BlockProfile(
-        inside_first=inside_first,
-        inside_second=inside_second,
-        onto_first=onto_first,
-        onto_second=onto_second,
-    )
+    """All four block invariants of v, with one elimination per value.
+
+    The profile is kept in v's instance dictionary under ``_block_profiles``,
+    keyed by ``split.dim1`` (the ambient dimension fixes ``dim2``), so every
+    later query on the same object and split reads it back. It is not a
+    field: equality, hash, repr and file text ignore it.
+    """
+    _check_member(split, v)
+    memo = vars(v).setdefault("_block_profiles", {})
+    profile = memo.get(split.dim1)
+    if profile is None:
+        onto_first, inside_second = _onto_and_other_inside(split, v, 1)
+        onto_second, inside_first = _onto_and_other_inside(split, v, 2)
+        profile = memo[split.dim1] = BlockProfile(
+            inside_first=inside_first,
+            inside_second=inside_second,
+            onto_first=onto_first,
+            onto_second=onto_second,
+        )
+    return profile
 
 
 def is_fixed(split: TorusSplit, v: Subspace) -> bool:

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -17,7 +18,14 @@ from nodalseries.chain import (
 from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
 from nodalseries.linalg import Subspace
 from nodalseries import cli, torus
-from nodalseries.serialize import dumps_instance, load_instance, save_instance
+from nodalseries.oracle import minor_table
+from nodalseries.serialize import (
+    SubspaceTask,
+    dumps_instance,
+    load_instance,
+    loads_instance,
+    save_instance,
+)
 from nodalseries.series import (
     LimitLinearSeries,
     check_compatible,
@@ -189,22 +197,26 @@ def test_one_elimination_per_space(monkeypatch, tmp_path, capsys):
     assert eliminations(validate_chain, chain) == 0
     assert eliminations(hilbert_coefficients, chain) == 0
     # each command loads its file afresh; verify of a series validates the
-    # chain it built from its own base spaces, hence 13 more
+    # chain it built from the series' own spaces, whose profiles it reads back
     assert eliminations(cli.main, ["check", str(series_path)]) == 13
     assert "exact: true" in capsys.readouterr().out
-    assert eliminations(cli.main, ["verify", str(series_path)]) == 26
-    # the oracle profiles the components through its own binding
+    assert eliminations(cli.main, ["verify", str(series_path)]) == 13
+    # the oracle profiles the components through its own binding, and reads
+    # the profiles validation left on them
     oracle_run = ["verify", "--oracle", "--samples", "1", str(chain_path)]
-    assert eliminations(cli.main, oracle_run) == 26
+    assert eliminations(cli.main, oracle_run) == 13
     assert "FAIL" not in capsys.readouterr().out
     split = chain.model.split
-    left, right = next(
-        (a.base_space, b.base_space)
-        for a, b in zip(chain.components, chain.components[1:])
+    position = next(
+        k
+        for k, (a, b) in enumerate(zip(chain.components, chain.components[1:]))
         if a.kind is b.kind is ComponentKind.ORBIT
     )
-    assert eliminations(torus.orbit_intersection, split, left, right) == 2
-    assert eliminations(torus.meeting_is_transverse, split, left, right) == 2
+    for fn in (torus.orbit_intersection, torus.meeting_is_transverse):
+        # the validated chain's components were profiled; a fresh copy's were not
+        for c, expected in ((chain, 0), (load_instance(chain_path), 2)):
+            left, right = (comp.base_space for comp in c.components[position : position + 2])
+            assert eliminations(fn, split, left, right) == expected, fn.__name__
 
 
 def test_profiles_belong_to_the_value_they_were_computed_from():
@@ -223,20 +235,40 @@ def test_profiles_belong_to_the_value_they_were_computed_from():
     assert not validate_chain(dataclasses.replace(chain, components=tuple(components))).passed
 
 
+def _spaces(value):
+    if isinstance(value, LimitLinearSeries):
+        return value.spaces
+    if isinstance(value, SubspaceTask):
+        return (value.subspace,)
+    return tuple(c.base_space for c in value.components)
+
+
 def test_profiled_and_unprofiled_values_are_equal():
     g = random_exact_lls(3, 2, (2, 2, 1), seed=8)
     chain = build_chain(g)
     validate_chain(chain)
+    v = g.spaces[1]
+    minor_table(v)
+    memos = {"_block_profiles", "_minor_table"}
+    assert memos.isdisjoint(f.name for f in dataclasses.fields(Subspace))
+    split = g.model.split
     unprofiled = [
-        (g, LimitLinearSeries(g.model, g.rank, g.delta, g.spaces)),
-        (chain, dataclasses.replace(chain)),
+        (g, loads_instance(dumps_instance(g))),
+        (chain, loads_instance(dumps_instance(chain))),
+        (SubspaceTask(split, v), SubspaceTask(split, Subspace(v.ambient_dim, v.basis))),
     ]
     for profiled, twin in unprofiled:
-        assert "profiles" in vars(profiled) and "profiles" not in vars(twin)
-        assert "profiles" not in {f.name for f in dataclasses.fields(profiled)}
+        assert all("_block_profiles" in vars(w) for w in _spaces(profiled))
+        assert all(memos.isdisjoint(vars(w)) for w in _spaces(twin))
         assert profiled == twin and hash(profiled) == hash(twin)
         assert repr(profiled) == repr(twin)
         assert dumps_instance(profiled) == dumps_instance(twin)
+        back = pickle.loads(pickle.dumps(profiled))
+        assert back == twin and dumps_instance(back) == dumps_instance(twin)
+        for w, t in zip(_spaces(back), _spaces(twin)):
+            assert vars(w).keys() == vars(t).keys()
+    # the same fields pickle to the same bytes, memo or not
+    assert pickle.dumps(v) == pickle.dumps(Subspace(v.ambient_dim, v.basis))
 
 
 def test_evaluate_round_trip_on_the_nose():

@@ -84,6 +84,36 @@ def test_minor_table_full_enumeration():
     assert table[(0, 1)] == 1 and table[(1, 2)] == -1 and table[(0, 2)] == 0
 
 
+def test_the_oracle_tabulates_each_value_once(monkeypatch):
+    calls = []
+    real = oracle._laplace_minors
+    monkeypatch.setattr(
+        oracle, "_laplace_minors", lambda rows, n: calls.append(n) or real(rows, n)
+    )
+    split = TorusSplit(2, 3)
+    v = random_subspace(5, 2, random.Random(4))
+    limit_via_pluecker(split, v, Direction.ZERO)
+    limit_via_pluecker(split, v, Direction.INFINITY)
+    degree_via_pluecker(split, v)
+    assert len(calls) == 1
+    # an equal value built on its own has its own table
+    assert minor_table(Subspace(v.ambient_dim, v.basis)) == minor_table(v)
+    assert len(calls) == 2
+
+
+def test_a_minor_table_cannot_be_changed_through_the_api():
+    v = Subspace.from_spanning(4, [(1, 0, 1, 0), (0, 1, 0, 1)])
+    table = minor_table(v)
+    before = dict(table)
+    with pytest.raises(TypeError):
+        table[(0, 1)] = F(5)
+    with pytest.raises(TypeError):
+        del table[(0, 1)]
+    for mutator in ("clear", "pop", "popitem", "setdefault", "update"):
+        assert not hasattr(table, mutator)
+    assert minor_table(v) == before
+
+
 def _expand_along_first_row(rows):
     # reference: textbook recursive cofactor expansion of one square matrix
     if not rows:

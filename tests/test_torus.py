@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -20,7 +23,8 @@ from nodalseries.torus import (
     orbit_intersection,
     project_block,
 )
-from nodalseries.generate import random_linked_pair, random_subspace
+from nodalseries import torus
+from nodalseries.generate import random_linked_pair, random_nonfixed_subspace, random_subspace
 from nodalseries.oracle import _tangent_certificate, minor_table, weight_profile_via_pluecker
 
 SPLIT22 = TorusSplit(2, 2)
@@ -213,6 +217,62 @@ def test_block_profile_dimension_identities():
         assert p.degree == p.onto_first.dim - p.inside_first.dim
         assert p.degree == p.onto_second.dim - p.inside_second.dim
         assert p.degree == orbit_degree(split, v)
+
+
+def _counting_eliminations(monkeypatch):
+    calls = []
+    real_rref = torus.rref
+    monkeypatch.setattr(torus, "rref", lambda m: calls.append(m) or real_rref(m))
+    return calls
+
+
+def test_one_value_keeps_one_profile_per_split(monkeypatch):
+    calls = _counting_eliminations(monkeypatch)
+    v = random_subspace(4, 2, random.Random(7))
+    splits = [TorusSplit(1, 3), TorusSplit(2, 2), TorusSplit(3, 1)]
+    profiles = [block_profile(split, v) for split in splits]
+    assert len(calls) == 3 and len(set(profiles)) == 3
+    for split, profile in zip(splits, profiles):
+        assert block_profile(split, v) is profile
+        assert profile == block_profile(split, Subspace(v.ambient_dim, v.basis))
+    assert len(calls) == 6
+
+
+def test_a_profiled_value_still_refuses_a_mismatched_split():
+    v = random_subspace(4, 2, random.Random(7))
+    block_profile(SPLIT22, v)
+    # same first block, wrong ambient dimension
+    for wrong in (TorusSplit(2, 1), TorusSplit(2, 3)):
+        for query in (block_profile, is_fixed, orbit_degree):
+            with pytest.raises(ValueError, match="split expects"):
+                query(wrong, v)
+        with pytest.raises(ValueError, match="split expects"):
+            limit(wrong, v, Direction.ZERO)
+
+
+def test_each_value_is_profiled_once_on_its_own(monkeypatch):
+    calls = _counting_eliminations(monkeypatch)
+    # the generator has profiled v while testing that it moves
+    v = random_nonfixed_subspace(SPLIT22, 2, random.Random(3))
+    twins = [
+        Subspace.from_spanning(4, v.basis_rows()),
+        dataclasses.replace(v),
+        act(SPLIT22, 1, v),
+        copy.copy(v),
+        pickle.loads(pickle.dumps(v)),
+    ]
+    for twin in twins:
+        assert twin == v
+        calls.clear()
+        limit(SPLIT22, twin, Direction.ZERO)
+        limit(SPLIT22, twin, Direction.INFINITY)
+        orbit_degree(SPLIT22, twin)
+        is_fixed(SPLIT22, twin)
+        assert len(calls) == 1
+    assert len({id(twin) for twin in twins + [v]}) == len(twins) + 1
+    calls.clear()
+    orbit_degree(SPLIT22, v)
+    assert calls == []
 
 
 def test_is_fixed():

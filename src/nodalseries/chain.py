@@ -13,8 +13,10 @@ data read the chain's ``c.profiles``. Both are the block profiles that
 immutable space it is kept on, so validation still checks the chain's own
 base spaces; a chain built from a series holds the series' ``Subspace``
 objects and finds their profiles already there, while a chain loaded from a
-file profiles its base spaces afresh. Plain ``verify`` of a 13-space series
-makes 13 eliminations in all.
+file profiles its base spaces afresh. A profile costs one elimination for a
+moving space and none for a fixed one, so plain ``verify`` of a series makes
+one elimination per moving space in all, and ``emit_dot`` makes none: every
+node is a fixed point.
 """
 
 from __future__ import annotations
@@ -354,8 +356,9 @@ def emit_dot(c: ContinuousChain) -> str:
     """Deterministic DOT digraph: components as nodes, glued nodes as edges.
 
     Component labels carry the index, kind and orbit degree; edge labels carry
-    the block dimension profile of the glued subspace. Equal chains produce
-    byte-identical output.
+    the block dimension profile of the glued subspace, which for a node (a
+    fixed point) is read off its canonical basis with no elimination. Equal
+    chains produce byte-identical output.
     """
     split = c.model.split
     lines = ["digraph chain {", "  rankdir=LR;"]

@@ -10,8 +10,8 @@ one sits inside the first-block part of the earlier one; the series is
 
 Every report reads ``g.profiles``, one block profile per space. Each profile
 is kept on its space by ``torus.block_profile``, so the first report makes
-one elimination per space, and later reports on the same spaces, or on the
-chain built from them, make none.
+one elimination per moving space and none for a fixed one, and later
+reports on the same spaces, or on the chain built from them, make none.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ intersection with each block and its projection onto each block.
 Those four make up a :class:`BlockProfile`. :func:`block_profile` computes
 it once per ``Subspace`` value and split and keeps it on the value, so the
 limits, the degree, fixedness and the meetings of one value together make
-one elimination.
+one elimination if the value moves and none if it is a fixed point.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class BlockProfile:
     dim V = dim inside_first + dim onto_second = dim onto_first + dim inside_second,
     so the orbit degree dim onto_first - dim inside_first equals
     dim onto_second - dim inside_second. Limits, the degree and the meeting
-    of two orbits are all read off the profile: one elimination per space.
+    of two orbits are all read off the profile: at most one elimination per
+    space, and none for a fixed point.
     """
 
     inside_first: Subspace
@@ -249,7 +250,15 @@ def assemble_split_subspace(split: TorusSplit, s1: Subspace, s2: Subspace) -> Su
 
 
 def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
-    """All four block invariants of v, with one elimination per value.
+    """All four block invariants of v, with at most one elimination per value.
+
+    The canonical basis gives onto_first and inside_second directly. When
+    every row with a first-block pivot is zero on W2, v is a fixed point and
+    the other two equal these, so no elimination is made: if v = A + B with
+    A in W1 and B in W2, the padded canonical rows of A followed by those of
+    B are in reduced echelon form, so they are v's canonical rows, and
+    conversely rows of that shape split v. Only a moving v is reduced again
+    in [W2|W1] column order.
 
     The profile is kept in v's instance dictionary under ``_block_profiles``,
     keyed by ``split.dim1`` (the ambient dimension fixes ``dim2``), so every
@@ -260,8 +269,13 @@ def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
     memo = vars(v).setdefault("_block_profiles", {})
     profile = memo.get(split.dim1)
     if profile is None:
-        onto_first, inside_second = _onto_and_other_inside(split, v, 1)
-        onto_second, inside_first = _onto_and_other_inside(split, v, 2)
+        rows = v.basis_rows()
+        onto_first, inside_second = _split_echelon(rows, split.dim1, split.ambient_dim)
+        # the rows with a first-block pivot are the leading onto_first.dim rows
+        if all(is_zero_vector(row[split.dim1 :]) for row in rows[: onto_first.dim]):
+            onto_second, inside_first = inside_second, onto_first
+        else:
+            onto_second, inside_first = _onto_and_other_inside(split, v, 2)
         profile = memo[split.dim1] = BlockProfile(
             inside_first=inside_first,
             inside_second=inside_second,

@@ -30,6 +30,23 @@ def feasible_parameters(max_d: int, max_r: int, max_step: int):
     return out
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the eliminations a module makes: ``calls = eliminations(torus)``.
+
+    Every call of the module's ``rref`` binding appends its matrix to
+    ``calls`` for the rest of the test; clear the list to count afresh.
+    """
+
+    def count(module):
+        calls = []
+        real_rref = module.rref
+        monkeypatch.setattr(module, "rref", lambda m: calls.append(m) or real_rref(m))
+        return calls
+
+    return count
+
+
 @pytest.fixture(scope="session")
 def split_corpus():
     """(split, subspace) pairs with block dimensions at most 5 and dim <= 4."""

@@ -6,12 +6,13 @@ import pytest
 
 from nodalseries.curve import (
     CurveModel,
+    in_section_space,
     is_generalized_linear_series,
     section_space,
     twisted_space_at,
 )
 from nodalseries.delta import build_delta, consecutive_pairs
-from nodalseries.linalg import Subspace
+from nodalseries.linalg import Matrix, Subspace
 from nodalseries.torus import act, meet_block, project_block
 
 
@@ -48,8 +49,13 @@ def test_section_space_noninteger():
 
 
 def test_section_space_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        section_space(CurveModel(2), F(5, 2))
+    model = CurveModel(2)
+    line = Subspace.from_spanning(6, [(1, 0, 0, 0, 0, 0)])
+    for i in (F(5, 2), F(-1, 2), F(3)):
+        with pytest.raises(ValueError, match="outside"):
+            section_space(model, i)
+        with pytest.raises(ValueError, match="outside"):
+            in_section_space(model, line, i)
 
 
 @pytest.mark.parametrize("value", [pytest.param(0.5, id="float"), pytest.param(True, id="bool")])
@@ -144,7 +150,8 @@ def test_membership_predicate():
 
 def _membership_cases(rng):
     """(model, i, v) with v inside S_i, breaking the node condition, or with
-    one coordinate off S_i's flags, at integer, half and third indices."""
+    one coordinate off S_i's flags, at integer, half and third indices; each
+    v comes again with fresh Fraction objects for all its entries."""
     for d in range(6):
         model = CurveModel(d)
         n = model.ambient_dim
@@ -170,6 +177,9 @@ def _membership_cases(rng):
                 v = Subspace.from_spanning(n, members)
                 if v.dim:
                     yield model, i, v
+                    # the same basis with every entry a new Fraction, zeros included
+                    fresh = tuple(F(e.numerator, e.denominator) for e in v.basis.entries)
+                    yield model, i, Subspace(n, Matrix(v.dim, n, fresh))
 
 
 def test_membership_reads_the_section_space_equations():

@@ -390,17 +390,10 @@ SPANNING_SETS = [
 ]
 
 
-def _count_eliminations(monkeypatch):
-    calls = []
-    real_rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or real_rref(m))
-    return calls
-
-
-def test_canonical_files_load_without_elimination(monkeypatch):
+def test_canonical_files_load_without_elimination(eliminations, monkeypatch):
     # the writer stores canonical bases, and loading keeps them as they are
     texts = [(obj, dumps_instance(obj)) for obj in _seeded_instances()]
-    calls = _count_eliminations(monkeypatch)
+    calls = eliminations(linalg)
     sections = []
     real_section_space = curve.section_space
     monkeypatch.setattr(
@@ -412,8 +405,8 @@ def test_canonical_files_load_without_elimination(monkeypatch):
 
 
 @pytest.mark.parametrize("respan", SPANNING_SETS)
-def test_other_spanning_sets_load_to_the_canonical_value(respan, monkeypatch):
-    calls = _count_eliminations(monkeypatch)
+def test_other_spanning_sets_load_to_the_canonical_value(respan, eliminations):
+    calls = eliminations(linalg)
     for obj in _seeded_instances():
         text = dumps_instance(obj)
         payload = json.loads(text)

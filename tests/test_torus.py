@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from nodalseries.linalg import Subspace, zero_coordinate_section
+from nodalseries.curve import CurveModel, section_space
+from nodalseries.linalg import ZERO, Matrix, Subspace, zero_coordinate_section
 from nodalseries.torus import (
     Direction,
     IntersectionHypothesisError,
@@ -113,25 +114,35 @@ def _padded(split, s, block):
     return Subspace.from_spanning(split.ambient_dim, rows)
 
 
+def _reference_profile(split, v):
+    """The four block invariants by elimination, as a field -> subspace dict."""
+    first, second = split.block_coords(1), split.block_coords(2)
+    return {
+        "onto_first": Subspace.from_spanning(len(first), _rows_on(v, first)),
+        "onto_second": Subspace.from_spanning(len(second), _rows_on(v, second)),
+        "inside_first": Subspace.from_spanning(
+            len(first), _rows_on(zero_coordinate_section(v, second), first)
+        ),
+        "inside_second": Subspace.from_spanning(
+            len(second), _rows_on(zero_coordinate_section(v, first), second)
+        ),
+    }
+
+
+def _assert_profile_matches(profile, expected):
+    for field, space in expected.items():
+        assert getattr(profile, field) == space, field
+        assert _all_fractions(getattr(profile, field)), field
+
+
 def test_block_invariants_match_elimination():
     rng = random.Random(23)
     for split in _splits_up_to_four():
         first, second = split.block_coords(1), split.block_coords(2)
         for v in _reference_spaces(split.ambient_dim, rng):
-            expected = {
-                "onto_first": Subspace.from_spanning(len(first), _rows_on(v, first)),
-                "onto_second": Subspace.from_spanning(len(second), _rows_on(v, second)),
-                "inside_first": Subspace.from_spanning(
-                    len(first), _rows_on(zero_coordinate_section(v, second), first)
-                ),
-                "inside_second": Subspace.from_spanning(
-                    len(second), _rows_on(zero_coordinate_section(v, first), second)
-                ),
-            }
+            expected = _reference_profile(split, v)
             profile = block_profile(split, v)
-            for field, space in expected.items():
-                assert getattr(profile, field) == space, field
-                assert _all_fractions(getattr(profile, field)), field
+            _assert_profile_matches(profile, expected)
             assert project_block(split, v, 1) == expected["onto_first"]
             assert project_block(split, v, 2) == expected["onto_second"]
             assert meet_block(split, v, 1) == expected["inside_first"]
@@ -149,6 +160,61 @@ def test_block_invariants_match_elimination():
                 assembled = assemble_split_subspace(split, a, b)
                 assert assembled == _padded(split, a, 1) + _padded(split, b, 2)
                 assert all(_all_fractions(w) for w in embedded + (assembled,))
+
+
+def _block_subspaces(n, rng):
+    return [Subspace.zero(n), Subspace.full(n)] + [
+        random_subspace(n, rng.randint(0, n), rng) for _ in range(2)
+    ]
+
+
+def _fast_path_corpus(rng):
+    """(split, v, fixed) over fixed and moving spaces of every small split."""
+    for split in _splits_up_to_four():
+        for a in _block_subspaces(split.dim1, rng):
+            for b in _block_subspaces(split.dim2, rng):
+                yield split, assemble_split_subspace(split, a, b), True
+        for dim in range(1, split.ambient_dim):
+            if split.dim1 and split.dim2:
+                v = random_nonfixed_subspace(split, dim, rng)
+                yield split, v, False
+                for direction in Direction:
+                    yield split, limit(split, v, direction), True
+    for d in range(1, 5):
+        model = CurveModel(d)
+        for k in range(2 * d + 1):
+            # non-integer indices split; integer ones carry the glue row and move
+            space = section_space(model, F(k, 2)).subspace
+            yield model.split, space, k % 2 == 1
+    # the first first-block row vanishes on W2, a later one does not
+    yield SPLIT22, span((1, 0, 0, 0), (0, 1, 1, 0)), False
+    yield TorusSplit(3, 2), span((1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 2), n=5), False
+
+
+def _fresh_entries(v):
+    # the same basis with every entry a new Fraction, zeros included
+    entries = tuple(F(e.numerator, e.denominator) for e in v.basis.entries)
+    return Subspace(v.ambient_dim, Matrix(v.dim, v.ambient_dim, entries))
+
+
+def test_fixed_spaces_are_profiled_without_elimination(eliminations):
+    corpus = []
+    fixed_with_fresh_zeros = 0
+    for split, v, fixed in _fast_path_corpus(random.Random(29)):
+        expected = _reference_profile(split, v)
+        assert (expected["onto_first"] == expected["inside_first"]) == fixed
+        twin = _fresh_entries(v)
+        assert twin == v and all(e is not ZERO for e in twin.basis.entries)
+        fixed_with_fresh_zeros += fixed and 0 in twin.basis.entries
+        # v itself may have been profiled while the corpus was made; a copy has not
+        corpus += [(split, w, fixed, expected) for w in (Subspace(v.ambient_dim, v.basis), twin)]
+    assert {fixed for *_, fixed, _ in corpus} == {True, False}
+    assert fixed_with_fresh_zeros
+    calls = eliminations(torus)
+    for split, v, fixed, expected in corpus:
+        calls.clear()
+        _assert_profile_matches(block_profile(split, v), expected)
+        assert len(calls) == (0 if fixed else 1)
 
 
 def test_block_helpers_reject_wrong_blocks():
@@ -219,15 +285,8 @@ def test_block_profile_dimension_identities():
         assert p.degree == orbit_degree(split, v)
 
 
-def _counting_eliminations(monkeypatch):
-    calls = []
-    real_rref = torus.rref
-    monkeypatch.setattr(torus, "rref", lambda m: calls.append(m) or real_rref(m))
-    return calls
-
-
-def test_one_value_keeps_one_profile_per_split(monkeypatch):
-    calls = _counting_eliminations(monkeypatch)
+def test_one_value_keeps_one_profile_per_split(eliminations):
+    calls = eliminations(torus)
     v = random_subspace(4, 2, random.Random(7))
     splits = [TorusSplit(1, 3), TorusSplit(2, 2), TorusSplit(3, 1)]
     profiles = [block_profile(split, v) for split in splits]
@@ -250,8 +309,8 @@ def test_a_profiled_value_still_refuses_a_mismatched_split():
             limit(wrong, v, Direction.ZERO)
 
 
-def test_each_value_is_profiled_once_on_its_own(monkeypatch):
-    calls = _counting_eliminations(monkeypatch)
+def test_each_value_is_profiled_once_on_its_own(eliminations):
+    calls = eliminations(torus)
     # the generator has profiled v while testing that it moves
     v = random_nonfixed_subspace(SPLIT22, 2, random.Random(3))
     twins = [

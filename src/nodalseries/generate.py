@@ -10,6 +10,12 @@ generic-position checks, never on the linking conditions themselves.
 Linked orbit pairs are built the same way, from a block profile chosen
 first.
 
+Every block invariant is read off ``torus.block_profile``, which the value
+keeps, and every span is one ``Subspace.from_spanning`` of the stacked
+rows; the canonical basis is unique, so these give the same values as
+intersecting and adding. Each accepted space is profiled while it is
+tested, so the next slot and the checks on the finished series reuse it.
+
 All randomness flows from one integer seed through per-stage substreams, so
 every failure is reproducible.
 """
@@ -22,7 +28,7 @@ from typing import Sequence
 
 from .curve import CurveModel, in_section_space, section_space
 from .delta import DeltaSet, build_delta, check_steps
-from .linalg import ONE, ZERO, Subspace, zero_coordinate_section
+from .linalg import ONE, ZERO, Subspace
 from .series import (
     LimitLinearSeries,
     check_compatible,
@@ -33,11 +39,11 @@ from .series import (
 from .torus import (
     Direction,
     TorusSplit,
+    block_profile,
     embed_block,
     is_fixed,
     limit,
     meet_block,
-    project_block,
 )
 
 
@@ -102,15 +108,16 @@ def _vectors_inside(space: Subspace, count: int, rng: random.Random) -> list[tup
 
 def _complement_vectors(
     whole: Subspace, part: Subspace, count: int, rng: random.Random
-) -> list[tuple[Fraction, ...]] | None:
-    """Vectors of ``whole`` extending ``part`` by exactly ``count`` dimensions."""
+) -> tuple[list[tuple[Fraction, ...]], Subspace] | None:
+    """Vectors of ``whole`` extending ``part`` by exactly ``count`` dimensions,
+    and the span of ``part`` and those vectors, from one elimination."""
     if part.dim + count > whole.dim:
         return None
     for _ in range(_STEP_TRIES):
         vectors = _vectors_inside(whole, count, rng)
-        extended = part + Subspace.from_spanning(whole.ambient_dim, vectors)
+        extended = Subspace.from_spanning(whole.ambient_dim, part.basis_rows() + tuple(vectors))
         if extended.dim == part.dim + count:
-            return vectors
+            return vectors, extended
     return None
 
 
@@ -374,10 +381,10 @@ def _kernel_flag(
             return None
         done = False
         for _ in range(_STEP_TRIES):
-            extension = _complement_vectors(room, current, need, rng)
-            if extension is None:
+            found = _complement_vectors(room, current, need, rng)
+            if found is None:
                 return None
-            candidate = current + Subspace.from_spanning(model.ambient_dim, extension)
+            candidate = found[1]
             if must_hit is not None and all(
                 row[must_hit] == 0 for row in candidate.basis_rows()
             ):
@@ -420,8 +427,9 @@ def _next_space(
 ) -> Subspace | None:
     split = model.split
     integer = j.denominator == 1
-    incoming = zero_coordinate_section(prev, list(split.block_coords(2)))
-    carried = embed_block(split, project_block(split, prev, 2), 2)
+    prev_profile = block_profile(split, prev)
+    incoming = embed_block(split, prev_profile.inside_first, 1)
+    carried = embed_block(split, prev_profile.onto_second, 2)
     if not incoming.contains(kernel):
         return None
 
@@ -432,11 +440,11 @@ def _next_space(
         free_coords = [model.s_coord(p) for p in range(model.d - floor_j, model.d + 1)]
 
     for _ in range(_STEP_TRIES):
-        movers = _complement_vectors(incoming, kernel, mobile, rng)
-        if movers is None:
+        found = _complement_vectors(incoming, kernel, mobile, rng)
+        if found is None:
             return None
         rows = list(kernel.basis_rows()) + list(carried.basis_rows())
-        for w in movers:
+        for w in found[0]:
             vec = list(w)
             if integer:
                 # Node condition: the image's bottom s coefficient matches the
@@ -448,9 +456,11 @@ def _next_space(
         space = Subspace.from_spanning(model.ambient_dim, rows)
         if space.dim != kernel.dim + mobile + carried.dim:
             continue
-        if meet_block(split, space, 1).dim != kernel.dim:
+        # the profile stays on the space for the next slot and the final checks
+        profile = block_profile(split, space)
+        if profile.inside_first.dim != kernel.dim:
             continue
-        if meet_block(split, space, 2).dim != carried.dim:
+        if profile.inside_second.dim != carried.dim:
             continue
         if not in_section_space(model, space, j):
             continue
@@ -533,10 +543,11 @@ def pad_with_trivial_slots(
     left neighbour, a split space carrying no mobile dimension; the original
     slots embed order-preservingly at seeded random positions of each gap.
     Exactness is preserved, and minimal reduction undoes the padding.
+    The new counts are checked as :func:`build_delta` checks them (one
+    positive int per gap, else TypeError or ValueError), and none may be
+    smaller than the old one.
     """
-    new_steps = tuple(int(s) for s in new_delta)
-    if len(new_steps) != g.model.d:
-        raise ValueError("padding must keep the degree")
+    new_steps = check_steps(g.model.d, new_delta)
     if any(n < o for n, o in zip(new_steps, g.delta.steps)):
         raise ValueError("padding cannot remove subdivision steps")
     if not check_exact(g).passed:
@@ -611,24 +622,16 @@ def corrupt_exactness(g: LimitLinearSeries, seed: int) -> LimitLinearSeries:
         pos = g.delta.position(i)
         if strategy == "collapse":
             spaces[pos] = limit(split, g.space_at(i), Direction.INFINITY)
-        elif strategy == "first-block-only":
-            inside = embed_block(split, meet_block(split, g.space_at(i), 1), 1)
-            room = zero_coordinate_section(
-                section_space(model, i).subspace, list(split.block_coords(2))
-            )
-            extra = _complement_vectors(room, inside, g.rank + 1 - inside.dim, rng)
-            if extra is None:
-                continue
-            spaces[pos] = inside + Subspace.from_spanning(model.ambient_dim, extra)
         else:
-            inside = embed_block(split, meet_block(split, g.space_at(i), 2), 2)
-            room = zero_coordinate_section(
-                section_space(model, i).subspace, list(split.block_coords(1))
+            block = 1 if strategy == "first-block-only" else 2
+            inside = embed_block(split, meet_block(split, g.space_at(i), block), block)
+            room = embed_block(
+                split, meet_block(split, section_space(model, i).subspace, block), block
             )
-            extra = _complement_vectors(room, inside, g.rank + 1 - inside.dim, rng)
-            if extra is None:
+            found = _complement_vectors(room, inside, g.rank + 1 - inside.dim, rng)
+            if found is None:
                 continue
-            spaces[pos] = inside + Subspace.from_spanning(model.ambient_dim, extra)
+            spaces[pos] = found[1]
         candidate = LimitLinearSeries(model, g.rank, g.delta, tuple(spaces))
         if (
             check_compatible(candidate).passed

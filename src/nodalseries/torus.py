@@ -8,8 +8,10 @@ intersection with each block and its projection onto each block.
 
 Those four make up a :class:`BlockProfile`. :func:`block_profile` computes
 it once per ``Subspace`` value and split and keeps it on the value, so the
-limits, the degree, fixedness and the meetings of one value together make
-one elimination if the value moves and none if it is a fixed point.
+limits, the degree, fixedness, the meetings and the block projections and
+intersections (:func:`project_block`, :func:`meet_block`) of one value
+together make one elimination if the value moves and none if it is a fixed
+point.
 """
 
 from __future__ import annotations
@@ -186,34 +188,26 @@ def _split_echelon(
     return _canonical(cut, onto), _canonical(width - cut, inside)
 
 
-def _onto_and_other_inside(
-    split: TorusSplit, v: Subspace, block: int
-) -> tuple[Subspace, Subspace]:
-    """Projection of v onto a block and the part of v inside the other block.
-
-    The canonical basis is reduced in [W1|W2] column order, so the first
-    block is read off it directly; for the second block one elimination puts
-    the basis in [W2|W1] order.
-    """
-    _check_member(split, v)
-    if block == 1:
-        return _split_echelon(v.basis_rows(), split.dim1, split.ambient_dim)
-    if block == 2:
-        dim1 = split.dim1
-        swapped = tuple(e for row in v.basis_rows() for e in row[dim1:] + row[:dim1])
-        reduced = rref(Matrix(v.dim, split.ambient_dim, swapped))
-        return _split_echelon(reduced.rows(), split.dim2, split.ambient_dim)
-    raise ValueError("block must be 1 or 2")
-
-
 def project_block(split: TorusSplit, v: Subspace, block: int) -> Subspace:
-    """Projection of v onto a block, as a subspace of that block."""
-    return _onto_and_other_inside(split, v, block)[0]
+    """Projection of v onto a block, as a subspace of that block.
+
+    Read off v's :func:`block_profile`, so it makes no elimination of its
+    own: one value makes at most one, shared with every block query on it.
+    """
+    split.block_coords(block)  # ValueError unless block is 1 or 2
+    profile = block_profile(split, v)
+    return profile.onto_first if block == 1 else profile.onto_second
 
 
 def meet_block(split: TorusSplit, v: Subspace, block: int) -> Subspace:
-    """Intersection of v with a block, reported inside that block."""
-    return _onto_and_other_inside(split, v, 3 - block)[1]
+    """Intersection of v with a block, reported inside that block.
+
+    Read off v's :func:`block_profile`, so it makes no elimination of its
+    own: one value makes at most one, shared with every block query on it.
+    """
+    split.block_coords(block)  # ValueError unless block is 1 or 2
+    profile = block_profile(split, v)
+    return profile.inside_first if block == 1 else profile.inside_second
 
 
 def _padded_rows(
@@ -275,7 +269,12 @@ def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
         if all(is_zero_vector(row[split.dim1 :]) for row in rows[: onto_first.dim]):
             onto_second, inside_first = inside_second, onto_first
         else:
-            onto_second, inside_first = _onto_and_other_inside(split, v, 2)
+            dim1 = split.dim1
+            swapped = tuple(e for row in rows for e in row[dim1:] + row[:dim1])
+            reduced = rref(Matrix(v.dim, split.ambient_dim, swapped))
+            onto_second, inside_first = _split_echelon(
+                reduced.rows(), split.dim2, split.ambient_dim
+            )
         profile = memo[split.dim1] = BlockProfile(
             inside_first=inside_first,
             inside_second=inside_second,

@@ -32,16 +32,20 @@ def feasible_parameters(max_d: int, max_r: int, max_step: int):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Counts the eliminations a module makes: ``calls = eliminations(torus)``.
+    """Counts the eliminations modules make: ``calls = eliminations(linalg, torus)``.
 
-    Every call of the module's ``rref`` binding appends its matrix to
-    ``calls`` for the rest of the test; clear the list to count afresh.
+    Every call of each named module's ``rref`` binding appends its matrix to
+    the one list ``calls`` for the rest of the test; clear the list to count
+    afresh.
     """
 
-    def count(module):
+    def count(*modules):
         calls = []
-        real_rref = module.rref
-        monkeypatch.setattr(module, "rref", lambda m: calls.append(m) or real_rref(m))
+        for module in modules:
+            real_rref = module.rref
+            monkeypatch.setattr(
+                module, "rref", lambda m, real_rref=real_rref: calls.append(m) or real_rref(m)
+            )
         return calls
 
     return count

@@ -58,6 +58,28 @@ def test_generator_builds_no_section_space(monkeypatch):
     assert built == [] and not membership_failures(g)
 
 
+def test_generator_reads_invariants_from_one_profile_per_space(eliminations, monkeypatch):
+    # each span is one elimination and each space's block invariants one
+    # profile, which the series keeps for its own checks
+    from nodalseries import generate, linalg, torus
+
+    spied = []
+    for module in (linalg, generate):
+        for name in ("sum_and_intersection", "zero_coordinate_section"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda *a, real=real, name=name: spied.append(name) or real(*a)
+                )
+    calls = eliminations(linalg, torus)
+    g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
+    assert (len(calls), spied) == (15, [])
+    calls.clear()
+    assert check_exact(g).passed and numerical_data(g).is_minimal()
+    assert validate_chain(build_chain(g)).passed
+    assert calls == []
+
+
 def test_generator_small_cases():
     g = random_exact_lls(0, 0, (), seed=3)
     assert g.rank == 0 and len(g.delta) == 1
@@ -128,11 +150,22 @@ def test_padding_preserves_exactness_and_reduction_undoes_it(exact_corpus):
 
 def test_padding_rejects_shrinking_or_non_exact():
     g = random_exact_lls(2, 1, (2, 1), seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot remove subdivision steps"):
         pad_with_trivial_slots(g, (1, 1), seed=0)
     bad = corrupt_exactness(g, seed=0)
     with pytest.raises(ValueError):
         pad_with_trivial_slots(bad, (3, 2), seed=0)
+
+
+def test_padding_refuses_counts_that_are_not_ints():
+    # each of these once padded silently to an int() of its counts
+    g = random_exact_lls(2, 1, (2, 1), seed=1)
+    for counts in ((2.9, 1), ("3", 1), (3, 1.0), (True, 2)):
+        with pytest.raises(TypeError, match="subdivision counts must be integers"):
+            pad_with_trivial_slots(g, counts, seed=0)
+    with pytest.raises(ValueError, match="expected 2 subdivision counts"):
+        pad_with_trivial_slots(g, (3, 1, 1), seed=0)
+    assert pad_with_trivial_slots(g, (3, 1), seed=0).delta.steps == (3, 1)
 
 
 def test_corruption_leaves_membership_and_compatibility(exact_corpus):

@@ -5,12 +5,23 @@ results keeps these bytes. A digest that moves means some output changed.
 """
 
 import hashlib
+import random
 
 import pytest
 
+from nodalseries import (
+    TorusSplit,
+    corrupt_exactness,
+    pad_with_trivial_slots,
+    random_exact_lls,
+    random_linked_pair,
+)
 from nodalseries.chain import ComponentKind
 from nodalseries.cli import main
-from nodalseries.serialize import SubspaceTask, load_instance, save_instance
+from nodalseries.generate import GenerationError, exact_minimal_profiles
+from nodalseries.serialize import SubspaceTask, dumps_instance, load_instance, save_instance
+
+from conftest import feasible_parameters
 
 # (d, r, delta, seed) of each generated series, and whether verify --oracle runs
 CASES = {
@@ -107,3 +118,89 @@ def _outputs(name: str, tmp_path, capsys) -> dict[str, str]:
 @pytest.mark.parametrize("name", list(CASES))
 def test_cli_outputs_are_byte_identical(name, tmp_path, capsys):
     assert _outputs(name, tmp_path, capsys) == GOLDEN[name]
+
+
+# The generator's own outputs on a fixed set of draws, pinned the same way:
+# a change that keeps every canonical value keeps the random draws too.
+GENERATED = {
+    "exact": "1fe9e2a550346eb57b41e97a081ac33faeee9083a8b7416cb7e8c901fef53a6c",
+    "padded": "82ec23926e68fdf0bc9d092a648dece4d82dba16557b03128c7c7f2a37d31df3",
+    "corrupted": "6af497085616f79e3f46c14d4431bd1b22664db0d5315e26fa505d685b7d1024",
+    "linked": "61ffefdf754025e92d43ec486b93b556334a2d45662df4516e4c193b8070f90d",
+}
+
+# (dim1, dim2, dim, meeting, mirrored), the linked-pair recipes of the
+# benchmark's orbit audit; no pair of the first one's sizes exists
+LINKED = (
+    (2, 2, 3, True, False),
+    (2, 2, 2, True, False),
+    (2, 3, 3, True, False),
+    (3, 3, 3, True, False),
+    (3, 2, 2, True, False),
+    (2, 2, 2, True, True),
+    (2, 3, 2, True, True),
+    (3, 3, 3, True, True),
+    (3, 2, 3, True, True),
+    (2, 2, 2, False, False),
+    (2, 3, 3, False, False),
+    (3, 3, 3, False, False),
+    (4, 2, 2, False, False),
+    (2, 2, 2, False, True),
+    (2, 3, 2, False, True),
+    (3, 3, 3, False, True),
+    (3, 2, 3, False, True),
+)
+
+
+def _generated_texts() -> dict[str, list[str]]:
+    """File text of every generated value, by the generator that made it.
+
+    The exact series are one per parameter set with a single exact minimal
+    profile (d <= 4, r <= 2, steps <= 3), then d = 8, r = 3 at seeds 1-9,
+    then one per other parameter set with d <= 4, r <= 2, steps <= 2, whose
+    corruptions include first-block-only and second-block-only ones; each
+    is padded and, where it admits one, corrupted.
+    """
+    forced = [p for p in feasible_parameters(4, 2, 3) if len(exact_minimal_profiles(*p)) == 1]
+    others = [p for p in feasible_parameters(4, 2, 2) if p not in forced]
+    assert (len(forced), len(others)) == (35, 34)
+    exact = [random_exact_lls(d, r, delta, seed=k) for k, (d, r, delta) in enumerate(forced)]
+    exact += [random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=s) for s in range(1, 10)]
+    exact += [random_exact_lls(d, r, delta, seed=100 + k) for k, (d, r, delta) in enumerate(others)]
+    rng = random.Random(17)
+    padded, corrupted = [], []
+    for k, g in enumerate(exact):
+        if g.model.d:
+            wider = tuple(s + rng.randint(1, 2) for s in g.delta.steps)
+            padded.append(pad_with_trivial_slots(g, wider, seed=k))
+        try:
+            corrupted.append(corrupt_exactness(g, seed=k))
+        except GenerationError:
+            pass
+    linked = []
+    for dim1, dim2, dim, meeting, mirrored in LINKED * 3:
+        split = TorusSplit(dim1, dim2)
+        try:
+            pair = random_linked_pair(split, dim, rng, meeting=meeting, mirrored=mirrored)
+        except GenerationError:
+            continue  # the first recipe has no pair: it raises before any draw
+        linked += [SubspaceTask(split, v) for v in pair]
+    return {
+        name: [dumps_instance(value) for value in values]
+        for name, values in (
+            ("exact", exact), ("padded", padded), ("corrupted", corrupted), ("linked", linked)
+        )
+    }
+
+
+def test_generator_outputs_are_byte_identical(monkeypatch):
+    # the generator builds a section space only for a block-only corruption
+    from nodalseries import generate
+
+    built = []
+    real = generate.section_space
+    monkeypatch.setattr(generate, "section_space", lambda *a: built.append(a) or real(*a))
+    texts = _generated_texts()
+    assert [len(texts[name]) for name in GENERATED] == [78, 77, 74, 96]
+    assert len(built) == 14
+    assert {name: _sha("".join(values)) for name, values in texts.items()} == GENERATED

@@ -217,6 +217,30 @@ def test_fixed_spaces_are_profiled_without_elimination(eliminations):
         assert len(calls) == (0 if fixed else 1)
 
 
+def test_block_helpers_share_the_profile(eliminations):
+    calls = eliminations(torus)
+    queries = [
+        ("onto_first", lambda split, v: project_block(split, v, 1)),
+        ("onto_second", lambda split, v: project_block(split, v, 2)),
+        ("inside_first", lambda split, v: meet_block(split, v, 1)),
+        ("inside_second", lambda split, v: meet_block(split, v, 2)),
+    ]
+    for k, (split, v, fixed) in enumerate(_fast_path_corpus(random.Random(31))):
+        expected = _reference_profile(split, v)
+        fresh = Subspace(v.ambient_dim, v.basis)  # no profile kept yet
+        calls.clear()
+        for helper in (project_block, meet_block):
+            for bad in (0, 3, -1):
+                with pytest.raises(ValueError, match="block must be 1 or 2"):
+                    helper(split, fresh, bad)
+        assert calls == [] and "_block_profiles" not in vars(fresh)
+        # a different helper asks first each time
+        for field, query in queries[k % 4 :] + queries[: k % 4]:
+            assert query(split, fresh) == expected[field], field
+        _assert_profile_matches(block_profile(split, fresh), expected)
+        assert len(calls) == (0 if fixed else 1)
+
+
 def test_block_helpers_reject_wrong_blocks():
     v = span((1, 0, 1, 0))
     for helper in (project_block, meet_block):

@@ -22,9 +22,8 @@ from .series import LimitLinearSeries, check_compatible, check_exact, numerical_
 from .serialize import SchemaError, SubspaceTask, dumps_instance, load_instance
 from .torus import Direction, limit, orbit_degree
 
-# gen and verify --oracle are the costly commands: gen searches profiles and
-# subspaces, and the oracle enumerates every Pluecker minor. Plain verify
-# enumerates none, but shares the cap.
+# gen is the costly command: it searches profiles and subspaces. verify shares
+# the cap; its --oracle tabulates only the nonzero Pluecker minors.
 MAX_DEGREE = 8
 
 

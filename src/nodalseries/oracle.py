@@ -1,26 +1,29 @@
 """Independent brute-force verification of orbit limits, degrees and chains.
 
 This module deliberately avoids the block-profile machinery: limits and
-degrees are recomputed from scratch by enumerating minors (with a cofactor
-determinant of its own) and scaling them by their block weights, then
-reconstructing the limiting subspace from the surviving Pluecker vector by
-solving incidence conditions. The first-order tangent certificate at each
-node of a chain is read from the same minor tables. Agreement with the
-structural formulas is exact, with zero tolerance; :func:`compare_chain`
-checks it on a chain.
+degrees are recomputed from scratch from the nonzero minors (found by a
+cofactor expansion of its own) and their block weights, then the limiting
+subspace is reconstructed from the surviving Pluecker vector by solving
+incidence conditions. The first-order tangent certificate at each node of a
+chain is read from the same minors. Agreement with the structural formulas
+is exact, with zero tolerance; :func:`compare_chain` checks it on a chain.
 
-:func:`minor_table` computes the table of a ``Subspace`` once and keeps it
-on the value, behind a read-only view, so both limits and the degree of
-one value share one enumeration. The structural path never reads it.
+The nonzero minors of a ``Subspace`` are tabulated once, as integers over
+one scale, and kept on the value, so both limits and the degree of one value
+share one expansion and read only those minors; a ``Fraction`` is made only
+for an entry of a rebuilt subspace. :func:`minor_table` builds the full
+table from them when asked; the oracle's own path never does.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import lt
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -29,81 +32,85 @@ from .curve import section_space
 from .linalg import ONE, ZERO, Matrix, Subspace, format_rational
 from .torus import Direction, TorusSplit, act, block_profile
 
+Minors = Mapping[tuple[int, ...], Fraction | int]
 
-def _laplace_minors(
-    rows: Sequence[Sequence[Fraction]], ncols: int
-) -> dict[tuple[int, ...], Fraction]:
-    """Every len(rows)-sized minor, keyed by column index set in lex order.
+
+def _nonzero_minors(rows: Sequence[Sequence[Fraction]]) -> tuple[dict[tuple[int, ...], int], int]:
+    """The nonzero len(rows)-sized minors, keyed by column index set, and a scale.
 
     Each row is first cleared of denominators: it is scaled by the lcm of its
-    entries' denominators, and each minor of the scaled rows is the true
-    minor times the product of those scales. One row-by-row cofactor
-    expansion on Python ints is shared by all the minors: the minors of the
-    last j rows on every j-column set are built from those of the last j - 1
-    rows by expanding along row -j, so each sub-minor is computed once. No
-    elimination, and one division per nonzero minor at the end.
+    entries' denominators, so each minor kept is the true minor times the
+    product of those scales, the returned scale. One row-by-row cofactor
+    expansion on Python ints is shared by all the minors: those of the last
+    j rows are built from the nonzero ones of the last j - 1 rows by
+    expanding along row -j on its nonzero entries only. The entry in column
+    c joins the sub-minor on cols at p = bisect_left(cols, c), with sign
+    (-1) ** p, and a sum that cancels to 0 is dropped. No elimination.
     """
     k = len(rows)
     if k == 0:
-        return {(): ONE}
+        return {(): 1}, 1
     scale = 1
     cleared = []
     for row in rows:
         lcm = math.lcm(*(e.denominator for e in row))
         scale *= lcm
-        cleared.append([e.numerator * (lcm // e.denominator) for e in row])
-    minors = {(c,): e for c, e in enumerate(cleared[-1])}
-    for j in range(2, k + 1):
-        row = cleared[k - j]
-        expanded = {}
-        for cols in combinations(range(ncols), j):
-            total = 0
-            for p, c in enumerate(cols):
-                e = row[c]
-                if e:
-                    sub = minors[cols[:p] + cols[p + 1 :]]
-                    if sub:
-                        if p & 1:
-                            total -= e * sub
-                        else:
-                            total += e * sub
-            expanded[cols] = total
-        minors = expanded
-    return {
-        cols: Fraction(value, scale) if value else ZERO
-        for cols, value in minors.items()
-    }
+        cleared.append([(c, e.numerator * (lcm // e.denominator)) for c, e in enumerate(row) if e])
+    minors = {(c,): e for c, e in cleared[-1]}
+    for row in reversed(cleared[:-1]):
+        expanded: dict[tuple[int, ...], int] = {}
+        for cols, sub in minors.items():
+            for c, e in row:
+                p = bisect_left(cols, c)
+                if p == len(cols) or cols[p] != c:
+                    joined = cols[:p] + (c,) + cols[p:]
+                    expanded[joined] = expanded.get(joined, 0) + (-e * sub if p & 1 else e * sub)
+        minors = {cols: value for cols, value in expanded.items() if value}
+    return minors, scale
 
 
 def _cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    return _laplace_minors(rows, n)[tuple(range(n))]
+    minors, scale = _nonzero_minors(rows)
+    return Fraction(minors.get(tuple(range(len(rows))), 0), scale)
+
+
+def _kept_minors(v: Subspace) -> tuple[dict[tuple[int, ...], int], int]:
+    """v's nonzero minors and scale, computed once and kept under ``_minor_table``."""
+    kept = vars(v).get("_minor_table")
+    if kept is None:
+        kept = vars(v)["_minor_table"] = _nonzero_minors(v.basis_rows())
+    return kept
 
 
 def minor_table(v: Subspace) -> Mapping[tuple[int, ...], Fraction]:
-    """Every dim(v)-sized minor of the basis, keyed by column index set.
+    """Every dim(v)-sized minor of the basis, keyed by column index set in lex order.
 
-    The table is computed once per value and kept in v's instance
-    dictionary under ``_minor_table``; callers get a read-only view of it.
+    A read-only view, built on each call from the nonzero minors kept on v;
+    the others read as 0.
     """
-    table = vars(v).get("_minor_table")
-    if table is None:
-        table = MappingProxyType(_laplace_minors(v.basis_rows(), v.ambient_dim))
-        vars(v)["_minor_table"] = table
-    return table
+    minors, scale = _kept_minors(v)
+    return MappingProxyType(
+        {
+            cols: Fraction(minors[cols], scale) if cols in minors else ZERO
+            for cols in combinations(range(v.ambient_dim), v.dim)
+        }
+    )
 
 
-def subspace_from_minors(
-    ambient_dim: int, dim: int, minors: Mapping[tuple[int, ...], Fraction]
-) -> Subspace:
+def subspace_from_minors(ambient_dim: int, dim: int, minors: Minors) -> Subspace:
     """Reconstruct a subspace from its Pluecker coordinates.
 
-    For each column j outside a chosen base set I0 with nonzero minor, the
-    incidence condition on the column set I0 + {j} expresses the j-th
-    coordinate of any member vector through its coordinates on I0. Solving
-    those conditions for the coordinate vectors on I0 yields a basis.
+    The minors may be ``int`` or ``Fraction`` values, and the vanishing ones
+    may be left out. A key that is not an increasing dim-sized column set in
+    range(ambient_dim) raises ValueError naming it.
 
-    I0 is the lexicographically first column set with a nonzero minor, and
+    For each column j outside a chosen base set I0, the incidence condition
+    on the column set I0 + {j} expresses the j-th coordinate of any member
+    vector through its coordinates on I0. Solving those conditions for the
+    coordinate vectors on I0 yields a basis; each entry is
+    Fraction(+-minor, minors[I0]), exact for both kinds of value.
+
+    I0 is the lexicographically least column set with a nonzero minor, and
     the solved rows are already the canonical basis, so no elimination
     follows. Row k is 1 at I0[k] and 0 on the rest of I0. An entry at j
     before I0[k] comes from the minor on I0 with I0[k] swapped for j, a
@@ -112,69 +119,52 @@ def subspace_from_minors(
     p_1 < ... < p_k up to position m - 1 and then takes a column before p_m
     picks m columns supported on the first m - 1 rows, and its minor is 0.
     """
-    if dim == 0:
-        return Subspace.zero(ambient_dim)
-    base = None
-    for cols in combinations(range(ambient_dim), dim):
-        if minors.get(cols, ZERO) != 0:
-            base = cols
-            break
+    for cols in minors:
+        if len(cols) != dim or not all(map(lt, (-1, *cols), (*cols, ambient_dim))):
+            raise ValueError(
+                f"minor key {cols!r} is not an increasing {dim}-subset of range({ambient_dim})"
+            )
+    base = min((cols for cols, value in minors.items() if value), default=None)
     if base is None:
+        if dim == 0:
+            return Subspace.zero(ambient_dim)
         raise ValueError("all minors vanish; not a Pluecker vector")
-    base_value = Fraction(minors[base])
     entries = []
-    for k in range(dim):
+    for k, pivot in enumerate(base):
         vec = [ZERO] * ambient_dim
-        vec[base[k]] = ONE
-        for j in range(ambient_dim):
+        vec[pivot] = ONE
+        for j in range(pivot + 1, ambient_dim):
             if j in base:
                 continue
-            joined = tuple(sorted(base + (j,)))
-            dropped_k = tuple(c for c in joined if c != base[k])
-            minor = minors.get(dropped_k, ZERO)
+            p = bisect_left(base, j)
+            minor = minors.get(base[:k] + base[k + 1 : p] + (j,) + base[p:])
             if minor:
-                # 0 = sign_k * minors[dropped_k] + sign_j * w_j * minors[base],
-                # with sign_k sign_j = (-1) ** (position of base[k] + position of j)
-                value = minor / base_value
-                odd = (joined.index(base[k]) + joined.index(j)) & 1
-                vec[j] = value if odd else -value
+                # 0 = sign_k * minor + sign_j * w_j * minors[I0], where I0[k]
+                # and j sit at k and p in I0 + {j}, so sign_k sign_j = (-1) ** (k + p)
+                vec[j] = Fraction(minor if (k + p) & 1 else -minor, minors[base])
         entries.extend(vec)
     return Subspace(ambient_dim, Matrix(dim, ambient_dim, tuple(entries)))
 
 
 def _limit_from_table(
-    split: TorusSplit,
-    v: Subspace,
-    table: Mapping[tuple[int, ...], Fraction],
-    direction: Direction,
+    split: TorusSplit, v: Subspace, table: Minors, direction: Direction
 ) -> Subspace:
-    weights = {
-        cols: sum(1 for c in cols if c < split.dim1) for cols in table
-    }
-    support = [cols for cols, value in table.items() if value != 0]
-    if direction is Direction.ZERO:
-        kept = max(weights[cols] for cols in support)
-    else:
-        kept = min(weights[cols] for cols in support)
-    survivors = {
-        cols: (value if weights[cols] == kept else ZERO)
-        for cols, value in table.items()
-    }
+    weights = {cols: bisect_left(cols, split.dim1) for cols, value in table.items() if value}
+    kept = (max if direction is Direction.ZERO else min)(weights.values())
+    survivors = {cols: table[cols] for cols, weight in weights.items() if weight == kept}
     return subspace_from_minors(v.ambient_dim, v.dim, survivors)
 
 
-def _weight_profile(
-    split: TorusSplit, table: Mapping[tuple[int, ...], Fraction]
-) -> set[tuple[int, int]]:
+def _weight_profile(split: TorusSplit, table: Minors) -> set[tuple[int, int]]:
     weights = set()
     for cols, value in table.items():
-        if value != 0:
-            first = sum(1 for c in cols if c < split.dim1)
+        if value:
+            first = bisect_left(cols, split.dim1)
             weights.add((first, len(cols) - first))
     return weights
 
 
-def _degree(split: TorusSplit, table: Mapping[tuple[int, ...], Fraction]) -> int:
+def _degree(split: TorusSplit, table: Minors) -> int:
     levels = [first for first, _ in _weight_profile(split, table)]
     return max(levels) - min(levels)
 
@@ -187,7 +177,7 @@ def limit_via_pluecker(split: TorusSplit, v: Subspace, direction: Direction) -> 
     weight survive, and toward infinity only those of minimal weight. The
     survivors form the Pluecker vector of the limiting subspace.
     """
-    return _limit_from_table(split, v, minor_table(v), direction)
+    return _limit_from_table(split, v, _kept_minors(v)[0], direction)
 
 
 def weight_profile_via_pluecker(split: TorusSplit, v: Subspace) -> set[tuple[int, int]]:
@@ -196,27 +186,23 @@ def weight_profile_via_pluecker(split: TorusSplit, v: Subspace) -> set[tuple[int
     The first coordinates always form a gap-free integer interval
     [dim(v meet W1), dim(projection of v to W1)].
     """
-    return _weight_profile(split, minor_table(v))
+    return _weight_profile(split, _kept_minors(v)[0])
 
 
 def degree_via_pluecker(split: TorusSplit, v: Subspace) -> int:
     """Orbit degree recomputed as the spread of first-block minor weights."""
-    return _degree(split, minor_table(v))
+    return _degree(split, _kept_minors(v)[0])
 
 
-def _tangent_certificate(
-    split: TorusSplit,
-    ending: Mapping[tuple[int, ...], Fraction],
-    starting: Mapping[tuple[int, ...], Fraction],
-) -> bool:
+def _tangent_certificate(split: TorusSplit, ending: Minors, starting: Minors) -> bool:
     """The first-order transversality certificate, read from two minor tables.
 
-    The orbit of ``ending`` ends (toward infinity) where the orbit of
-    ``starting`` begins (toward zero), as consecutive chain components do.
-    At the node the surviving minors sit at the lowest first-block weight of
-    the ending orbit and the highest of the starting one; the first-order
-    terms sit one level inward. Both must be nonzero, and the two end levels
-    must agree.
+    The tables may hold every minor or only the nonzero ones. The orbit of
+    ``ending`` ends (toward infinity) where the orbit of ``starting`` begins
+    (toward zero), as consecutive chain components do. At the node the
+    surviving minors sit at the lowest first-block weight of the ending
+    orbit and the highest of the starting one; the first-order terms sit one
+    level inward. Both must be nonzero, and the two end levels must agree.
     """
     ending_levels = {first for first, _ in _weight_profile(split, ending)}
     starting_levels = {first for first, _ in _weight_profile(split, starting)}
@@ -232,8 +218,9 @@ def _tangent_certificate(
 def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
     """Structural limits, degrees and node certificates against the oracle's.
 
-    Builds one minor table and one block profile per component and returns
-    one line per disagreement; empty when everything agrees. At each node
+    Tabulates the nonzero minors and builds the block profile of each
+    component once, and returns one line per disagreement; empty when
+    everything agrees. At each node
     between two orbit components, the tangent certificate recomputed from the
     minor tables must hold and must agree with the structural certificate
     of :func:`torus.meeting_is_transverse`.
@@ -244,7 +231,7 @@ def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
     profiles = [block_profile(split, comp.base_space) for comp in chain.components]
     for comp, profile in zip(chain.components, profiles):
         v = comp.base_space
-        table = minor_table(v)
+        table = _kept_minors(v)[0]
         tables.append(table)
         for direction in (Direction.ZERO, Direction.INFINITY):
             if profile.limit(direction) != _limit_from_table(split, v, table, direction):

@@ -25,7 +25,7 @@ from conftest import feasible_parameters
 
 # (d, r, delta, seed) of each generated series, and whether verify --oracle runs
 CASES = {
-    "d8r7": (["--d", "8", "--r", "7", "--delta", "2,1,2,1,2,1,2,1", "--seed", "1"], False),
+    "d8r7": (["--d", "8", "--r", "7", "--delta", "2,1,2,1,2,1,2,1", "--seed", "1"], True),
     "d4r2": (["--d", "4", "--r", "2", "--delta", "2,1,2,1", "--seed", "3"], True),
     "d8r3": (["--d", "8", "--r", "3", "--delta", "1,1,1,1,3,1,3,1", "--seed", "5"], True),
 }
@@ -40,6 +40,7 @@ GOLDEN = {
         "numerical-data": "0 fb9d335d414d004bdf383990ae702d7ab03a4c8d77e285530be2fca04147c595",
         "series.json": "d7e1d107d3a9c70a184fec5ed02a6d4b55cda1eaa98ac1e7bb532eff35a5fab5",
         "verify": "0 9adbb6f73f8123bbef36868732c37f249a5d27ab6523b4d3a8232208898f68ef",
+        "verify --oracle": "0 52d51893d82cbc2dc73844895196dd498f6101c4ca5ed91c64175159c131cce4",
     },
     "d4r2": {
         "build-chain": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",

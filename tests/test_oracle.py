@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from nodalseries.oracle import (
     minor_table,
     sample_orbit_check,
     subspace_from_minors,
+    weight_profile_via_pluecker,
 )
 from nodalseries.curve import section_space
 from nodalseries.torus import (
@@ -73,8 +75,34 @@ def test_oracle_agrees_with_structural_path():
 
 
 def test_subspace_from_minors_rejects_zero_vector():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all minors vanish"):
         subspace_from_minors(3, 1, {(0,): F(0), (1,): F(0), (2,): F(0)})
+    with pytest.raises(ValueError, match="all minors vanish"):
+        subspace_from_minors(3, 1, {})
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(1,), (0, 1, 2), (1, 4), (-1, 2), (2, 1), (1, 1)],
+    ids=["short", "long", "past the end", "negative", "unsorted", "repeated"],
+)
+def test_subspace_from_minors_rejects_a_malformed_key(key):
+    # a stray key sorting before (0, 2) would otherwise become the base
+    minors = {(0, 2): F(1), (1, 2): 3, key: 5}
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        subspace_from_minors(4, 2, minors)
+    # a malformed key is refused even where its minor vanishes
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        subspace_from_minors(4, 2, {(0, 2): F(1), key: 0})
+
+
+def test_subspace_from_minors_takes_int_and_fraction_minors():
+    v = Subspace.from_spanning(4, [(1, F(1, 2), 0, 3), (0, 0, 1, F(-2, 7))])
+    table = minor_table(v)
+    # the same Pluecker vector, scaled and as integers, without its zeros
+    scaled = {cols: int(value * 14 * -3) for cols, value in table.items() if value}
+    assert subspace_from_minors(4, 2, table) == v
+    assert subspace_from_minors(4, 2, scaled) == v
 
 
 def test_minor_table_full_enumeration():
@@ -86,15 +114,16 @@ def test_minor_table_full_enumeration():
 
 def test_the_oracle_tabulates_each_value_once(monkeypatch):
     calls = []
-    real = oracle._laplace_minors
+    real = oracle._nonzero_minors
     monkeypatch.setattr(
-        oracle, "_laplace_minors", lambda rows, n: calls.append(n) or real(rows, n)
+        oracle, "_nonzero_minors", lambda rows: calls.append(rows) or real(rows)
     )
     split = TorusSplit(2, 3)
     v = random_subspace(5, 2, random.Random(4))
     limit_via_pluecker(split, v, Direction.ZERO)
     limit_via_pluecker(split, v, Direction.INFINITY)
     degree_via_pluecker(split, v)
+    weight_profile_via_pluecker(split, v)
     assert len(calls) == 1
     # an equal value built on its own has its own table
     assert minor_table(Subspace(v.ambient_dim, v.basis)) == minor_table(v)
@@ -158,6 +187,18 @@ def test_minor_table_matches_per_set_expansion():
         assert all(type(value) is F for value in table.values())
 
 
+def _assert_nonzero_minors_match_per_set_expansion(rows, n):
+    expected = {}
+    for cols in combinations(range(n), len(rows)):
+        value = _expand_along_first_row([[row[c] for c in cols] for row in rows])
+        if value:
+            expected[cols] = value
+    minors, scale = oracle._nonzero_minors(rows)
+    assert all(type(value) is int and value != 0 for value in minors.values())
+    assert type(scale) is int and scale > 0
+    assert {cols: F(value, scale) for cols, value in minors.items()} == expected
+
+
 def test_laplace_minors_match_per_set_expansion_on_hard_rows():
     rng = random.Random(29)
     cases = [([], 0), ([], 3), ([[F(0)] * 3], 3), ([[F(0)] * 2, [F(1, 3), F(-2, 7)]], 2)]
@@ -169,13 +210,82 @@ def test_laplace_minors_match_per_set_expansion_on_hard_rows():
             rows[rng.randrange(k)] = [F(0)] * n
         cases.append((rows, n))
     for rows, n in cases:
-        expected = [
-            (cols, _expand_along_first_row([[row[c] for c in cols] for row in rows]))
-            for cols in combinations(range(n), len(rows))
-        ]
-        table = oracle._laplace_minors(rows, n)
-        assert list(table.items()) == expected
-        assert all(type(value) is F for value in table.values())
+        _assert_nonzero_minors_match_per_set_expansion(rows, n)
+
+
+def _cancelling_rows(rng, k, n):
+    # rows whose minors cancel: some or all of them vanish, though the rows
+    # have nonzero entries
+    rows = _hard_rows(rng, k, n)
+    kind = rng.randrange(3)
+    if kind == 0 and k >= 2:
+        # two proportional rows
+        i, j = rng.sample(range(k), 2)
+        factor = F(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+        rows[i] = [factor * e for e in rows[j]]
+    elif kind == 1 and k >= 2:
+        # a row equal to the sum of the later rows
+        i = rng.randrange(k - 1)
+        rows[i] = [sum(column, F(0)) for column in zip(*rows[i + 1 :])]
+    else:
+        rows[rng.randrange(k)] = [F(0)] * n
+    return rows
+
+
+def test_nonzero_minors_drop_the_minors_that_cancel():
+    rng = random.Random(37)
+    cases = [
+        # one-column inputs
+        ([[F(3, 4)]], 1),
+        ([[F(0)]], 1),
+        ([], 1),
+        # proportional rows, one of them with a column of zeros
+        ([[F(1), F(2), F(0)], [F(-3, 2), F(-3), F(0)]], 3),
+        # the first row is the sum of the later two, so every 3-minor cancels
+        ([[F(2), F(1), F(1), F(3)], [F(1), F(0), F(1), F(2)], [F(1), F(1), F(0), F(1)]], 4),
+    ]
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, n)
+        cases.append((_cancelling_rows(rng, k, n), n))
+    for rows, n in cases:
+        _assert_nonzero_minors_match_per_set_expansion(rows, n)
+    assert oracle._nonzero_minors(cases[0][0]) == ({(0,): 3}, 4)
+    assert oracle._nonzero_minors(cases[1][0]) == ({}, 1)
+    assert oracle._nonzero_minors([]) == ({(): 1}, 1)
+    assert oracle._nonzero_minors(cases[3][0])[0] == {}
+    assert oracle._nonzero_minors(cases[4][0])[0] == {}
+
+
+def _audit_spaces(seed):
+    # every split with blocks <= 5 and every dimension <= 4, as the orbit
+    # audit draws them
+    rng = random.Random(seed)
+    for dim1 in range(6):
+        for dim2 in range(6 if dim1 else 1, 6):
+            split = TorusSplit(dim1, dim2)
+            for dim in range(1, min(4, split.ambient_dim) + 1):
+                yield split, random_subspace(split.ambient_dim, dim, rng)
+
+
+def test_kept_and_full_minor_tables_give_the_same_answers_on_audit_splits():
+    previous = None
+    for split, v in _audit_spaces(43):
+        table = minor_table(v)
+        kept, _ = oracle._kept_minors(v)
+        assert set(kept) == {cols for cols, value in table.items() if value}
+        assert weight_profile_via_pluecker(split, v) == oracle._weight_profile(split, table)
+        assert degree_via_pluecker(split, v) == oracle._degree(split, table)
+        if previous is not None and previous[0] == split:
+            other = previous[1]
+            for ending, starting in ((other, v), (v, other)):
+                full = oracle._tangent_certificate(
+                    split, minor_table(ending), minor_table(starting)
+                )
+                assert full == oracle._tangent_certificate(
+                    split, oracle._kept_minors(ending)[0], oracle._kept_minors(starting)[0]
+                )
+        previous = (split, v)
 
 
 def _solved_rows_spanned(ambient_dim, dim, minors):
@@ -200,36 +310,63 @@ def _solved_rows_spanned(ambient_dim, dim, minors):
 def test_subspace_from_minors_needs_no_elimination_on_audit_splits():
     # every split with blocks <= 5 and every dimension <= 4, as the orbit
     # audit draws them; the full table and both limit tables
-    rng = random.Random(41)
-    for dim1 in range(6):
-        for dim2 in range(6 if dim1 else 1, 6):
-            split = TorusSplit(dim1, dim2)
-            for dim in range(1, min(4, split.ambient_dim) + 1):
-                v = random_subspace(split.ambient_dim, dim, rng)
-                table = minor_table(v)
-                weights = {cols: sum(c < dim1 for c in cols) for cols in table}
-                levels = [weights[cols] for cols, value in table.items() if value]
-                for kept in (min(levels), max(levels)):
-                    survivors = {
-                        cols: value if weights[cols] == kept else F(0)
-                        for cols, value in table.items()
-                    }
-                    rebuilt = subspace_from_minors(split.ambient_dim, dim, survivors)
-                    assert rebuilt == _solved_rows_spanned(split.ambient_dim, dim, survivors)
-                assert subspace_from_minors(split.ambient_dim, dim, table) == v
+    for split, v in _audit_spaces(41):
+        dim = v.dim
+        table = minor_table(v)
+        weights = {cols: sum(c < split.dim1 for c in cols) for cols in table}
+        levels = [weights[cols] for cols, value in table.items() if value]
+        for kept in (min(levels), max(levels)):
+            survivors = {
+                cols: value if weights[cols] == kept else F(0)
+                for cols, value in table.items()
+            }
+            rebuilt = subspace_from_minors(split.ambient_dim, dim, survivors)
+            assert rebuilt == _solved_rows_spanned(split.ambient_dim, dim, survivors)
+        assert subspace_from_minors(split.ambient_dim, dim, table) == v
 
 
 def test_compare_chain_builds_one_minor_table_per_component(monkeypatch):
     chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
     calls = []
+    real = oracle._kept_minors
 
     def counting(v):
         calls.append(v)
-        return minor_table(v)
+        return real(v)
 
-    monkeypatch.setattr(oracle, "minor_table", counting)
+    monkeypatch.setattr(oracle, "_kept_minors", counting)
     assert compare_chain(chain) == ()
     assert calls == [c.base_space for c in chain.components]
+
+
+def test_the_oracle_reads_only_the_nonzero_minors_at_d8_r7(monkeypatch):
+    # C(18, 8) = 43,758 column sets per base space, of which 1 to 4 have a
+    # nonzero minor: the oracle's work follows the nonzero ones
+    chain = build_chain(random_exact_lls(8, 7, (2, 1, 2, 1, 2, 1, 2, 1), seed=1))
+    split = chain.model.split
+    drawn = [0]
+    real = oracle.combinations
+
+    def counting(*args):
+        for cols in real(*args):
+            drawn[0] += 1
+            yield cols
+
+    monkeypatch.setattr(oracle, "combinations", counting)
+    assert compare_chain(chain) == ()
+    for comp in chain.components:
+        for direction in Direction:
+            limit_via_pluecker(split, comp.base_space, direction)
+        degree_via_pluecker(split, comp.base_space)
+    assert drawn[0] < 1000
+    monkeypatch.undo()
+    for comp in chain.components:
+        v = comp.base_space
+        minors, scale = vars(v)["_minor_table"]
+        table = minor_table(v)
+        assert {cols: F(value, scale) for cols, value in minors.items()} == {
+            cols: value for cols, value in table.items() if value
+        }
 
 
 def _relabel(chain, target, kind, degree):

@@ -36,7 +36,6 @@ from .torus import (
 from .delta import DeltaSet, NumericalData, build_delta, consecutive_pairs, support_subset
 from .curve import (
     CurveModel,
-    SectionSpace,
     is_generalized_linear_series,
     section_space,
     twisted_space_at,

@@ -91,6 +91,8 @@ class ContinuousChain:
     nodes: tuple[Subspace, ...]
 
     def __post_init__(self) -> None:
+        if type(self.rank) is not int:
+            raise TypeError(f"rank must be an integer, got {self.rank!r}")
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if len(self.components) != len(self.delta):

@@ -30,12 +30,22 @@ MAX_DEGREE = 8
 def _emit(*outputs: tuple[str, str | None]) -> int:
     """Write each (text, file) pair, to standard output where the file is None.
 
-    Returns 0, or 2 after a one-line error when a file cannot be written.
-    Every file is first opened for appending, which leaves it as it was, so
-    one that cannot be opened stops the command before any file is written;
-    the files this call created are removed on any error.
+    Returns 0, or 2 after a one-line error when two outputs resolve to the
+    same file or a file cannot be written. The first refusal comes before
+    any file is opened. Every file is then opened for appending, which
+    leaves it as it was, so one that cannot be opened stops the command
+    before any file is written; the files this call created are removed on
+    any error.
     """
     files = [(text, path) for text, path in outputs if path]
+    if len(files) > 1:
+        named: dict[str, str] = {}
+        for _, path in files:
+            real = os.path.realpath(path)
+            if real in named:
+                print(f"error: {named[real]} and {path} name the same file", file=sys.stderr)
+                return 2
+            named[real] = path
     created = []
     try:
         for _, path in files:

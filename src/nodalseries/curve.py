@@ -66,18 +66,6 @@ class CurveModel:
         return tuple(self.s_coord(j) for j in range(self.d - level, self.d + 1))
 
 
-@dataclass(frozen=True)
-class SectionSpace:
-    """Ambient space of sections available at one index of the twist ladder."""
-
-    index: Fraction
-    subspace: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
-
-
 def _section_rows(model: CurveModel, i: Fraction) -> list[tuple[int, ...]]:
     """The ambient coordinates of each row of S_i's canonical basis.
 
@@ -99,7 +87,7 @@ def _section_rows(model: CurveModel, i: Fraction) -> list[tuple[int, ...]]:
     return rows
 
 
-def section_space(model: CurveModel, i: Rational) -> SectionSpace:
+def section_space(model: CurveModel, i: Rational) -> Subspace:
     """Sections of the i-step twist, as a subspace of U1 + U2.
 
     Non-integer i: the direct sum of the first-block flag at level ceil(i)
@@ -107,14 +95,13 @@ def section_space(model: CurveModel, i: Rational) -> SectionSpace:
     the level-i flags, the kernel of the node condition
     coeff(t^i) = coeff(s^(d-i)). Either way the dimension is d + 1.
     """
-    i = exact_rational(i)
-    rows = _section_rows(model, i)
+    rows = _section_rows(model, exact_rational(i))
     n = model.ambient_dim
     entries = [ZERO] * (len(rows) * n)
     for r, coords in enumerate(rows):
         for c in coords:
             entries[r * n + c] = ONE
-    return SectionSpace(i, Subspace(n, Matrix(len(rows), n, tuple(entries))))
+    return Subspace(n, Matrix(len(rows), n, tuple(entries)))
 
 
 def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:
@@ -123,7 +110,7 @@ def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:
     The torus moves the glued integer-index spaces and fixes the split
     non-integer ones; x = 1 recovers ``section_space`` itself.
     """
-    return act(model.split, x, section_space(model, i).subspace)
+    return act(model.split, x, section_space(model, i))
 
 
 def in_section_space(model: CurveModel, v: Subspace, i: Rational) -> bool:

@@ -626,7 +626,7 @@ def corrupt_exactness(g: LimitLinearSeries, seed: int) -> LimitLinearSeries:
             block = 1 if strategy == "first-block-only" else 2
             inside = embed_block(split, meet_block(split, g.space_at(i), block), block)
             room = embed_block(
-                split, meet_block(split, section_space(model, i).subspace, block), block
+                split, meet_block(split, section_space(model, i), block), block
             )
             found = _complement_vectors(room, inside, g.rank + 1 - inside.dim, rng)
             if found is None:

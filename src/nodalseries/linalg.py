@@ -386,12 +386,6 @@ class Subspace:
     def __le__(self, other: "Subspace") -> bool:
         return other.contains(self)
 
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return sum_and_intersection(self, other)[0]
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return sum_and_intersection(self, other)[1]
-
     def __str__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 

@@ -216,14 +216,15 @@ def _tangent_certificate(split: TorusSplit, ending: Minors, starting: Minors) ->
 
 
 def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
-    """Structural limits, degrees and node certificates against the oracle's.
+    """Structural limits, degrees and node meetings against the oracle's.
 
     Tabulates the nonzero minors and builds the block profile of each
     component once, and returns one line per disagreement; empty when
-    everything agrees. At each node
-    between two orbit components, the tangent certificate recomputed from the
-    minor tables must hold and must agree with the structural certificate
-    of :func:`torus.meeting_is_transverse`.
+    everything agrees. At each node between two orbit components, the
+    tangent certificate recomputed from the minor tables must hold and must
+    agree with the structural side, which is that the two orbit closures
+    meet: a meeting of linked orbits is always transverse (see
+    :func:`torus.meeting_is_transverse`).
     """
     split = chain.model.split
     mismatch = []
@@ -249,7 +250,7 @@ def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
         pair = f"({format_rational(left.index)}, {format_rational(right.index)})"
         certified = _tangent_certificate(split, left_table, right_table)
         try:
-            structural = left_profile.meets_transversally(right_profile)
+            structural = left_profile.meeting_point(right_profile) is not None
         except ValueError:
             structural = False
         if not certified:
@@ -303,7 +304,7 @@ def sample_orbit_check(
     for comp in chain.components:
         stream = random.Random(rng.getrandbits(64))
         xs = _random_torus_elements(stream, samples_per_component)
-        fiber = section_space(chain.model, comp.index).subspace
+        fiber = section_space(chain.model, comp.index)
         seen: set[Subspace] = set()
         for x in xs:
             moved = act(split, x, comp.base_space)

@@ -44,6 +44,8 @@ class LimitLinearSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "spaces", tuple(self.spaces))
+        if type(self.rank) is not int:
+            raise TypeError(f"rank must be an integer, got {self.rank!r}")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
         if self.delta.d != self.model.d:
@@ -179,31 +181,31 @@ def reduce_minimal(g: LimitLinearSeries) -> LimitLinearSeries:
     return LimitLinearSeries(g.model, g.rank, reduced_delta, spaces)
 
 
+def _normalising_entry(split: TorusSplit, v: Subspace) -> Fraction:
+    """The first nonzero second-block entry of a row with a first-block pivot.
+
+    Those rows lead the canonical basis. A fixed point has no such entry,
+    and its normalising entry is 1.
+    """
+    for row in v.basis_rows():
+        if is_zero_vector(row[: split.dim1]):
+            break
+        for e in row[split.dim1 :]:
+            if e is not ZERO and e:
+                return e
+    return ONE
+
+
 def _scaling_witness(split: TorusSplit, v1: Subspace, v2: Subspace) -> Fraction | None:
     """The nonzero c with act(c, v1) == v2, or None.
 
-    Each basis row (w1|w2) of v1 must move into v2 as u*(w1|0) + (0|w2) with
-    u = 1/c. Reducing against v2 is linear, so with residuals a of (w1|0) and
-    b of (0|w2) the condition reads u*a + b = 0: the first row with a != 0
-    fixes the only candidate. When every residual vanishes, v1 lies in v2 and
-    only the identity can work.
+    ``act(c, ·)`` multiplies exactly the second-block entries of the rows
+    with a first-block pivot by c, keeping their zero pattern, so it
+    multiplies the normalising entry by c. The ratio of the two normalising
+    entries is therefore the only candidate, and one ``act`` decides it.
     """
-    if v1.dim != v2.dim:
-        return None
-    zeros1 = (ZERO,) * split.dim1
-    zeros2 = (ZERO,) * split.dim2
-    for row in v1.basis_rows():
-        a = v2.residual(row[: split.dim1] + zeros2)
-        b = v2.residual(zeros1 + row[split.dim1 :])
-        k = next((k for k, e in enumerate(a) if e is not ZERO and e), None)
-        if k is not None:
-            if b[k] == 0:
-                return None
-            c = -a[k] / b[k]
-            return c if act(split, c, v1) == v2 else None
-        if not is_zero_vector(b):
-            return None
-    return ONE if v1 == v2 else None
+    c = _normalising_entry(split, v2) / _normalising_entry(split, v1)
+    return c if act(split, c, v1) == v2 else None
 
 
 def torus_equivalence_witnesses(
@@ -213,7 +215,8 @@ def torus_equivalence_witnesses(
 
     Integer indices admit no rescaling (the witness there is forced to 1 and
     the spaces must agree on the nose); each non-integer index may be scaled
-    independently.
+    independently. Its witness is the ratio of the two spaces' normalising
+    entries, checked by one ``act``: no elimination and no minors.
     """
     if (g1.model, g1.rank, g1.delta) != (g2.model, g2.rank, g2.delta):
         raise ValueError("series live on different models, ranks or ladders")

@@ -11,7 +11,9 @@ it once per ``Subspace`` value and split and keeps it on the value, so the
 limits, the degree, fixedness, the meetings and the block projections and
 intersections (:func:`project_block`, :func:`meet_block`) of one value
 together make one elimination if the value moves and none if it is a fixed
-point.
+point. Two linked orbit closures that meet always meet transversally (the
+weight argument of :func:`meeting_is_transverse`), so the meeting point
+stands for transversality and no separate tangent certificate is computed.
 """
 
 from __future__ import annotations
@@ -115,25 +117,6 @@ class BlockProfile:
         if mirrored and self.onto_first == other.inside_first:
             return self.limit(Direction.ZERO)
         return None
-
-    def meets_transversally(self, other: BlockProfile) -> bool:
-        """First-order transversality certificate at the meeting point; see
-        :func:`meeting_is_transverse` for the argument."""
-        if self.meeting_point(other) is None:
-            raise ValueError("orbits do not meet; no transversality to certify")
-        # Forward linking: self ends (toward infinity) where other begins;
-        # otherwise the roles are mirrored. At the node the ending orbit sits
-        # at the low end of its weight interval, the starting one at the high end.
-        forward = other.onto_first == self.inside_first
-        ending, starting = (self, other) if forward else (other, self)
-        end_level = ending.inside_first.dim
-        start_level = starting.onto_first.dim
-        ending_tangent = end_level + 1 <= ending.onto_first.dim
-        starting_tangent = start_level - 1 >= starting.inside_first.dim
-        # The first-order terms sit at weight levels end+1 and start-1; when the
-        # levels agree at the point (end == start) those are eigenvectors for
-        # distinct torus weights, hence independent once both are nonzero.
-        return ending_tangent and starting_tangent and end_level == start_level
 
 
 def _check_member(split: TorusSplit, v: Subspace) -> None:
@@ -318,25 +301,27 @@ def orbit_intersection(split: TorusSplit, v: Subspace, vp: Subspace) -> Subspace
 
 
 def meeting_is_transverse(split: TorusSplit, v: Subspace, vp: Subspace) -> bool:
-    """First-order certificate that the two orbit closures meet transversally.
+    """Whether the two orbit closures meet transversally; True once they meet.
 
     The first-block weights of the nonzero Pluecker coordinates of a
-    subspace form the gap-free interval [dim inside_first, dim onto_first],
-    so both weight sets are read off the block profiles, with no minors. At
-    an orbit's limit only the minors at one end of its interval survive, and
-    the first-order term, which spans the curve's tangent line there, sits
-    one level inward. The certificate checks that both first-order terms
-    exist and that the two orbits sit at the same end level at the node.
+    subspace form the gap-free interval [dim inside_first, dim onto_first].
+    At an orbit's limit only the minors at one end of its interval survive,
+    and the first-order term, which spans the curve's tangent line there,
+    sits one level inward.
 
-    Why it cannot fail once the orbits meet: at the shared fixed point P the
+    Why the meeting is always transverse: at the shared fixed point P the
     tangent space Hom(P, W/P) of the Grassmannian splits into torus weight
     spaces -1, 0 and +1. The orbit that ends at P and the orbit that starts
     at P have tangent lines in the two opposite nonzero weight spaces. Both
     are nonzero, because a nonfixed orbit's weight interval has at least two
     points, so each curve is smooth at its limits. Eigenvectors for distinct
-    weights are independent, so the meeting is transverse.
+    weights are independent, so the meeting is transverse, and finding the
+    meeting point (:func:`orbit_intersection`) is the whole certificate.
+    ``oracle.compare_chain`` recomputes the first-order terms from the minors.
 
     Raises ValueError when the closures are disjoint, and whatever
     :func:`orbit_intersection` raises outside its regime.
     """
-    return block_profile(split, v).meets_transversally(block_profile(split, vp))
+    if orbit_intersection(split, v, vp) is None:
+        raise ValueError("orbits do not meet; no transversality to certify")
+    return True

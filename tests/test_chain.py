@@ -358,6 +358,13 @@ def test_chain_rejects_targets_outside_the_degree():
         dataclasses.replace(chain, components=(chain.components[0], wrapped))
 
 
+@pytest.mark.parametrize("rank", [pytest.param(True, id="bool"), pytest.param(1.0, id="float")])
+def test_chain_refuses_a_non_integer_rank(rank):
+    chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
+    with pytest.raises(TypeError, match="rank must be an integer"):
+        dataclasses.replace(chain, rank=rank)
+
+
 def _with_base(chain, index, rows):
     """The chain with the base space at ``index`` replaced by the span of rows."""
     pos = chain.delta.position(index)

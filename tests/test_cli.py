@@ -426,6 +426,19 @@ def test_limit_refuses_an_unwritable_output(tmp_path, capsys):
     _refused_write(["limit", str(task), "--at", "zero", "-o", str(out)], out, capsys)
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_build_chain_refuses_two_outputs_naming_one_file(
+    e4_file, tmp_path, monkeypatch, capsys, spelling
+):
+    monkeypatch.chdir(tmp_path)
+    dot = "X" if spelling == "same" else os.path.join(".", "X")
+    assert main(["build-chain", e4_file, "-o", "X", "--dot", dot]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: X and {dot} name the same file\n"
+    assert not (tmp_path / "X").exists()
+
+
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 def test_build_chain_writes_nothing_when_one_output_is_unwritable(
     e4_file, tmp_path, capsys, existing

@@ -21,7 +21,7 @@ def test_section_space_d1_index0():
     model = CurveModel(1)
     space = section_space(model, F(0))
     assert space.dim == 2
-    assert space.subspace == Subspace.from_spanning(4, [(1, 0, 0, 1), (0, 1, 0, 0)])
+    assert space == Subspace.from_spanning(4, [(1, 0, 0, 1), (0, 1, 0, 0)])
 
 
 def test_section_space_d1_index1():
@@ -29,7 +29,7 @@ def test_section_space_d1_index1():
     model = CurveModel(1)
     space = section_space(model, F(1))
     assert space.dim == 2
-    assert space.subspace == Subspace.from_spanning(4, [(0, 1, 1, 0), (0, 0, 0, 1)])
+    assert space == Subspace.from_spanning(4, [(0, 1, 1, 0), (0, 0, 0, 1)])
 
 
 def test_section_space_noninteger():
@@ -45,7 +45,7 @@ def test_section_space_noninteger():
             (0, 0, 0, 0, 0, 1),
         ],
     )
-    assert space.subspace == expected
+    assert space == expected
 
 
 def test_section_space_rejects_out_of_range():
@@ -111,24 +111,24 @@ def test_section_space_matches_elimination_of_its_generators():
                 row = [0] * n
                 row[c] = 1
                 generators.append(row)
-            space = section_space(model, i).subspace
+            space = section_space(model, i)
             assert space == Subspace.from_spanning(n, generators)
             assert all(type(e) is F for e in space.basis.entries)
 
 
 def test_twisted_space_at_identity_and_scaling():
     model = CurveModel(1)
-    assert twisted_space_at(model, F(0), F(1)) == section_space(model, F(0)).subspace
+    assert twisted_space_at(model, F(0), F(1)) == section_space(model, F(0))
     moved = twisted_space_at(model, F(0), F(2))
     # (x^{-1}, 1) applied to (a + bt, a s): pairs (a + b t, 2 a s)
     assert moved == Subspace.from_spanning(4, [(1, 0, 0, 2), (0, 1, 0, 0)])
-    assert moved == act(model.split, F(2), section_space(model, F(0)).subspace)
+    assert moved == act(model.split, F(2), section_space(model, F(0)))
 
 
 def test_twisted_space_noninteger_is_invariant():
     model = CurveModel(2)
     for x in (F(2), F(-3), F(1, 5)):
-        assert twisted_space_at(model, F(1, 2), x) == section_space(model, F(1, 2)).subspace
+        assert twisted_space_at(model, F(1, 2), x) == section_space(model, F(1, 2))
 
 
 def test_twisted_space_rejects_zero():
@@ -138,7 +138,7 @@ def test_twisted_space_rejects_zero():
 
 def test_membership_predicate():
     model = CurveModel(1)
-    full = section_space(model, F(0)).subspace
+    full = section_space(model, F(0))
     assert is_generalized_linear_series(model, full, F(0), 1)
     # a first-block line violating the node matching at the integer index
     bad = Subspace.from_spanning(4, [(1, 0, 0, 0)])
@@ -157,7 +157,7 @@ def _membership_cases(rng):
         n = model.ambient_dim
         indices = {F(k, q) for q in (1, 2, 3) for k in range(q * d + 1)}
         for i in sorted(indices):
-            rows = section_space(model, i).subspace.basis_rows()
+            rows = section_space(model, i).basis_rows()
             support = {c for row in rows for c in range(n) if row[c]}
             off = [c for c in range(n) if c not in support]
             # equal at integer i, where they are the glued pair; free otherwise
@@ -185,7 +185,7 @@ def _membership_cases(rng):
 def test_membership_reads_the_section_space_equations():
     outcomes = set()
     for model, i, v in _membership_cases(random.Random(31)):
-        inside = section_space(model, i).subspace.contains(v)
+        inside = section_space(model, i).contains(v)
         assert is_generalized_linear_series(model, v, i, v.dim - 1) == inside, (model.d, i)
         outcomes.add((i.denominator == 1, inside))
     # both answers occur at integer and at non-integer indices
@@ -195,7 +195,7 @@ def test_membership_reads_the_section_space_equations():
 def test_flag_exchange_is_monotone_along_ladder():
     model = CurveModel(3)
     ladder = build_delta(3, (2, 3, 1))
-    spaces = {i: section_space(model, i).subspace for i in ladder.indices}
+    spaces = {i: section_space(model, i) for i in ladder.indices}
     for i, j in consecutive_pairs(ladder):
         earlier, later = spaces[i], spaces[j]
         # first-block image shrinks, second-block image grows with the index
@@ -212,7 +212,7 @@ def test_every_subspace_pushes_into_next_section_space():
     # second-block part of the later one, so restriction maps are defined
     model = CurveModel(3)
     ladder = build_delta(3, (2, 1, 2))
-    spaces = {i: section_space(model, i).subspace for i in ladder.indices}
+    spaces = {i: section_space(model, i) for i in ladder.indices}
     for i, j in consecutive_pairs(ladder):
         assert meet_block(model.split, spaces[j], 2).contains(
             project_block(model.split, spaces[i], 2)

@@ -504,8 +504,8 @@ def test_compare_chain_reports_wrong_structural_formulas(monkeypatch):
 def test_compare_chain_checks_the_tangent_certificate_at_orbit_nodes(monkeypatch):
     chain, p = orbit_orbit_chain()
     assert compare_chain(chain) == ()
-    # a structural certificate that always fails disagrees with the minors
-    monkeypatch.setattr(BlockProfile, "meets_transversally", lambda self, other: False)
+    # a structural side that never finds the meeting disagrees with the minors
+    monkeypatch.setattr(BlockProfile, "meeting_point", lambda self, other: None)
     assert compare_chain(chain) == ("transversality mismatch at (4/3, 5/3)",)
     monkeypatch.undo()
     # an orbit glued to a copy of itself has no node where its ends meet

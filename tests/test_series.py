@@ -10,9 +10,11 @@ from nodalseries.generate import (
     pad_with_trivial_slots,
     random_exact_lls,
 )
-from nodalseries.linalg import Subspace
+from nodalseries.generate import random_subspace
+from nodalseries.linalg import ONE, ZERO, Subspace, is_zero_vector
 from nodalseries.series import (
     LimitLinearSeries,
+    _scaling_witness,
     check_compatible,
     check_exact,
     membership_failures,
@@ -22,7 +24,15 @@ from nodalseries.series import (
     torus_equivalence_witnesses,
     torus_equivalent,
 )
-from nodalseries.torus import Direction, act, block_profile, is_fixed, limit
+from nodalseries.torus import (
+    Direction,
+    TorusSplit,
+    act,
+    assemble_split_subspace,
+    block_profile,
+    is_fixed,
+    limit,
+)
 
 
 MODEL1 = CurveModel(1)
@@ -68,6 +78,15 @@ def test_constructor_validates_shape():
                 Subspace.from_spanning(4, [(0, 0, 0, 1)]),
             ),
         )
+
+
+@pytest.mark.parametrize("rank", [pytest.param(True, id="bool"), pytest.param(1.0, id="float")])
+def test_constructor_refuses_a_non_integer_rank(rank):
+    # equal to the true rank 1, but dumps_instance would write "r": true or
+    # "r": 1.0, which no loader accepts
+    g = random_exact_lls(2, 1, (2, 1), seed=6)
+    with pytest.raises(TypeError, match="rank must be an integer"):
+        LimitLinearSeries(g.model, rank, g.delta, g.spaces)
 
 
 def test_e4_compatible_and_exact():
@@ -313,3 +332,109 @@ def test_witnesses_reject_a_slot_replaced_by_its_limit(exact_corpus):
         assert torus_equivalence_witnesses(broken, g) is None
         checked += 1
     assert checked >= 100
+
+
+def _reference_witness(split, v1, v2):
+    """The nonzero c with act(c, v1) == v2, or None, by a residual search.
+
+    Each basis row (w1|w2) of v1 must move into v2 as u*(w1|0) + (0|w2) with
+    u = 1/c. Reducing against v2 is linear, so with residuals a of (w1|0) and
+    b of (0|w2) the condition reads u*a + b = 0: the first row with a != 0
+    fixes the only candidate. When every residual vanishes, v1 lies in v2 and
+    only the identity can work.
+    """
+    if v1.dim != v2.dim:
+        return None
+    zeros1 = (ZERO,) * split.dim1
+    zeros2 = (ZERO,) * split.dim2
+    for row in v1.basis_rows():
+        a = v2.residual(row[: split.dim1] + zeros2)
+        b = v2.residual(zeros1 + row[split.dim1 :])
+        k = next((k for k, e in enumerate(a) if e is not ZERO and e), None)
+        if k is not None:
+            if b[k] == 0:
+                return None
+            c = -a[k] / b[k]
+            return c if act(split, c, v1) == v2 else None
+        if not is_zero_vector(b):
+            return None
+    return ONE if v1 == v2 else None
+
+
+def _sparse_subspace(n, dim, rng):
+    """A random dim-dimensional subspace of Q^n spanned by rows with few nonzero entries."""
+    while True:
+        rows = [
+            [F(rng.choice([-2, -1, 1, 3])) if rng.random() < 0.25 else F(0) for _ in range(n)]
+            for _ in range(dim)
+        ]
+        v = Subspace.from_spanning(n, rows)
+        if v.dim == dim:
+            return v
+
+
+def _fixed_subspace(split, dim, rng):
+    """A random fixed point: the direct sum of a part of each block."""
+    dim1 = rng.randint(max(0, dim - split.dim2), min(dim, split.dim1))
+    return assemble_split_subspace(
+        split,
+        random_subspace(split.dim1, dim1, rng),
+        random_subspace(split.dim2, dim - dim1, rng),
+    )
+
+
+def _witness_corpus(rng, pairs_per_kind):
+    """Seeded pairs (split, v1, v2, kind): moved, unrelated, sparse, fixed and limit spaces."""
+    kinds = ("moved", "unrelated", "sparse moved", "sparse unrelated", "fixed", "limit")
+    for kind in kinds:
+        for _ in range(pairs_per_kind):
+            split = TorusSplit(rng.randint(1, 4), rng.randint(1, 4))
+            n = split.ambient_dim
+            dim = rng.randint(1, n - 1) if n > 1 else 1
+            c = F(rng.choice([-7, -3, -1, 2, 5]), rng.randint(1, 4))
+            if kind == "moved":
+                v = random_subspace(n, dim, rng)
+                yield split, v, act(split, c, v), kind
+            elif kind == "unrelated":
+                yield split, random_subspace(n, dim, rng), random_subspace(n, dim, rng), kind
+            elif kind == "sparse moved":
+                v = _sparse_subspace(n, dim, rng)
+                yield split, v, act(split, c, v), kind
+            elif kind == "sparse unrelated":
+                yield split, _sparse_subspace(n, dim, rng), _sparse_subspace(n, dim, rng), kind
+            elif kind == "fixed":
+                v = _fixed_subspace(split, dim, rng)
+                other = rng.choice(
+                    [v, _fixed_subspace(split, dim, rng), random_subspace(n, dim, rng)]
+                )
+                yield split, v, other, kind
+            else:
+                v = rng.choice([random_subspace, _sparse_subspace])(n, dim, rng)
+                direction = rng.choice([Direction.ZERO, Direction.INFINITY])
+                yield split, v, rng.choice([v, act(split, c, v)]), "moved"
+                yield split, v, limit(split, v, direction), kind
+
+
+def test_normalising_entry_witness_matches_the_residual_search():
+    rng = random.Random(47)
+    outcomes = {}
+    pairs = 0
+    for split, v1, v2, kind in _witness_corpus(rng, 500):
+        for a, b in ((v1, v2), (v2, v1)):
+            witness = _scaling_witness(split, a, b)
+            assert witness == _reference_witness(split, a, b), (kind, a, b)
+            if witness is not None:
+                assert act(split, witness, a) == b
+            outcomes.setdefault(kind, set()).add(
+                "fixed" if witness is not None and is_fixed(split, a)
+                else "moved" if witness is not None
+                else "none"
+            )
+        pairs += 1
+    assert pairs >= 3000
+    # every kind meets the outcomes it is there for
+    assert outcomes["moved"] == {"fixed", "moved"}
+    assert outcomes["sparse moved"] >= {"fixed", "moved"}
+    assert "none" in outcomes["unrelated"] and "none" in outcomes["sparse unrelated"]
+    assert outcomes["fixed"] == {"fixed", "none"}
+    assert outcomes["limit"] >= {"fixed", "none"}

@@ -37,6 +37,7 @@ from .delta import DeltaSet, NumericalData, build_delta, consecutive_pairs, supp
 from .curve import (
     CurveModel,
     is_generalized_linear_series,
+    section_shape,
     section_space,
     twisted_space_at,
 )

@@ -93,8 +93,20 @@ class ContinuousChain:
     def __post_init__(self) -> None:
         if type(self.rank) is not int:
             raise TypeError(f"rank must be an integer, got {self.rank!r}")
+        if self.rank < 0:
+            raise ChainError("rank must be nonnegative")
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        spaces = [
+            (f"base space at {format_rational(c.index)}", c.base_space) for c in self.components
+        ]
+        spaces += [(f"node {k}", v) for k, v in enumerate(self.nodes)]
+        for name, v in spaces:
+            if (v.ambient_dim, v.dim) != (self.model.ambient_dim, self.rank + 1):
+                raise ChainError(
+                    f"{name} has dimension {v.dim} in Q^{v.ambient_dim}, expected"
+                    f" {self.rank + 1} in Q^{self.model.ambient_dim}"
+                )
         if len(self.components) != len(self.delta):
             raise ChainError("one component per ladder index is required")
         if tuple(c.index for c in self.components) != self.delta.indices:

@@ -10,16 +10,18 @@ Twisting i steps trades degree between the components. At a non-integer
 index the space of sections splits as a flag on each side with no condition
 at the node; at an integer index a single gluing condition matches the
 leading coefficients: coeff of t^i equals coeff of s^(d-i). Every section
-space has dimension d + 1. Membership is read off those equations (zero off
-the flags, and the gluing condition at integer i), so testing it builds no
-section space.
+space has dimension d + 1.
+
+``section_shape`` is the one description of S_i: its glue pair and the
+coordinates of its two flags. The section space, the membership test (zero
+off the flags, and the gluing condition at integer i, so testing builds no
+section space) and the generator's caps and free coordinates all read it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .linalg import ONE, ZERO, Matrix, Rational, Subspace, exact_rational
 from .torus import TorusSplit, act
@@ -57,45 +59,83 @@ class CurveModel:
             raise ValueError(f"s^{power} is not a basis monomial for degree {self.d}")
         return self.d + 1 + power
 
-    def first_flag_coords(self, level: int) -> tuple[int, ...]:
-        """Coordinates of the first-block flag: t-vanishing order >= level."""
-        return tuple(self.t_coord(j) for j in range(level, self.d + 1))
 
-    def second_flag_coords(self, level: int) -> tuple[int, ...]:
-        """Coordinates of the second-block flag allowing pole order <= level."""
-        return tuple(self.s_coord(j) for j in range(self.d - level, self.d + 1))
+class SectionShape(NamedTuple):
+    """S_i's canonical basis by ambient coordinate.
 
-
-def _section_rows(model: CurveModel, i: Fraction) -> list[tuple[int, ...]]:
-    """The ambient coordinates of each row of S_i's canonical basis.
-
-    Every entry of those rows is 0 or 1: at integer i the glue row
-    t^i + s^(d-i) comes first (its s-entry is no other row's pivot), then
-    the t and the s unit rows of the flags.
+    ``glue`` is the coordinate pair (t^i, s^(d-i)) of the row t^i + s^(d-i)
+    at integer i, and None otherwise; ``t_flag`` and ``s_flag`` are the
+    coordinates of the unit rows, which span S_i ∩ W1 and S_i ∩ W2. So the
+    block dimensions of S_i are onto_first = |t_flag| + g, inside_first =
+    |t_flag|, inside_second = |s_flag| and onto_second = |s_flag| + g, with
+    g = 1 when there is a glue row.
     """
-    if i < 0 or i > model.d:
-        raise ValueError(f"index {i} outside [0, {model.d}]")
-    rows: list[tuple[int, ...]] = []
-    if i.denominator == 1:
-        level = int(i)
-        rows.append((model.t_coord(level), model.s_coord(model.d - level)))
-        t_low, s_high = level + 1, level - 1
-    else:
-        t_low, s_high = math.ceil(i), math.floor(i)
-    rows.extend((c,) for c in model.first_flag_coords(t_low))
-    rows.extend((c,) for c in model.second_flag_coords(s_high))
-    return rows
+
+    glue: tuple[int, int] | None
+    t_flag: tuple[int, ...]
+    s_flag: tuple[int, ...]
+
+    @property
+    def block_dims(self) -> tuple[int, int, int, int]:
+        """S_i's (onto_first, inside_first, inside_second, onto_second)."""
+        g = self.glue is not None
+        t, s = len(self.t_flag), len(self.s_flag)
+        return t + g, t, s, s + g
+
+    def contains(self, v: Subspace) -> bool:
+        """Whether v, in this shape's ambient space, lies inside S_i.
+
+        Reads S_i's equations instead of building it: a vector lies in S_i
+        exactly when it is zero off the shape's coordinates and, at integer
+        i, its t^i and s^(d-i) coefficients agree. Each basis row of v is
+        tested.
+        """
+        glue = self.glue
+        support = set(self.t_flag + self.s_flag + (glue or ()))
+        off = [c for c in range(v.ambient_dim) if c not in support]
+        for row in v.basis_rows():
+            if any(row[c] is not ZERO and row[c] for c in off):
+                return False
+            if glue is not None:
+                t, s = row[glue[0]], row[glue[1]]
+                if t is not s and t != s:
+                    return False
+        return True
+
+
+def section_shape(model: CurveModel, i: Rational) -> SectionShape:
+    """The shape of the i-th section space S_i, with no elimination.
+
+    Non-integer i: the first-block flag t^ceil(i), ..., t^d and the
+    second-block flag s^(d-floor(i)), ..., s^d, with no gluing. Integer i:
+    the glue pair (t^i, s^(d-i)), and the flags one step inside it on each
+    side, t^(i+1), ..., t^d and s^(d-i+1), ..., s^d. Either way there are
+    d + 1 rows.
+    """
+    i = exact_rational(i)
+    d, num, den = model.d, i.numerator, i.denominator
+    if num < 0 or num > d * den:
+        raise ValueError(f"index {i} outside [0, {d}]")
+    # t^j sits at coordinate j and s^j at d + 1 + j
+    t_low, s_high = -(-num // den), num // den
+    glue = None
+    if den == 1:
+        glue = (num, 2 * d + 1 - num)
+        t_low, s_high = num + 1, num - 1
+    return SectionShape(
+        glue, tuple(range(t_low, d + 1)), tuple(range(2 * d + 1 - s_high, 2 * d + 2))
+    )
 
 
 def section_space(model: CurveModel, i: Rational) -> Subspace:
     """Sections of the i-step twist, as a subspace of U1 + U2.
 
-    Non-integer i: the direct sum of the first-block flag at level ceil(i)
-    and the second-block flag at level floor(i); no gluing. Integer i: inside
-    the level-i flags, the kernel of the node condition
-    coeff(t^i) = coeff(s^(d-i)). Either way the dimension is d + 1.
+    Its canonical basis is written down from ``section_shape``: the glue row
+    t^i + s^(d-i) first at integer i, then the unit rows of the t and the s
+    flags. Every entry is 0 or 1, and the dimension is d + 1.
     """
-    rows = _section_rows(model, exact_rational(i))
+    shape = section_shape(model, i)
+    rows = ([shape.glue] if shape.glue else []) + [(c,) for c in shape.t_flag + shape.s_flag]
     n = model.ambient_dim
     entries = [ZERO] * (len(rows) * n)
     for r, coords in enumerate(rows):
@@ -114,26 +154,8 @@ def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:
 
 
 def in_section_space(model: CurveModel, v: Subspace, i: Rational) -> bool:
-    """Whether v lies inside the i-th section space S_i.
-
-    Reads S_i's equations off its rows instead of building it: a vector lies
-    in S_i exactly when it is zero off the rows' coordinates and, at integer
-    i, its t^i and s^(d-i) coefficients agree. Each basis row of v is tested.
-    """
-    if v.ambient_dim != model.ambient_dim:
-        return False
-    rows = _section_rows(model, exact_rational(i))
-    support = {c for coords in rows for c in coords}
-    off = [c for c in range(model.ambient_dim) if c not in support]
-    glue = rows[0] if len(rows[0]) == 2 else None
-    for row in v.basis_rows():
-        if any(row[c] is not ZERO and row[c] for c in off):
-            return False
-        if glue is not None:
-            t, s = row[glue[0]], row[glue[1]]
-            if t is not s and t != s:
-                return False
-    return True
+    """Whether v lies inside the i-th section space S_i, read off its shape."""
+    return v.ambient_dim == model.ambient_dim and section_shape(model, i).contains(v)
 
 
 def is_generalized_linear_series(

@@ -1,12 +1,16 @@
 """Seeded random instance generation.
 
-Exact series are generated profile-first: a feasible assignment of mobile
-dimensions along the ladder is sampled, then realized by forward
-propagation. Each space is built from the previous one as a graph over its
-first-block part plus the embedded second-block image, which makes the
-linking equalities hold by construction; randomness enters through the
-kernel choices and the graph images. Rejection happens only on the cheap
-generic-position checks, never on the linking conditions themselves.
+Exact series are generated profile-first: the feasible assignments of
+mobile dimensions along the ladder are counted, one is drawn uniformly by
+its rank in lex order, and it is realized by forward propagation. Each
+space is built from the previous one as a graph over its first-block part
+plus the embedded second-block image, which makes the linking equalities
+hold by construction; randomness enters through the kernel choices and the
+graph images. Rejection happens only on the cheap generic-position checks,
+never on the linking conditions themselves. Every fact about a section
+space S_i (its block dimensions, the flag a kernel lives in, a mover's free
+coordinates and glue row, a corruption's room) is read off
+``curve.section_shape``, so no section space is built.
 Linked orbit pairs are built the same way, from a block profile chosen
 first.
 
@@ -26,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .curve import CurveModel, in_section_space, section_space
+from .curve import CurveModel, SectionShape, section_shape
 from .delta import DeltaSet, build_delta, check_steps
 from .linalg import ONE, ZERO, Subspace
 from .series import (
@@ -247,106 +251,112 @@ def _unswap(split: TorusSplit, v: Subspace) -> Subspace:
 # exact series generation
 
 
-def _caps_ok(ladder: DeltaSet, r: int, k: int, a: int, m: int) -> bool:
-    """Flag-dimension caps at one ladder position.
+def _caps_ok(caps: tuple[int, int, int, int], r: int, a: int, m: int) -> bool:
+    """Whether mobile dimension m fits at a slot whose S_i has ``block_dims`` caps.
 
-    ``a`` is the first-block image dimension entering position k; choosing
-    mobile dimension m there leaves kernels q = a - m (first block) and
-    p = r + 1 - a (second block), all of which must fit inside the flags of
-    the section space at that index.
+    ``a`` is the first-block image dimension entering the slot. Its space V
+    then has onto_first a, inside_first q = a - m, inside_second
+    p = r + 1 - a and onto_second p + m, and each must fit under S_i's.
     """
-    i = ladder.indices[k]
-    d = ladder.d
-    q = a - m
-    p = r + 1 - a
-    if q < 0 or p < 0:
-        return False
-    if i.denominator == 1:
-        level = int(i)
-        return (
-            a <= d + 1 - level
-            and q <= d - level
-            and p <= level
-            and p + m <= level + 1
-        )
-    ceil_i = -(-i.numerator // i.denominator)
-    floor_i = i.numerator // i.denominator
-    return a <= d + 1 - ceil_i and p <= floor_i + 1 and p + m <= floor_i + 1
+    onto_first, inside_first, inside_second, onto_second = caps
+    q, p = a - m, r + 1 - a
+    return (
+        a <= onto_first and 0 <= q <= inside_first and 0 <= p <= inside_second
+        and p + m <= onto_second
+    )
 
 
-def exact_minimal_profiles(
-    d: int, r: int, delta: Sequence[int], cap: int = 512
-) -> list[tuple[int, ...]]:
-    """All feasible exact minimal mobile-dimension profiles, up to ``cap``.
+class _Profiles:
+    """The exact minimal mobile-dimension profiles of one parameter set, counted.
 
     A profile assigns each ladder index a nonnegative mobile dimension,
-    positive at non-integer indices, summing to r + 1 and respecting the
-    flag caps of the section-space model. Empty means no exact minimal
-    series of these parameters exists in the model.
+    positive at non-integer indices, summing to r + 1 and passing
+    ``_caps_ok`` at every slot. The ladder has sum(delta) - d non-integer
+    indices, each needing mobile dimension at least 1, so more than r + 1
+    of them leave no profile; that is answered before the ladder is built.
 
-    The ladder has sum(delta) - d non-integer indices, each needing mobile
-    dimension at least 1, so more than r + 1 of them leave no profile; that
-    is answered before the ladder is built.
+    ``_options[k, a]`` lists, for position k entered with image dimension
+    a, each allowed m that has completions, with their number. It is
+    memoised over the reachable (k, a), so ``total`` costs one visit per
+    pair and ``nth(index)`` walks straight to a profile in lex order.
     """
-    steps = check_steps(d, delta)
-    if sum(steps) - d > r + 1:
-        return []
-    ladder = build_delta(d, steps)
-    n = len(ladder)
-    future_min = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        future_min[k] = future_min[k + 1] + (1 if ladder.indices[k].denominator != 1 else 0)
-    out: list[tuple[int, ...]] = []
 
-    def walk(k: int, a: int, acc: list[int]) -> None:
-        if len(out) >= cap:
+    def __init__(self, d: int, r: int, delta: Sequence[int]) -> None:
+        steps = check_steps(d, delta)
+        self.model = CurveModel(d)
+        self.r = r
+        self.ladder: DeltaSet | None = None
+        self.shapes: tuple[SectionShape, ...] = ()
+        self._options: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.total = 0
+        if sum(steps) - d > r + 1:
             return
-        if k == n:
-            if a == 0:
-                out.append(tuple(acc))
-            return
-        low = 1 if ladder.indices[k].denominator != 1 else 0
-        high = a - future_min[k + 1]
-        for m in range(low, high + 1):
-            if not _caps_ok(ladder, r, k, a, m):
-                continue
-            acc.append(m)
-            walk(k + 1, a - m, acc)
-            acc.pop()
+        self.ladder = build_delta(d, steps)
+        self.shapes = tuple(section_shape(self.model, i) for i in self.ladder.indices)
+        self._caps = [shape.block_dims for shape in self.shapes]
+        self._future_min = [0] * (len(self.shapes) + 1)
+        for k in range(len(self.shapes) - 1, -1, -1):
+            self._future_min[k] = self._future_min[k + 1] + (self.shapes[k].glue is None)
+        self.total = self._count(0, r + 1)
 
-    walk(0, r + 1, [])
-    return out
+    def _count(self, k: int, a: int) -> int:
+        if k == len(self.shapes):
+            return int(a == 0)
+        options = self._options.get((k, a))
+        if options is None:
+            options = self._options[k, a] = []
+            low = 0 if self.shapes[k].glue else 1
+            for m in range(low, a - self._future_min[k + 1] + 1):
+                if _caps_ok(self._caps[k], self.r, a, m):
+                    count = self._count(k + 1, a - m)
+                    if count:
+                        options.append((m, count))
+        return sum(count for _, count in options)
+
+    def nth(self, index: int) -> tuple[int, ...]:
+        profile, a = [], self.r + 1
+        for k in range(len(self.shapes)):
+            for m, count in self._options[k, a]:
+                if index < count:
+                    break
+                index -= count
+            profile.append(m)
+            a -= m
+        return tuple(profile)
+
+
+def exact_minimal_profiles(d: int, r: int, delta: Sequence[int]) -> list[tuple[int, ...]]:
+    """All feasible exact minimal mobile-dimension profiles, in lex order.
+
+    They are counted first (see ``_Profiles``), so the list holds every
+    profile, with no cap. Empty means no exact minimal series of these
+    parameters exists in the model. The count grows fast (1093 at d = 8,
+    r = 5, delta 1^8; about 2 * 10^9 at d = 24, r = 12, delta 1^24), so
+    list them only for small parameters; ``random_exact_lls`` counts them
+    and builds only the profile it draws.
+    """
+    profiles = _Profiles(d, r, delta)
+    return [profiles.nth(index) for index in range(profiles.total)]
 
 
 def minimal_series_exists(d: int, r: int, delta: Sequence[int]) -> bool:
     """Whether any exact minimal series of these parameters exists."""
-    if not 0 <= r <= d:
-        return False
-    return bool(exact_minimal_profiles(d, r, delta, cap=1))
+    return 0 <= r <= d and _Profiles(d, r, delta).total > 0
 
 
-def _kernel_room(model: CurveModel, i: Fraction) -> Subspace:
-    """First-block vectors allowed inside the kernel at index i (ambient).
-
-    At an integer index the node condition forces the coefficient at the node
-    power to vanish on first-block-only vectors, so the room is one flag step
-    deeper than at the neighbouring non-integer indices.
-    """
-    if i.denominator == 1:
-        level = int(i) + 1
-    else:
-        level = -(-i.numerator // i.denominator)
+def _unit_span(ambient_dim: int, coords: Sequence[int]) -> Subspace:
+    """The span of the unit vectors at increasing ``coords``, e.g. S_i ∩ W1."""
     rows = []
-    for power in range(level, model.d + 1):
-        vec = [ZERO] * model.ambient_dim
-        vec[model.t_coord(power)] = ONE
+    for c in coords:
+        vec = [ZERO] * ambient_dim
+        vec[c] = ONE
         rows.append(vec)
-    return Subspace.from_spanning(model.ambient_dim, rows)
+    return Subspace.from_spanning(ambient_dim, rows)
 
 
 def _kernel_flag(
     model: CurveModel,
-    ladder: DeltaSet,
+    shapes: Sequence[SectionShape],
     r: int,
     mobile: Sequence[int],
     rng: random.Random,
@@ -354,29 +364,29 @@ def _kernel_flag(
     """Nested first-block kernels along the ladder, built top-down.
 
     The kernel at each position contains the kernel at the next one and must
-    fit in a flag space that shrinks along the ladder, so the whole chain is
-    constructed backwards; the profile caps make every extension fit. When
-    the following step is an integer one that needs every second-block
-    direction including the node one, the kernel is made to reach the node
-    coefficient so a mover can carry it.
+    fit in the t-flag of its section space, which shrinks along the ladder,
+    so the whole chain is constructed backwards; the profile caps make every
+    extension fit. When the next section space has a glue row and its
+    onto_second cap is tight, every second-block direction is needed,
+    including the glue one, so the kernel is made to reach the glue row's t
+    coefficient and a mover can carry it.
     """
     q_dims = []
     a = r + 1
     for m in mobile:
         q_dims.append(a - m)
         a -= m
-    flags: list[Subspace | None] = [None] * len(ladder)
+    flags: list[Subspace | None] = [None] * len(shapes)
     current = Subspace.zero(model.ambient_dim)
-    for pos in range(len(ladder) - 1, -1, -1):
-        room = _kernel_room(model, ladder.indices[pos])
+    for pos in range(len(shapes) - 1, -1, -1):
+        room = _unit_span(model.ambient_dim, shapes[pos].t_flag)
         need = q_dims[pos] - current.dim
         must_hit = None
-        if pos + 1 < len(ladder):
-            nxt = ladder.indices[pos + 1]
-            if nxt.denominator == 1:
-                p_next = r + 1 - q_dims[pos]
-                if mobile[pos + 1] == int(nxt) + 1 - p_next:
-                    must_hit = model.t_coord(int(nxt))
+        if pos + 1 < len(shapes):
+            nxt = shapes[pos + 1]
+            p_next = r + 1 - q_dims[pos]
+            if nxt.glue and p_next + mobile[pos + 1] == nxt.block_dims[3]:
+                must_hit = nxt.glue[0]
         if need < 0 or q_dims[pos] > room.dim:
             return None
         done = False
@@ -399,17 +409,17 @@ def _kernel_flag(
 
 
 def _first_space(
-    model: CurveModel, kernel: Subspace, mobile0: int, rng: random.Random
+    model: CurveModel, shape: SectionShape, kernel: Subspace, mobile0: int, rng: random.Random
 ) -> Subspace | None:
     rows = list(kernel.basis_rows())
     if mobile0:
-        # The only second-block direction at index 0 is the top s power, and
-        # the node condition pins the constant t coefficient to match it.
+        # S_0 meets the second block in 0, so the mover is the glue row
+        # t^0 + s^d plus random terms on the t-flag.
         vec = [ZERO] * model.ambient_dim
-        vec[model.t_coord(0)] = ONE
-        vec[model.s_coord(model.d)] = ONE
-        for j in range(1, model.d + 1):
-            vec[model.t_coord(j)] += Fraction(rng.randint(-3, 3))
+        for c in shape.glue:
+            vec[c] = ONE
+        for c in shape.t_flag:
+            vec[c] += Fraction(rng.randint(-3, 3))
         rows.append(tuple(vec))
     space = Subspace.from_spanning(model.ambient_dim, rows)
     if space.dim != kernel.dim + mobile0:
@@ -419,25 +429,18 @@ def _first_space(
 
 def _next_space(
     model: CurveModel,
-    j: Fraction,
+    shape: SectionShape,
     mobile: int,
     kernel: Subspace,
     prev: Subspace,
     rng: random.Random,
 ) -> Subspace | None:
     split = model.split
-    integer = j.denominator == 1
     prev_profile = block_profile(split, prev)
     incoming = embed_block(split, prev_profile.inside_first, 1)
     carried = embed_block(split, prev_profile.onto_second, 2)
     if not incoming.contains(kernel):
         return None
-
-    if integer:
-        free_coords = [model.s_coord(p) for p in range(model.d - int(j) + 1, model.d + 1)]
-    else:
-        floor_j = j.numerator // j.denominator
-        free_coords = [model.s_coord(p) for p in range(model.d - floor_j, model.d + 1)]
 
     for _ in range(_STEP_TRIES):
         found = _complement_vectors(incoming, kernel, mobile, rng)
@@ -446,11 +449,12 @@ def _next_space(
         rows = list(kernel.basis_rows()) + list(carried.basis_rows())
         for w in found[0]:
             vec = list(w)
-            if integer:
-                # Node condition: the image's bottom s coefficient matches the
-                # mover's t coefficient at the node power.
-                vec[model.s_coord(model.d - int(j))] = vec[model.t_coord(int(j))]
-            for c in free_coords:
+            if shape.glue:
+                # Node condition: the image's s coefficient on the glue row
+                # matches the mover's t coefficient there.
+                t, s = shape.glue
+                vec[s] = vec[t]
+            for c in shape.s_flag:
                 vec[c] += Fraction(rng.randint(-3, 3))
             rows.append(tuple(vec))
         space = Subspace.from_spanning(model.ambient_dim, rows)
@@ -462,7 +466,7 @@ def _next_space(
             continue
         if profile.inside_second.dim != carried.dim:
             continue
-        if not in_section_space(model, space, j):
+        if not shape.contains(space):
             continue
         return space
     return None
@@ -477,37 +481,36 @@ def random_exact_lls(d: int, r: int, delta: Sequence[int], seed: int) -> LimitLi
     """
     if not 0 <= r <= d:
         raise ValueError(f"rank must satisfy 0 <= r <= d, got r={r}, d={d}")
-    profiles = exact_minimal_profiles(d, r, delta)
-    if not profiles:
+    profiles = _Profiles(d, r, delta)
+    if not profiles.total:
         raise GenerationError(
             f"no exact minimal series of degree {d}, rank {r} exists on the"
             f" ladder of delta={tuple(delta)}: every mobile-dimension profile"
             " violates the section-space flag caps"
         )
-    ladder = build_delta(d, delta)
-    model = CurveModel(d)
+    model, ladder, shapes = profiles.model, profiles.ladder, profiles.shapes
     last_profile: tuple[int, ...] | None = None
     for attempt in range(_MAX_ATTEMPTS):
         # one 64-bit stream per stage and per ladder index, all split from the
-        # seed, so any failure replays exactly
+        # seed, so any failure replays exactly; randrange makes the draw that
+        # choice makes on the list of all profiles
         root = random.Random((int(seed) * 0x9E3779B1 + attempt) & (2**64 - 1))
-        profile = root.choice(profiles)
+        profile = profiles.nth(root.randrange(profiles.total))
         last_profile = profile
         flag_rng = random.Random(root.getrandbits(64))
         step_rngs = [random.Random(root.getrandbits(64)) for _ in range(len(ladder))]
-        flags = _kernel_flag(model, ladder, r, profile, flag_rng)
+        flags = _kernel_flag(model, shapes, r, profile, flag_rng)
         if flags is None:
             continue
         spaces = []
-        first = _first_space(model, flags[0], profile[0], step_rngs[0])
+        first = _first_space(model, shapes[0], flags[0], profile[0], step_rngs[0])
         if first is None:
             continue
         spaces.append(first)
         failed = False
         for pos in range(1, len(ladder)):
             nxt = _next_space(
-                model, ladder.indices[pos], profile[pos], flags[pos], spaces[-1],
-                step_rngs[pos],
+                model, shapes[pos], profile[pos], flags[pos], spaces[-1], step_rngs[pos]
             )
             if nxt is None:
                 failed = True
@@ -556,33 +559,18 @@ def pad_with_trivial_slots(
     ladder = build_delta(g.model.d, new_steps)
     split = g.model.split
 
-    placements: dict[int, set[int]] = {}
-    for gap in range(1, g.model.d + 1):
-        old_count = g.delta.steps[gap - 1] - 1
-        new_count = new_steps[gap - 1] - 1
-        placements[gap] = set(sorted(rng.sample(range(new_count), old_count)))
-
-    old_nonintegers = {
-        gap: [i for i in g.delta.indices if gap - 1 < i < gap]
-        for gap in range(1, g.model.d + 1)
-    }
-    cursor = {gap: 0 for gap in placements}
-    slot_in_gap = {gap: 0 for gap in placements}
-
-    spaces: list[Subspace] = []
-    for i in ladder.indices:
-        if i.denominator == 1:
-            spaces.append(g.space_at(i))
-            continue
-        gap = (i.numerator // i.denominator) + 1
-        slot = slot_in_gap[gap]
-        slot_in_gap[gap] += 1
-        if slot in placements[gap]:
-            original = old_nonintegers[gap][cursor[gap]]
-            cursor[gap] += 1
-            spaces.append(g.space_at(original))
-        else:
-            spaces.append(limit(split, spaces[-1], Direction.INFINITY))
+    # one sample of kept slots per gap, drawn in gap order; the old spaces
+    # are used up in ladder order
+    originals = iter(g.spaces)
+    spaces = [next(originals)]
+    for old, new in zip(g.delta.steps, new_steps):
+        kept = set(rng.sample(range(new - 1), old - 1))
+        for slot in range(new - 1):
+            if slot in kept:
+                spaces.append(next(originals))
+            else:
+                spaces.append(limit(split, spaces[-1], Direction.INFINITY))
+        spaces.append(next(originals))
     return LimitLinearSeries(g.model, g.rank, ladder, tuple(spaces))
 
 
@@ -602,22 +590,26 @@ def corrupt_exactness(g: LimitLinearSeries, seed: int) -> LimitLinearSeries:
     split = model.split
     data = numerical_data(g)
 
-    candidates: list[tuple[str, Fraction]] = []
+    # each candidate carries the coordinates of its room: the section
+    # space's flag on the block that replaces the slot
+    candidates: list[tuple[str, Fraction, tuple[int, ...]]] = []
     for i, m in zip(g.delta.indices, data.mobile):
         if i.denominator != 1 and m > 0:
-            candidates.append(("collapse", i))
+            candidates.append(("collapse", i, ()))
     if len(g.delta) > 1:
         first = g.delta.indices[0]
         p0, q0, m0 = data.at(first)
-        if m0 > 0 and q0 + m0 <= model.d:
-            candidates.append(("first-block-only", first))
+        t_room = section_shape(model, first).t_flag
+        if m0 > 0 and q0 + m0 <= len(t_room):
+            candidates.append(("first-block-only", first, t_room))
         last = g.delta.indices[-1]
         pd, qd, md = data.at(last)
-        if md > 0 and pd + md <= model.d:
-            candidates.append(("second-block-only", last))
+        s_room = section_shape(model, last).s_flag
+        if md > 0 and pd + md <= len(s_room):
+            candidates.append(("second-block-only", last, s_room))
     rng.shuffle(candidates)
 
-    for strategy, i in candidates:
+    for strategy, i, room_coords in candidates:
         spaces = list(g.spaces)
         pos = g.delta.position(i)
         if strategy == "collapse":
@@ -625,9 +617,7 @@ def corrupt_exactness(g: LimitLinearSeries, seed: int) -> LimitLinearSeries:
         else:
             block = 1 if strategy == "first-block-only" else 2
             inside = embed_block(split, meet_block(split, g.space_at(i), block), block)
-            room = embed_block(
-                split, meet_block(split, section_space(model, i), block), block
-            )
+            room = _unit_span(model.ambient_dim, room_coords)
             found = _complement_vectors(room, inside, g.rank + 1 - inside.dim, rng)
             if found is None:
                 continue

@@ -365,6 +365,44 @@ def test_chain_refuses_a_non_integer_rank(rank):
         dataclasses.replace(chain, rank=rank)
 
 
+def _drop_last_row(v):
+    return Subspace.from_spanning(v.ambient_dim, v.basis_rows()[:-1])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda c: {"rank": -1}, "rank must be nonnegative", id="rank-1"),
+        pytest.param(
+            lambda c: {"rank": 5},
+            "base space at 0 has dimension 2 in Q\\^6, expected 6",
+            id="rank5",
+        ),
+        pytest.param(
+            lambda c: {"nodes": (_drop_last_row(c.nodes[0]),) + c.nodes[1:]},
+            "node 0 has dimension 1 in Q\\^6, expected 2",
+            id="node",
+        ),
+        pytest.param(
+            lambda c: {
+                "components": (
+                    dataclasses.replace(
+                        c.components[0], base_space=_drop_last_row(c.components[0].base_space)
+                    ),
+                )
+                + c.components[1:]
+            },
+            "base space at 0 has dimension 1",
+            id="base-space",
+        ),
+    ],
+)
+def test_chain_refuses_spaces_that_are_not_of_dimension_rank_plus_one(change, message):
+    chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
+    with pytest.raises(ChainError, match=message):
+        dataclasses.replace(chain, **change(chain))
+
+
 def _with_base(chain, index, rows):
     """The chain with the base space at ``index`` replaced by the span of rows."""
     pos = chain.delta.position(index)

@@ -8,12 +8,13 @@ from nodalseries.curve import (
     CurveModel,
     in_section_space,
     is_generalized_linear_series,
+    section_shape,
     section_space,
     twisted_space_at,
 )
 from nodalseries.delta import build_delta, consecutive_pairs
-from nodalseries.linalg import Matrix, Subspace
-from nodalseries.torus import act, meet_block, project_block
+from nodalseries.linalg import Matrix, Subspace, kernel_basis
+from nodalseries.torus import act, block_profile, meet_block, project_block
 
 
 def test_section_space_d1_index0():
@@ -146,6 +147,65 @@ def test_membership_predicate():
     assert not is_generalized_linear_series(model, Subspace.zero(4), F(0), -1)
     # wrong dimension
     assert not is_generalized_linear_series(model, full, F(0), 0)
+
+
+def _section_space_by_elimination(model, i):
+    """S_i as the kernel of its equations: t^j vanishes for j < ceil(i), s^j
+    for j < d - floor(i), and at integer i the t^i and s^(d-i) coefficients
+    agree."""
+    d, n = model.d, model.ambient_dim
+    vanishing = [model.t_coord(j) for j in range(math.ceil(i))]
+    vanishing += [model.s_coord(j) for j in range(d - math.floor(i))]
+    equations = []
+    for c in vanishing:
+        row = [0] * n
+        row[c] = 1
+        equations.append(row)
+    if i.denominator == 1:
+        row = [0] * n
+        row[model.t_coord(int(i))], row[model.s_coord(d - int(i))] = 1, -1
+        equations.append(row)
+    return Subspace.from_spanning(n, kernel_basis(Matrix.from_rows(equations, ncols=n)))
+
+
+def _unit_coords(v, offset=0):
+    """The coordinates of v's basis rows, each of which must be a unit row."""
+    coords = []
+    for row in v.basis_rows():
+        (c,) = [c for c, e in enumerate(row) if e]
+        assert row[c] == 1
+        coords.append(offset + c)
+    return tuple(coords)
+
+
+def test_section_shape_matches_elimination():
+    # every index of the ladders with d <= 6 and steps <= 3: a gap's indices
+    # depend only on its own step count
+    checked = 0
+    for d in range(7):
+        model = CurveModel(d)
+        n = model.ambient_dim
+        indices = {i for step in (1, 2, 3) for i in build_delta(d, (step,) * d).indices}
+        for i in sorted(indices):
+            shape = section_shape(model, i)
+            reference = _section_space_by_elimination(model, i)
+            rows = [shape.glue] if shape.glue else []
+            rows += [(c,) for c in shape.t_flag + shape.s_flag]
+            vectors = tuple(tuple(F(int(c in coords)) for c in range(n)) for coords in rows)
+            assert vectors == reference.basis_rows() == section_space(model, i).basis_rows()
+            assert (shape.glue is not None) == (i.denominator == 1)
+            g = 1 if shape.glue else 0
+            profile = block_profile(model.split, reference)
+            assert _unit_coords(profile.inside_first) == shape.t_flag
+            assert _unit_coords(profile.inside_second, d + 1) == shape.s_flag
+            assert profile.onto_first.dim == len(shape.t_flag) + g
+            assert profile.onto_second.dim == len(shape.s_flag) + g
+            dims = (profile.onto_first, profile.inside_first, profile.inside_second)
+            dims += (profile.onto_second,)
+            assert shape.block_dims == tuple(v.dim for v in dims)
+            checked += 1
+    # d + 1 integer indices, and 1/2, 1/3 and 2/3 into each of the d gaps
+    assert checked == sum(4 * d + 1 for d in range(7))
 
 
 def _membership_cases(rng):

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from nodalseries.chain import build_chain, validate_chain
+from nodalseries.curve import CurveModel, section_space
+from nodalseries.delta import build_delta
 from nodalseries.generate import (
     GenerationError,
     _graph_partner,
@@ -48,12 +51,11 @@ def test_generator_is_deterministic():
 
 def test_generator_builds_no_section_space(monkeypatch):
     # membership of each new slot is read off the section space's equations
-    from nodalseries import curve, generate
+    from nodalseries import curve
 
     built = []
-    for module in (curve, generate):
-        real = module.section_space
-        monkeypatch.setattr(module, "section_space", lambda *a, real=real: built.append(a) or real(*a))
+    real = curve.section_space
+    monkeypatch.setattr(curve, "section_space", lambda *a: built.append(a) or real(*a))
     g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
     assert built == [] and not membership_failures(g)
 
@@ -126,6 +128,62 @@ def test_profile_enumeration_matches_caps():
     for profile in profiles:
         assert sum(profile) == 2
         assert profile[1] >= 1  # the only non-integer slot
+
+
+def _profiles_by_brute_force(d, r, delta):
+    """Every split of r + 1 into one mobile dimension per ladder index that
+    is positive at non-integer indices and keeps each of the slot's four
+    block dimensions under those of the eliminated section space."""
+    model = CurveModel(d)
+    ladder = build_delta(d, delta)
+    caps = []
+    for i in ladder.indices:
+        profile = block_profile(model.split, section_space(model, i))
+        caps.append(
+            (
+                profile.onto_first.dim,
+                profile.inside_first.dim,
+                profile.inside_second.dim,
+                profile.onto_second.dim,
+            )
+        )
+    n = len(ladder)
+    out = []
+    # stars and bars: n - 1 bars among r + 1 stars
+    for bars in itertools.combinations(range(r + n), n - 1):
+        cuts = (-1,) + bars + (r + n,)
+        mobile = tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+        a, fits = r + 1, True
+        for i, m, cap in zip(ladder.indices, mobile, caps):
+            q, p = a - m, r + 1 - a
+            dims = (a, q, p, p + m)
+            fits &= (m >= 1 or i.denominator == 1) and all(0 <= x <= c for x, c in zip(dims, cap))
+            a -= m
+        if fits:
+            out.append(mobile)
+    return sorted(out)
+
+
+def test_profile_list_matches_brute_force():
+    checked = 0
+    for d in range(5):
+        for r in range(d + 1):
+            for delta in itertools.product((1, 2), repeat=d):
+                assert exact_minimal_profiles(d, r, delta) == _profiles_by_brute_force(d, r, delta)
+                checked += 1
+    assert checked == sum((d + 1) * 2**d for d in range(5))
+
+
+def test_profiles_are_counted_with_no_cap():
+    # at d = 8, r = 5 and delta 1^8 the first 512 profiles in lex order all
+    # start with mobile dimension 0, so a list cut there could never give
+    # the 364 that start with more; seed 1 draws one of them
+    profiles = exact_minimal_profiles(8, 5, (1,) * 8)
+    assert len(profiles) == 1093
+    assert profiles == _profiles_by_brute_force(8, 5, (1,) * 8)
+    assert [p[0] for p in profiles[:512]] == [0] * 512
+    mobile = numerical_data(random_exact_lls(8, 5, (1,) * 8, seed=1)).mobile
+    assert profiles.index(mobile) == 744 and mobile[0] == 1
 
 
 def test_padding_preserves_exactness_and_reduction_undoes_it(exact_corpus):

@@ -157,6 +157,29 @@ def test_chain_targets_outside_the_degree_rejected(target):
             loads_instance(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        pytest.param(lambda p: p.update(r=-1), "rank must be nonnegative", id="rank-1"),
+        pytest.param(lambda p: p.update(r=5), "base space at 0 has dimension 2", id="rank5"),
+        pytest.param(
+            lambda p: p["nodes"][0].pop(), "node 0 has dimension 1 in Q\\^6, expected 2", id="node"
+        ),
+    ],
+)
+def test_chain_spaces_of_the_wrong_dimension_are_refused(defect, message, tmp_path, capsys):
+    chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
+    for version in (2, 3):
+        payload = in_version(json.loads(dumps_instance(chain)), version)
+        defect(payload)
+        with pytest.raises(SchemaError, match=message):
+            loads_instance(json.dumps(payload))
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["verify", str(path)]) == 2
+        assert "bad chain payload" in capsys.readouterr().err
+
+
 def _rows(version, rows):
     """Basis rows, given as lists of entry strings, in the form of a version."""
     if version >= 3:

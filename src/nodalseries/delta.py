@@ -39,11 +39,6 @@ class DeltaSet:
         except ValueError:
             raise KeyError(f"index {i} not in the ladder") from None
 
-    def integer_positions(self) -> tuple[int, ...]:
-        return tuple(
-            k for k, i in enumerate(self.indices) if i.denominator == 1
-        )
-
 
 def check_steps(d: int, delta: Sequence[int]) -> tuple[int, ...]:
     """The subdivision counts; one positive integer per gap, or TypeError/ValueError."""

@@ -4,21 +4,27 @@ Exact series are generated profile-first: the feasible assignments of
 mobile dimensions along the ladder are counted, one is drawn uniformly by
 its rank in lex order, and it is realized by forward propagation. Each
 space is built from the previous one as a graph over its first-block part
-plus the embedded second-block image, which makes the linking equalities
-hold by construction; randomness enters through the kernel choices and the
-graph images. Rejection happens only on the cheap generic-position checks,
-never on the linking conditions themselves. Every fact about a section
-space S_i (its block dimensions, the flag a kernel lives in, a mover's free
-coordinates and glue row, a corruption's room) is read off
+plus the embedded second-block image, so the linking equalities, the
+dimensions and section-space membership hold by construction; randomness
+enters through the kernel choices and the graph images. Every fact about a
+section space S_i (its block dimensions, the flag a kernel lives in, a
+mover's free coordinates and glue row, a corruption's room) is read off
 ``curve.section_shape``, so no section space is built.
-Linked orbit pairs are built the same way, from a block profile chosen
-first.
+
+Three conditions can fail on a draw, and only they are drawn again, each
+within ``_STEP_TRIES`` tries: random vectors dependent on the part they
+extend (``_complement_vectors``), a kernel that misses the glue coordinate
+the next slot needs (``_kernel_flag``), and a new space that meets W1 in
+more than its kernel (``_next_space``). A budget that runs out raises
+GenerationError naming the step, and ``random_exact_lls`` adds the drawn
+profile; nothing is re-checked after the build. Linked orbit pairs are
+built the same way, from a block profile chosen first.
 
 Every block invariant is read off ``torus.block_profile``, which the value
 keeps, and every span is one ``Subspace.from_spanning`` of the stacked
 rows; the canonical basis is unique, so these give the same values as
-intersecting and adding. Each accepted space is profiled while it is
-tested, so the next slot and the checks on the finished series reuse it.
+intersecting and adding. Each new space is profiled while it is tested, so
+the next slot reuses it.
 
 All randomness flows from one integer seed through per-stage substreams, so
 every failure is reproducible.
@@ -26,9 +32,10 @@ every failure is reproducible.
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .curve import CurveModel, SectionShape, section_shape
 from .delta import DeltaSet, build_delta, check_steps
@@ -55,7 +62,6 @@ class GenerationError(RuntimeError):
     pass
 
 
-_MAX_ATTEMPTS = 64
 _STEP_TRIES = 30
 
 
@@ -111,18 +117,28 @@ def _vectors_inside(space: Subspace, count: int, rng: random.Random) -> list[tup
 
 
 def _complement_vectors(
-    whole: Subspace, part: Subspace, count: int, rng: random.Random
-) -> tuple[list[tuple[Fraction, ...]], Subspace] | None:
+    whole: Subspace,
+    part: Subspace,
+    count: int,
+    rng: random.Random,
+    step: str,
+    hit: int | None = None,
+) -> tuple[list[tuple[Fraction, ...]], Subspace]:
     """Vectors of ``whole`` extending ``part`` by exactly ``count`` dimensions,
-    and the span of ``part`` and those vectors, from one elimination."""
-    if part.dim + count > whole.dim:
-        return None
+    and the span of ``part`` and those vectors, from one elimination.
+
+    The caller guarantees part.dim + count <= whole.dim. A dependent draw,
+    or with ``hit`` a span that is zero at that coordinate, is drawn again;
+    a budget that runs out raises GenerationError naming ``step``.
+    """
     for _ in range(_STEP_TRIES):
         vectors = _vectors_inside(whole, count, rng)
         extended = Subspace.from_spanning(whole.ambient_dim, part.basis_rows() + tuple(vectors))
-        if extended.dim == part.dim + count:
+        if extended.dim == part.dim + count and (
+            hit is None or any(row[hit] for row in extended.basis_rows())
+        ):
             return vectors, extended
-    return None
+    raise GenerationError(f"{step}: no fitting draw in {_STEP_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -130,21 +146,16 @@ def _complement_vectors(
 
 
 def _graph_partner(
-    split: TorusSplit,
-    over_first: Subspace,
-    fixed_second: Subspace,
-    rng: random.Random,
-) -> Subspace | None:
+    split: TorusSplit, over_first: Subspace, fixed_second: Subspace, rng: random.Random
+) -> Subspace:
     """{graph over a first-block subspace} + {an embedded second-block one}.
 
     The result projects onto exactly ``over_first`` in the first block and
-    meets the second block in exactly ``fixed_second``; retried until it is
-    nonfixed (some graph image escapes the fixed part).
+    meets the second block in exactly ``fixed_second``, since the graph
+    rows are independent on the first block; retried until it is nonfixed
+    (some graph image escapes the fixed part).
     """
-    base_rows = [
-        tuple(embedded)
-        for embedded in embed_block(split, over_first, 1).basis_rows()
-    ]
+    base_rows = embed_block(split, over_first, 1).basis_rows()
     second_coords = list(split.block_coords(2))
     for _ in range(_STEP_TRIES):
         rows = []
@@ -155,11 +166,9 @@ def _graph_partner(
             rows.append(vec)
         rows.extend(embed_block(split, fixed_second, 2).basis_rows())
         candidate = Subspace.from_spanning(split.ambient_dim, rows)
-        if candidate.dim != over_first.dim + fixed_second.dim:
-            continue
         if not is_fixed(split, candidate):
             return candidate
-    return None
+    raise GenerationError("could not draw a nonfixed partner over the first-block part")
 
 
 def _linked_profiles(split: TorusSplit, dim: int) -> list[tuple[int, int, int]]:
@@ -230,8 +239,6 @@ def random_linked_pair(
             raise GenerationError("could not draw a second-block part that breaks the meeting")
     over = Subspace.from_spanning(work.dim1, first_rows[:a])
     partner = _graph_partner(work, over, fixed_part, rng)
-    if partner is None:
-        raise GenerationError("could not draw a nonfixed partner over the first-block part")
     if mirrored:
         return _unswap(split, v), _unswap(split, partner)
     return v, partner
@@ -266,7 +273,7 @@ def _caps_ok(caps: tuple[int, int, int, int], r: int, a: int, m: int) -> bool:
     )
 
 
-class _Profiles:
+class _Profiles(Sequence[tuple[int, ...]]):
     """The exact minimal mobile-dimension profiles of one parameter set, counted.
 
     A profile assigns each ladder index a nonnegative mobile dimension,
@@ -278,7 +285,9 @@ class _Profiles:
     ``_options[k, a]`` lists, for position k entered with image dimension
     a, each allowed m that has completions, with their number. It is
     memoised over the reachable (k, a), so ``total`` costs one visit per
-    pair and ``nth(index)`` walks straight to a profile in lex order.
+    pair and indexing walks straight to a profile in lex order. So the
+    sequence lists no profile; ``len()`` overflows past ``sys.maxsize``, as
+    it does for ``range``, and ``total`` does not.
     """
 
     def __init__(self, d: int, r: int, delta: Sequence[int]) -> None:
@@ -313,7 +322,15 @@ class _Profiles:
                         options.append((m, count))
         return sum(count for _, count in options)
 
-    def nth(self, index: int) -> tuple[int, ...]:
+    def __len__(self) -> int:
+        return self.total
+
+    def __getitem__(self, index: int) -> tuple[int, ...]:
+        """The index-th profile in lex order, walked to without listing the others."""
+        if index < 0:
+            index += self.total
+        if not 0 <= index < self.total:
+            raise IndexError("profile index out of range")
         profile, a = [], self.r + 1
         for k in range(len(self.shapes)):
             for m, count in self._options[k, a]:
@@ -325,18 +342,16 @@ class _Profiles:
         return tuple(profile)
 
 
-def exact_minimal_profiles(d: int, r: int, delta: Sequence[int]) -> list[tuple[int, ...]]:
+def exact_minimal_profiles(d: int, r: int, delta: Sequence[int]) -> Sequence[tuple[int, ...]]:
     """All feasible exact minimal mobile-dimension profiles, in lex order.
 
-    They are counted first (see ``_Profiles``), so the list holds every
-    profile, with no cap. Empty means no exact minimal series of these
-    parameters exists in the model. The count grows fast (1093 at d = 8,
-    r = 5, delta 1^8; about 2 * 10^9 at d = 24, r = 12, delta 1^24), so
-    list them only for small parameters; ``random_exact_lls`` counts them
-    and builds only the profile it draws.
+    The result is a sequence that counts them (see ``_Profiles``) and walks
+    to the profile asked for, so it lists none: its ``total`` is 1093 at
+    d = 8, r = 5, delta 1^8 and 3610705776755 at d = 32, r = 16, delta
+    1^32. Empty means no exact minimal series of these parameters exists in
+    the model.
     """
-    profiles = _Profiles(d, r, delta)
-    return [profiles.nth(index) for index in range(profiles.total)]
+    return _Profiles(d, r, delta)
 
 
 def minimal_series_exists(d: int, r: int, delta: Sequence[int]) -> bool:
@@ -354,63 +369,44 @@ def _unit_span(ambient_dim: int, coords: Sequence[int]) -> Subspace:
     return Subspace.from_spanning(ambient_dim, rows)
 
 
-def _kernel_flag(
-    model: CurveModel,
-    shapes: Sequence[SectionShape],
-    r: int,
-    mobile: Sequence[int],
-    rng: random.Random,
-) -> list[Subspace] | None:
+def _kernel_flag(profiles: _Profiles, mobile: Sequence[int], rng: random.Random) -> list[Subspace]:
     """Nested first-block kernels along the ladder, built top-down.
 
     The kernel at each position contains the kernel at the next one and must
     fit in the t-flag of its section space, which shrinks along the ladder,
     so the whole chain is constructed backwards; the profile caps make every
-    extension fit. When the next section space has a glue row and its
+    extension fit, and each extends the next kernel by that slot's mobile
+    dimension. When the next section space has a glue row and its
     onto_second cap is tight, every second-block direction is needed,
-    including the glue one, so the kernel is made to reach the glue row's t
-    coefficient and a mover can carry it.
+    including the glue one, so the kernel is drawn again until it reaches
+    the glue row's t coefficient and a mover can carry it.
     """
-    q_dims = []
-    a = r + 1
-    for m in mobile:
-        q_dims.append(a - m)
-        a -= m
-    flags: list[Subspace | None] = [None] * len(shapes)
-    current = Subspace.zero(model.ambient_dim)
+    shapes, r, ambient_dim = profiles.shapes, profiles.r, profiles.model.ambient_dim
+    q_dims = [r + 1 - done for done in itertools.accumulate(mobile)]
+    flags = []
+    current = Subspace.zero(ambient_dim)
     for pos in range(len(shapes) - 1, -1, -1):
-        room = _unit_span(model.ambient_dim, shapes[pos].t_flag)
-        need = q_dims[pos] - current.dim
-        must_hit = None
+        room = _unit_span(ambient_dim, shapes[pos].t_flag)
+        hit = None
         if pos + 1 < len(shapes):
             nxt = shapes[pos + 1]
             p_next = r + 1 - q_dims[pos]
             if nxt.glue and p_next + mobile[pos + 1] == nxt.block_dims[3]:
-                must_hit = nxt.glue[0]
-        if need < 0 or q_dims[pos] > room.dim:
-            return None
-        done = False
-        for _ in range(_STEP_TRIES):
-            found = _complement_vectors(room, current, need, rng)
-            if found is None:
-                return None
-            candidate = found[1]
-            if must_hit is not None and all(
-                row[must_hit] == 0 for row in candidate.basis_rows()
-            ):
-                continue
-            current = candidate
-            done = True
-            break
-        if not done:
-            return None
-        flags[pos] = current
-    return flags  # type: ignore[return-value]
+                hit = nxt.glue[0]
+        step = f"the kernel at ladder position {pos}"
+        _, current = _complement_vectors(room, current, q_dims[pos] - current.dim, rng, step, hit)
+        flags.append(current)
+    return flags[::-1]
 
 
 def _first_space(
     model: CurveModel, shape: SectionShape, kernel: Subspace, mobile0: int, rng: random.Random
-) -> Subspace | None:
+) -> Subspace:
+    """The kernel, plus the mover when S_0 carries mobile dimension.
+
+    The kernel lies in the t-flag t^1..t^d and the mover has t^0 coefficient
+    1, so the two are independent.
+    """
     rows = list(kernel.basis_rows())
     if mobile0:
         # S_0 meets the second block in 0, so the mover is the glue row
@@ -421,33 +417,36 @@ def _first_space(
         for c in shape.t_flag:
             vec[c] += Fraction(rng.randint(-3, 3))
         rows.append(tuple(vec))
-    space = Subspace.from_spanning(model.ambient_dim, rows)
-    if space.dim != kernel.dim + mobile0:
-        return None
-    return space
+    return Subspace.from_spanning(model.ambient_dim, rows)
 
 
 def _next_space(
     model: CurveModel,
     shape: SectionShape,
+    pos: int,
     mobile: int,
     kernel: Subspace,
     prev: Subspace,
     rng: random.Random,
-) -> Subspace | None:
+) -> Subspace:
+    """The space at ladder position ``pos``: the kernel, the previous space's
+    W2 projection carried over, and ``mobile`` movers.
+
+    Each mover is a vector of the previous space's part inside W1 off the
+    kernel, with its glue image and random terms on the s-flag. It lies in
+    S_i by construction, and kernel plus movers are independent on W1, so
+    only the part inside W1 can come out larger than the kernel; that draw
+    is made again.
+    """
     split = model.split
     prev_profile = block_profile(split, prev)
     incoming = embed_block(split, prev_profile.inside_first, 1)
     carried = embed_block(split, prev_profile.onto_second, 2)
-    if not incoming.contains(kernel):
-        return None
-
+    step = f"the space at ladder position {pos}"
     for _ in range(_STEP_TRIES):
-        found = _complement_vectors(incoming, kernel, mobile, rng)
-        if found is None:
-            return None
+        movers, _ = _complement_vectors(incoming, kernel, mobile, rng, step)
         rows = list(kernel.basis_rows()) + list(carried.basis_rows())
-        for w in found[0]:
+        for w in movers:
             vec = list(w)
             if shape.glue:
                 # Node condition: the image's s coefficient on the glue row
@@ -458,18 +457,29 @@ def _next_space(
                 vec[c] += Fraction(rng.randint(-3, 3))
             rows.append(tuple(vec))
         space = Subspace.from_spanning(model.ambient_dim, rows)
-        if space.dim != kernel.dim + mobile + carried.dim:
-            continue
-        # the profile stays on the space for the next slot and the final checks
-        profile = block_profile(split, space)
-        if profile.inside_first.dim != kernel.dim:
-            continue
-        if profile.inside_second.dim != carried.dim:
-            continue
-        if not shape.contains(space):
-            continue
-        return space
-    return None
+        # the profile stays on the space, so the next slot reuses it
+        if block_profile(split, space).inside_first.dim == kernel.dim:
+            return space
+    raise GenerationError(f"{step}: every draw met W1 beyond the kernel in {_STEP_TRIES} tries")
+
+
+def _build_series(profiles: _Profiles, index: int, root: random.Random) -> LimitLinearSeries:
+    """The series realizing profile ``index``, from streams split off ``root``.
+
+    One 64-bit stream for the kernel flag and one per ladder index, all
+    split from ``root``, so any failure replays exactly. Raises
+    GenerationError naming the step whose budget ran out.
+    """
+    model, shapes = profiles.model, profiles.shapes
+    mobile = profiles[index]
+    flag_rng = random.Random(root.getrandbits(64))
+    rngs = [random.Random(root.getrandbits(64)) for _ in shapes]
+    flags = _kernel_flag(profiles, mobile, flag_rng)
+    spaces = [_first_space(model, shapes[0], flags[0], mobile[0], rngs[0])]
+    for pos in range(1, len(shapes)):
+        nxt = _next_space(model, shapes[pos], pos, mobile[pos], flags[pos], spaces[-1], rngs[pos])
+        spaces.append(nxt)
+    return LimitLinearSeries(model, profiles.r, profiles.ladder, tuple(spaces))
 
 
 def random_exact_lls(d: int, r: int, delta: Sequence[int], seed: int) -> LimitLinearSeries:
@@ -477,7 +487,9 @@ def random_exact_lls(d: int, r: int, delta: Sequence[int], seed: int) -> LimitLi
 
     Requires 0 <= r <= d; the ladder must not have more non-integer indices
     than the mobile budget r + 1 allows, or no exact minimal series exists
-    and the generator reports that.
+    and the generator reports that. The profile is drawn uniformly by its
+    rank in lex order (``randrange`` makes the draw that ``choice`` makes on
+    the list of all profiles) and then built.
     """
     if not 0 <= r <= d:
         raise ValueError(f"rank must satisfy 0 <= r <= d, got r={r}, d={d}")
@@ -488,49 +500,15 @@ def random_exact_lls(d: int, r: int, delta: Sequence[int], seed: int) -> LimitLi
             f" ladder of delta={tuple(delta)}: every mobile-dimension profile"
             " violates the section-space flag caps"
         )
-    model, ladder, shapes = profiles.model, profiles.ladder, profiles.shapes
-    last_profile: tuple[int, ...] | None = None
-    for attempt in range(_MAX_ATTEMPTS):
-        # one 64-bit stream per stage and per ladder index, all split from the
-        # seed, so any failure replays exactly; randrange makes the draw that
-        # choice makes on the list of all profiles
-        root = random.Random((int(seed) * 0x9E3779B1 + attempt) & (2**64 - 1))
-        profile = profiles.nth(root.randrange(profiles.total))
-        last_profile = profile
-        flag_rng = random.Random(root.getrandbits(64))
-        step_rngs = [random.Random(root.getrandbits(64)) for _ in range(len(ladder))]
-        flags = _kernel_flag(model, shapes, r, profile, flag_rng)
-        if flags is None:
-            continue
-        spaces = []
-        first = _first_space(model, shapes[0], flags[0], profile[0], step_rngs[0])
-        if first is None:
-            continue
-        spaces.append(first)
-        failed = False
-        for pos in range(1, len(ladder)):
-            nxt = _next_space(
-                model, shapes[pos], profile[pos], flags[pos], spaces[-1], step_rngs[pos]
-            )
-            if nxt is None:
-                failed = True
-                break
-            spaces.append(nxt)
-        if failed:
-            continue
-        g = LimitLinearSeries(model, r, ladder, tuple(spaces))
-        data = numerical_data(g)
-        if (
-            check_exact(g).passed
-            and data.is_minimal()
-            and data.mobile == tuple(profile)
-            and not membership_failures(g)
-        ):
-            return g
-    raise GenerationError(
-        f"retry budget exhausted for d={d}, r={r}, delta={tuple(delta)};"
-        f" last profile tried: {last_profile}"
-    )
+    root = random.Random((int(seed) * 0x9E3779B1) & (2**64 - 1))
+    index = root.randrange(profiles.total)
+    try:
+        return _build_series(profiles, index, root)
+    except GenerationError as exc:
+        raise GenerationError(
+            f"d={d}, r={r}, delta={tuple(delta)}, seed {seed}: drawn profile {index} of"
+            f" {profiles.total}, mobile dimensions {profiles[index]}: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +596,9 @@ def corrupt_exactness(g: LimitLinearSeries, seed: int) -> LimitLinearSeries:
             block = 1 if strategy == "first-block-only" else 2
             inside = embed_block(split, meet_block(split, g.space_at(i), block), block)
             room = _unit_span(model.ambient_dim, room_coords)
-            found = _complement_vectors(room, inside, g.rank + 1 - inside.dim, rng)
-            if found is None:
-                continue
-            spaces[pos] = found[1]
+            _, spaces[pos] = _complement_vectors(
+                room, inside, g.rank + 1 - inside.dim, rng, f"the {strategy} corruption"
+            )
         candidate = LimitLinearSeries(model, g.rank, g.delta, tuple(spaces))
         if (
             check_compatible(candidate).passed

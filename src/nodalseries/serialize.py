@@ -260,6 +260,8 @@ def loads_instance(text: str) -> Instance:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError("not JSON: nested too deeply to decode") from None
     if not isinstance(payload, dict):
         raise SchemaError("top-level payload must be an object")
     version = payload.get("schema_version")
@@ -268,10 +270,9 @@ def loads_instance(text: str) -> Instance:
             f"unsupported schema_version {version!r}; expected 1, 2 or {SCHEMA_VERSION}"
         )
     kind = payload.get("kind")
-    decoder = _FROM_JSON.get(kind)
-    if decoder is None:
+    if type(kind) is not str or kind not in _FROM_JSON:
         raise SchemaError(f"unknown payload kind {kind!r}")
-    return decoder(payload)
+    return _FROM_JSON[kind](payload)
 
 
 def save_instance(obj: Instance, path: str | Path) -> None:
@@ -280,7 +281,9 @@ def save_instance(obj: Instance, path: str | Path) -> None:
 
 def load_instance(path: str | Path) -> Instance:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8: {exc}") from exc
     return loads_instance(text)

@@ -3,12 +3,16 @@ import random
 
 import pytest
 
+from nodalseries import generate
 from nodalseries.chain import build_chain, validate_chain
+from nodalseries.cli import main
 from nodalseries.curve import CurveModel, section_space
 from nodalseries.delta import build_delta
 from nodalseries.generate import (
     GenerationError,
+    _build_series,
     _graph_partner,
+    _Profiles,
     _swap,
     _unswap,
     corrupt_exactness,
@@ -169,7 +173,8 @@ def test_profile_list_matches_brute_force():
     for d in range(5):
         for r in range(d + 1):
             for delta in itertools.product((1, 2), repeat=d):
-                assert exact_minimal_profiles(d, r, delta) == _profiles_by_brute_force(d, r, delta)
+                profiles = list(exact_minimal_profiles(d, r, delta))
+                assert profiles == _profiles_by_brute_force(d, r, delta)
                 checked += 1
     assert checked == sum((d + 1) * 2**d for d in range(5))
 
@@ -178,12 +183,65 @@ def test_profiles_are_counted_with_no_cap():
     # at d = 8, r = 5 and delta 1^8 the first 512 profiles in lex order all
     # start with mobile dimension 0, so a list cut there could never give
     # the 364 that start with more; seed 1 draws one of them
-    profiles = exact_minimal_profiles(8, 5, (1,) * 8)
+    profiles = list(exact_minimal_profiles(8, 5, (1,) * 8))
     assert len(profiles) == 1093
     assert profiles == _profiles_by_brute_force(8, 5, (1,) * 8)
     assert [p[0] for p in profiles[:512]] == [0] * 512
     mobile = numerical_data(random_exact_lls(8, 5, (1,) * 8, seed=1)).mobile
     assert profiles.index(mobile) == 744 and mobile[0] == 1
+
+
+def test_profiles_are_a_sequence_that_lists_none():
+    profiles = exact_minimal_profiles(8, 5, (1,) * 8)
+    assert len(profiles) == profiles.total == 1093
+    assert profiles[744] == profiles[744 - 1093] == list(profiles)[744]
+    for index in (1093, -1094):
+        with pytest.raises(IndexError):
+            profiles[index]
+    assert not exact_minimal_profiles(1, 0, (3,))
+    # counted, not listed: 3.6e12 profiles answer at once
+    assert exact_minimal_profiles(32, 16, (1,) * 32).total == 3610705776755
+
+
+def census(max_d, max_step, seeds):
+    """Builds every exact minimal profile of every feasible parameter set with
+    d <= max_d and steps <= max_step, ``seeds`` times each, and checks what
+    the generator does not re-check: each series is exact, minimal, of that
+    profile and in its section spaces, and its chain validates. Returns the
+    numbers of parameter sets and profiles. The slower census runs from a
+    shell, e.g. ``PYTHONPATH=src:tests python -c 'import test_generate as t;
+    t.census(6, 2, 2)'``.
+    """
+    roots = itertools.count()
+    sets = built = 0
+    for d, r, delta in feasible_parameters(max_d, max_d, max_step):
+        profiles = _Profiles(d, r, delta)
+        for index, mobile in enumerate(profiles):
+            for _ in range(seeds):
+                g = _build_series(profiles, index, random.Random(next(roots)))
+                data = numerical_data(g)
+                where = (d, r, delta, mobile)
+                assert check_exact(g).passed and data.is_minimal(), where
+                assert data.mobile == mobile and membership_failures(g) == (), where
+                report = validate_chain(build_chain(g))
+                assert report.passed, (where, report.summary())
+        sets += 1
+        built += len(profiles)
+    return sets, built
+
+
+def test_census_builds_every_profile_exact_and_minimal():
+    assert census(4, 2, 4) == (80, 302)
+
+
+def test_an_exhausted_budget_names_the_drawn_profile(monkeypatch, capsys):
+    monkeypatch.setattr(generate, "_STEP_TRIES", 0)
+    with pytest.raises(GenerationError, match=r"drawn profile \d+ of 1093, .*ladder position"):
+        random_exact_lls(8, 5, (1,) * 8, seed=1)
+    assert main(["gen", "--d", "8", "--r", "5", "--delta", "1,1,1,1,1,1,1,1", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "profile 744 of 1093" in captured.err
 
 
 def test_padding_preserves_exactness_and_reduction_undoes_it(exact_corpus):
@@ -283,13 +341,12 @@ def rejection_linked_pair(split, dim, rng, meeting, mirrored, draws):
             if replacement == fixed_part:
                 continue
             fixed_part = replacement
-        if not mirrored:
-            partner = _graph_partner(split, over, fixed_part, rng)
-        else:
-            partner = _graph_partner(_swap(split), over, fixed_part, rng)
-            partner = _unswap(split, partner) if partner is not None else None
-        if partner is not None:
-            return v, partner
+        try:
+            if not mirrored:
+                return v, _graph_partner(split, over, fixed_part, rng)
+            return v, _unswap(split, _graph_partner(_swap(split), over, fixed_part, rng))
+        except GenerationError:
+            continue
     raise GenerationError("reference sampler found no linked pair")
 
 

@@ -180,6 +180,39 @@ def test_chain_spaces_of_the_wrong_dimension_are_refused(defect, message, tmp_pa
         assert "bad chain payload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param(
+            b'{"schema_version": 3, "kind": [], "dim1": 3, "dim2": 3, "basis": []}',
+            "unknown payload kind",
+            id="array-kind",
+        ),
+        pytest.param(
+            b'{"schema_version": 3, "kind": {}, "dim1": 3, "dim2": 3, "basis": []}',
+            "unknown payload kind",
+            id="object-kind",
+        ),
+        pytest.param(b"\xff\xfe\x00", "not UTF-8", id="not-utf8"),
+        pytest.param(b"[" * 200_000 + b"]" * 200_000, "not JSON", id="deep"),
+    ],
+)
+def test_files_that_break_the_decoder_are_refused(data, message, tmp_path, capsys):
+    # each of these once escaped as a TypeError, UnicodeDecodeError or
+    # RecursionError, so the CLI exited 1 with a traceback
+    if message != "not UTF-8":
+        with pytest.raises(SchemaError, match=message):
+            loads_instance(data.decode())
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(SchemaError, match=message):
+        load_instance(path)
+    assert cli.main(["degree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert message in captured.err
+
+
 def _rows(version, rows):
     """Basis rows, given as lists of entry strings, in the form of a version."""
     if version >= 3:

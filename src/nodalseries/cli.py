@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success or a completed report, 1 on a validation failure
 (non-exact input to a constructive command, a failed verification, an
-infeasible generation request), 2 on malformed input files or arguments,
-including an output file that cannot be written.
+infeasible generation request), 2 on refused input: a malformed file or
+argument, a degree above the cap, or an output file that cannot be
+written. A refusal prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .chain import ChainBuildError, ChainError, ContinuousChain, build_chain, emit_dot, validate_chain
 from .delta import NumericalData
@@ -22,8 +24,9 @@ from .series import LimitLinearSeries, check_compatible, check_exact, numerical_
 from .serialize import SchemaError, SubspaceTask, dumps_instance, load_instance
 from .torus import Direction, limit, orbit_degree
 
-# gen is the costly command: it searches profiles and subspaces. verify shares
-# the cap; its --oracle tabulates only the nonzero Pluecker minors.
+# gen and verify refuse degrees above this cap. gen's work is polynomial in d
+# (it counts the profiles and builds one series); verify --oracle tabulates
+# the nonzero Pluecker minors, which grow combinatorially at middle rank.
 MAX_DEGREE = 8
 
 
@@ -233,8 +236,15 @@ def _delta_counts(text: str) -> tuple[int, ...]:
         ) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad argument with one stderr line, without the usage text."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nodalseries",
         description=(
             "Exact computations with degenerations of linear series on a"

@@ -21,10 +21,14 @@ profile; nothing is re-checked after the build. Linked orbit pairs are
 built the same way, from a block profile chosen first.
 
 Every block invariant is read off ``torus.block_profile``, which the value
-keeps, and every span is one ``Subspace.from_spanning`` of the stacked
-rows; the canonical basis is unique, so these give the same values as
-intersecting and adding. Each new space is profiled while it is tested, so
-the next slot reuses it.
+keeps. The generator works on rows: a room, the parts of the previous
+space a slot reuses and a graph's base are row tuples, and a span is built
+only where it is kept (a kernel, a space, a corrupted slot), as one
+``Subspace.from_spanning`` of the stacked rows; the canonical basis is
+unique, so these give the same values as intersecting and adding. A draw
+that is only tested for independence is tested on its residuals modulo
+the part it extends (``_extends``). Each new space is profiled while it is
+tested, so the next slot reuses it.
 
 All randomness flows from one integer seed through per-stage substreams, so
 every failure is reproducible.
@@ -39,7 +43,7 @@ from fractions import Fraction
 
 from .curve import CurveModel, SectionShape, section_shape
 from .delta import DeltaSet, build_delta, check_steps
-from .linalg import ONE, ZERO, Subspace
+from .linalg import ONE, ZERO, Subspace, is_zero_vector
 from .series import (
     LimitLinearSeries,
     check_compatible,
@@ -91,9 +95,7 @@ def random_subspace(ambient_dim: int, dim: int, rng: random.Random) -> Subspace:
     return _independent_rows(ambient_dim, dim, rng)[1]
 
 
-def random_nonfixed_subspace(
-    split: TorusSplit, dim: int, rng: random.Random
-) -> Subspace:
+def random_nonfixed_subspace(split: TorusSplit, dim: int, rng: random.Random) -> Subspace:
     for _ in range(200):
         v = random_subspace(split.ambient_dim, dim, rng)
         if not is_fixed(split, v):
@@ -101,11 +103,21 @@ def random_nonfixed_subspace(
     raise GenerationError("could not find a nonfixed subspace; blocks too small?")
 
 
-def _vectors_inside(space: Subspace, count: int, rng: random.Random) -> list[tuple[Fraction, ...]]:
-    rows = space.basis_rows()
+_Rows = Sequence[tuple[Fraction, ...]]
+
+
+def _unit_rows(ambient_dim: int, coords: Sequence[int]) -> list[tuple[Fraction, ...]]:
+    """The unit vectors of Q^ambient_dim at ``coords``, e.g. the rows spanning S_i ∩ W1."""
+    return [(ZERO,) * c + (ONE,) + (ZERO,) * (ambient_dim - c - 1) for c in coords]
+
+
+def _vectors_inside(
+    rows: _Rows, ambient_dim: int, count: int, rng: random.Random
+) -> list[tuple[Fraction, ...]]:
+    """``count`` random combinations of ``rows``, vectors of Q^ambient_dim."""
     out = []
     for _ in range(count):
-        vec = [ZERO] * space.ambient_dim
+        vec = [ZERO] * ambient_dim
         for row in rows:
             c = Fraction(rng.randint(-3, 3))
             if c:
@@ -116,28 +128,45 @@ def _vectors_inside(space: Subspace, count: int, rng: random.Random) -> list[tup
     return out
 
 
+def _extends(part: Subspace, vectors: _Rows) -> bool:
+    """Whether ``vectors`` extend ``part`` by exactly len(vectors) dimensions.
+
+    ``Subspace.residual`` is linear and zero exactly on ``part``, so the
+    span of ``part`` and the vectors has dimension part.dim plus the rank
+    of their residuals. A single vector needs only a nonzero residual, so
+    no span of ``part`` and the vectors is built.
+    """
+    residuals = [part.residual(v) for v in vectors]
+    if len(residuals) > 1:
+        return Subspace.from_spanning(part.ambient_dim, residuals).dim == len(residuals)
+    return not any(map(is_zero_vector, residuals))
+
+
 def _complement_vectors(
-    whole: Subspace,
+    rows: _Rows,
     part: Subspace,
     count: int,
     rng: random.Random,
     step: str,
     hit: int | None = None,
-) -> tuple[list[tuple[Fraction, ...]], Subspace]:
-    """Vectors of ``whole`` extending ``part`` by exactly ``count`` dimensions,
-    and the span of ``part`` and those vectors, from one elimination.
+) -> list[tuple[Fraction, ...]]:
+    """``count`` vectors in the span of ``rows`` extending ``part`` by exactly
+    ``count`` dimensions, in ``part``'s ambient space.
 
-    The caller guarantees part.dim + count <= whole.dim. A dependent draw,
-    or with ``hit`` a span that is zero at that coordinate, is drawn again;
-    a budget that runs out raises GenerationError naming ``step``.
+    The caller guarantees part.dim + count <= dim span(rows). A dependent
+    draw, or with ``hit`` one whose span with ``part`` is zero at that
+    coordinate, is drawn again; a budget that runs out raises
+    GenerationError naming ``step``. With ``count`` 0 nothing is drawn: the
+    first try returns no vectors when ``part`` reaches ``hit``, and the
+    error is raised at once when it does not.
     """
+    reached = hit is None or any(row[hit] for row in part.basis_rows())
+    if not (count or reached):
+        raise GenerationError(f"{step}: nothing to draw, and the part misses coordinate {hit}")
     for _ in range(_STEP_TRIES):
-        vectors = _vectors_inside(whole, count, rng)
-        extended = Subspace.from_spanning(whole.ambient_dim, part.basis_rows() + tuple(vectors))
-        if extended.dim == part.dim + count and (
-            hit is None or any(row[hit] for row in extended.basis_rows())
-        ):
-            return vectors, extended
+        vectors = _vectors_inside(rows, part.ambient_dim, count, rng)
+        if (reached or any(vec[hit] for vec in vectors)) and _extends(part, vectors):
+            return vectors
     raise GenerationError(f"{step}: no fitting draw in {_STEP_TRIES} tries")
 
 
@@ -146,26 +175,24 @@ def _complement_vectors(
 
 
 def _graph_partner(
-    split: TorusSplit, over_first: Subspace, fixed_second: Subspace, rng: random.Random
+    split: TorusSplit, over_rows: _Rows, fixed_rows: _Rows, rng: random.Random
 ) -> Subspace:
     """{graph over a first-block subspace} + {an embedded second-block one}.
 
-    The result projects onto exactly ``over_first`` in the first block and
-    meets the second block in exactly ``fixed_second``, since the graph
-    rows are independent on the first block; retried until it is nonfixed
-    (some graph image escapes the fixed part).
+    ``over_rows`` and ``fixed_rows`` are the canonical bases of a first-block
+    and a second-block subspace. The result projects onto exactly the span
+    of ``over_rows`` in the first block and meets the second block in
+    exactly that of ``fixed_rows``, since the graph rows are independent on
+    the first block; retried until it is nonfixed (some graph image escapes
+    the fixed part).
     """
-    base_rows = embed_block(split, over_first, 1).basis_rows()
-    second_coords = list(split.block_coords(2))
+    fixed = [(ZERO,) * split.dim1 + row for row in fixed_rows]
     for _ in range(_STEP_TRIES):
-        rows = []
-        for row in base_rows:
-            vec = list(row)
-            for c in second_coords:
-                vec[c] += Fraction(rng.randint(-3, 3))
-            rows.append(vec)
-        rows.extend(embed_block(split, fixed_second, 2).basis_rows())
-        candidate = Subspace.from_spanning(split.ambient_dim, rows)
+        rows = [
+            row + tuple(Fraction(rng.randint(-3, 3)) for _ in range(split.dim2))
+            for row in over_rows
+        ]
+        candidate = Subspace.from_spanning(split.ambient_dim, rows + fixed)
         if not is_fixed(split, candidate):
             return candidate
     raise GenerationError("could not draw a nonfixed partner over the first-block part")
@@ -208,7 +235,7 @@ def random_linked_pair(
     dimension at least 2 and 2 <= dim <= dim1 + dim2 - 2; otherwise
     GenerationError is raised at once.
     """
-    work = _swap(split) if mirrored else split
+    work = TorusSplit(split.dim2, split.dim1) if mirrored else split
     profiles = _linked_profiles(work, dim)
     if not profiles:
         raise GenerationError(
@@ -237,15 +264,11 @@ def random_linked_pair(
                 break
         else:
             raise GenerationError("could not draw a second-block part that breaks the meeting")
-    over = Subspace.from_spanning(work.dim1, first_rows[:a])
-    partner = _graph_partner(work, over, fixed_part, rng)
+    over_rows = Subspace.from_spanning(work.dim1, first_rows[:a]).basis_rows()
+    partner = _graph_partner(work, over_rows, fixed_part.basis_rows(), rng)
     if mirrored:
         return _unswap(split, v), _unswap(split, partner)
     return v, partner
-
-
-def _swap(split: TorusSplit) -> TorusSplit:
-    return TorusSplit(split.dim2, split.dim1)
 
 
 def _unswap(split: TorusSplit, v: Subspace) -> Subspace:
@@ -359,16 +382,6 @@ def minimal_series_exists(d: int, r: int, delta: Sequence[int]) -> bool:
     return 0 <= r <= d and _Profiles(d, r, delta).total > 0
 
 
-def _unit_span(ambient_dim: int, coords: Sequence[int]) -> Subspace:
-    """The span of the unit vectors at increasing ``coords``, e.g. S_i ∩ W1."""
-    rows = []
-    for c in coords:
-        vec = [ZERO] * ambient_dim
-        vec[c] = ONE
-        rows.append(vec)
-    return Subspace.from_spanning(ambient_dim, rows)
-
-
 def _kernel_flag(profiles: _Profiles, mobile: Sequence[int], rng: random.Random) -> list[Subspace]:
     """Nested first-block kernels along the ladder, built top-down.
 
@@ -386,7 +399,7 @@ def _kernel_flag(profiles: _Profiles, mobile: Sequence[int], rng: random.Random)
     flags = []
     current = Subspace.zero(ambient_dim)
     for pos in range(len(shapes) - 1, -1, -1):
-        room = _unit_span(ambient_dim, shapes[pos].t_flag)
+        room = _unit_rows(ambient_dim, shapes[pos].t_flag)
         hit = None
         if pos + 1 < len(shapes):
             nxt = shapes[pos + 1]
@@ -394,7 +407,9 @@ def _kernel_flag(profiles: _Profiles, mobile: Sequence[int], rng: random.Random)
             if nxt.glue and p_next + mobile[pos + 1] == nxt.block_dims[3]:
                 hit = nxt.glue[0]
         step = f"the kernel at ladder position {pos}"
-        _, current = _complement_vectors(room, current, q_dims[pos] - current.dim, rng, step, hit)
+        vectors = _complement_vectors(room, current, q_dims[pos] - current.dim, rng, step, hit)
+        if vectors:
+            current = Subspace.from_spanning(ambient_dim, current.basis_rows() + tuple(vectors))
         flags.append(current)
     return flags[::-1]
 
@@ -438,15 +453,15 @@ def _next_space(
     only the part inside W1 can come out larger than the kernel; that draw
     is made again.
     """
-    split = model.split
+    split, ambient_dim = model.split, model.ambient_dim
     prev_profile = block_profile(split, prev)
-    incoming = embed_block(split, prev_profile.inside_first, 1)
-    carried = embed_block(split, prev_profile.onto_second, 2)
+    pad = (ZERO,) * (model.d + 1)  # both blocks have d + 1 coordinates
+    incoming = [row + pad for row in prev_profile.inside_first.basis_rows()]
+    kept = kernel.basis_rows() + tuple(pad + row for row in prev_profile.onto_second.basis_rows())
     step = f"the space at ladder position {pos}"
     for _ in range(_STEP_TRIES):
-        movers, _ = _complement_vectors(incoming, kernel, mobile, rng, step)
-        rows = list(kernel.basis_rows()) + list(carried.basis_rows())
-        for w in movers:
+        rows = list(kept)
+        for w in _complement_vectors(incoming, kernel, mobile, rng, step):
             vec = list(w)
             if shape.glue:
                 # Node condition: the image's s coefficient on the glue row
@@ -456,7 +471,7 @@ def _next_space(
             for c in shape.s_flag:
                 vec[c] += Fraction(rng.randint(-3, 3))
             rows.append(tuple(vec))
-        space = Subspace.from_spanning(model.ambient_dim, rows)
+        space = Subspace.from_spanning(ambient_dim, rows)
         # the profile stays on the space, so the next slot reuses it
         if block_profile(split, space).inside_first.dim == kernel.dim:
             return space
@@ -595,10 +610,10 @@ def corrupt_exactness(g: LimitLinearSeries, seed: int) -> LimitLinearSeries:
         else:
             block = 1 if strategy == "first-block-only" else 2
             inside = embed_block(split, meet_block(split, g.space_at(i), block), block)
-            room = _unit_span(model.ambient_dim, room_coords)
-            _, spaces[pos] = _complement_vectors(
-                room, inside, g.rank + 1 - inside.dim, rng, f"the {strategy} corruption"
-            )
+            room = _unit_rows(model.ambient_dim, room_coords)
+            step = f"the {strategy} corruption"
+            added = tuple(_complement_vectors(room, inside, g.rank + 1 - inside.dim, rng, step))
+            spaces[pos] = Subspace.from_spanning(model.ambient_dim, inside.basis_rows() + added)
         candidate = LimitLinearSeries(model, g.rank, g.delta, tuple(spaces))
         if (
             check_compatible(candidate).passed

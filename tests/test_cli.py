@@ -454,3 +454,120 @@ def test_build_chain_writes_nothing_when_one_output_is_unwritable(
         assert not chain.exists()
     out = tmp_path / "missing" / "chain.json"
     _refused_write(["build-chain", e4_file, "-o", str(out)], out, capsys)
+
+
+def _exit_code_table() -> dict[str, set[int]]:
+    """The codes the README's exit-code table gives each command."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            codes = {code for code, cell in enumerate(cells[1:]) if cell != "—"}
+            table[cells[0].strip("`")] = codes
+    return table
+
+
+def _exit_code_runs(tmp_path) -> dict[str, list[list[str]]]:
+    """Invocations of each command that together reach every code it can return."""
+    import dataclasses
+
+    from nodalseries.generate import pad_with_trivial_slots
+
+    def saved(name, obj):
+        path = tmp_path / name
+        save_instance(obj, path)
+        return str(path)
+
+    exact = saved("exact.json", series_e4())
+    not_exact = saved("not_exact.json", series_e5())
+    padded = saved("padded.json", pad_with_trivial_slots(series_e4(), (3,), seed=0))
+    chain = build_chain(series_e4())
+    good_chain = saved("chain.json", chain)
+    wrong = Subspace.from_spanning(4, [(0, 1, 0, 0)])
+    bad_chain = saved("bad_chain.json", dataclasses.replace(chain, nodes=(wrong,)))
+    task = SubspaceTask(TorusSplit(2, 2), Subspace.from_spanning(4, [(1, 0, 1, 0)]))
+    task = saved("task.json", task)
+    above_cap = random_exact_lls(MAX_DEGREE + 1, 0, (1,) * (MAX_DEGREE + 1), seed=0)
+    above_cap = saved("above_cap.json", above_cap)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    broken = str(broken)
+    missing = str(tmp_path / "missing.json")
+    unwritable = str(tmp_path / "no_such_dir" / "out.json")
+    return {
+        "check": [
+            ["check", exact],
+            ["check", not_exact],
+            ["check", broken],
+            ["check", task],
+            ["check"],
+        ],
+        "numerical-data": [
+            ["numerical-data", not_exact],
+            ["numerical-data", missing],
+            ["numerical-data", exact, "--extra"],
+        ],
+        "reduce": [
+            ["reduce", padded],
+            ["reduce", not_exact],
+            ["reduce", broken],
+            ["reduce", padded, "-o", unwritable],
+        ],
+        "build-chain": [
+            ["build-chain", exact],
+            ["build-chain", not_exact],
+            ["build-chain", good_chain],
+            ["build-chain", exact, "--dot", unwritable],
+        ],
+        "limit": [
+            ["limit", task, "--at", "zero"],
+            ["limit", exact, "--at", "zero"],
+            ["limit", task, "--at", "one"],
+            ["limit", task, "--at", "infty", "-o", unwritable],
+        ],
+        "degree": [
+            ["degree", task],
+            ["degree", broken],
+            ["degree", missing],
+        ],
+        "gen": [
+            ["gen", "--d", "2", "--r", "1", "--delta", "2,1", "--seed", "9"],
+            ["gen", "--d", "1", "--r", "0", "--delta", "3", "--seed", "0"],
+            ["gen", "--d", "2", "--r", "3", "--delta", "1,1", "--seed", "0"],
+            ["gen", "--d", str(MAX_DEGREE + 1), "--r", "0", "--seed", "1"],
+            ["gen", "--d", "2", "--r", "1", "--delta", "1,x", "--seed", "1"],
+            ["gen", "--d", "2", "--r", "1", "--delta", "2,1", "--seed", "9", "-o", unwritable],
+        ],
+        "verify": [
+            ["verify", exact],
+            ["verify", good_chain, "--oracle", "--samples", "2"],
+            ["verify", not_exact],
+            ["verify", bad_chain],
+            ["verify", above_cap],
+            ["verify", task],
+            ["verify", exact, "--samples", "0"],
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["check", "numerical-data", "reduce", "build-chain", "limit", "degree", "gen", "verify"],
+)
+def test_exit_codes_match_the_readme_table(command, tmp_path, capsys):
+    # 0 passed or reported, 1 a check failed or no series was found, 2
+    # refused input, with exactly one line on stderr
+    codes = set()
+    for args in _exit_code_runs(tmp_path)[command]:
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's refusal
+            code = exc.code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.count("\n") == 1 and err.endswith("\n"), (args, err)
+        codes.add(code)
+    assert codes == _exit_code_table()[command]

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nodalseries import generate
+from nodalseries import generate, linalg
 from nodalseries.chain import build_chain, validate_chain
 from nodalseries.cli import main
 from nodalseries.curve import CurveModel, section_space
@@ -11,9 +11,13 @@ from nodalseries.delta import build_delta
 from nodalseries.generate import (
     GenerationError,
     _build_series,
+    _complement_vectors,
+    _extends,
     _graph_partner,
+    _kernel_flag,
     _Profiles,
-    _swap,
+    _unit_rows,
+    _vectors_inside,
     _unswap,
     corrupt_exactness,
     exact_minimal_profiles,
@@ -65,8 +69,9 @@ def test_generator_builds_no_section_space(monkeypatch):
 
 
 def test_generator_reads_invariants_from_one_profile_per_space(eliminations, monkeypatch):
-    # each span is one elimination and each space's block invariants one
-    # profile, which the series keeps for its own checks
+    # each kept span is one elimination and each space's block invariants
+    # one profile, which the series keeps for its own checks; a draw that is
+    # only tested for independence is tested on its residuals
     from nodalseries import generate, linalg, torus
 
     spied = []
@@ -79,11 +84,99 @@ def test_generator_reads_invariants_from_one_profile_per_space(eliminations, mon
                 )
     calls = eliminations(linalg, torus)
     g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
-    assert (len(calls), spied) == (15, [])
+    assert (len(calls), spied) == (12, [])
     calls.clear()
     assert check_exact(g).passed and numerical_data(g).is_minimal()
     assert validate_chain(build_chain(g)).passed
     assert calls == []
+
+
+def test_generator_builds_only_the_values_it_keeps(monkeypatch):
+    # 13 spaces from 60 Subspace values and no embedded block: a draw that
+    # is only tested is tested on rows, and only kept spans are built
+    from nodalseries import torus
+
+    built, embedded = [], []
+    real_post_init = linalg.Subspace.__post_init__
+    monkeypatch.setattr(
+        linalg.Subspace, "__post_init__", lambda v: built.append(v) or real_post_init(v)
+    )
+    real_embed = torus.embed_block
+    for module in (torus, generate):
+        monkeypatch.setattr(module, "embed_block", lambda *a: embedded.append(a) or real_embed(*a))
+    g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
+    assert len(g.spaces) == 13
+    assert embedded == [] and len(built) <= 60
+
+
+def _rank_case(rng):
+    """A (part, vectors) case shaped like the generator's draws.
+
+    The room is a t-flag of unit rows (a kernel flag or a corruption) or
+    the padded rows of a first-block subspace (``_next_space``'s incoming
+    part), ``part`` is a random subspace of it, and the vectors are drawn
+    from the room as the generator draws them. Some cases then force a
+    dependence: a row of ``part``, a sum of its rows, or a repeated vector.
+    """
+    d = rng.randint(1, 6)
+    n = 2 * d + 2
+    if rng.random() < 0.5:
+        room = _unit_rows(n, range(rng.randint(0, d), d + 1))
+    else:
+        first = random_subspace(d + 1, rng.randint(1, d + 1), rng)
+        room = [row + (linalg.ZERO,) * (d + 1) for row in first.basis_rows()]
+    part_dim = rng.randint(0, len(room) - 1)
+    part = linalg.Subspace.from_spanning(n, _vectors_inside(room, n, part_dim, rng))
+    count = rng.randint(1, max(1, len(room) - part.dim))
+    vectors = _vectors_inside(room, n, count, rng)
+    forced = rng.choice([None, None, "part row", "sum of part rows", "repeat"])
+    rows = part.basis_rows()
+    at = rng.randrange(count)
+    if forced == "part row" and rows:
+        vectors[at] = rng.choice(rows)
+    elif forced == "sum of part rows" and rows:
+        vectors[at] = tuple(map(sum, zip(*rows)))
+    elif forced == "repeat" and count > 1:
+        vectors[at] = vectors[at - 1]
+    else:
+        forced = None
+    return part, vectors, forced
+
+
+def test_residual_rank_decides_as_the_span_it_replaces():
+    rng = random.Random(2026)
+    seen = {True: 0, False: 0}
+    forced_kinds = set()
+    for _ in range(600):
+        part, vectors, forced = _rank_case(rng)
+        span = linalg.Subspace.from_spanning(part.ambient_dim, part.basis_rows() + tuple(vectors))
+        accepted = _extends(part, vectors)
+        assert accepted == (span.dim == part.dim + len(vectors)), (part, vectors, forced)
+        seen[accepted] += 1
+        forced_kinds.add(forced)
+        if forced:
+            assert not accepted
+    assert min(seen.values()) >= 100
+    assert forced_kinds == {None, "part row", "sum of part rows", "repeat"}
+
+
+def test_nothing_to_draw_tests_the_part_once():
+    n = 8  # d = 3
+    rows = _unit_rows(n, (1, 2, 3))
+    part = linalg.Subspace.from_spanning(n, [_unit_rows(n, (2,))[0]])
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert _complement_vectors(rows, part, 0, rng, "the step", hit=2) == []
+    with pytest.raises(GenerationError, match=r"^the step: .*misses coordinate 1$"):
+        _complement_vectors(rows, part, 0, rng, "the step", hit=1)
+    assert rng.getstate() == state
+    # a slot with no mobile dimension keeps the next kernel itself
+    profiles = _Profiles(8, 3, (1, 1, 1, 1, 3, 1, 3, 1))
+    for index in (0, len(profiles) // 2, len(profiles) - 1):
+        mobile = profiles[index]
+        flags = _kernel_flag(profiles, mobile, random.Random(index))
+        for pos in range(len(flags) - 1):
+            assert (flags[pos] is flags[pos + 1]) == (mobile[pos + 1] == 0)
 
 
 def test_generator_small_cases():
@@ -342,9 +435,10 @@ def rejection_linked_pair(split, dim, rng, meeting, mirrored, draws):
                 continue
             fixed_part = replacement
         try:
+            rows = over.basis_rows(), fixed_part.basis_rows()
             if not mirrored:
-                return v, _graph_partner(split, over, fixed_part, rng)
-            return v, _unswap(split, _graph_partner(_swap(split), over, fixed_part, rng))
+                return v, _graph_partner(split, *rows, rng)
+            return v, _unswap(split, _graph_partner(TorusSplit(split.dim2, split.dim1), *rows, rng))
         except GenerationError:
             continue
     raise GenerationError("reference sampler found no linked pair")

@@ -16,7 +16,9 @@ objects and finds their profiles already there, while a chain loaded from a
 file profiles its base spaces afresh. A profile costs one elimination for a
 moving space and none for a fixed one, so plain ``verify`` of a series makes
 one elimination per moving space in all, and ``emit_dot`` makes none: every
-node is a fixed point.
+node is a fixed point. Limits come from ``torus.limit`` on the space held,
+which returns a fixed space itself, so a built chain's node beside a fixed
+component is that component's base space, the same object.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, consecutive_pairs
 from .linalg import Subspace, format_rational
 from .series import LimitLinearSeries, numerical_data
-from .torus import BlockProfile, Direction, IntersectionHypothesisError, block_profile
+from .torus import BlockProfile, Direction, IntersectionHypothesisError, block_profile, limit
 
 
 class ChainError(ValueError):
@@ -142,20 +144,23 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
     equal the incoming limit of the next one, which holds exactly when the
     linking equalities do. Afterwards minimality is enforced so that no
     non-integer component degenerates to a constant. Limits, minimality and
-    each component's degree are read off one block profile per space.
+    each component's degree are read off one block profile per space; a
+    fixed space is its own limit, so it is its neighbouring nodes.
     """
-    profiles = g.profiles
+    split = g.model.split
     nodes: list[Subspace] = []
-    for (i, j), left, right in zip(consecutive_pairs(g.delta), profiles, profiles[1:]):
-        outgoing = left.limit(Direction.INFINITY)
-        if outgoing != right.limit(Direction.ZERO):
+    for (i, j), left, right in zip(consecutive_pairs(g.delta), g.spaces, g.spaces[1:]):
+        outgoing = limit(split, left, Direction.INFINITY)
+        incoming = limit(split, right, Direction.ZERO)
+        if outgoing != incoming:
             raise ChainBuildError(
                 f"gluing failed at the pair ({format_rational(i)}, {format_rational(j)}):"
                 " the outgoing and incoming orbit limits differ, so the series"
                 " is not exact there",
                 failing_pair=(i, j),
             )
-        nodes.append(outgoing)
+        # a fixed neighbour is the node itself
+        nodes.append(incoming if incoming is right else outgoing)
     data = numerical_data(g)
     if not data.is_minimal():
         lazy = [
@@ -169,7 +174,7 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
             + " carry no mobile dimension and would give constant components"
         )
     components = tuple(
-        _component_for(i, v, profile.degree) for (i, v), profile in zip(g.items(), profiles)
+        _component_for(i, v, profile.degree) for (i, v), profile in zip(g.items(), g.profiles)
     )
     total_degree = sum(c.grassmann_degree for c in components)
     if total_degree != g.rank + 1:
@@ -245,12 +250,15 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
 
     Every check reads ``c.profiles``, the profiles kept on the base spaces.
     """
+    split = c.model.split
     pairs = consecutive_pairs(c.delta)
     profiles = c.profiles
+    spaces = [comp.base_space for comp in c.components]
 
     glue_failures: list[str] = []
-    for (i, j), node, left, right in zip(pairs, c.nodes, profiles, profiles[1:]):
-        if not (left.limit(Direction.INFINITY) == node == right.limit(Direction.ZERO)):
+    for (i, j), node, left, right in zip(pairs, c.nodes, spaces, spaces[1:]):
+        outgoing = limit(split, left, Direction.INFINITY)
+        if not (outgoing == node == limit(split, right, Direction.ZERO)):
             glue_failures.append(
                 f"node between {format_rational(i)} and {format_rational(j)}"
                 " does not match both orbit limits"

@@ -8,9 +8,12 @@ payload against its structural invariants, and for series also against
 section-space membership, read off each section space's equations; loading
 what was saved reproduces the object bit-exactly.
 
-Each distinct entry text is parsed once per matrix. Stored rows that are
-already a canonical basis, as written here, load as they are after one
-canonicity check; any other spanning rows are reduced to that basis.
+Each distinct entry text is parsed once per file: a loader keeps one token
+table for the whole file, so equal entries of different matrices (a chain's
+node and the base space it equals, say) are one shared ``Fraction`` and
+compare by identity. Stored rows that are already a canonical basis, as
+written here, load as they are after one canonicity check; any other
+spanning rows are reduced to that basis.
 
 Versions 1 and 2 still load. They write a matrix as nested arrays, one
 string per entry, and a row string there is refused, as an array row is in
@@ -75,7 +78,23 @@ def _row_strings(payload: dict) -> bool:
     return payload.get("schema_version") == SCHEMA_VERSION
 
 
-def _subspace_from_json(ambient_dim: int, rows: Any, row_strings: bool) -> Subspace:
+def _rational(token: Any, values: dict[str, Fraction]) -> Fraction:
+    """The value of one entry, parsed once per file through its token table.
+
+    A non-string entry of a version 1 or 2 file goes to parse_rational,
+    whose refusal names it.
+    """
+    if type(token) is not str:
+        return parse_rational(token)
+    value = values.get(token)
+    if value is None:
+        value = values[token] = parse_rational(token)
+    return value
+
+
+def _subspace_from_json(
+    ambient_dim: int, rows: Any, row_strings: bool, values: dict[str, Fraction]
+) -> Subspace:
     if not isinstance(rows, list):
         raise SchemaError("a matrix must be a list of rows")
     if row_strings:
@@ -88,19 +107,8 @@ def _subspace_from_json(ambient_dim: int, rows: Any, row_strings: bool) -> Subsp
         rows = [r.split(" ") for r in rows]
     elif not all(isinstance(r, list) for r in rows):
         raise SchemaError("a matrix must be a list of rows, each an array of entries")
-    # each distinct token is parsed once per matrix; a non-string entry of a
-    # version 1 or 2 file goes to parse_rational, whose refusal names it
-    values: dict[str, Fraction] = {}
-
-    def value(token: Any) -> Fraction:
-        if type(token) is not str:
-            return parse_rational(token)
-        if token not in values:
-            values[token] = parse_rational(token)
-        return values[token]
-
     try:
-        parsed = [[value(e) for e in row] for row in rows]
+        parsed = [[_rational(e, values) for e in row] for row in rows]
         return Subspace.from_spanning(ambient_dim, parsed)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad matrix: {exc}") from exc
@@ -126,12 +134,15 @@ def series_from_json(payload: dict) -> LimitLinearSeries:
         raw_spaces = payload["spaces"]
         row_strings = _row_strings(payload)
         ladder = _ladder(model.d, payload["delta"], len(raw_spaces), "spaces")
+        values: dict[str, Fraction] = {}
         spaces = []
         for i in ladder.indices:
             key = format_rational(i)
             if key not in raw_spaces:
                 raise SchemaError(f"missing space at index {key}")
-            spaces.append(_subspace_from_json(model.ambient_dim, raw_spaces[key], row_strings))
+            spaces.append(
+                _subspace_from_json(model.ambient_dim, raw_spaces[key], row_strings, values)
+            )
         extra = set(raw_spaces) - {format_rational(i) for i in ladder.indices}
         if extra:
             raise SchemaError(f"spaces at indices outside the ladder: {sorted(extra)}")
@@ -190,12 +201,15 @@ def chain_from_json(payload: dict) -> ContinuousChain:
             raise SchemaError("only schema_version 1 chains carry hilbert data")
         ladder = _ladder(model.d, payload["delta"], len(payload["components"]), "components")
         row_strings = _row_strings(payload)
+        values: dict[str, Fraction] = {}
         components = []
         for raw in payload["components"]:
             components.append(
                 ChainComponent(
-                    index=parse_rational(raw["index"]),
-                    base_space=_subspace_from_json(model.ambient_dim, raw["basis"], row_strings),
+                    index=_rational(raw["index"], values),
+                    base_space=_subspace_from_json(
+                        model.ambient_dim, raw["basis"], row_strings, values
+                    ),
                     kind=ComponentKind(raw["kind"]),
                     target_kind=raw["target"]["kind"],
                     target_index=_integer(raw["target"]["index"], "a target index"),
@@ -203,7 +217,8 @@ def chain_from_json(payload: dict) -> ContinuousChain:
                 )
             )
         nodes = tuple(
-            _subspace_from_json(model.ambient_dim, raw, row_strings) for raw in payload["nodes"]
+            _subspace_from_json(model.ambient_dim, raw, row_strings, values)
+            for raw in payload["nodes"]
         )
         return ContinuousChain(model, rank, ladder, tuple(components), nodes)
     except SchemaError:
@@ -225,7 +240,9 @@ def subspace_task_to_json(task: SubspaceTask) -> dict:
 def subspace_task_from_json(payload: dict) -> SubspaceTask:
     try:
         split = TorusSplit(_integer(payload["dim1"], "dim1"), _integer(payload["dim2"], "dim2"))
-        subspace = _subspace_from_json(split.ambient_dim, payload["basis"], _row_strings(payload))
+        subspace = _subspace_from_json(
+            split.ambient_dim, payload["basis"], _row_strings(payload), {}
+        )
         return SubspaceTask(split, subspace)
     except SchemaError:
         raise
@@ -258,7 +275,7 @@ def dumps_instance(obj: Instance) -> str:
 def loads_instance(text: str) -> Instance:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"not JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError("not JSON: nested too deeply to decode") from None

@@ -104,10 +104,15 @@ def _pair_blocks(g: LimitLinearSeries):
 
 
 def check_compatible(g: LimitLinearSeries) -> LinkReport:
-    """Both linking inclusions at every consecutive pair, with a report."""
+    """Both linking inclusions at every consecutive pair, with a report.
+
+    Equal subspaces contain each other, so the residual containment test
+    runs only where an image and its kernel differ: on an exact pair the
+    check is two comparisons of canonical bases.
+    """
     failures: list[LinkFailure] = []
     for i, j, fwd_img, fwd_ker, bwd_img, bwd_ker in _pair_blocks(g):
-        if not fwd_ker.contains(fwd_img):
+        if fwd_img != fwd_ker and not fwd_ker.contains(fwd_img):
             failures.append(
                 LinkFailure(
                     i, j, "forward",
@@ -115,7 +120,7 @@ def check_compatible(g: LimitLinearSeries) -> LinkReport:
                     f" the second-block part at {j} (dim {fwd_ker.dim})",
                 )
             )
-        if not bwd_ker.contains(bwd_img):
+        if bwd_img != bwd_ker and not bwd_ker.contains(bwd_img):
             failures.append(
                 LinkFailure(
                     i, j, "backward",

@@ -11,9 +11,10 @@ it once per ``Subspace`` value and split and keeps it on the value, so the
 limits, the degree, fixedness, the meetings and the block projections and
 intersections (:func:`project_block`, :func:`meet_block`) of one value
 together make one elimination if the value moves and none if it is a fixed
-point. Two linked orbit closures that meet always meet transversally (the
-weight argument of :func:`meeting_is_transverse`), so the meeting point
-stands for transversality and no separate tangent certificate is computed.
+point, whose limits are the value itself (:func:`limit`). Two linked orbit
+closures that meet always meet transversally (the weight argument of
+:func:`meeting_is_transverse`), so the meeting point stands for
+transversality and no separate tangent certificate is computed.
 """
 
 from __future__ import annotations
@@ -273,8 +274,17 @@ def is_fixed(split: TorusSplit, v: Subspace) -> bool:
 
 
 def limit(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
-    """Boundary point of the orbit closure of v; a fixed point is its own limit."""
-    return block_profile(split, v).limit(direction)
+    """Boundary point of the orbit closure of v in the given direction.
+
+    A fixed point is its own limit in both directions, so when v's block
+    profile has degree 0 the value v itself comes back and nothing is built.
+    A moving v gets the limit that :meth:`BlockProfile.limit` assembles. A
+    direction that is not a :class:`Direction` raises ValueError either way.
+    """
+    if not isinstance(direction, Direction):
+        raise ValueError(f"unknown direction {direction!r}")
+    profile = block_profile(split, v)
+    return v if profile.degree == 0 else profile.limit(direction)
 
 
 def orbit_degree(split: TorusSplit, v: Subspace) -> int:

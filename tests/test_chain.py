@@ -15,8 +15,9 @@ from nodalseries.chain import (
     hilbert_coefficients,
     validate_chain,
 )
+from nodalseries.delta import consecutive_pairs
 from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
-from nodalseries.linalg import Subspace
+from nodalseries.linalg import Subspace, format_rational
 from nodalseries import cli, torus
 from nodalseries.oracle import minor_table
 from nodalseries.serialize import (
@@ -112,6 +113,60 @@ def test_validate_chain_detects_scaled_integer_base():
     corrupted = dataclasses.replace(chain, components=(moved, chain.components[1]))
     report = validate_chain(corrupted)
     assert not report.membership.passed
+
+
+def test_a_fixed_node_beside_a_fixed_component_can_fail_gluing(tmp_path, capsys):
+    # a fixed component is its own limit, so a built chain's nodes beside it
+    # are its base space; a different fixed space there must fail gluing alone
+    chain = build_chain(random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5))
+    n, dim = chain.model.ambient_dim, chain.rank + 1
+    units = [tuple(int(k == c) for k in range(n)) for c in range(n)]
+    fixed_spaces = [Subspace.from_spanning(n, units[:dim]), Subspace.from_spanning(n, units[-dim:])]
+    path = tmp_path / "chain.json"
+    replaced = 0
+    steps = zip(consecutive_pairs(chain.delta), chain.components, chain.components[1:])
+    for k, ((i, j), left, right) in enumerate(steps):
+        fixed = [c.base_space for c in (left, right) if c.kind is ComponentKind.FIXED]
+        if not fixed:
+            continue
+        assert any(chain.nodes[k] is v for v in fixed)
+        wrong = next(v for v in fixed_spaces if v != chain.nodes[k])
+        assert is_fixed(chain.model.split, wrong)
+        nodes = chain.nodes[:k] + (wrong,) + chain.nodes[k + 1 :]
+        corrupted = dataclasses.replace(chain, nodes=nodes)
+        report = validate_chain(corrupted)
+        assert [c.passed for c in report.checks] == [False, True, True, True, True]
+        assert report.gluing.failures == (
+            f"node between {format_rational(i)} and {format_rational(j)}"
+            " does not match both orbit limits",
+        )
+        save_instance(corrupted, path)
+        capsys.readouterr()
+        assert cli.main(["verify", str(path)]) == 1
+        assert "node gluing: FAIL\n" in capsys.readouterr().out
+        replaced += 1
+    assert replaced >= 8
+
+
+def test_a_collapse_fails_construction_at_the_first_inexact_pair(exact_corpus):
+    collapses = 0
+    for g in exact_corpus:
+        split = g.model.split
+        for pos, (i, v) in enumerate(g.items()):
+            if i.denominator == 1 or is_fixed(split, v):
+                continue
+            collapsed = limit(split, v, Direction.INFINITY)
+            assert limit(split, collapsed, Direction.ZERO) is collapsed
+            candidate = dataclasses.replace(
+                g, spaces=g.spaces[:pos] + (collapsed,) + g.spaces[pos + 1 :]
+            )
+            report = check_exact(candidate)
+            assert report.first_failing_pair() == (g.delta.indices[pos - 1], i)
+            with pytest.raises(ChainBuildError) as excinfo:
+                build_chain(candidate)
+            assert excinfo.value.failing_pair == report.first_failing_pair()
+            collapses += 1
+    assert collapses >= 100
 
 
 def _degree_lie():

@@ -1,12 +1,13 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from nodalseries import cli, curve, linalg
+from nodalseries import cli, curve, linalg, serialize
 from nodalseries.chain import build_chain
 from nodalseries.generate import random_exact_lls, random_subspace
 from nodalseries.linalg import Subspace, format_rational, parse_rational
@@ -490,3 +491,88 @@ def test_rows_of_unequal_length_are_refused(version, lengths):
     with pytest.raises(SchemaError) as refused:
         loads_instance(json.dumps(payload))
     assert str(refused.value) == f"bad matrix: vector of length {bad} in ambient dimension 4"
+
+
+def _file_tokens(payload):
+    """The distinct rational texts of a version 3 file: every entry of every
+    row string, and a chain's component indices."""
+    tokens = {comp["index"] for comp in payload.get("components", ())}
+    for rows in _matrices(payload):
+        for row in rows:
+            tokens.update(row.split(" "))
+    return tokens
+
+
+@pytest.mark.parametrize("kind", ["series", "chain"])
+def test_each_distinct_token_is_parsed_once_per_file(kind, monkeypatch):
+    g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5)
+    text = dumps_instance(build_chain(g) if kind == "chain" else g)
+    tokens = _file_tokens(json.loads(text))
+    parsed = []
+    real = serialize.parse_rational
+    monkeypatch.setattr(serialize, "parse_rational", lambda t: parsed.append(t) or real(t))
+    loaded = loads_instance(text)
+    assert sorted(parsed) == sorted(tokens)
+    assert dumps_instance(loaded) == text
+
+
+def test_equal_entries_of_a_loaded_chain_are_one_object():
+    chain = loads_instance(
+        dumps_instance(build_chain(random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5)))
+    )
+    spaces = [comp.base_space for comp in chain.components] + list(chain.nodes)
+    first_seen = {}
+    for v in spaces:
+        for e in v.basis.entries:
+            assert first_seen.setdefault(e, e) is e
+    # a node beside a fixed component equals that base space, entry for entry
+    shared = 0
+    for k, node in enumerate(chain.nodes):
+        for comp in chain.components[k : k + 2]:
+            if comp.base_space == node:
+                pairs = zip(node.basis.entries, comp.base_space.basis.entries)
+                assert all(a is b for a, b in pairs)
+                shared += 1
+    assert shared >= 8
+
+
+OLD_VERSION_NON_STRINGS = [1, None, 1.5, [], {}, True]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("kind", ["series", "chain", "subspace"])
+@pytest.mark.parametrize("entry", OLD_VERSION_NON_STRINGS, ids=repr)
+def test_non_string_entries_of_old_versions_are_refused_as_before(version, kind, entry):
+    payload = _payload("chain-v1" if (kind, version) == ("chain", 1) else kind, version)
+    _matrices(payload)[-1][0][0] = entry
+    message = f"bad matrix: not a rational of the form p or p/q: {entry!r}"
+    with pytest.raises(SchemaError) as excinfo:
+        loads_instance(json.dumps(payload))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("index", [0, None, [], 1.5])
+def test_a_non_string_component_index_is_refused_as_before(index):
+    payload = _payload("chain")
+    payload["components"][0]["index"] = index
+    with pytest.raises(SchemaError) as excinfo:
+        loads_instance(json.dumps(payload))
+    message = f"bad chain payload: not a rational of the form p or p/q: {index!r}"
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python converts integers of any length"
+)
+def test_an_integer_too_long_to_convert_is_refused(tmp_path, capsys):
+    # json.loads raises a plain ValueError here, which once escaped the CLI
+    text = '{"schema_version": 3, "kind": "subspace", "dim1": 1%s, "dim2": 1, "basis": []}' % (
+        "0" * sys.get_int_max_str_digits()
+    )
+    with pytest.raises(SchemaError, match="not JSON: Exceeds the limit"):
+        loads_instance(text)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert cli.main(["degree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1

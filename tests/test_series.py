@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nodalseries.curve import CurveModel
-from nodalseries.delta import build_delta
+from nodalseries.delta import build_delta, consecutive_pairs
 from nodalseries.generate import (
     corrupt_exactness,
     pad_with_trivial_slots,
@@ -120,6 +120,38 @@ def test_incompatible_candidate_detected():
     assert not report.passed
     # the first-block image of the later space escapes the earlier space
     assert any(f.side == "backward" for f in report.failures)
+
+
+def test_check_compatible_reports_every_image_outside_its_kernel(exact_corpus, corrupted_corpus):
+    # the containment test runs only where an image and its kernel differ;
+    # the reference below runs it everywhere
+    rng = random.Random(31)
+    candidates = list(corrupted_corpus)
+    for g in exact_corpus[:80]:
+        pos = rng.randrange(len(g.spaces))
+        spaces = list(g.spaces)
+        spaces[pos] = random_subspace(g.model.ambient_dim, g.rank + 1, rng)
+        candidates.append(_replace_spaces(g, spaces))
+    outside = inside_but_unequal = 0
+    for g in candidates:
+        expected = []
+        split = g.model.split
+        for (i, j), v, w in zip(consecutive_pairs(g.delta), g.spaces, g.spaces[1:]):
+            pv, pw = block_profile(split, v), block_profile(split, w)
+            for side, image, kernel in (
+                ("forward", pv.onto_second, pw.inside_second),
+                ("backward", pw.onto_first, pv.inside_first),
+            ):
+                if kernel.contains(image):
+                    inside_but_unequal += image != kernel
+                else:
+                    assert image != kernel
+                    expected.append((i, j, side))
+                    outside += 1
+        report = check_compatible(g)
+        assert [(f.left, f.right, f.side) for f in report.failures] == expected
+        assert report.passed == (not expected)
+    assert outside >= 50 and inside_but_unequal >= 50
 
 
 def test_numerical_data_e4_e5():

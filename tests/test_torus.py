@@ -25,8 +25,17 @@ from nodalseries.torus import (
     project_block,
 )
 from nodalseries import torus
-from nodalseries.generate import random_linked_pair, random_nonfixed_subspace, random_subspace
+from nodalseries.chain import build_chain
+from nodalseries.generate import (
+    random_exact_lls,
+    random_linked_pair,
+    random_nonfixed_subspace,
+    random_subspace,
+)
 from nodalseries.oracle import _tangent_certificate, minor_table, weight_profile_via_pluecker
+from nodalseries.serialize import dumps_instance, loads_instance
+
+from test_golden import CASES
 
 SPLIT22 = TorusSplit(2, 2)
 
@@ -376,6 +385,34 @@ def test_limit_of_fixed_point_is_itself():
     v = span((1, 0, 0, 0), (0, 0, 1, 0))
     for direction in Direction:
         assert limit(SPLIT22, v, direction) == v
+
+
+def _golden_spaces():
+    """(split, space) for every space of the golden series and of their chains,
+    built and loaded, so each value comes both profiled and fresh."""
+    for gen_args, _ in CASES.values():
+        opts = dict(zip(gen_args[::2], gen_args[1::2]))
+        delta = tuple(int(step) for step in opts["--delta"].split(","))
+        g = random_exact_lls(int(opts["--d"]), int(opts["--r"]), delta, seed=int(opts["--seed"]))
+        for chain in (build_chain(g), loads_instance(dumps_instance(build_chain(g)))):
+            for v in tuple(c.base_space for c in chain.components) + chain.nodes:
+                yield g.model.split, v
+
+
+def test_a_fixed_point_is_its_own_limit(split_corpus):
+    cases = list(_golden_spaces()) + list(split_corpus)
+    fixed_seen = set()
+    for split, v in cases:
+        fixed = orbit_degree(split, v) == 0
+        fixed_seen.add(fixed)
+        for direction in Direction:
+            point = limit(split, v, direction)
+            # the assembled path stays the reference for every value
+            assert point == block_profile(split, v).limit(direction)
+            assert (point is v) == fixed
+        with pytest.raises(ValueError, match="unknown direction 'zero'"):
+            limit(split, v, "zero")
+    assert fixed_seen == {True, False}
 
 
 def test_limit_of_diagonal_plane():

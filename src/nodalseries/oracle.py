@@ -220,9 +220,7 @@ def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
 
     Tabulates the nonzero minors and builds the block profile of each
     component once, and returns one line per disagreement; empty when
-    everything agrees. The structural limits of a fixed component are its
-    base space itself, as :func:`torus.limit` gives them; a moving one's are
-    assembled from its profile. At each node between two orbit components, the
+    everything agrees. At each node between two orbit components, the
     tangent certificate recomputed from the minor tables must hold and must
     agree with the structural side, which is that the two orbit closures
     meet: a meeting of linked orbits is always transverse (see
@@ -237,8 +235,7 @@ def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
         table = _kept_minors(v)[0]
         tables.append(table)
         for direction in (Direction.ZERO, Direction.INFINITY):
-            structural = v if profile.degree == 0 else profile.limit(direction)
-            if structural != _limit_from_table(split, v, table, direction):
+            if profile.limit(direction) != _limit_from_table(split, v, table, direction):
                 mismatch.append(
                     f"limit mismatch at {format_rational(comp.index)} ({direction.value})"
                 )

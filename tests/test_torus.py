@@ -381,12 +381,6 @@ def test_limit_of_diagonal_line():
     assert limit(SPLIT22, v, Direction.INFINITY) == span((0, 0, 1, 0))
 
 
-def test_limit_of_fixed_point_is_itself():
-    v = span((1, 0, 0, 0), (0, 0, 1, 0))
-    for direction in Direction:
-        assert limit(SPLIT22, v, direction) == v
-
-
 def _golden_spaces():
     """(split, space) for every space of the golden series and of their chains,
     built and loaded, so each value comes both profiled and fresh."""
@@ -399,7 +393,10 @@ def _golden_spaces():
                 yield g.model.split, v
 
 
-def test_a_fixed_point_is_its_own_limit(split_corpus):
+def test_limit_of_fixed_point_is_itself(split_corpus):
+    v = span((1, 0, 0, 0), (0, 0, 1, 0))
+    for direction in Direction:
+        assert limit(SPLIT22, v, direction) == v
     cases = list(_golden_spaces()) + list(split_corpus)
     fixed_seen = set()
     for split, v in cases:

@@ -127,9 +127,6 @@ class ContinuousChain:
         """One block profile per base space, each read from its space's memo."""
         return tuple(block_profile(self.model.split, c.base_space) for c in self.components)
 
-    def component_at(self, i: Fraction) -> ChainComponent:
-        return self.components[self.delta.position(i)]
-
 
 def _component_for(i: Fraction, v: Subspace, degree: int) -> ChainComponent:
     kind = ComponentKind.FIXED if degree == 0 else ComponentKind.ORBIT

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NoReturn
 
 from .chain import ChainBuildError, ChainError, ContinuousChain, build_chain, emit_dot, validate_chain
-from .delta import NumericalData
+from .delta import NumericalData, check_steps
 from .generate import GenerationError, random_exact_lls
 from .linalg import format_rational
 from .oracle import MAX_SAMPLES, compare_chain, sample_orbit_check
@@ -171,6 +171,11 @@ def _cmd_degree(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if not 0 <= args.d <= MAX_DEGREE:
         print(f"error: gen handles degrees 0 through {MAX_DEGREE}, got {args.d}", file=sys.stderr)
+        return 2
+    try:
+        check_steps(args.d, args.delta)
+    except ValueError as exc:
+        print(f"error: argument --delta: {exc}", file=sys.stderr)
         return 2
     try:
         g = random_exact_lls(args.d, args.r, args.delta, args.seed)

@@ -153,15 +153,10 @@ def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:
     return act(model.split, x, section_space(model, i))
 
 
-def in_section_space(model: CurveModel, v: Subspace, i: Rational) -> bool:
-    """Whether v lies inside the i-th section space S_i, read off its shape."""
-    return v.ambient_dim == model.ambient_dim and section_shape(model, i).contains(v)
-
-
 def is_generalized_linear_series(
     model: CurveModel, v: Subspace, i: Rational, expected_r: int
 ) -> bool:
     """Membership test: v sits inside the i-th section space with dim r + 1."""
     if expected_r < 0 or v.dim != expected_r + 1:
         return False
-    return in_section_space(model, v, i)
+    return v.ambient_dim == model.ambient_dim and section_shape(model, i).contains(v)

@@ -5,14 +5,18 @@ degrees are recomputed from scratch from the nonzero minors (found by a
 cofactor expansion of its own) and their block weights, then the limiting
 subspace is reconstructed from the surviving Pluecker vector by solving
 incidence conditions. The first-order tangent certificate at each node of a
-chain is read from the same minors. Agreement with the structural formulas
-is exact, with zero tolerance; :func:`compare_chain` checks it on a chain.
+chain is read from the same weights. Agreement with the structural formulas
+(the public ``torus.limit``, ``torus.orbit_degree`` and
+``torus.orbit_intersection``) is exact, with zero tolerance;
+:func:`compare_chain` checks it on a chain.
 
 The nonzero minors of a ``Subspace`` are tabulated once, as integers over
-one scale, and kept on the value, so both limits and the degree of one value
-share one expansion and read only those minors; a ``Fraction`` is made only
-for an entry of a rebuilt subspace. :func:`minor_table` builds the full
-table from them when asked; the oracle's own path never does.
+one scale, and kept on the value. Every question about one value reads them
+through one grouping by first-block weight: the limits are the top and
+bottom levels, the degree is their distance, and the weight profile is the
+set of levels. A ``Fraction`` is made only for an entry of a rebuilt
+subspace. :func:`minor_table` builds the full table from them when asked;
+the oracle's own path never does.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ from fractions import Fraction
 from itertools import combinations
 from operator import lt
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 from .chain import ComponentKind, ContinuousChain
 from .curve import section_space
 from .linalg import ONE, ZERO, Matrix, Subspace, format_rational
-from .torus import Direction, TorusSplit, act, block_profile
+from .torus import Direction, TorusSplit, act, limit, orbit_degree, orbit_intersection
 
 Minors = Mapping[tuple[int, ...], Fraction | int]
 
@@ -67,11 +71,6 @@ def _nonzero_minors(rows: Sequence[Sequence[Fraction]]) -> tuple[dict[tuple[int,
                     expanded[joined] = expanded.get(joined, 0) + (-e * sub if p & 1 else e * sub)
         minors = {cols: value for cols, value in expanded.items() if value}
     return minors, scale
-
-
-def _cofactor_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    minors, scale = _nonzero_minors(rows)
-    return Fraction(minors.get(tuple(range(len(rows))), 0), scale)
 
 
 def _kept_minors(v: Subspace) -> tuple[dict[tuple[int, ...], int], int]:
@@ -146,27 +145,16 @@ def subspace_from_minors(ambient_dim: int, dim: int, minors: Minors) -> Subspace
     return Subspace(ambient_dim, Matrix(dim, ambient_dim, tuple(entries)))
 
 
-def _limit_from_table(
-    split: TorusSplit, v: Subspace, table: Minors, direction: Direction
-) -> Subspace:
-    weights = {cols: bisect_left(cols, split.dim1) for cols, value in table.items() if value}
-    kept = (max if direction is Direction.ZERO else min)(weights.values())
-    survivors = {cols: table[cols] for cols, weight in weights.items() if weight == kept}
-    return subspace_from_minors(v.ambient_dim, v.dim, survivors)
+def _levels(split: TorusSplit, v: Subspace) -> dict[int, dict[tuple[int, ...], int]]:
+    """v's kept nonzero minors, grouped by first-block weight in one pass.
 
-
-def _weight_profile(split: TorusSplit, table: Minors) -> set[tuple[int, int]]:
-    weights = set()
-    for cols, value in table.items():
-        if value:
-            first = bisect_left(cols, split.dim1)
-            weights.add((first, len(cols) - first))
-    return weights
-
-
-def _degree(split: TorusSplit, table: Minors) -> int:
-    levels = [first for first, _ in _weight_profile(split, table)]
-    return max(levels) - min(levels)
+    The weight of the minor on ``cols`` is its number of first-block
+    columns, ``bisect_left(cols, split.dim1)``.
+    """
+    levels: dict[int, dict[tuple[int, ...], int]] = {}
+    for cols, value in _kept_minors(v)[0].items():
+        levels.setdefault(bisect_left(cols, split.dim1), {})[cols] = value
+    return levels
 
 
 def limit_via_pluecker(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
@@ -177,7 +165,9 @@ def limit_via_pluecker(split: TorusSplit, v: Subspace, direction: Direction) -> 
     weight survive, and toward infinity only those of minimal weight. The
     survivors form the Pluecker vector of the limiting subspace.
     """
-    return _limit_from_table(split, v, _kept_minors(v)[0], direction)
+    levels = _levels(split, v)
+    kept = max(levels) if direction is Direction.ZERO else min(levels)
+    return subspace_from_minors(v.ambient_dim, v.dim, levels[kept])
 
 
 def weight_profile_via_pluecker(split: TorusSplit, v: Subspace) -> set[tuple[int, int]]:
@@ -186,71 +176,66 @@ def weight_profile_via_pluecker(split: TorusSplit, v: Subspace) -> set[tuple[int
     The first coordinates always form a gap-free integer interval
     [dim(v meet W1), dim(projection of v to W1)].
     """
-    return _weight_profile(split, _kept_minors(v)[0])
+    return {(first, v.dim - first) for first in _levels(split, v)}
 
 
 def degree_via_pluecker(split: TorusSplit, v: Subspace) -> int:
     """Orbit degree recomputed as the spread of first-block minor weights."""
-    return _degree(split, _kept_minors(v)[0])
+    levels = _levels(split, v)
+    return max(levels) - min(levels)
 
 
-def _tangent_certificate(split: TorusSplit, ending: Minors, starting: Minors) -> bool:
-    """The first-order transversality certificate, read from two minor tables.
+def _tangent_certificate(ending: Collection[int], starting: Collection[int]) -> bool:
+    """The first-order transversality certificate, read from two weight sets.
 
-    The tables may hold every minor or only the nonzero ones. The orbit of
-    ``ending`` ends (toward infinity) where the orbit of ``starting`` begins
-    (toward zero), as consecutive chain components do. At the node the
-    surviving minors sit at the lowest first-block weight of the ending
+    Each set holds the first-block weights of one orbit's nonzero minors. The
+    orbit of ``ending`` ends (toward infinity) where the orbit of
+    ``starting`` begins (toward zero), as consecutive chain components do.
+    At the node the surviving minors sit at the lowest weight of the ending
     orbit and the highest of the starting one; the first-order terms sit one
     level inward. Both must be nonzero, and the two end levels must agree.
     """
-    ending_levels = {first for first, _ in _weight_profile(split, ending)}
-    starting_levels = {first for first, _ in _weight_profile(split, starting)}
-    end_level = min(ending_levels)
-    start_level = max(starting_levels)
-    return (
-        end_level + 1 in ending_levels
-        and start_level - 1 in starting_levels
-        and end_level == start_level
-    )
+    end_level = min(ending)
+    start_level = max(starting)
+    return end_level + 1 in ending and start_level - 1 in starting and end_level == start_level
 
 
 def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
     """Structural limits, degrees and node meetings against the oracle's.
 
-    Tabulates the nonzero minors and builds the block profile of each
-    component once, and returns one line per disagreement; empty when
-    everything agrees. At each node between two orbit components, the
-    tangent certificate recomputed from the minor tables must hold and must
-    agree with the structural side, which is that the two orbit closures
-    meet: a meeting of linked orbits is always transverse (see
-    :func:`torus.meeting_is_transverse`).
+    Groups each component's nonzero minors by first-block weight once and
+    returns one line per disagreement; empty when everything agrees. The
+    structural side is the public :func:`torus.limit`,
+    :func:`torus.orbit_degree` and :func:`torus.orbit_intersection`. At each
+    node between two orbit components, the tangent certificate read from the
+    two weight sets must hold and must agree with the structural side, which
+    is that the two orbit closures meet (a ValueError from
+    ``orbit_intersection`` counts as no meeting): a meeting of linked orbits
+    is always transverse (see :func:`torus.meeting_is_transverse`).
     """
     split = chain.model.split
     mismatch = []
-    tables = []
-    profiles = [block_profile(split, comp.base_space) for comp in chain.components]
-    for comp, profile in zip(chain.components, profiles):
+    levels = [_levels(split, comp.base_space) for comp in chain.components]
+    for comp, by_weight in zip(chain.components, levels):
         v = comp.base_space
-        table = _kept_minors(v)[0]
-        tables.append(table)
-        for direction in (Direction.ZERO, Direction.INFINITY):
-            if profile.limit(direction) != _limit_from_table(split, v, table, direction):
+        top, bottom = max(by_weight), min(by_weight)
+        for direction, kept in ((Direction.ZERO, top), (Direction.INFINITY, bottom)):
+            if limit(split, v, direction) != subspace_from_minors(
+                v.ambient_dim, v.dim, by_weight[kept]
+            ):
                 mismatch.append(
                     f"limit mismatch at {format_rational(comp.index)} ({direction.value})"
                 )
-        if profile.degree != _degree(split, table):
+        if orbit_degree(split, v) != top - bottom:
             mismatch.append(f"degree mismatch at {format_rational(comp.index)}")
-    steps = zip(
-        chain.components, chain.components[1:], tables, tables[1:], profiles, profiles[1:]
-    )
-    for left, right, left_table, right_table, left_profile, right_profile in steps:
+    steps = zip(chain.components, chain.components[1:], levels, levels[1:])
+    for left, right, left_levels, right_levels in steps:
         if left.kind is not ComponentKind.ORBIT or right.kind is not ComponentKind.ORBIT:
             continue
         pair = f"({format_rational(left.index)}, {format_rational(right.index)})"
-        certified = _tangent_certificate(split, left_table, right_table)
+        certified = _tangent_certificate(left_levels.keys(), right_levels.keys())
         try:
-            structural = left_profile.meeting_point(right_profile) is not None
+            structural = orbit_intersection(split, left.base_space, right.base_space) is not None
         except ValueError:
             structural = False
         if not certified:

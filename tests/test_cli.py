@@ -18,7 +18,7 @@ from nodalseries.serialize import (
     loads_instance,
     save_instance,
 )
-from nodalseries.torus import TorusSplit
+from nodalseries.torus import Direction, TorusSplit
 
 from test_series import series_e4, series_e5
 from test_serialize import in_version
@@ -134,12 +134,17 @@ def test_gen_refuses_an_oversubdivided_ladder_at_once(capsys):
     assert "no exact minimal series" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("delta", ["1,x", "1,,1"])
+@pytest.mark.parametrize("delta", ["1,x", "1,,1", "0,1", "1"])
 def test_gen_malformed_delta_is_a_usage_error(delta, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["gen", "--d", "2", "--r", "1", "--delta", delta, "--seed", "1"])
-    assert excinfo.value.code == 2
-    assert "argument --delta" in capsys.readouterr().err
+    # argparse refuses what is not a list of integers; gen refuses a list
+    # that is not one positive count per gap, before the generator runs
+    try:
+        code = main(["gen", "--d", "2", "--r", "1", "--delta", delta, "--seed", "1"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "argument --delta" in err and err.count("\n") == 1
 
 
 def test_verify_series_with_oracle(e4_file, capsys):
@@ -340,18 +345,15 @@ def test_verify_accepts_the_cap_degree(tmp_path):
 
 
 def test_verify_oracle_fails_on_a_wrong_structural_limit(e4_file, monkeypatch, capsys):
-    import dataclasses
-
     import nodalseries.oracle
 
-    real_profile = nodalseries.oracle.block_profile
+    real_limit = nodalseries.oracle.limit
 
-    def wrong_zero_limit(split, v):
-        # the zero limit becomes onto_first + onto_second, wrong on every orbit
-        profile = real_profile(split, v)
-        return dataclasses.replace(profile, inside_second=profile.onto_second)
+    def wrong_zero_limit(split, v, direction):
+        # the zero limit becomes the infinity limit, wrong on every orbit
+        return real_limit(split, v, Direction.INFINITY)
 
-    monkeypatch.setattr(nodalseries.oracle, "block_profile", wrong_zero_limit)
+    monkeypatch.setattr(nodalseries.oracle, "limit", wrong_zero_limit)
     assert main(["verify", e4_file]) == 0
     assert main(["verify", e4_file, "--oracle", "--samples", "6"]) == 1
     out = capsys.readouterr().out
@@ -539,6 +541,8 @@ def _exit_code_runs(tmp_path) -> dict[str, list[list[str]]]:
             ["gen", "--d", "2", "--r", "3", "--delta", "1,1", "--seed", "0"],
             ["gen", "--d", str(MAX_DEGREE + 1), "--r", "0", "--seed", "1"],
             ["gen", "--d", "2", "--r", "1", "--delta", "1,x", "--seed", "1"],
+            ["gen", "--d", "2", "--r", "1", "--delta", "0,1", "--seed", "1"],
+            ["gen", "--d", "2", "--r", "1", "--delta", "1", "--seed", "1"],
             ["gen", "--d", "2", "--r", "1", "--delta", "2,1", "--seed", "9", "-o", unwritable],
         ],
         "verify": [

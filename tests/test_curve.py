@@ -6,7 +6,6 @@ import pytest
 
 from nodalseries.curve import (
     CurveModel,
-    in_section_space,
     is_generalized_linear_series,
     section_shape,
     section_space,
@@ -56,7 +55,7 @@ def test_section_space_rejects_out_of_range():
         with pytest.raises(ValueError, match="outside"):
             section_space(model, i)
         with pytest.raises(ValueError, match="outside"):
-            in_section_space(model, line, i)
+            section_shape(model, i).contains(line)
 
 
 @pytest.mark.parametrize("value", [pytest.param(0.5, id="float"), pytest.param(True, id="bool")])

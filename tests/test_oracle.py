@@ -268,22 +268,37 @@ def _audit_spaces(seed):
                 yield split, random_subspace(split.ambient_dim, dim, rng)
 
 
+def _reference_levels(split, v):
+    # the nonzero minors of the full table, grouped by first-block weight
+    levels = {}
+    for cols, value in minor_table(v).items():
+        if value:
+            levels.setdefault(sum(c < split.dim1 for c in cols), {})[cols] = value
+    return levels
+
+
 def test_kept_and_full_minor_tables_give_the_same_answers_on_audit_splits():
     previous = None
     for split, v in _audit_spaces(43):
         table = minor_table(v)
         kept, _ = oracle._kept_minors(v)
         assert set(kept) == {cols for cols, value in table.items() if value}
-        assert weight_profile_via_pluecker(split, v) == oracle._weight_profile(split, table)
-        assert degree_via_pluecker(split, v) == oracle._degree(split, table)
+        levels = _reference_levels(split, v)
+        assert weight_profile_via_pluecker(split, v) == {(w, v.dim - w) for w in levels}
+        assert degree_via_pluecker(split, v) == max(levels) - min(levels)
+        ends = ((Direction.ZERO, max(levels)), (Direction.INFINITY, min(levels)))
+        for direction, level in ends:
+            assert limit_via_pluecker(split, v, direction) == subspace_from_minors(
+                v.ambient_dim, v.dim, levels[level]
+            )
         if previous is not None and previous[0] == split:
             other = previous[1]
             for ending, starting in ((other, v), (v, other)):
                 full = oracle._tangent_certificate(
-                    split, minor_table(ending), minor_table(starting)
+                    _reference_levels(split, ending), _reference_levels(split, starting)
                 )
                 assert full == oracle._tangent_certificate(
-                    split, oracle._kept_minors(ending)[0], oracle._kept_minors(starting)[0]
+                    oracle._levels(split, ending), oracle._levels(split, starting)
                 )
         previous = (split, v)
 
@@ -498,6 +513,19 @@ def test_compare_chain_reports_wrong_structural_formulas(monkeypatch):
     monkeypatch.setattr(BlockProfile, "degree", property(lambda self: 7))
     assert compare_chain(chain) == tuple(
         f"degree mismatch at {format_rational(c.index)}" for c in chain.components
+    )
+    monkeypatch.undo()
+    # fixed components are compared too: a limit wrong only on one of them
+    fixed = next(c for c in chain.components if c.kind is ComponentKind.FIXED)
+    real = oracle.limit
+
+    def wrong_on_fixed(split, v, direction):
+        return Subspace.zero(v.ambient_dim) if v is fixed.base_space else real(split, v, direction)
+
+    monkeypatch.setattr(oracle, "limit", wrong_on_fixed)
+    assert compare_chain(chain) == tuple(
+        f"limit mismatch at {format_rational(fixed.index)} ({direction})"
+        for direction in ("zero", "infinity")
     )
 
 

@@ -32,7 +32,7 @@ from nodalseries.generate import (
     random_nonfixed_subspace,
     random_subspace,
 )
-from nodalseries.oracle import _tangent_certificate, minor_table, weight_profile_via_pluecker
+from nodalseries.oracle import minor_table, weight_profile_via_pluecker
 from nodalseries.serialize import dumps_instance, loads_instance
 
 from test_golden import CASES
@@ -553,6 +553,19 @@ def test_injectivity_of_orbit_map():
         assert len(points) == len(xs)
 
 
+def _reference_certificate(split, ending, starting):
+    # the first-order certificate read from every minor: the ending orbit's
+    # lowest first-block weight and the starting orbit's highest must agree,
+    # and each orbit must have a nonzero minor one level inward
+    def weights(v):
+        table = minor_table(v)
+        return {sum(c < split.dim1 for c in cols) for cols, value in table.items() if value}
+
+    ending_weights, starting_weights = weights(ending), weights(starting)
+    low, high = min(ending_weights), max(starting_weights)
+    return low == high and low + 1 in ending_weights and high - 1 in starting_weights
+
+
 def test_meeting_is_transverse_matches_the_minor_certificate():
     rng = random.Random(41)
     meetings = 0
@@ -571,9 +584,7 @@ def test_meeting_is_transverse_matches_the_minor_certificate():
                             continue
                         # the certificate reads the orbit that ends at the node first
                         ending, starting = (vp, v) if mirrored else (v, vp)
-                        expected = _tangent_certificate(
-                            split, minor_table(ending), minor_table(starting)
-                        )
+                        expected = _reference_certificate(split, ending, starting)
                         assert meeting_is_transverse(split, v, vp) == expected
                         assert meeting_is_transverse(split, vp, v) == expected
                         meetings += 1

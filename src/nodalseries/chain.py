@@ -7,6 +7,9 @@ consecutive components glue at the shared boundary limit of their orbits.
 The construction fails precisely where exactness fails, and the failing
 pair it reports is the same pair the exactness check reports.
 
+A component stores its index, base space and orbit degree; its kind and its
+target in the unsubdivided chain are read off those, so nothing checks them.
+
 Construction reads the series' ``g.profiles``; validation and the Hilbert
 data read the chain's ``c.profiles``. Both are the block profiles that
 ``torus.block_profile`` keeps on each space. A profile is a function of the
@@ -31,7 +34,7 @@ from fractions import Fraction
 from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, consecutive_pairs
 from .linalg import Subspace, format_rational
-from .series import LimitLinearSeries, numerical_data
+from .series import LimitLinearSeries
 from .torus import BlockProfile, Direction, IntersectionHypothesisError, block_profile, limit
 
 
@@ -54,32 +57,34 @@ class ComponentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ChainComponent:
-    """One component of the chain: a base subspace and its orbit data.
+    """One component of the chain: its index, base subspace and orbit degree.
 
-    ``target_kind`` records where the component maps in the unsubdivided
-    target chain: integer indices cover a whole component there, non-integer
-    ones collapse to the node numbered by the ceiling of the index.
+    The rest is read off those. The component is fixed exactly when its
+    degree is 0. It maps to the unsubdivided target chain by its index: an
+    integer index covers the target component of that number, a non-integer
+    one collapses to the node numbered by the ceiling of the index.
     """
 
     index: Fraction
     base_space: Subspace
-    kind: ComponentKind
-    target_kind: str  # "component" | "node"
-    target_index: int
     grassmann_degree: int
 
     def __post_init__(self) -> None:
-        if self.target_kind not in ("component", "node"):
-            raise ChainError(f"unknown target kind {self.target_kind!r}")
-        integer = self.index.denominator == 1
-        if integer and self.target_kind != "component":
-            raise ChainError("integer indices map onto a target component")
-        if not integer and self.target_kind != "node":
-            raise ChainError("non-integer indices collapse to a target node")
-        if self.kind is ComponentKind.FIXED and not integer:
+        if self.grassmann_degree == 0 and self.index.denominator != 1:
             raise ChainError("a fixed component is only allowed at an integer index")
-        if (self.grassmann_degree == 0) != (self.kind is ComponentKind.FIXED):
-            raise ChainError("degree zero exactly characterizes fixed components")
+
+    @property
+    def kind(self) -> ComponentKind:
+        return ComponentKind.FIXED if self.grassmann_degree == 0 else ComponentKind.ORBIT
+
+    @property
+    def target_kind(self) -> str:
+        """``"component"`` for an integer index, ``"node"`` otherwise."""
+        return "component" if self.index.denominator == 1 else "node"
+
+    @property
+    def target_index(self) -> int:
+        return math.ceil(self.index)
 
 
 @dataclass(frozen=True)
@@ -115,23 +120,11 @@ class ContinuousChain:
             raise ChainError("components are not aligned with the ladder")
         if len(self.nodes) != max(len(self.delta) - 1, 0):
             raise ChainError("one glued node per consecutive pair is required")
-        for comp in self.components:
-            if not 0 <= comp.target_index <= self.model.d:
-                raise ChainError(
-                    f"component {format_rational(comp.index)} targets"
-                    f" {comp.target_index}, outside 0..{self.model.d}"
-                )
 
     @property
     def profiles(self) -> tuple[BlockProfile, ...]:
         """One block profile per base space, each read from its space's memo."""
         return tuple(block_profile(self.model.split, c.base_space) for c in self.components)
-
-
-def _component_for(i: Fraction, v: Subspace, degree: int) -> ChainComponent:
-    kind = ComponentKind.FIXED if degree == 0 else ComponentKind.ORBIT
-    target_kind = "component" if i.denominator == 1 else "node"
-    return ChainComponent(i, v, kind, target_kind, math.ceil(i), degree)
 
 
 def build_chain(g: LimitLinearSeries) -> ContinuousChain:
@@ -158,20 +151,21 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
             )
         # a fixed neighbour is the node itself
         nodes.append(incoming if incoming is right else outgoing)
-    data = numerical_data(g)
-    if not data.is_minimal():
-        lazy = [
-            format_rational(i)
-            for i, m in zip(g.delta.indices, data.mobile)
-            if i.denominator != 1 and m == 0
-        ]
+    profiles = g.profiles
+    # an index's mobile dimension is its space's orbit degree
+    lazy = [
+        format_rational(i)
+        for i, profile in zip(g.delta.indices, profiles)
+        if i.denominator != 1 and profile.degree == 0
+    ]
+    if lazy:
         raise ChainBuildError(
             "series is not minimal: non-integer indices "
             + ", ".join(lazy)
             + " carry no mobile dimension and would give constant components"
         )
     components = tuple(
-        _component_for(i, v, profile.degree) for (i, v), profile in zip(g.items(), g.profiles)
+        ChainComponent(i, v, profile.degree) for (i, v), profile in zip(g.items(), profiles)
     )
     total_degree = sum(c.grassmann_degree for c in components)
     if total_degree != g.rank + 1:
@@ -275,12 +269,6 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
         degree_failures.append(
             f"orbit degrees sum to {recomputed_total}, expected {c.rank + 1}"
         )
-    for comp in c.components:
-        if comp.target_index != math.ceil(comp.index):
-            degree_failures.append(
-                f"component {format_rational(comp.index)} targets"
-                f" {comp.target_index}, expected {math.ceil(comp.index)}"
-            )
 
     transversality_failures: list[str] = []
     steps = zip(pairs, c.nodes, c.components, c.components[1:], profiles, profiles[1:])
@@ -354,21 +342,12 @@ def hilbert_coefficients(c: ContinuousChain) -> tuple[int, int, tuple[int, ...],
     """The chain's multivariate Hilbert data, computed from its components.
 
     Returns (total orbit degree, 0, per-target-component multiplicities, 1).
-    Each multiplicity counts the chain components mapping onto one component
-    of the target chain and must be exactly one; anything else means the
-    chain is invalid and raises.
+    A multiplicity counts the chain components covering one component of the
+    target chain. Only integer indices cover one, and the ladder holds each
+    of 0..d once, so every multiplicity is one.
     """
     total = sum(profile.degree for profile in c.profiles)
-    counts = [0] * (c.model.d + 1)
-    for comp in c.components:
-        if comp.target_kind == "component":
-            counts[comp.target_index] += 1
-    for t, count in enumerate(counts):
-        if count != 1:
-            raise ChainError(
-                f"target component {t} is covered {count} times, expected exactly once"
-            )
-    return (total, 0, tuple(counts), 1)
+    return (total, 0, (1,) * (c.model.d + 1), 1)
 
 
 def emit_dot(c: ContinuousChain) -> str:

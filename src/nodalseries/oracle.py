@@ -163,8 +163,11 @@ def limit_via_pluecker(split: TorusSplit, v: Subspace, direction: Direction) -> 
     Scaling by the torus multiplies the minor at I by the inverse first-block
     weight power, so toward zero only the minors of maximal first-block
     weight survive, and toward infinity only those of minimal weight. The
-    survivors form the Pluecker vector of the limiting subspace.
+    survivors form the Pluecker vector of the limiting subspace. A direction
+    that is not a :class:`Direction` raises ValueError, as in ``torus.limit``.
     """
+    if not isinstance(direction, Direction):
+        raise ValueError(f"unknown direction {direction!r}")
     levels = _levels(split, v)
     kept = max(levels) if direction is Direction.ZERO else min(levels)
     return subspace_from_minors(v.ambient_dim, v.dim, levels[kept])

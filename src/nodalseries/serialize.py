@@ -19,6 +19,10 @@ Versions 1 and 2 still load. They write a matrix as nested arrays, one
 string per entry, and a row string there is refused, as an array row is in
 version 3. Version 1 chains also store Hilbert data, which is checked and
 then discarded.
+
+A chain component's ``kind`` and ``target`` are written for the reader but
+not kept: the loader re-derives them from the component's ``index`` and
+``degree`` and refuses a file whose stored values differ.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .chain import ChainComponent, ChainError, ComponentKind, ContinuousChain
+from .chain import ChainComponent, ChainError, ContinuousChain
 from .curve import CurveModel
 from .delta import DeltaSet, build_delta
 from .linalg import Subspace, format_rational, parse_rational
@@ -204,18 +208,23 @@ def chain_from_json(payload: dict) -> ContinuousChain:
         values: dict[str, Fraction] = {}
         components = []
         for raw in payload["components"]:
-            components.append(
-                ChainComponent(
-                    index=_rational(raw["index"], values),
-                    base_space=_subspace_from_json(
-                        model.ambient_dim, raw["basis"], row_strings, values
-                    ),
-                    kind=ComponentKind(raw["kind"]),
-                    target_kind=raw["target"]["kind"],
-                    target_index=_integer(raw["target"]["index"], "a target index"),
-                    grassmann_degree=_integer(raw["degree"], "a component degree"),
-                )
+            comp = ChainComponent(
+                _rational(raw["index"], values),
+                _subspace_from_json(model.ambient_dim, raw["basis"], row_strings, values),
+                _integer(raw["degree"], "a component degree"),
             )
+            target = raw["target"]
+            for field, stored, derived in (
+                ("kind", raw["kind"], comp.kind.value),
+                ("target kind", target["kind"], comp.target_kind),
+                ("target index", _integer(target["index"], "a target index"), comp.target_index),
+            ):
+                if stored != derived:
+                    raise SchemaError(
+                        f"component {format_rational(comp.index)} stores {field}"
+                        f" {stored!r}, but its index and degree give {derived!r}"
+                    )
+            components.append(comp)
         nodes = tuple(
             _subspace_from_json(model.ambient_dim, raw, row_strings, values)
             for raw in payload["nodes"]

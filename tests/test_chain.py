@@ -7,6 +7,7 @@ import pytest
 
 from nodalseries.chain import (
     ChainBuildError,
+    ChainComponent,
     ChainError,
     ComponentKind,
     build_chain,
@@ -171,7 +172,7 @@ def test_a_collapse_fails_construction_at_the_first_inexact_pair(exact_corpus):
 
 def _degree_lie():
     chain = build_chain(series_e4())
-    lying = dataclasses.replace(chain.components[1], kind=ComponentKind.ORBIT, grassmann_degree=1)
+    lying = dataclasses.replace(chain.components[1], grassmann_degree=1)
     return dataclasses.replace(chain, components=(chain.components[0], lying))
 
 
@@ -362,16 +363,6 @@ def test_hilbert_coefficients_follow_the_shape():
     assert hilbert_coefficients(chain) == (2, 0, (1, 1, 1, 1), 1)
 
 
-def test_hilbert_coefficients_reject_duplicate_cover():
-    chain = build_chain(series_e4())
-    retargeted = dataclasses.replace(chain.components[1], target_index=0)
-    duplicated = dataclasses.replace(
-        chain, components=(chain.components[0], retargeted)
-    )
-    with pytest.raises(ChainError):
-        hilbert_coefficients(duplicated)
-
-
 def test_emit_dot_is_deterministic_and_structured():
     chain = build_chain(series_e4())
     text = emit_dot(chain)
@@ -384,33 +375,22 @@ def test_emit_dot_is_deterministic_and_structured():
 
 
 def test_component_consistency_is_enforced():
-    with pytest.raises(ChainError):
+    v = Subspace.from_spanning(4, [(0, 1, 0, 0)])
+    # kind and target are properties read off these three fields
+    assert [f.name for f in dataclasses.fields(ChainComponent)] == [
+        "index", "base_space", "grassmann_degree",
+    ]
+    with pytest.raises(ChainError, match="only allowed at an integer index"):
         # fixed component at a non-integer index is never allowed
-        from nodalseries.chain import ChainComponent
-
-        ChainComponent(
-            index=F(1, 2),
-            base_space=Subspace.from_spanning(4, [(0, 1, 0, 0)]),
-            kind=ComponentKind.FIXED,
-            target_kind="node",
-            target_index=1,
-            grassmann_degree=0,
-        )
-
-
-def test_validate_chain_detects_wrong_target_indices():
-    chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
-    retargeted = tuple(dataclasses.replace(comp, target_index=0) for comp in chain.components)
-    report = validate_chain(dataclasses.replace(chain, components=retargeted))
-    assert [c.passed for c in report.checks] == [True, False, True, True, True]
-    assert any("targets 0, expected 3" in f for f in report.degree.failures)
-
-
-def test_chain_rejects_targets_outside_the_degree():
-    chain = build_chain(series_e4())
-    wrapped = dataclasses.replace(chain.components[1], target_index=-1)
-    with pytest.raises(ChainError, match="outside"):
-        dataclasses.replace(chain, components=(chain.components[0], wrapped))
+        ChainComponent(F(1, 2), v, 0)
+    moving = ChainComponent(F(3, 2), v, 1)
+    assert (moving.kind, moving.target_kind, moving.target_index) == (
+        ComponentKind.ORBIT, "node", 2,
+    )
+    fixed = ChainComponent(F(1), v, 0)
+    assert (fixed.kind, fixed.target_kind, fixed.target_index) == (
+        ComponentKind.FIXED, "component", 1,
+    )
 
 
 @pytest.mark.parametrize("rank", [pytest.param(True, id="bool"), pytest.param(1.0, id="float")])

@@ -71,6 +71,9 @@ def test_oracle_agrees_with_structural_path():
         v = random_subspace(split.ambient_dim, rng.randint(0, min(4, d1 + d2)), rng)
         for direction in Direction:
             assert limit(split, v, direction) == limit_via_pluecker(split, v, direction)
+        for side in (limit, limit_via_pluecker):
+            with pytest.raises(ValueError, match="unknown direction 'zero'"):
+                side(split, v, "zero")
         assert orbit_degree(split, v) == degree_via_pluecker(split, v)
 
 
@@ -384,11 +387,9 @@ def test_the_oracle_reads_only_the_nonzero_minors_at_d8_r7(monkeypatch):
         }
 
 
-def _relabel(chain, target, kind, degree):
+def _relabel(chain, target, degree):
     components = list(chain.components)
-    components[target] = dataclasses.replace(
-        components[target], kind=kind, grassmann_degree=degree
-    )
+    components[target] = dataclasses.replace(components[target], grassmann_degree=degree)
     return dataclasses.replace(chain, components=tuple(components))
 
 
@@ -400,7 +401,7 @@ def test_sample_orbit_check_flags_a_moving_component_labelled_fixed():
         if c.index.denominator == 1 and c.kind is ComponentKind.ORBIT
     )
     report = sample_orbit_check(
-        _relabel(chain, target, ComponentKind.FIXED, 0), samples_per_component=5, seed=0
+        _relabel(chain, target, 0), samples_per_component=5, seed=0
     )
     assert not report.passed
     assert any("a fixed component moved" in msg for msg in report.failures)
@@ -412,7 +413,7 @@ def test_sample_orbit_check_flags_a_fixed_component_labelled_moving():
         k for k, c in enumerate(chain.components) if c.kind is ComponentKind.FIXED
     )
     report = sample_orbit_check(
-        _relabel(chain, target, ComponentKind.ORBIT, 1), samples_per_component=5, seed=0
+        _relabel(chain, target, 1), samples_per_component=5, seed=0
     )
     assert not report.passed
     assert any("distinct points on a moving orbit" in msg for msg in report.failures)

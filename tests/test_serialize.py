@@ -148,14 +148,47 @@ def test_lenient_rationals_rejected(entry):
             )
 
 
-@pytest.mark.parametrize("target", [-5, 3])
-def test_chain_targets_outside_the_degree_rejected(target):
+@pytest.mark.parametrize(
+    "position, defect, message",
+    [
+        pytest.param(
+            4, lambda c: c["target"].update(index=0), "component 2 stores target index 0, but"
+            " its index and degree give 2", id="0",
+        ),
+        pytest.param(
+            0, lambda c: c["target"].update(index=-5), "component 0 stores target index -5,"
+            " but its index and degree give 0", id="-5",
+        ),
+        pytest.param(
+            0, lambda c: c["target"].update(index=3), "component 0 stores target index 3, but"
+            " its index and degree give 0", id="3",
+        ),
+        pytest.param(
+            1, lambda c: c["target"].update(kind="component"), "component 1/2 stores target"
+            " kind 'component', but its index and degree give 'node'", id="target-kind",
+        ),
+        pytest.param(
+            2, lambda c: c.update(kind="orbit"), "component 1 stores kind 'orbit', but its"
+            " index and degree give 'fixed'", id="kind",
+        ),
+    ],
+)
+def test_chain_targets_outside_the_degree_rejected(position, defect, message, tmp_path, capsys):
+    """A stored kind or target is re-derived from the component's index and
+    degree, and any other value, in range or not, is refused as malformed."""
     chain = build_chain(random_exact_lls(2, 1, (2, 2), seed=3))
     for version in (2, 3):
         payload = in_version(json.loads(dumps_instance(chain)), version)
-        payload["components"][0]["target"]["index"] = target
-        with pytest.raises(SchemaError, match="outside 0..2"):
+        defect(payload["components"][position])
+        with pytest.raises(SchemaError, match=re.escape(message)):
             loads_instance(json.dumps(payload))
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
 
 
 @pytest.mark.parametrize(

@@ -393,6 +393,17 @@ def test_component_consistency_is_enforced():
     )
 
 
+def test_chain_rejects_targets_outside_the_degree():
+    """A target is read off the index, so a component whose target lies
+    outside 0..d sits off the ladder and the chain refuses it."""
+    chain = build_chain(series_e4())
+    for index in (F(-1), F(2), F(3)):
+        moved = dataclasses.replace(chain.components[1], index=index)
+        assert not 0 <= moved.target_index <= chain.delta.d
+        with pytest.raises(ChainError, match="not aligned with the ladder"):
+            dataclasses.replace(chain, components=(chain.components[0], moved))
+
+
 @pytest.mark.parametrize("rank", [pytest.param(True, id="bool"), pytest.param(1.0, id="float")])
 def test_chain_refuses_a_non_integer_rank(rank):
     chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))

@@ -36,7 +36,7 @@ print()
 
 print("a few points of the orbit x * v = (1/x on W1) v:")
 for x in (F(1), F(2), F(-1, 3)):
-    print(f"  x = {x}:", [tuple(map(str, row)) for row in act(split, x, v).basis_rows()])
+    print(f"  x = {x}:", [tuple(map(str, row)) for row in act(split, x, v).rows])
 print()
 
 profile = block_profile(split, v)
@@ -49,8 +49,8 @@ print()
 
 zero = limit(split, v, Direction.ZERO)
 infty = limit(split, v, Direction.INFINITY)
-print("limit x -> 0:     ", [tuple(map(str, row)) for row in zero.basis_rows()])
-print("limit x -> infty: ", [tuple(map(str, row)) for row in infty.basis_rows()])
+print("limit x -> 0:     ", [tuple(map(str, row)) for row in zero.rows])
+print("limit x -> infty: ", [tuple(map(str, row)) for row in infty.rows])
 print("both are fixed points:", is_fixed(split, zero), is_fixed(split, infty))
 print()
 

@@ -26,8 +26,8 @@ from nodalseries import (
 model = CurveModel(1)
 ladder = build_delta(1, (1,))
 
-print("section space at 0:", [tuple(map(str, r)) for r in section_space(model, F(0)).basis_rows()])
-print("section space at 1:", [tuple(map(str, r)) for r in section_space(model, F(1)).basis_rows()])
+print("section space at 0:", [tuple(map(str, r)) for r in section_space(model, F(0)).rows])
+print("section space at 1:", [tuple(map(str, r)) for r in section_space(model, F(1)).rows])
 print()
 
 # ambient coordinates: (t^0, t^1 | s^0, s^1)

@@ -345,6 +345,10 @@ def hilbert_coefficients(c: ContinuousChain) -> tuple[int, int, tuple[int, ...],
     A multiplicity counts the chain components covering one component of the
     target chain. Only integer indices cover one, and the ladder holds each
     of 0..d once, so every multiplicity is one.
+
+    What it still certifies is the degree sum alone. On a chain that passes
+    :func:`validate_chain`'s degree budget the total is r + 1, so the value
+    is (r + 1, 0, (1,) * (d + 1), 1), fixed by d and r.
     """
     total = sum(profile.degree for profile in c.profiles)
     return (total, 0, (1,) * (c.model.d + 1), 1)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .linalg import ONE, ZERO, Matrix, Rational, Subspace, exact_rational
+from .linalg import ONE, ZERO, Rational, Subspace, exact_rational
 from .torus import TorusSplit, act
 
 
@@ -93,7 +93,7 @@ class SectionShape(NamedTuple):
         glue = self.glue
         support = set(self.t_flag + self.s_flag + (glue or ()))
         off = [c for c in range(v.ambient_dim) if c not in support]
-        for row in v.basis_rows():
+        for row in v.rows:
             if any(row[c] is not ZERO and row[c] for c in off):
                 return False
             if glue is not None:
@@ -135,13 +135,15 @@ def section_space(model: CurveModel, i: Rational) -> Subspace:
     flags. Every entry is 0 or 1, and the dimension is d + 1.
     """
     shape = section_shape(model, i)
-    rows = ([shape.glue] if shape.glue else []) + [(c,) for c in shape.t_flag + shape.s_flag]
+    supports = ([shape.glue] if shape.glue else []) + [(c,) for c in shape.t_flag + shape.s_flag]
     n = model.ambient_dim
-    entries = [ZERO] * (len(rows) * n)
-    for r, coords in enumerate(rows):
+    rows = []
+    for coords in supports:
+        row = [ZERO] * n
         for c in coords:
-            entries[r * n + c] = ONE
-    return Subspace(n, Matrix(len(rows), n, tuple(entries)))
+            row[c] = ONE
+        rows.append(tuple(row))
+    return Subspace(n, tuple(rows))
 
 
 def twisted_space_at(model: CurveModel, i: Rational, x: Rational) -> Subspace:

@@ -160,7 +160,7 @@ def _complement_vectors(
     first try returns no vectors when ``part`` reaches ``hit``, and the
     error is raised at once when it does not.
     """
-    reached = hit is None or any(row[hit] for row in part.basis_rows())
+    reached = hit is None or any(row[hit] for row in part.rows)
     if not (count or reached):
         raise GenerationError(f"{step}: nothing to draw, and the part misses coordinate {hit}")
     for _ in range(_STEP_TRIES):
@@ -264,8 +264,8 @@ def random_linked_pair(
                 break
         else:
             raise GenerationError("could not draw a second-block part that breaks the meeting")
-    over_rows = Subspace.from_spanning(work.dim1, first_rows[:a]).basis_rows()
-    partner = _graph_partner(work, over_rows, fixed_part.basis_rows(), rng)
+    over_rows = Subspace.from_spanning(work.dim1, first_rows[:a]).rows
+    partner = _graph_partner(work, over_rows, fixed_part.rows, rng)
     if mirrored:
         return _unswap(split, v), _unswap(split, partner)
     return v, partner
@@ -273,7 +273,7 @@ def random_linked_pair(
 
 def _unswap(split: TorusSplit, v: Subspace) -> Subspace:
     """Move a subspace built in swapped block order back to the original order."""
-    rows = [row[split.dim2 :] + row[: split.dim2] for row in v.basis_rows()]
+    rows = [row[split.dim2 :] + row[: split.dim2] for row in v.rows]
     return Subspace.from_spanning(split.ambient_dim, rows)
 
 
@@ -409,7 +409,7 @@ def _kernel_flag(profiles: _Profiles, mobile: Sequence[int], rng: random.Random)
         step = f"the kernel at ladder position {pos}"
         vectors = _complement_vectors(room, current, q_dims[pos] - current.dim, rng, step, hit)
         if vectors:
-            current = Subspace.from_spanning(ambient_dim, current.basis_rows() + tuple(vectors))
+            current = Subspace.from_spanning(ambient_dim, current.rows + tuple(vectors))
         flags.append(current)
     return flags[::-1]
 
@@ -422,7 +422,7 @@ def _first_space(
     The kernel lies in the t-flag t^1..t^d and the mover has t^0 coefficient
     1, so the two are independent.
     """
-    rows = list(kernel.basis_rows())
+    rows = list(kernel.rows)
     if mobile0:
         # S_0 meets the second block in 0, so the mover is the glue row
         # t^0 + s^d plus random terms on the t-flag.
@@ -456,8 +456,8 @@ def _next_space(
     split, ambient_dim = model.split, model.ambient_dim
     prev_profile = block_profile(split, prev)
     pad = (ZERO,) * (model.d + 1)  # both blocks have d + 1 coordinates
-    incoming = [row + pad for row in prev_profile.inside_first.basis_rows()]
-    kept = kernel.basis_rows() + tuple(pad + row for row in prev_profile.onto_second.basis_rows())
+    incoming = [row + pad for row in prev_profile.inside_first.rows]
+    kept = kernel.rows + tuple(pad + row for row in prev_profile.onto_second.rows)
     step = f"the space at ladder position {pos}"
     for _ in range(_STEP_TRIES):
         rows = list(kept)
@@ -613,7 +613,7 @@ def corrupt_exactness(g: LimitLinearSeries, seed: int) -> LimitLinearSeries:
             room = _unit_rows(model.ambient_dim, room_coords)
             step = f"the {strategy} corruption"
             added = tuple(_complement_vectors(room, inside, g.rank + 1 - inside.dim, rng, step))
-            spaces[pos] = Subspace.from_spanning(model.ambient_dim, inside.basis_rows() + added)
+            spaces[pos] = Subspace.from_spanning(model.ambient_dim, inside.rows + added)
         candidate = LimitLinearSeries(model, g.rank, g.delta, tuple(spaces))
         if (
             check_compatible(candidate).passed

@@ -5,16 +5,22 @@ subspace equality is decidable: a subspace is stored as the reduced row
 echelon basis of its row space, which is the unique canonical representative.
 Values are immutable and hashable.
 
+A ``Subspace`` stores that basis as its rows: ``Subspace(ambient_dim, rows)``,
+where ``rows`` is a tuple of row tuples of ``Fraction``, one per basis vector.
+Every layer reads the basis row by row, so no flat matrix stands between
+them. ``Matrix`` is only the input of ``rref`` and ``kernel_basis`` (and of
+``determinant``); ``rref`` returns its result as row tuples.
+
 Entries are coerced once, at the boundary. ``Matrix.from_rows``,
 ``Subspace.from_spanning``, ``Subspace.residual`` and the file loaders take
 int, ``Fraction`` and ``"p/q"`` string entries, refuse floats and bools, and
 keep an entry that is already a ``Fraction`` as it is;
 ``Subspace.from_spanning`` also keeps vectors that already form a canonical
 basis as they are and reduces any others. Results computed inside the
-library are built as ``Matrix(...)`` or ``Subspace(...)`` directly, and their
+library are built as ``Subspace(n, rows)`` directly, and its
 ``__post_init__`` checks them again: every entry a ``Fraction``, every basis
-canonical. Sharing one ``Fraction`` object between
-matrices is safe, because it is immutable.
+canonical. Sharing one ``Fraction`` object, or one row tuple, between values
+is safe, because both are immutable.
 
 The bases the library handles are mostly zeros, so 0 and 1 are two shared
 objects, ``ZERO`` and ``ONE``: ``parse_rational`` returns them, and every
@@ -32,8 +38,8 @@ size) and ``_minor_table`` (the oracle's nonzero minors of the basis, as a
 pair: a dict from column set to nonzero int, and the positive int scale
 that each of those ints is the true minor times). None of them is a
 field, so equality, hash, repr and file text are the fields' alone. Every
-constructor starts a value with no memo, and a pickle or copy carries the
-fields and the pivots only.
+constructor starts a value with no memo, and a pickle or copy carries
+``ambient_dim``, ``rows`` and ``_pivots`` only.
 """
 
 from __future__ import annotations
@@ -42,13 +48,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from operator import is_not
 from typing import Iterable, Sequence
 
 Rational = Fraction
 
 _Entry = int | Fraction | str
+
+Row = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -115,7 +123,8 @@ def parse_rational(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable rational matrix; entries stored row-major."""
+    """Immutable rational matrix, the input of ``rref``, ``kernel_basis`` and
+    ``determinant``; entries stored row-major."""
 
     nrows: int
     ncols: int
@@ -147,26 +156,15 @@ class Matrix:
         flat = tuple(e for row in rows for e in row)
         return cls(len(rows), ncols, flat)
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.ncols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
+    def row(self, i: int) -> Row:
         return self.entries[i * self.ncols : (i + 1) * self.ncols]
 
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(self.row(i) for i in range(self.nrows))
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(
-            " ".join(format_rational(e) for e in row) for row in self.rows()
-        ) + "]"
-
-
-def rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form (Gauss-Jordan); zero rows stay at the bottom.
+def rref(m: Matrix) -> tuple[Row, ...]:
+    """Reduced row echelon form (Gauss-Jordan) as row tuples; zero rows last.
 
     The result is the unique RREF of the input, so matrices with equal row
-    space reduce to identical values once zero rows are discarded. The pivot
+    space reduce to identical rows once zero rows are discarded. The pivot
     row is zero before the pivot column, so the other rows change only on
     its nonzero columns after it; each pivot becomes ``ONE``, and each zero
     that the elimination produces becomes ``ZERO``.
@@ -201,15 +199,14 @@ def rref(m: Matrix) -> Matrix:
                 other[j] = -product if a is ZERO else (a - product) or ZERO
             other[col] = ZERO
         pivot_row += 1
-    return Matrix(m.nrows, ncols, tuple(e for row in work for e in row))
+    return tuple(map(tuple, work))
 
 
-def kernel_basis(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+def kernel_basis(m: Matrix) -> tuple[Row, ...]:
     """Basis of the right kernel {x : m x = 0}, one vector per free column."""
     reduced = rref(m)
     pivots: list[int] = []
-    for i in range(reduced.nrows):
-        row = reduced.row(i)
+    for row in reduced:
         for j, e in enumerate(row):
             if e is not ZERO and e:
                 pivots.append(j)
@@ -222,7 +219,7 @@ def kernel_basis(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
         vec = [ZERO] * m.ncols
         vec[free] = ONE
         for r, pc in enumerate(pivots):
-            e = reduced.at(r, free)
+            e = reduced[r][free]
             if e is not ZERO and e:
                 vec[pc] = -e
         out.append(tuple(vec))
@@ -260,49 +257,56 @@ def determinant(m: Matrix) -> Fraction:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^ambient_dim in canonical (RREF) basis.
+    """A linear subspace of Q^ambient_dim, held as its canonical (RREF) rows.
 
-    Two subspaces are equal as values exactly when they are equal as sets of
-    vectors; the canonical basis makes the dataclass equality and hash do the
-    right thing.
+    ``rows`` is a tuple of row tuples of ``Fraction``, the reduced row
+    echelon basis. Two subspaces are equal as values exactly when they are
+    equal as sets of vectors; the canonical rows make the dataclass equality
+    and hash do the right thing.
     """
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[Row, ...]
 
     def __post_init__(self) -> None:
-        if self.ambient_dim < 0:
+        n = self.ambient_dim
+        rows = self.rows
+        if n < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        if self.basis.ncols != self.ambient_dim:
-            raise ValueError("basis width does not match the ambient dimension")
-        if self.basis.nrows > self.ambient_dim:
-            raise ValueError("more basis rows than the ambient dimension")
-        # Guard canonicity: strictly increasing pivots, unit leads, cleared
-        # columns. The pivots are kept for membership tests.
-        ncols = self.ambient_dim
-        entries = self.basis.entries
-        nrows = self.basis.nrows
-        pivots = []
-        last_pivot = -1
-        for i, row in enumerate(self.basis.rows()):
-            for pivot, lead in enumerate(row):
-                if lead is not ZERO and lead:
-                    break
-            else:
-                raise ValueError("zero row in a subspace basis")
-            if pivot <= last_pivot or (lead is not ONE and lead != 1):
+        if type(rows) is not tuple or not set(map(type, rows)) <= {tuple}:
+            raise TypeError("a subspace basis is a tuple of row tuples")
+        if not set(map(len, rows)) <= {n}:
+            raise ValueError("basis row width does not match the ambient dimension")
+        # exactness guard; from_spanning is the coercing constructor
+        if not set(map(type, chain.from_iterable(rows))) <= {Fraction}:
+            raise TypeError("basis entries must be Fractions; use Subspace.from_spanning")
+        # Guard canonicity column by column. With r rows given a pivot so
+        # far, a column is either zero from row r on, or the next pivot
+        # column and then the unit vector of row r. So pivots strictly
+        # increase, every lead is 1 and every pivot column is cleared; a row
+        # left without a pivot is zero. The pivots are kept for membership
+        # tests. The shared ZERO and ONE compare by identity, in C.
+        k = len(rows)
+        zeros = (ZERO,) * k
+        pivots: list[int] = []
+        for j, column in enumerate(zip(*rows)):
+            r = len(pivots)
+            if r == k:
+                break
+            lead = column[r]
+            if lead is ONE or (lead is not ZERO and lead):
+                if column != zeros[:r] + (ONE,) + zeros[r + 1 :]:
+                    raise ValueError("basis is not in reduced row echelon form")
+                pivots.append(j)
+            elif column[r + 1 :] != zeros[r + 1 :]:
                 raise ValueError("basis is not in reduced row echelon form")
-            # the lead's column must be the i-th unit vector
-            column = (ZERO,) * i + (lead,) + (ZERO,) * (nrows - i - 1)
-            if entries[pivot::ncols] != column:
-                raise ValueError("basis is not in reduced row echelon form")
-            pivots.append(pivot)
-            last_pivot = pivot
+        if len(pivots) < k:
+            raise ValueError("zero row in a subspace basis")
         object.__setattr__(self, "_pivots", tuple(pivots))
 
     def __getstate__(self) -> dict:
         # leaves out the memos of derived invariants (see the module docstring)
-        return {name: vars(self)[name] for name in ("ambient_dim", "basis", "_pivots")}
+        return {name: vars(self)[name] for name in ("ambient_dim", "rows", "_pivots")}
 
     @classmethod
     def from_spanning(
@@ -311,47 +315,45 @@ class Subspace:
         """Canonical subspace spanned by the given vectors.
 
         Equal spans produce bit-identical values regardless of the order,
-        scaling or redundancy of the input vectors. Vectors that already
-        form a canonical basis are kept as they are, with no elimination:
-        the RREF is unique, so reducing them would give the same value.
-        Any other input (a zero row, unsorted pivots, a non-unit lead, an
-        uncleared pivot column, more rows than the rank) is reduced.
+        scaling or redundancy of the input vectors. The entries are coerced
+        as ``Matrix.from_rows`` does. Vectors that already form a canonical
+        basis become the rows as they are, with no elimination: the RREF is
+        unique, so reducing them would give the same value. Any other input
+        (a zero row, unsorted pivots, a non-unit lead, an uncleared pivot
+        column, more rows than the rank) is reduced by ``rref`` once, and its
+        nonzero rows are kept.
         """
-        rows = [_exact(v) for v in vectors]
+        rows = tuple(_exact(v) for v in vectors)
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(
                     f"vector of length {len(row)} in ambient dimension {ambient_dim}"
                 )
-        m = Matrix(len(rows), ambient_dim, tuple(e for row in rows for e in row))
         try:
-            return cls(ambient_dim, m)
+            return cls(ambient_dim, rows)
         except ValueError:
             pass  # not canonical: reduce below
-        reduced = rref(m)
+        reduced = rref(Matrix(len(rows), ambient_dim, tuple(chain.from_iterable(rows))))
         # the zero rows of a reduced matrix are at the bottom
-        rank = reduced.nrows
-        while rank and is_zero_vector(reduced.row(rank - 1)):
+        rank = len(reduced)
+        while rank and is_zero_vector(reduced[rank - 1]):
             rank -= 1
-        return cls(ambient_dim, Matrix(rank, ambient_dim, reduced.entries[: rank * ambient_dim]))
+        return cls(ambient_dim, reduced[:rank])
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix(0, ambient_dim, ()))
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        entries = tuple(
-            ONE if i == j else ZERO for i in range(ambient_dim) for j in range(ambient_dim)
+        zeros = (ZERO,) * ambient_dim
+        return cls(
+            ambient_dim, tuple(zeros[:i] + (ONE,) + zeros[i + 1 :] for i in range(ambient_dim))
         )
-        return cls(ambient_dim, Matrix(ambient_dim, ambient_dim, entries))
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
-
-    def basis_rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.basis.rows()
+        return len(self.rows)
 
     def residual(self, vector: Sequence[_Entry]) -> tuple[Fraction, ...]:
         """The vector reduced by the basis pivots: linear, and zero exactly on members.
@@ -363,14 +365,12 @@ class Subspace:
         ncols = self.ambient_dim
         if len(vec) != ncols:
             raise ValueError("vector length does not match the ambient dimension")
-        entries = self.basis.entries
-        for i, pivot in enumerate(self._pivots):
+        for row, pivot in zip(self.rows, self._pivots):
             factor = vec[pivot]
             if factor is not ZERO and factor:
                 vec[pivot] = ZERO
-                start = i * ncols
                 for j in range(pivot + 1, ncols):
-                    e = entries[start + j]
+                    e = row[j]
                     if e is not ZERO and e:
                         vec[j] -= factor * e
         return tuple(vec)
@@ -381,7 +381,7 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return all(self.contains_vector(r) for r in other.basis_rows())
+        return all(self.contains_vector(r) for r in other.rows)
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains(self)
@@ -405,21 +405,17 @@ def sum_and_intersection(a: Subspace, b: Subspace) -> tuple[Subspace, Subspace]:
         raise ValueError("ambient dimensions differ")
     n = a.ambient_dim
     zeros = (ZERO,) * n
-    stacked = [e for row in a.basis_rows() for e in row + row]
-    stacked += [e for row in b.basis_rows() for e in row + zeros]
-    reduced = rref(Matrix(a.dim + b.dim, 2 * n, tuple(stacked)))
+    stacked = [row + row for row in a.rows] + [row + zeros for row in b.rows]
+    reduced = rref(Matrix(len(stacked), 2 * n, tuple(chain.from_iterable(stacked))))
     sum_rows = []
     meet_rows = []
-    for r in reduced.rows():
+    for r in reduced:
         left, right = r[:n], r[n:]
         if not is_zero_vector(left):
             sum_rows.append(left)
         elif not is_zero_vector(right):
             meet_rows.append(right)
-    return (
-        Subspace(n, Matrix(len(sum_rows), n, tuple(e for row in sum_rows for e in row))),
-        Subspace(n, Matrix(len(meet_rows), n, tuple(e for row in meet_rows for e in row))),
-    )
+    return Subspace(n, tuple(sum_rows)), Subspace(n, tuple(meet_rows))
 
 
 def zero_coordinate_section(v: Subspace, coords: Iterable[int]) -> Subspace:
@@ -434,7 +430,7 @@ def zero_coordinate_section(v: Subspace, coords: Iterable[int]) -> Subspace:
             raise ValueError(f"coordinate {c} outside ambient dimension {v.ambient_dim}")
     if not cols or v.dim == 0:
         return v
-    rows = v.basis_rows()
+    rows = v.rows
     restricted = Matrix(len(cols), v.dim, tuple(row[c] for c in cols for row in rows))
     combos = kernel_basis(restricted)
     vectors = []
@@ -457,7 +453,7 @@ def pluecker(v: Subspace) -> dict[tuple[int, ...], Fraction]:
     the subspace as a point of the Grassmannian.
     """
     n = v.dim
-    rows = v.basis_rows()
+    rows = v.rows
     out: dict[tuple[int, ...], Fraction] = {}
     first_nonzero: Fraction | None = None
     for cols in combinations(range(v.ambient_dim), n):

@@ -33,7 +33,7 @@ from typing import Collection, Mapping, Sequence
 
 from .chain import ComponentKind, ContinuousChain
 from .curve import section_space
-from .linalg import ONE, ZERO, Matrix, Subspace, format_rational
+from .linalg import ONE, ZERO, Subspace, format_rational
 from .torus import Direction, TorusSplit, act, limit, orbit_degree, orbit_intersection
 
 Minors = Mapping[tuple[int, ...], Fraction | int]
@@ -77,7 +77,7 @@ def _kept_minors(v: Subspace) -> tuple[dict[tuple[int, ...], int], int]:
     """v's nonzero minors and scale, computed once and kept under ``_minor_table``."""
     kept = vars(v).get("_minor_table")
     if kept is None:
-        kept = vars(v)["_minor_table"] = _nonzero_minors(v.basis_rows())
+        kept = vars(v)["_minor_table"] = _nonzero_minors(v.rows)
     return kept
 
 
@@ -128,7 +128,7 @@ def subspace_from_minors(ambient_dim: int, dim: int, minors: Minors) -> Subspace
         if dim == 0:
             return Subspace.zero(ambient_dim)
         raise ValueError("all minors vanish; not a Pluecker vector")
-    entries = []
+    rows = []
     for k, pivot in enumerate(base):
         vec = [ZERO] * ambient_dim
         vec[pivot] = ONE
@@ -141,8 +141,8 @@ def subspace_from_minors(ambient_dim: int, dim: int, minors: Minors) -> Subspace
                 # 0 = sign_k * minor + sign_j * w_j * minors[I0], where I0[k]
                 # and j sit at k and p in I0 + {j}, so sign_k sign_j = (-1) ** (k + p)
                 vec[j] = Fraction(minor if (k + p) & 1 else -minor, minors[base])
-        entries.extend(vec)
-    return Subspace(ambient_dim, Matrix(dim, ambient_dim, tuple(entries)))
+        rows.append(tuple(vec))
+    return Subspace(ambient_dim, tuple(rows))
 
 
 def _levels(split: TorusSplit, v: Subspace) -> dict[int, dict[tuple[int, ...], int]]:

@@ -74,7 +74,7 @@ def _ladder(d: int, steps: Any, listed: int, what: str) -> DeltaSet:
 
 
 def _matrix_json(v: Subspace) -> list[str]:
-    return [" ".join(map(format_rational, row)) for row in v.basis_rows()]
+    return [" ".join(map(format_rational, row)) for row in v.rows]
 
 
 def _row_strings(payload: dict) -> bool:

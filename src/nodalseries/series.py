@@ -192,7 +192,7 @@ def _normalising_entry(split: TorusSplit, v: Subspace) -> Fraction:
     Those rows lead the canonical basis. A fixed point has no such entry,
     and its normalising entry is 1.
     """
-    for row in v.basis_rows():
+    for row in v.rows:
         if is_zero_vector(row[: split.dim1]):
             break
         for e in row[split.dim1 :]:

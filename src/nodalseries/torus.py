@@ -15,15 +15,23 @@ point, whose limits are the value itself (:func:`limit`). Two linked orbit
 closures that meet always meet transversally (the weight argument of
 :func:`meeting_is_transverse`), so the meeting point stands for
 transversality and no separate tangent certificate is computed.
+
+Every invariant is read off the value's canonical rows (``Subspace.rows``)
+and built as row tuples again, with no flat matrix in between: the four
+block subspaces of a profile are slices of those rows, padded rows make the
+block embeddings and the limits (:func:`embed_block`,
+:func:`assemble_split_subspace`), and :func:`act` rescales rows. Only the
+one elimination of a moving value, ``rref`` in [W2|W1] column order, takes
+a ``Matrix``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 
-from .linalg import ZERO, Matrix, Rational, Subspace, exact_rational, is_zero_vector, rref
+from .linalg import ZERO, Matrix, Rational, Row, Subspace, exact_rational, is_zero_vector, rref
 
 
 class IntersectionHypothesisError(ValueError):
@@ -141,25 +149,16 @@ def act(split: TorusSplit, x: Rational, v: Subspace) -> Subspace:
     if x == 0:
         raise ValueError("torus elements are nonzero")
     dim1 = split.dim1
-    entries: list[Fraction] = []
-    for row in v.basis_rows():
-        if is_zero_vector(row[:dim1]):
-            entries.extend(row)
-        else:
-            entries.extend(row[:dim1])
-            entries.extend(e * x if e is not ZERO and e else e for e in row[dim1:])
-    return Subspace(split.ambient_dim, Matrix(v.dim, split.ambient_dim, tuple(entries)))
+    rows = tuple(
+        row
+        if is_zero_vector(row[:dim1])
+        else row[:dim1] + tuple(e * x if e is not ZERO and e else e for e in row[dim1:])
+        for row in v.rows
+    )
+    return Subspace(split.ambient_dim, rows)
 
 
-def _canonical(ambient_dim: int, rows: list[tuple[Fraction, ...]]) -> Subspace:
-    """The subspace whose canonical basis is given row by row."""
-    entries = tuple(e for row in rows for e in row)
-    return Subspace(ambient_dim, Matrix(len(rows), ambient_dim, entries))
-
-
-def _split_echelon(
-    rows: tuple[tuple[Fraction, ...], ...], cut: int, width: int
-) -> tuple[Subspace, Subspace]:
+def _split_echelon(rows: tuple[Row, ...], cut: int, width: int) -> tuple[Subspace, Subspace]:
     """Projection to the leading ``cut`` columns and part inside the rest.
 
     For reduced echelon rows, the leading parts of the rows with a pivot
@@ -167,9 +166,9 @@ def _split_echelon(
     vanish before the cut, so their trailing parts are the canonical basis
     of the part lying in the trailing columns.
     """
-    onto = [row[:cut] for row in rows if not is_zero_vector(row[:cut])]
-    inside = [row[cut:] for row in rows if is_zero_vector(row[:cut])]
-    return _canonical(cut, onto), _canonical(width - cut, inside)
+    onto = tuple(row[:cut] for row in rows if not is_zero_vector(row[:cut]))
+    inside = tuple(row[cut:] for row in rows if is_zero_vector(row[:cut]))
+    return Subspace(cut, onto), Subspace(width - cut, inside)
 
 
 def project_block(split: TorusSplit, v: Subspace, block: int) -> Subspace:
@@ -194,18 +193,14 @@ def meet_block(split: TorusSplit, v: Subspace, block: int) -> Subspace:
     return profile.inside_first if block == 1 else profile.inside_second
 
 
-def _padded_rows(
-    split: TorusSplit, s: Subspace, block: int
-) -> list[tuple[Fraction, ...]]:
+def _padded_rows(split: TorusSplit, s: Subspace, block: int) -> tuple[Row, ...]:
     coords = split.block_coords(block)
     if s.ambient_dim != len(coords):
         raise ValueError("subspace does not live in the requested block")
-    if s.dim == 0:
-        return []
     pad = (ZERO,) * (split.ambient_dim - len(coords))
     if block == 1:
-        return [row + pad for row in s.basis_rows()]
-    return [pad + row for row in s.basis_rows()]
+        return tuple(row + pad for row in s.rows)
+    return tuple(pad + row for row in s.rows)
 
 
 def embed_block(split: TorusSplit, s: Subspace, block: int) -> Subspace:
@@ -213,7 +208,7 @@ def embed_block(split: TorusSplit, s: Subspace, block: int) -> Subspace:
 
     Zero padding keeps a canonical basis canonical.
     """
-    return _canonical(split.ambient_dim, _padded_rows(split, s, block))
+    return Subspace(split.ambient_dim, _padded_rows(split, s, block))
 
 
 def assemble_split_subspace(split: TorusSplit, s1: Subspace, s2: Subspace) -> Subspace:
@@ -224,7 +219,7 @@ def assemble_split_subspace(split: TorusSplit, s1: Subspace, s2: Subspace) -> Su
     order they are already the canonical basis of the sum.
     """
     rows = _padded_rows(split, s1, 1) + _padded_rows(split, s2, 2)
-    return _canonical(split.ambient_dim, rows)
+    return Subspace(split.ambient_dim, rows)
 
 
 def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
@@ -247,18 +242,16 @@ def block_profile(split: TorusSplit, v: Subspace) -> BlockProfile:
     memo = vars(v).setdefault("_block_profiles", {})
     profile = memo.get(split.dim1)
     if profile is None:
-        rows = v.basis_rows()
+        rows = v.rows
         onto_first, inside_second = _split_echelon(rows, split.dim1, split.ambient_dim)
         # the rows with a first-block pivot are the leading onto_first.dim rows
         if all(is_zero_vector(row[split.dim1 :]) for row in rows[: onto_first.dim]):
             onto_second, inside_first = inside_second, onto_first
         else:
             dim1 = split.dim1
-            swapped = tuple(e for row in rows for e in row[dim1:] + row[:dim1])
-            reduced = rref(Matrix(v.dim, split.ambient_dim, swapped))
-            onto_second, inside_first = _split_echelon(
-                reduced.rows(), split.dim2, split.ambient_dim
-            )
+            swapped = chain.from_iterable(row[dim1:] + row[:dim1] for row in rows)
+            reduced = rref(Matrix(v.dim, split.ambient_dim, tuple(swapped)))
+            onto_second, inside_first = _split_echelon(reduced, split.dim2, split.ambient_dim)
         profile = memo[split.dim1] = BlockProfile(
             inside_first=inside_first,
             inside_second=inside_second,

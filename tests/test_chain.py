@@ -317,7 +317,7 @@ def test_profiled_and_unprofiled_values_are_equal():
     unprofiled = [
         (g, loads_instance(dumps_instance(g))),
         (chain, loads_instance(dumps_instance(chain))),
-        (SubspaceTask(split, v), SubspaceTask(split, Subspace(v.ambient_dim, v.basis))),
+        (SubspaceTask(split, v), SubspaceTask(split, Subspace(v.ambient_dim, v.rows))),
     ]
     for profiled, twin in unprofiled:
         assert all("_block_profiles" in vars(w) for w in _spaces(profiled))
@@ -330,7 +330,7 @@ def test_profiled_and_unprofiled_values_are_equal():
         for w, t in zip(_spaces(back), _spaces(twin)):
             assert vars(w).keys() == vars(t).keys()
     # the same fields pickle to the same bytes, memo or not
-    assert pickle.dumps(v) == pickle.dumps(Subspace(v.ambient_dim, v.basis))
+    assert pickle.dumps(v) == pickle.dumps(Subspace(v.ambient_dim, v.rows))
 
 
 def test_evaluate_round_trip_on_the_nose():
@@ -412,7 +412,7 @@ def test_chain_refuses_a_non_integer_rank(rank):
 
 
 def _drop_last_row(v):
-    return Subspace.from_spanning(v.ambient_dim, v.basis_rows()[:-1])
+    return Subspace.from_spanning(v.ambient_dim, v.rows[:-1])
 
 
 @pytest.mark.parametrize(
@@ -481,7 +481,7 @@ def _shifted_interval():
 def _scaled_base():
     chain = build_chain(series_e4())
     moved = act(chain.model.split, F(2), chain.components[0].base_space)
-    return _with_base(chain, F(0), moved.basis_rows())
+    return _with_base(chain, F(0), moved.rows)
 
 
 # One mutation per reported check. Some checks cannot fail alone: a moved

@@ -113,7 +113,7 @@ def test_section_space_matches_elimination_of_its_generators():
                 generators.append(row)
             space = section_space(model, i)
             assert space == Subspace.from_spanning(n, generators)
-            assert all(type(e) is F for e in space.basis.entries)
+            assert all(type(e) is F for row in space.rows for e in row)
 
 
 def test_twisted_space_at_identity_and_scaling():
@@ -170,7 +170,7 @@ def _section_space_by_elimination(model, i):
 def _unit_coords(v, offset=0):
     """The coordinates of v's basis rows, each of which must be a unit row."""
     coords = []
-    for row in v.basis_rows():
+    for row in v.rows:
         (c,) = [c for c, e in enumerate(row) if e]
         assert row[c] == 1
         coords.append(offset + c)
@@ -191,7 +191,7 @@ def test_section_shape_matches_elimination():
             rows = [shape.glue] if shape.glue else []
             rows += [(c,) for c in shape.t_flag + shape.s_flag]
             vectors = tuple(tuple(F(int(c in coords)) for c in range(n)) for coords in rows)
-            assert vectors == reference.basis_rows() == section_space(model, i).basis_rows()
+            assert vectors == reference.rows == section_space(model, i).rows
             assert (shape.glue is not None) == (i.denominator == 1)
             g = 1 if shape.glue else 0
             profile = block_profile(model.split, reference)
@@ -216,7 +216,7 @@ def _membership_cases(rng):
         n = model.ambient_dim
         indices = {F(k, q) for q in (1, 2, 3) for k in range(q * d + 1)}
         for i in sorted(indices):
-            rows = section_space(model, i).basis_rows()
+            rows = section_space(model, i).rows
             support = {c for row in rows for c in range(n) if row[c]}
             off = [c for c in range(n) if c not in support]
             # equal at integer i, where they are the glued pair; free otherwise
@@ -237,8 +237,8 @@ def _membership_cases(rng):
                 if v.dim:
                     yield model, i, v
                     # the same basis with every entry a new Fraction, zeros included
-                    fresh = tuple(F(e.numerator, e.denominator) for e in v.basis.entries)
-                    yield model, i, Subspace(n, Matrix(v.dim, n, fresh))
+                    fresh = (tuple(F(e.numerator, e.denominator) for e in row) for row in v.rows)
+                    yield model, i, Subspace(n, tuple(fresh))
 
 
 def test_membership_reads_the_section_space_equations():

@@ -124,13 +124,13 @@ def _rank_case(rng):
         room = _unit_rows(n, range(rng.randint(0, d), d + 1))
     else:
         first = random_subspace(d + 1, rng.randint(1, d + 1), rng)
-        room = [row + (linalg.ZERO,) * (d + 1) for row in first.basis_rows()]
+        room = [row + (linalg.ZERO,) * (d + 1) for row in first.rows]
     part_dim = rng.randint(0, len(room) - 1)
     part = linalg.Subspace.from_spanning(n, _vectors_inside(room, n, part_dim, rng))
     count = rng.randint(1, max(1, len(room) - part.dim))
     vectors = _vectors_inside(room, n, count, rng)
     forced = rng.choice([None, None, "part row", "sum of part rows", "repeat"])
-    rows = part.basis_rows()
+    rows = part.rows
     at = rng.randrange(count)
     if forced == "part row" and rows:
         vectors[at] = rng.choice(rows)
@@ -149,7 +149,7 @@ def test_residual_rank_decides_as_the_span_it_replaces():
     forced_kinds = set()
     for _ in range(600):
         part, vectors, forced = _rank_case(rng)
-        span = linalg.Subspace.from_spanning(part.ambient_dim, part.basis_rows() + tuple(vectors))
+        span = linalg.Subspace.from_spanning(part.ambient_dim, part.rows + tuple(vectors))
         accepted = _extends(part, vectors)
         assert accepted == (span.dim == part.dim + len(vectors)), (part, vectors, forced)
         seen[accepted] += 1
@@ -435,7 +435,7 @@ def rejection_linked_pair(split, dim, rng, meeting, mirrored, draws):
                 continue
             fixed_part = replacement
         try:
-            rows = over.basis_rows(), fixed_part.basis_rows()
+            rows = over.rows, fixed_part.rows
             if not mirrored:
                 return v, _graph_partner(split, *rows, rng)
             return v, _unswap(split, _graph_partner(TorusSplit(split.dim2, split.dim1), *rows, rng))

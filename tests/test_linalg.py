@@ -25,8 +25,8 @@ from nodalseries.series import check_exact
 from nodalseries.torus import Direction, block_profile, limit
 
 
-def rows_of(m):
-    return [list(r) for r in m.rows()]
+def rows_of(rows):
+    return [list(r) for r in rows]
 
 
 def test_rref_diagonal_scaling():
@@ -59,8 +59,34 @@ def test_determinant_refuses_a_matrix_of_ints():
 
 
 def test_subspace_refuses_a_float_basis():
-    with pytest.raises(TypeError):
-        Subspace(2, Matrix(1, 2, (1, 0.5)))
+    with pytest.raises(TypeError, match="must be Fractions"):
+        Subspace(2, ((ONE, 0.5),))
+
+
+@pytest.mark.parametrize("entry", [1, 0.5, True], ids=["int", "float", "bool"])
+def test_subspace_refuses_a_basis_entry_that_is_not_a_fraction(entry):
+    # the exactness guard walks every row, not only the first
+    with pytest.raises(TypeError, match="must be Fractions"):
+        Subspace(2, ((ONE, ZERO), (ZERO, entry)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((ONE, ZERO), (ZERO, ONE, ZERO)), ((ONE, ZERO, ZERO),), ((ONE,),)],
+    ids=["ragged", "too wide", "too narrow"],
+)
+def test_subspace_refuses_a_row_of_the_wrong_width(rows):
+    with pytest.raises(ValueError, match="width"):
+        Subspace(2, rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [[(ONE, ZERO)], ([ONE, ZERO],)], ids=["list of rows", "list row"]
+)
+def test_subspace_refuses_rows_that_are_not_tuples(rows):
+    # a list would make the value unhashable and unequal to its tuple twin
+    with pytest.raises(TypeError, match="tuple of row tuples"):
+        Subspace(2, rows)
 
 
 # 0.1 would otherwise be stored as 3602879701896397/36028797018963968
@@ -79,7 +105,7 @@ def test_from_rows_refuses_inexact_entries(entry):
 def test_from_spanning_refuses_inexact_entries(entry):
     with pytest.raises(TypeError, match="not exact"):
         Subspace.from_spanning(2, [(1, 0), (0, entry)])
-    assert Subspace.from_spanning(2, [(2, "1/3")]).basis_rows() == ((1, F(1, 6)),)
+    assert Subspace.from_spanning(2, [(2, "1/3")]).rows == ((1, F(1, 6)),)
 
 
 @pytest.mark.parametrize("entry", INEXACT)
@@ -91,7 +117,7 @@ def test_residual_refuses_inexact_entries(entry):
 
 
 def test_from_spanning_scaling():
-    assert rows_of(Subspace.from_spanning(2, [(2, 0)]).basis) == [[1, 0]]
+    assert rows_of(Subspace.from_spanning(2, [(2, 0)]).rows) == [[1, 0]]
 
 
 def test_from_spanning_duplicates():
@@ -102,7 +128,7 @@ def test_from_spanning_duplicates():
 def test_from_spanning_already_reduced():
     v = Subspace.from_spanning(4, [(1, 0, 1, 0), (0, 1, 0, 1)])
     assert v.dim == 2
-    assert rows_of(v.basis) == [[1, 0, 1, 0], [0, 1, 0, 1]]
+    assert rows_of(v.rows) == [[1, 0, 1, 0], [0, 1, 0, 1]]
 
 
 def test_from_spanning_dimension_mismatch():
@@ -253,7 +279,7 @@ def test_zero_coordinate_section():
 
 def test_subspace_rejects_non_rref_basis():
     with pytest.raises(ValueError):
-        Subspace(2, Matrix.from_rows([[2, 0]]))
+        Subspace(2, ((F(2), ZERO),))
 
 
 def test_rational_formatting():
@@ -289,7 +315,7 @@ def test_parse_rational_reads_what_fraction_reads(text):
 def _full_row_residual(v, vector):
     # reference: subtract whole rows, finding each pivot anew
     vec = [F(e) for e in vector]
-    for row in v.basis_rows():
+    for row in v.rows:
         pivot = next(j for j, e in enumerate(row) if e != 0)
         if vec[pivot] != 0:
             factor = vec[pivot]
@@ -334,13 +360,13 @@ def test_residual_and_contains_match_full_row_reduction():
                     [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
                     for _ in range(3)
                 ]
-                vectors += [list(row) for w in spaces[:6] for row in w.basis_rows()]
+                vectors += [list(row) for w in spaces[:6] for row in w.rows]
                 for vector in vectors:
                     expected = _full_row_residual(v, vector)
                     assert v.residual(vector) == expected
                     assert v.contains_vector(vector) == (not any(expected))
                 for w in spaces:
-                    expected = all(not any(_full_row_residual(v, r)) for r in w.basis_rows())
+                    expected = all(not any(_full_row_residual(v, r)) for r in w.rows)
                     assert v.contains(w) == expected
 
 
@@ -411,10 +437,10 @@ def test_rref_and_from_spanning_match_a_coercing_elimination():
         nrows = rng.randint(0, 6)
         rows = _mixed_rows(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
         reduced = rref(Matrix.from_rows(rows, ncols=ncols))
-        assert (reduced.nrows, reduced.ncols) == (nrows, ncols)
-        assert _bits(reduced.rows()) == _bits(_reference_rref(rows, ncols))
+        assert len(reduced) == nrows and all(len(row) == ncols for row in reduced)
+        assert _bits(reduced) == _bits(_reference_rref(rows, ncols))
         v = Subspace.from_spanning(ncols, rows)
-        assert _bits(v.basis_rows()) == _bits(_reference_span(ncols, rows))
+        assert _bits(v.rows) == _bits(_reference_span(ncols, rows))
 
 
 def _subspace_pairs(rng, n):
@@ -450,10 +476,10 @@ def test_sum_and_intersection_match_a_coercing_elimination():
             for left, right in ((a, b), (b, a)):
                 total, meet = sum_and_intersection(left, right)
                 ref_total, ref_meet = _reference_sum_and_meet(
-                    n, left.basis_rows(), right.basis_rows()
+                    n, left.rows, right.rows
                 )
-                assert _bits(total.basis_rows()) == _bits(ref_total), kind
-                assert _bits(meet.basis_rows()) == _bits(ref_meet), kind
+                assert _bits(total.rows) == _bits(ref_total), kind
+                assert _bits(meet.rows) == _bits(ref_meet), kind
             if kind == "equal":
                 assert total == meet == a
             if kind == "complementary":
@@ -464,7 +490,7 @@ def test_sum_and_intersection_match_a_coercing_elimination():
 
 def test_internal_results_never_pass_through_from_rows(monkeypatch):
     # from_rows is the coercing boundary; everything computed inside the
-    # library is already Fraction and is built as Matrix(...) directly
+    # library is already Fraction and is built as Subspace(n, rows) directly
     g = random_exact_lls(4, 2, (2, 1, 2, 1), seed=5)
     chain = build_chain(g)
     split = g.model.split
@@ -475,7 +501,8 @@ def test_internal_results_never_pass_through_from_rows(monkeypatch):
     monkeypatch.setattr(Matrix, "from_rows", classmethod(refuse))
     spaces = [comp.base_space for comp in chain.components]
     for v, w in zip(spaces, spaces[1:]):
-        assert rref(v.basis) == v.basis
+        flat = tuple(e for row in v.rows for e in row)
+        assert rref(Matrix(v.dim, v.ambient_dim, flat)) == v.rows
         total, meet = sum_and_intersection(v, w)
         assert total.dim + meet.dim == v.dim + w.dim
         profile = block_profile(split, v)
@@ -515,20 +542,20 @@ def test_sparse_eliminations_match_a_coercing_elimination(flavour):
         nrows = rng.randint(0, 6)
         rows = _sparse_rows(rng, nrows, ncols, flavour)
         reduced = rref(Matrix(nrows, ncols, tuple(e for row in rows for e in row)))
-        assert _bits(reduced.rows()) == _bits(_reference_rref(rows, ncols))
+        assert _bits(reduced) == _bits(_reference_rref(rows, ncols))
         v = Subspace.from_spanning(ncols, rows)
-        assert _bits(v.basis_rows()) == _bits(_reference_span(ncols, rows))
+        assert _bits(v.rows) == _bits(_reference_span(ncols, rows))
         # every pivot rref sets is the shared 1; with shared input, every 0 is the shared 0
-        for row in reduced.rows():
+        for row in reduced:
             lead = next((e for e in row if e != 0), ONE)
             assert lead is ONE
         if flavour == "shared":
-            assert all(e is ZERO for e in reduced.entries if e == 0)
+            assert all(e is ZERO for row in reduced for e in row if e == 0)
         w = Subspace.from_spanning(ncols, _sparse_rows(rng, rng.randint(0, 4), ncols, flavour))
         total, meet = sum_and_intersection(v, w)
-        ref_total, ref_meet = _reference_sum_and_meet(ncols, v.basis_rows(), w.basis_rows())
-        assert _bits(total.basis_rows()) == _bits(ref_total)
-        assert _bits(meet.basis_rows()) == _bits(ref_meet)
+        ref_total, ref_meet = _reference_sum_and_meet(ncols, v.rows, w.rows)
+        assert _bits(total.rows) == _bits(ref_total)
+        assert _bits(meet.rows) == _bits(ref_meet)
 
 
 @pytest.mark.parametrize("flavour", ["shared", "fresh"])
@@ -544,17 +571,17 @@ def test_sparse_eliminations_match_a_coercing_elimination(flavour):
 )
 def test_the_canonicity_guard_refuses_with_any_zero(rows, refusal, flavour):
     rng = random.Random(0)
-    entries = tuple(_flavoured(e, flavour, rng) for row in rows for e in row)
+    basis = tuple(tuple(_flavoured(e, flavour, rng) for e in row) for row in rows)
     with pytest.raises(ValueError, match=refusal):
-        Subspace(3, Matrix(len(rows), 3, entries))
+        Subspace(3, basis)
     # from_spanning reduces what the guard refuses
-    v = Subspace.from_spanning(3, [entries[i : i + 3] for i in range(0, len(entries), 3)])
+    v = Subspace.from_spanning(3, basis)
     assert v == Subspace.from_spanning(3, [[int(e) for e in row] for row in rows])
 
 
 def test_a_canonical_basis_of_fresh_zeros_is_accepted_and_equal():
-    fresh = Subspace(3, Matrix(2, 3, (F(1), F(0), F(5), F(0), F(1), F(0))))
-    shared = Subspace(3, Matrix(2, 3, (ONE, ZERO, F(5), ZERO, ONE, ZERO)))
+    fresh = Subspace(3, ((F(1), F(0), F(5)), (F(0), F(1), F(0))))
+    shared = Subspace(3, ((ONE, ZERO, F(5)), (ZERO, ONE, ZERO)))
     assert fresh == shared and hash(fresh) == hash(shared)
     assert fresh.contains_vector((F(2), F(0), F(10))) and fresh.contains(shared)
 

@@ -129,7 +129,7 @@ def test_the_oracle_tabulates_each_value_once(monkeypatch):
     weight_profile_via_pluecker(split, v)
     assert len(calls) == 1
     # an equal value built on its own has its own table
-    assert minor_table(Subspace(v.ambient_dim, v.basis)) == minor_table(v)
+    assert minor_table(Subspace(v.ambient_dim, v.rows)) == minor_table(v)
     assert len(calls) == 2
 
 
@@ -180,7 +180,7 @@ def test_minor_table_matches_per_set_expansion():
         spaces.append(random_subspace(n, rng.randint(0, n), rng))
         spaces.append(Subspace.from_spanning(n, _hard_rows(rng, rng.randint(0, n), n)))
     for v in spaces:
-        rows = v.basis_rows()
+        rows = v.rows
         expected = [
             (cols, _expand_along_first_row([[row[c] for c in cols] for row in rows]))
             for cols in combinations(range(v.ambient_dim), v.dim)
@@ -461,7 +461,7 @@ def test_sample_orbit_check_flags_corrupted_base():
             target = k
             break
     comp = chain.components[target]
-    rows = list(comp.base_space.basis_rows())
+    rows = list(comp.base_space.rows)
     rows[0] = tuple(e + 1 for e in rows[0])
     broken_space = Subspace.from_spanning(chain.model.ambient_dim, rows)
     broken = dataclasses.replace(comp, base_space=broken_space)

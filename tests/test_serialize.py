@@ -566,15 +566,16 @@ def test_equal_entries_of_a_loaded_chain_are_one_object():
     spaces = [comp.base_space for comp in chain.components] + list(chain.nodes)
     first_seen = {}
     for v in spaces:
-        for e in v.basis.entries:
-            assert first_seen.setdefault(e, e) is e
+        for row in v.rows:
+            for e in row:
+                assert first_seen.setdefault(e, e) is e
     # a node beside a fixed component equals that base space, entry for entry
     shared = 0
     for k, node in enumerate(chain.nodes):
         for comp in chain.components[k : k + 2]:
             if comp.base_space == node:
-                pairs = zip(node.basis.entries, comp.base_space.basis.entries)
-                assert all(a is b for a, b in pairs)
+                pairs = zip(node.rows, comp.base_space.rows)
+                assert all(a is b for row, other in pairs for a, b in zip(row, other))
                 shared += 1
     assert shared >= 8
 

@@ -379,7 +379,7 @@ def _reference_witness(split, v1, v2):
         return None
     zeros1 = (ZERO,) * split.dim1
     zeros2 = (ZERO,) * split.dim2
-    for row in v1.basis_rows():
+    for row in v1.rows:
         a = v2.residual(row[: split.dim1] + zeros2)
         b = v2.residual(zeros1 + row[split.dim1 :])
         k = next((k for k, e in enumerate(a) if e is not ZERO and e), None)

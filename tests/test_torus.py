@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from nodalseries.curve import CurveModel, section_space
-from nodalseries.linalg import ZERO, Matrix, Subspace, sum_and_intersection, zero_coordinate_section
+from nodalseries.linalg import ZERO, Subspace, sum_and_intersection, zero_coordinate_section
 from nodalseries.torus import (
     Direction,
     IntersectionHypothesisError,
@@ -88,7 +88,7 @@ def _splits_up_to_four():
 
 
 def _all_fractions(v):
-    return all(type(e) is F for e in v.basis.entries)
+    return all(type(e) is F for row in v.rows for e in row)
 
 
 def test_act_matches_elimination_of_the_scaled_rows():
@@ -101,7 +101,7 @@ def test_act_matches_elimination_of_the_scaled_rows():
             for x in xs:
                 scaled = [
                     [e / x for e in row[:dim1]] + list(row[dim1:])
-                    for row in v.basis_rows()
+                    for row in v.rows
                 ]
                 moved = act(split, x, v)
                 assert moved == Subspace.from_spanning(n, scaled)
@@ -110,12 +110,12 @@ def test_act_matches_elimination_of_the_scaled_rows():
 
 
 def _rows_on(v, coords):
-    return [[row[c] for c in coords] for row in v.basis_rows()]
+    return [[row[c] for c in coords] for row in v.rows]
 
 
 def _padded(split, s, block):
     rows = []
-    for row in s.basis_rows():
+    for row in s.rows:
         vec = [F(0)] * split.ambient_dim
         for c, e in zip(split.block_coords(block), row):
             vec[c] = e
@@ -203,8 +203,8 @@ def _fast_path_corpus(rng):
 
 def _fresh_entries(v):
     # the same basis with every entry a new Fraction, zeros included
-    entries = tuple(F(e.numerator, e.denominator) for e in v.basis.entries)
-    return Subspace(v.ambient_dim, Matrix(v.dim, v.ambient_dim, entries))
+    rows = tuple(tuple(F(e.numerator, e.denominator) for e in row) for row in v.rows)
+    return Subspace(v.ambient_dim, rows)
 
 
 def test_fixed_spaces_are_profiled_without_elimination(eliminations):
@@ -214,10 +214,11 @@ def test_fixed_spaces_are_profiled_without_elimination(eliminations):
         expected = _reference_profile(split, v)
         assert (expected["onto_first"] == expected["inside_first"]) == fixed
         twin = _fresh_entries(v)
-        assert twin == v and all(e is not ZERO for e in twin.basis.entries)
-        fixed_with_fresh_zeros += fixed and 0 in twin.basis.entries
+        entries = [e for row in twin.rows for e in row]
+        assert twin == v and all(e is not ZERO for e in entries)
+        fixed_with_fresh_zeros += fixed and 0 in entries
         # v itself may have been profiled while the corpus was made; a copy has not
-        corpus += [(split, w, fixed, expected) for w in (Subspace(v.ambient_dim, v.basis), twin)]
+        corpus += [(split, w, fixed, expected) for w in (Subspace(v.ambient_dim, v.rows), twin)]
     assert {fixed for *_, fixed, _ in corpus} == {True, False}
     assert fixed_with_fresh_zeros
     calls = eliminations(torus)
@@ -237,7 +238,7 @@ def test_block_helpers_share_the_profile(eliminations):
     ]
     for k, (split, v, fixed) in enumerate(_fast_path_corpus(random.Random(31))):
         expected = _reference_profile(split, v)
-        fresh = Subspace(v.ambient_dim, v.basis)  # no profile kept yet
+        fresh = Subspace(v.ambient_dim, v.rows)  # no profile kept yet
         calls.clear()
         for helper in (project_block, meet_block):
             for bad in (0, 3, -1):
@@ -327,7 +328,7 @@ def test_one_value_keeps_one_profile_per_split(eliminations):
     assert len(calls) == 3 and len(set(profiles)) == 3
     for split, profile in zip(splits, profiles):
         assert block_profile(split, v) is profile
-        assert profile == block_profile(split, Subspace(v.ambient_dim, v.basis))
+        assert profile == block_profile(split, Subspace(v.ambient_dim, v.rows))
     assert len(calls) == 6
 
 
@@ -348,7 +349,7 @@ def test_each_value_is_profiled_once_on_its_own(eliminations):
     # the generator has profiled v while testing that it moves
     v = random_nonfixed_subspace(SPLIT22, 2, random.Random(3))
     twins = [
-        Subspace.from_spanning(4, v.basis_rows()),
+        Subspace.from_spanning(4, v.rows),
         dataclasses.replace(v),
         act(SPLIT22, 1, v),
         copy.copy(v),

@@ -5,15 +5,14 @@ A generated exact minimal series of degree 3 and rank 1 over a subdivided
 ladder is assembled into a chain: one component per index, glued at the
 shared orbit limits. The validator then re-derives every structural claim
 (gluing, degree budget, node transversality, weight intervals, membership),
-the Hilbert data comes out in the forced shape, and evaluating the chain at
-its base points returns the series we started from.
+and evaluating the chain at its base points returns the series we started
+from.
 """
 
 from nodalseries import (
     build_chain,
     emit_dot,
     evaluate_at_base_points,
-    hilbert_coefficients,
     random_exact_lls,
     torus_equivalent,
     validate_chain,
@@ -39,10 +38,6 @@ print()
 
 report = validate_chain(chain)
 print(report.summary())
-print()
-
-print("Hilbert data (grassmann, picard, per-target multiplicities, constant):")
-print(" ", hilbert_coefficients(chain))
 print()
 
 back = evaluate_at_base_points(chain)

@@ -62,7 +62,6 @@ from .chain import (
     build_chain,
     emit_dot,
     evaluate_at_base_points,
-    hilbert_coefficients,
     validate_chain,
 )
 from .oracle import (

@@ -7,21 +7,26 @@ consecutive components glue at the shared boundary limit of their orbits.
 The construction fails precisely where exactness fails, and the failing
 pair it reports is the same pair the exactness check reports.
 
-A component stores its index, base space and orbit degree; its kind and its
-target in the unsubdivided chain are read off those, so nothing checks them.
+A chain holds its model, rank, ladder and components, and a component only
+its index and base space. Everything else is read off the base spaces once,
+when the value is made: a component's orbit degree from its space's block
+profile, its kind and target from its index and degree, and node k, where
+components k and k + 1 are glued, as the limit toward infinity of component
+k's space. So no value can hold a node or degree that disagrees with its
+spaces, and nothing checks one.
 
-Construction reads the series' ``g.profiles``; validation and the Hilbert
-data read the chain's ``c.profiles``. Both are the block profiles that
-``torus.block_profile`` keeps on each space. A profile is a function of the
-immutable space it is kept on, so validation still checks the chain's own
-base spaces; a chain built from a series holds the series' ``Subspace``
-objects and finds their profiles already there, while a chain loaded from a
-file profiles its base spaces afresh. A profile costs one elimination for a
-moving space and none for a fixed one, so plain ``verify`` of a series makes
-one elimination per moving space in all, and ``emit_dot`` makes none: every
-node is a fixed point. Limits come from ``torus.limit`` on the space held,
-which returns a fixed space itself, so a built chain's node beside a fixed
-component is that component's base space, the same object.
+Construction reads the series' ``g.profiles``; validation reads the chain's
+``c.profiles``. Both are the block profiles that ``torus.block_profile``
+keeps on each space. A profile is a function of the immutable space it is
+kept on; a chain built from a series holds the series' ``Subspace`` objects
+and finds their profiles already there, while a chain loaded from a file
+profiles its base spaces afresh when its components are made. A profile
+costs one elimination for a moving space and none for a fixed one, so plain
+``verify`` of a series makes one elimination per moving space in all, and
+``emit_dot`` makes none: every node is a fixed point. Limits come from
+``torus.limit`` on the space held, which returns a fixed space itself, so a
+node beside a fixed component on its left is that component's base space,
+the same object.
 """
 
 from __future__ import annotations
@@ -35,7 +40,14 @@ from .curve import CurveModel, is_generalized_linear_series
 from .delta import DeltaSet, consecutive_pairs
 from .linalg import Subspace, format_rational
 from .series import LimitLinearSeries
-from .torus import BlockProfile, Direction, IntersectionHypothesisError, block_profile, limit
+from .torus import (
+    BlockProfile,
+    Direction,
+    IntersectionHypothesisError,
+    TorusSplit,
+    block_profile,
+    limit,
+)
 
 
 class ChainError(ValueError):
@@ -57,20 +69,26 @@ class ComponentKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ChainComponent:
-    """One component of the chain: its index, base subspace and orbit degree.
+    """One component of the chain: its index and base subspace.
 
-    The rest is read off those. The component is fixed exactly when its
-    degree is 0. It maps to the unsubdivided target chain by its index: an
-    integer index covers the target component of that number, a non-integer
-    one collapses to the node numbered by the ceiling of the index.
+    Its orbit degree, ``grassmann_degree``, is read off the base space's
+    block profile once, when the component is made, under the split whose
+    two blocks are each half the ambient width. It is not a field. The rest
+    is read off the index and degree. The component is fixed exactly when
+    its degree is 0. It maps to the unsubdivided target chain by its index:
+    an integer index covers the target component of that number, a
+    non-integer one collapses to the node numbered by the ceiling of the
+    index.
     """
 
     index: Fraction
     base_space: Subspace
-    grassmann_degree: int
 
     def __post_init__(self) -> None:
-        if self.grassmann_degree == 0 and self.index.denominator != 1:
+        half = self.base_space.ambient_dim // 2
+        degree = block_profile(TorusSplit(half, half), self.base_space).degree
+        object.__setattr__(self, "grassmann_degree", degree)
+        if degree == 0 and self.index.denominator != 1:
             raise ChainError("a fixed component is only allowed at an integer index")
 
     @property
@@ -89,13 +107,18 @@ class ChainComponent:
 
 @dataclass(frozen=True)
 class ContinuousChain:
-    """The full chain: components in ladder order and glued nodes."""
+    """The full chain: its components in ladder order.
+
+    ``nodes`` holds node k, where components k and k + 1 are glued, for each
+    consecutive pair. It is read off the base spaces once, when the chain is
+    made: node k is the limit toward infinity of component k's base space,
+    which is that space itself when it is fixed. It is not a field.
+    """
 
     model: CurveModel
     rank: int
     delta: DeltaSet
     components: tuple[ChainComponent, ...]
-    nodes: tuple[Subspace, ...]
 
     def __post_init__(self) -> None:
         if type(self.rank) is not int:
@@ -103,23 +126,22 @@ class ContinuousChain:
         if self.rank < 0:
             raise ChainError("rank must be nonnegative")
         object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        spaces = [
-            (f"base space at {format_rational(c.index)}", c.base_space) for c in self.components
-        ]
-        spaces += [(f"node {k}", v) for k, v in enumerate(self.nodes)]
-        for name, v in spaces:
+        for c in self.components:
+            v = c.base_space
             if (v.ambient_dim, v.dim) != (self.model.ambient_dim, self.rank + 1):
                 raise ChainError(
-                    f"{name} has dimension {v.dim} in Q^{v.ambient_dim}, expected"
-                    f" {self.rank + 1} in Q^{self.model.ambient_dim}"
+                    f"base space at {format_rational(c.index)} has dimension {v.dim} in"
+                    f" Q^{v.ambient_dim}, expected {self.rank + 1} in Q^{self.model.ambient_dim}"
                 )
         if len(self.components) != len(self.delta):
             raise ChainError("one component per ladder index is required")
         if tuple(c.index for c in self.components) != self.delta.indices:
             raise ChainError("components are not aligned with the ladder")
-        if len(self.nodes) != max(len(self.delta) - 1, 0):
-            raise ChainError("one glued node per consecutive pair is required")
+        split = self.model.split
+        nodes = tuple(
+            limit(split, c.base_space, Direction.INFINITY) for c in self.components[:-1]
+        )
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def profiles(self) -> tuple[BlockProfile, ...]:
@@ -134,28 +156,22 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
     equal the incoming limit of the next one, which holds exactly when the
     linking equalities do. Afterwards minimality is enforced so that no
     non-integer component degenerates to a constant. Limits, minimality and
-    each component's degree are read off one block profile per space; a
-    fixed space is its own limit, so it is its neighbouring nodes.
+    each component's degree are read off one block profile per space; the
+    chain reads its nodes off the same limits.
     """
     split = g.model.split
-    nodes: list[Subspace] = []
     for (i, j), left, right in zip(consecutive_pairs(g.delta), g.spaces, g.spaces[1:]):
-        outgoing = limit(split, left, Direction.INFINITY)
-        incoming = limit(split, right, Direction.ZERO)
-        if outgoing != incoming:
+        if limit(split, left, Direction.INFINITY) != limit(split, right, Direction.ZERO):
             raise ChainBuildError(
                 f"gluing failed at the pair ({format_rational(i)}, {format_rational(j)}):"
                 " the outgoing and incoming orbit limits differ, so the series"
                 " is not exact there",
                 failing_pair=(i, j),
             )
-        # a fixed neighbour is the node itself
-        nodes.append(incoming if incoming is right else outgoing)
-    profiles = g.profiles
     # an index's mobile dimension is its space's orbit degree
     lazy = [
         format_rational(i)
-        for i, profile in zip(g.delta.indices, profiles)
+        for i, profile in zip(g.delta.indices, g.profiles)
         if i.denominator != 1 and profile.degree == 0
     ]
     if lazy:
@@ -164,17 +180,14 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
             + ", ".join(lazy)
             + " carry no mobile dimension and would give constant components"
         )
-    components = tuple(
-        ChainComponent(i, v, profile.degree) for (i, v), profile in zip(g.items(), profiles)
-    )
+    components = tuple(ChainComponent(i, v) for i, v in g.items())
     total_degree = sum(c.grassmann_degree for c in components)
     if total_degree != g.rank + 1:
         raise ChainBuildError(
             f"degree budget violated: component degrees sum to {total_degree},"
             f" expected {g.rank + 1}"
         )
-    return ContinuousChain(g.model, g.rank, g.delta, components, nodes)
-
+    return ContinuousChain(g.model, g.rank, g.delta, components)
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -224,12 +237,17 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
     orbit's Pluecker weight set is a gap-free interval with at least two
     points, so each curve is smooth at its limits. Hence the meeting is
     transverse whenever :func:`torus.orbit_intersection`'s hypotheses hold
-    and the closures meet at the stored node, and that is all the check
-    asks. It fails exactly where :func:`torus.orbit_intersection` refuses
-    the pair (unlinked, or a base space that is fixed or of the wrong size)
-    or the closures do not meet at the stored node. ``verify --oracle``
-    recomputes a first-order certificate independently, from the Pluecker
-    minors.
+    and the closures meet at the node, and that is all the check asks. Both
+    spaces move and the chain gives every base space the same dimension, so
+    the check fails exactly where :func:`torus.orbit_intersection` finds
+    the pair unlinked, or the closures do not meet at the node: they are
+    disjoint, or they meet where the right orbit ends and the left one
+    begins. ``verify --oracle`` recomputes a first-order certificate
+    independently, from the Pluecker minors.
+
+    The node is the left space's limit toward infinity, so node gluing
+    compares it with the right space's limit toward zero, and the degree
+    budget sums the degrees read off the profiles.
 
     The weight-interval check is a named cross-check: it follows from node
     gluing plus section-space membership, so it fails only beside one of
@@ -244,31 +262,19 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
     split = c.model.split
     pairs = consecutive_pairs(c.delta)
     profiles = c.profiles
-    spaces = [comp.base_space for comp in c.components]
 
     glue_failures: list[str] = []
-    for (i, j), node, left, right in zip(pairs, c.nodes, spaces, spaces[1:]):
-        outgoing = limit(split, left, Direction.INFINITY)
-        if not (outgoing == node == limit(split, right, Direction.ZERO)):
+    for (i, j), node, right in zip(pairs, c.nodes, c.components[1:]):
+        if node != limit(split, right.base_space, Direction.ZERO):
             glue_failures.append(
                 f"node between {format_rational(i)} and {format_rational(j)}"
                 " does not match both orbit limits"
             )
 
     degree_failures: list[str] = []
-    recomputed_total = 0
-    for comp, profile in zip(c.components, profiles):
-        actual = profile.degree
-        recomputed_total += actual
-        if actual != comp.grassmann_degree:
-            degree_failures.append(
-                f"component {format_rational(comp.index)} stores degree"
-                f" {comp.grassmann_degree} but its orbit has degree {actual}"
-            )
-    if recomputed_total != c.rank + 1:
-        degree_failures.append(
-            f"orbit degrees sum to {recomputed_total}, expected {c.rank + 1}"
-        )
+    total = sum(profile.degree for profile in profiles)
+    if total != c.rank + 1:
+        degree_failures.append(f"orbit degrees sum to {total}, expected {c.rank + 1}")
 
     transversality_failures: list[str] = []
     steps = zip(pairs, c.nodes, c.components, c.components[1:], profiles, profiles[1:])
@@ -277,7 +283,7 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
             continue
         try:
             point = left_profile.meeting_point(right_profile)
-        except (IntersectionHypothesisError, ValueError) as exc:
+        except IntersectionHypothesisError as exc:
             transversality_failures.append(
                 f"pair ({format_rational(i)}, {format_rational(j)}): {exc}"
             )
@@ -285,7 +291,7 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
         if point != node:
             transversality_failures.append(
                 f"pair ({format_rational(i)}, {format_rational(j)}): orbit"
-                " closures do not meet at the stored node"
+                " closures do not meet at the node"
             )
 
     interval_failures: list[str] = []
@@ -336,22 +342,6 @@ def evaluate_at_base_points(c: ContinuousChain) -> LimitLinearSeries:
     return LimitLinearSeries(
         c.model, c.rank, c.delta, tuple(comp.base_space for comp in c.components)
     )
-
-
-def hilbert_coefficients(c: ContinuousChain) -> tuple[int, int, tuple[int, ...], int]:
-    """The chain's multivariate Hilbert data, computed from its components.
-
-    Returns (total orbit degree, 0, per-target-component multiplicities, 1).
-    A multiplicity counts the chain components covering one component of the
-    target chain. Only integer indices cover one, and the ladder holds each
-    of 0..d once, so every multiplicity is one.
-
-    What it still certifies is the degree sum alone. On a chain that passes
-    :func:`validate_chain`'s degree budget the total is r + 1, so the value
-    is (r + 1, 0, (1,) * (d + 1), 1), fixed by d and r.
-    """
-    total = sum(profile.degree for profile in c.profiles)
-    return (total, 0, (1,) * (c.model.d + 1), 1)
 
 
 def emit_dot(c: ContinuousChain) -> str:

@@ -15,12 +15,12 @@ Entries are coerced once, at the boundary. ``Matrix.from_rows``,
 ``Subspace.from_spanning``, ``Subspace.residual`` and the file loaders take
 int, ``Fraction`` and ``"p/q"`` string entries, refuse floats and bools, and
 keep an entry that is already a ``Fraction`` as it is;
-``Subspace.from_spanning`` also keeps vectors that already form a canonical
-basis as they are and reduces any others. Results computed inside the
-library are built as ``Subspace(n, rows)`` directly, and its
-``__post_init__`` checks them again: every entry a ``Fraction``, every basis
-canonical. Sharing one ``Fraction`` object, or one row tuple, between values
-is safe, because both are immutable.
+``Subspace.from_spanning`` also keeps vectors of ``Fraction`` entries that
+already form a canonical basis as they are and reduces any others. Results
+computed inside the library are built as ``Subspace(n, rows)`` directly,
+and its ``__post_init__`` checks them again: every entry a ``Fraction``,
+every basis canonical. Sharing one ``Fraction`` object, or one row tuple,
+between values is safe, because both are immutable.
 
 The bases the library handles are mostly zeros, so 0 and 1 are two shared
 objects, ``ZERO`` and ``ONE``: ``parse_rational`` returns them, and every
@@ -315,15 +315,17 @@ class Subspace:
         """Canonical subspace spanned by the given vectors.
 
         Equal spans produce bit-identical values regardless of the order,
-        scaling or redundancy of the input vectors. The entries are coerced
-        as ``Matrix.from_rows`` does. Vectors that already form a canonical
-        basis become the rows as they are, with no elimination: the RREF is
-        unique, so reducing them would give the same value. Any other input
-        (a zero row, unsorted pivots, a non-unit lead, an uncleared pivot
-        column, more rows than the rank) is reduced by ``rref`` once, and its
-        nonzero rows are kept.
+        scaling or redundancy of the input vectors. Vectors of ``Fraction``
+        entries that already form a canonical basis become the rows as they
+        are, with no elimination: the RREF is unique, so reducing them would
+        give the same value. The canonicity guard is the one walk over the
+        entry types. Any other input (an entry of another type, a zero row,
+        unsorted pivots, a non-unit lead, an uncleared pivot column, more
+        rows than the rank) is reduced by ``rref`` once, and its nonzero
+        rows are kept; entries of other types are first coerced as
+        ``Matrix.from_rows`` does.
         """
-        rows = tuple(_exact(v) for v in vectors)
+        rows = tuple(map(tuple, vectors))
         for row in rows:
             if len(row) != ambient_dim:
                 raise ValueError(
@@ -331,14 +333,12 @@ class Subspace:
                 )
         try:
             return cls(ambient_dim, rows)
+        except TypeError:  # an entry that is not a Fraction: coerce, then reduce
+            rows = tuple(tuple(map(exact_rational, row)) for row in rows)
         except ValueError:
             pass  # not canonical: reduce below
         reduced = rref(Matrix(len(rows), ambient_dim, tuple(chain.from_iterable(rows))))
-        # the zero rows of a reduced matrix are at the bottom
-        rank = len(reduced)
-        while rank and is_zero_vector(reduced[rank - 1]):
-            rank -= 1
-        return cls(ambient_dim, reduced[:rank])
+        return cls(ambient_dim, tuple(row for row in reduced if not is_zero_vector(row)))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":

@@ -214,7 +214,7 @@ def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
     two weight sets must hold and must agree with the structural side, which
     is that the two orbit closures meet (a ValueError from
     ``orbit_intersection`` counts as no meeting): a meeting of linked orbits
-    is always transverse (see :func:`torus.meeting_is_transverse`).
+    is always transverse (see :func:`chain.validate_chain`).
     """
     split = chain.model.split
     mismatch = []

@@ -9,20 +9,23 @@ section-space membership, read off each section space's equations; loading
 what was saved reproduces the object bit-exactly.
 
 Each distinct entry text is parsed once per file: a loader keeps one token
-table for the whole file, so equal entries of different matrices (a chain's
-node and the base space it equals, say) are one shared ``Fraction`` and
-compare by identity. Stored rows that are already a canonical basis, as
-written here, load as they are after one canonicity check; any other
-spanning rows are reduced to that basis.
+table for the whole file, so equal entries of different matrices (two base
+spaces of a chain, say) are one shared ``Fraction`` and compare by
+identity. Stored rows that are already a canonical basis, as written here,
+load as they are after one canonicity check; any other spanning rows are
+reduced to that basis.
 
 Versions 1 and 2 still load. They write a matrix as nested arrays, one
 string per entry, and a row string there is refused, as an array row is in
 version 3. Version 1 chains also store Hilbert data, which is checked and
 then discarded.
 
-A chain component's ``kind`` and ``target`` are written for the reader but
-not kept: the loader re-derives them from the component's ``index`` and
-``degree`` and refuses a file whose stored values differ.
+A chain file stores each component's ``index`` and ``basis``, and also its
+``degree``, ``kind`` and ``target`` and the chain's ``nodes``, which are
+written for the reader but not kept. The loader builds the chain from the
+indices and bases alone, which derives the rest (see ``chain``), and refuses
+a file whose stored degree, kind, target or node differs from the derived
+one, or that stores a node count other than one per consecutive pair.
 """
 
 from __future__ import annotations
@@ -211,10 +214,10 @@ def chain_from_json(payload: dict) -> ContinuousChain:
             comp = ChainComponent(
                 _rational(raw["index"], values),
                 _subspace_from_json(model.ambient_dim, raw["basis"], row_strings, values),
-                _integer(raw["degree"], "a component degree"),
             )
             target = raw["target"]
             for field, stored, derived in (
+                ("degree", _integer(raw["degree"], "a component degree"), comp.grassmann_degree),
                 ("kind", raw["kind"], comp.kind.value),
                 ("target kind", target["kind"], comp.target_kind),
                 ("target index", _integer(target["index"], "a target index"), comp.target_index),
@@ -222,14 +225,23 @@ def chain_from_json(payload: dict) -> ContinuousChain:
                 if stored != derived:
                     raise SchemaError(
                         f"component {format_rational(comp.index)} stores {field}"
-                        f" {stored!r}, but its index and degree give {derived!r}"
+                        f" {stored!r}, but its index and base space give {derived!r}"
                     )
             components.append(comp)
-        nodes = tuple(
-            _subspace_from_json(model.ambient_dim, raw, row_strings, values)
-            for raw in payload["nodes"]
-        )
-        return ContinuousChain(model, rank, ladder, tuple(components), nodes)
+        chain = ContinuousChain(model, rank, ladder, tuple(components))
+        stored_nodes = payload["nodes"]
+        if len(stored_nodes) != len(chain.nodes):
+            raise SchemaError(
+                f"the file stores {len(stored_nodes)} nodes, but its ladder has"
+                f" {len(chain.nodes)} consecutive pairs"
+            )
+        for k, (raw, node, left) in enumerate(zip(stored_nodes, chain.nodes, components)):
+            if _subspace_from_json(model.ambient_dim, raw, row_strings, values) != node:
+                raise SchemaError(
+                    f"stored node {k} differs from the limit toward infinity of the"
+                    f" base space at {format_rational(left.index)}"
+                )
+        return chain
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, ChainError) as exc:

@@ -161,13 +161,15 @@ def act(split: TorusSplit, x: Rational, v: Subspace) -> Subspace:
 def _split_echelon(rows: tuple[Row, ...], cut: int, width: int) -> tuple[Subspace, Subspace]:
     """Projection to the leading ``cut`` columns and part inside the rest.
 
-    For reduced echelon rows, the leading parts of the rows with a pivot
-    before the cut are the canonical basis of the projection. The other rows
-    vanish before the cut, so their trailing parts are the canonical basis
-    of the part lying in the trailing columns.
+    For reduced echelon rows, the rows with a pivot before the cut come
+    first, and their leading parts are the canonical basis of the
+    projection. Every row from the first one that vanishes before the cut
+    on vanishes there, so their trailing parts are the canonical basis of
+    the part lying in the trailing columns. One pass finds that row.
     """
-    onto = tuple(row[:cut] for row in rows if not is_zero_vector(row[:cut]))
-    inside = tuple(row[cut:] for row in rows if is_zero_vector(row[:cut]))
+    k = next((k for k, row in enumerate(rows) if is_zero_vector(row[:cut])), len(rows))
+    onto = tuple(row[:cut] for row in rows[:k])
+    inside = tuple(row[cut:] for row in rows[k:])
     return Subspace(cut, onto), Subspace(width - cut, inside)
 
 

@@ -13,7 +13,6 @@ from nodalseries.chain import (
     ChainBuildError,
     build_chain,
     evaluate_at_base_points,
-    hilbert_coefficients,
     validate_chain,
 )
 from nodalseries.curve import CurveModel, section_space
@@ -172,13 +171,11 @@ def test_criterion_6_chain_construction(exact_corpus):
             failures.append(("validate", g, report.summary()))
         if sum(c.grassmann_degree for c in chain.components) != g.rank + 1:
             failures.append(("degree sum", g))
-        if hilbert_coefficients(chain) != (g.rank + 1, 0, (1,) * (g.model.d + 1), 1):
-            failures.append(("hilbert", g))
     _report(
         6,
         failures,
         f"{len(exact_corpus)} exact minimal instances: chain built, all five"
-        " checks pass, degrees and Hilbert data exact",
+        " checks pass, degrees sum to r + 1",
     )
 
 

@@ -13,9 +13,9 @@ from nodalseries.chain import (
     build_chain,
     emit_dot,
     evaluate_at_base_points,
-    hilbert_coefficients,
     validate_chain,
 )
+from nodalseries.curve import section_shape
 from nodalseries.delta import consecutive_pairs
 from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
 from nodalseries.linalg import Subspace, format_rational
@@ -60,7 +60,6 @@ def test_build_chain_on_worked_example():
     assert chain.components[1].target_index == 1
     # the glued node is the split space generated by (0, s)
     assert chain.nodes == (Subspace.from_spanning(4, [(0, 0, 0, 1)]),)
-    assert hilbert_coefficients(chain) == (1, 0, (1, 1), 1)
     assert sum(c.grassmann_degree for c in chain.components) == chain.rank + 1
 
 
@@ -88,7 +87,6 @@ def test_degree_zero_instance():
     assert chain.nodes == ()
     assert chain.components[0].grassmann_degree == 1  # rank + 1
     assert validate_chain(chain).passed
-    assert hilbert_coefficients(chain) == (1, 0, (1,), 1)
 
 
 def test_validate_chain_passes_on_built_chains():
@@ -99,9 +97,11 @@ def test_validate_chain_passes_on_built_chains():
 
 
 def test_validate_chain_detects_wrong_node():
+    # a fixed base space at 0 is its own limit, so it moves the node there
     chain = build_chain(series_e4())
     wrong = Subspace.from_spanning(4, [(0, 1, 0, 0)])
-    corrupted = dataclasses.replace(chain, nodes=(wrong,))
+    corrupted = _with_base(chain, F(0), wrong.rows)
+    assert corrupted.nodes == (wrong,) != chain.nodes
     report = validate_chain(corrupted)
     assert not report.gluing.passed
     assert not report.passed
@@ -116,30 +116,47 @@ def test_validate_chain_detects_scaled_integer_base():
     assert not report.membership.passed
 
 
+def _another_fixed_space(chain, comp):
+    """Rows of a fixed space in comp's section space with comp's block
+    dimensions but not comp's base space, or None: the leading or the
+    trailing units of each flag."""
+    n = chain.model.ambient_dim
+    profile = block_profile(chain.model.split, comp.base_space)
+    a, b = profile.inside_first.dim, profile.inside_second.dim
+    shape = section_shape(chain.model, comp.index)
+    t, s = shape.t_flag, shape.s_flag
+    for coords in (t[:a] + s[:b], t[len(t) - a :] + s[len(s) - b :]):
+        rows = [tuple(int(k == c) for k in range(n)) for c in coords]
+        if Subspace.from_spanning(n, rows) != comp.base_space:
+            return rows
+    return None
+
+
 def test_a_fixed_node_beside_a_fixed_component_can_fail_gluing(tmp_path, capsys):
-    # a fixed component is its own limit, so a built chain's nodes beside it
-    # are its base space; a different fixed space there must fail gluing alone
+    # a fixed component is its own limit, so it is the node on its right and
+    # the limit that meets the node on its left; another fixed space of the
+    # same block dimensions in its section space must fail gluing alone
     chain = build_chain(random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5))
-    n, dim = chain.model.ambient_dim, chain.rank + 1
-    units = [tuple(int(k == c) for k in range(n)) for c in range(n)]
-    fixed_spaces = [Subspace.from_spanning(n, units[:dim]), Subspace.from_spanning(n, units[-dim:])]
+    split = chain.model.split
+    pairs = consecutive_pairs(chain.delta)
     path = tmp_path / "chain.json"
     replaced = 0
-    steps = zip(consecutive_pairs(chain.delta), chain.components, chain.components[1:])
-    for k, ((i, j), left, right) in enumerate(steps):
-        fixed = [c.base_space for c in (left, right) if c.kind is ComponentKind.FIXED]
-        if not fixed:
+    for k, comp in enumerate(chain.components):
+        if comp.kind is not ComponentKind.FIXED:
             continue
-        assert any(chain.nodes[k] is v for v in fixed)
-        wrong = next(v for v in fixed_spaces if v != chain.nodes[k])
-        assert is_fixed(chain.model.split, wrong)
-        nodes = chain.nodes[:k] + (wrong,) + chain.nodes[k + 1 :]
-        corrupted = dataclasses.replace(chain, nodes=nodes)
+        if k + 1 < len(chain.components):
+            assert chain.nodes[k] is comp.base_space
+        rows = _another_fixed_space(chain, comp)
+        if rows is None:
+            continue
+        corrupted = _with_base(chain, comp.index, rows)
+        assert is_fixed(split, corrupted.components[k].base_space)
         report = validate_chain(corrupted)
         assert [c.passed for c in report.checks] == [False, True, True, True, True]
-        assert report.gluing.failures == (
+        assert report.gluing.failures == tuple(
             f"node between {format_rational(i)} and {format_rational(j)}"
-            " does not match both orbit limits",
+            " does not match both orbit limits"
+            for i, j in pairs[max(k - 1, 0) : k + 1]
         )
         save_instance(corrupted, path)
         capsys.readouterr()
@@ -170,18 +187,6 @@ def test_a_collapse_fails_construction_at_the_first_inexact_pair(exact_corpus):
     assert collapses >= 100
 
 
-def _degree_lie():
-    chain = build_chain(series_e4())
-    lying = dataclasses.replace(chain.components[1], grassmann_degree=1)
-    return dataclasses.replace(chain, components=(chain.components[0], lying))
-
-
-def test_validate_chain_detects_degree_lie():
-    report = validate_chain(_degree_lie())
-    # one line: ChainComponent already ties the fixed kind to degree zero
-    assert report.degree.failures == ("component 1 stores degree 1 but its orbit has degree 0",)
-
-
 def orbit_orbit_chain():
     """A chain with one node between two orbit components, and its position."""
     # two non-integer slots in the same gap force an orbit-orbit node
@@ -199,14 +204,32 @@ def test_validate_transversality_on_adjacent_orbit_pairs():
     assert report.passed, report.summary()
 
 
+def _swapped_orbits():
+    """The orbit-orbit chain with the two orbits' base spaces swapped.
+
+    The swapped closures still meet, but where the right orbit ends and the
+    left one begins, so not at the node, the left space's infinity limit.
+    """
+    chain, p = orbit_orbit_chain()
+    left, right = chain.components[p : p + 2]
+    components = list(chain.components)
+    components[p : p + 2] = (
+        dataclasses.replace(left, base_space=right.base_space),
+        dataclasses.replace(right, base_space=left.base_space),
+    )
+    return dataclasses.replace(chain, components=tuple(components))
+
+
 def test_validate_transversality_detects_a_moved_node():
     chain, p = orbit_orbit_chain()
-    nodes = list(chain.nodes)
-    nodes[p] = nodes[p - 1]  # the chain's previous node, a different fixed point
-    assert nodes[p] != chain.nodes[p]
-    report = validate_chain(dataclasses.replace(chain, nodes=tuple(nodes)))
+    swapped = _swapped_orbits()
+    assert swapped.nodes[p] != chain.nodes[p]
+    split = chain.model.split
+    left, right = (c.base_space for c in swapped.components[p : p + 2])
+    assert orbit_intersection(split, left, right) == limit(split, left, Direction.ZERO)
+    report = validate_chain(swapped)
     assert report.transversality.failures == (
-        "pair (4/3, 5/3): orbit closures do not meet at the stored node",
+        "pair (4/3, 5/3): orbit closures do not meet at the node",
     )
 
 
@@ -252,10 +275,10 @@ def test_one_elimination_per_moving_space(eliminations, tmp_path, capsys):
         assert made(first, fresh) == moving, first.__name__
         for again in reports:
             assert made(again, fresh) == 0, (first.__name__, again.__name__)
+    # loading a chain makes its components, which profiles their spaces
+    assert made(load_instance, chain_path) == moving
     chain = load_instance(chain_path)
-    assert made(validate_chain, chain) == moving
     assert made(validate_chain, chain) == 0
-    assert made(hilbert_coefficients, chain) == 0
     # each command loads its file afresh; verify of a series validates the
     # chain it built from the series' own spaces, whose profiles it reads back
     assert made(cli.main, ["check", str(series_path)]) == moving
@@ -271,10 +294,11 @@ def test_one_elimination_per_moving_space(eliminations, tmp_path, capsys):
         for k, (a, b) in enumerate(zip(chain.components, chain.components[1:]))
         if a.kind is b.kind is ComponentKind.ORBIT
     )
+    pair = [comp.base_space for comp in chain.components[position : position + 2]]
     for fn in (torus.orbit_intersection, torus.meeting_is_transverse):
-        # the validated chain's components were profiled; a fresh copy's were not
-        for c, expected in ((chain, 0), (load_instance(chain_path), 2)):
-            left, right = (comp.base_space for comp in c.components[position : position + 2])
+        # the chain's components were profiled; fresh copies of their spaces were not
+        fresh = [Subspace(v.ambient_dim, v.rows) for v in pair]
+        for (left, right), expected in ((pair, 0), (fresh, 2)):
             assert made(fn, split, left, right) == expected, fn.__name__
     # every node is a fixed point, so labelling the edges eliminates nothing
     for c in (build_chain(load_instance(series_path)), load_instance(chain_path)):
@@ -292,9 +316,10 @@ def test_profiles_belong_to_the_value_they_were_computed_from():
     spaces = g.spaces[:pos] + (collapsed,) + g.spaces[pos + 1 :]
     report = check_exact(dataclasses.replace(g, spaces=spaces))
     assert report.first_failing_pair() == (g.delta.indices[pos - 1], g.delta.indices[pos])
-    components = list(chain.components)
-    components[pos] = dataclasses.replace(components[pos], base_space=collapsed)
-    assert not validate_chain(dataclasses.replace(chain, components=tuple(components))).passed
+    # and a replaced component reads the collapsed space's degree, 0, which a
+    # non-integer index refuses
+    with pytest.raises(ChainError, match="only allowed at an integer index"):
+        dataclasses.replace(chain.components[pos], base_space=collapsed)
 
 
 def _spaces(value):
@@ -314,21 +339,25 @@ def test_profiled_and_unprofiled_values_are_equal():
     memos = {"_block_profiles", "_minor_table"}
     assert memos.isdisjoint(f.name for f in dataclasses.fields(Subspace))
     split = g.model.split
+    # a loaded chain's components profile their spaces when they are made,
+    # but hold no minors
     unprofiled = [
-        (g, loads_instance(dumps_instance(g))),
-        (chain, loads_instance(dumps_instance(chain))),
-        (SubspaceTask(split, v), SubspaceTask(split, Subspace(v.ambient_dim, v.rows))),
+        (g, loads_instance(dumps_instance(g)), set()),
+        (chain, loads_instance(dumps_instance(chain)), {"_block_profiles"}),
+        (SubspaceTask(split, v), SubspaceTask(split, Subspace(v.ambient_dim, v.rows)), set()),
     ]
-    for profiled, twin in unprofiled:
+    assert "_minor_table" in vars(chain.components[1].base_space)
+    for profiled, twin, twin_memos in unprofiled:
         assert all("_block_profiles" in vars(w) for w in _spaces(profiled))
-        assert all(memos.isdisjoint(vars(w)) for w in _spaces(twin))
+        assert all(memos & vars(w).keys() == twin_memos for w in _spaces(twin))
         assert profiled == twin and hash(profiled) == hash(twin)
         assert repr(profiled) == repr(twin)
         assert dumps_instance(profiled) == dumps_instance(twin)
         back = pickle.loads(pickle.dumps(profiled))
         assert back == twin and dumps_instance(back) == dumps_instance(twin)
-        for w, t in zip(_spaces(back), _spaces(twin)):
-            assert vars(w).keys() == vars(t).keys()
+        # a pickle carries the fields and the pivots of each space, no memo
+        for w in _spaces(back):
+            assert vars(w).keys() == {"ambient_dim", "rows", "_pivots"}
     # the same fields pickle to the same bytes, memo or not
     assert pickle.dumps(v) == pickle.dumps(Subspace(v.ambient_dim, v.rows))
 
@@ -357,12 +386,6 @@ def test_round_trip_up_to_torus_scaling():
     ]
 
 
-def test_hilbert_coefficients_follow_the_shape():
-    g = random_exact_lls(3, 1, (1, 2, 1), seed=2)
-    chain = build_chain(g)
-    assert hilbert_coefficients(chain) == (2, 0, (1, 1, 1, 1), 1)
-
-
 def test_emit_dot_is_deterministic_and_structured():
     chain = build_chain(series_e4())
     text = emit_dot(chain)
@@ -376,18 +399,19 @@ def test_emit_dot_is_deterministic_and_structured():
 
 def test_component_consistency_is_enforced():
     v = Subspace.from_spanning(4, [(0, 1, 0, 0)])
-    # kind and target are properties read off these three fields
-    assert [f.name for f in dataclasses.fields(ChainComponent)] == [
-        "index", "base_space", "grassmann_degree",
-    ]
+    w = Subspace.from_spanning(4, [(0, 1, 1, 0)])
+    # the degree is read off the base space, and kind and target off the
+    # index and degree, so only these two are fields
+    assert [f.name for f in dataclasses.fields(ChainComponent)] == ["index", "base_space"]
     with pytest.raises(ChainError, match="only allowed at an integer index"):
         # fixed component at a non-integer index is never allowed
-        ChainComponent(F(1, 2), v, 0)
-    moving = ChainComponent(F(3, 2), v, 1)
-    assert (moving.kind, moving.target_kind, moving.target_index) == (
-        ComponentKind.ORBIT, "node", 2,
+        ChainComponent(F(1, 2), v)
+    moving = ChainComponent(F(3, 2), w)
+    assert (moving.grassmann_degree, moving.kind, moving.target_kind, moving.target_index) == (
+        1, ComponentKind.ORBIT, "node", 2,
     )
-    fixed = ChainComponent(F(1), v, 0)
+    fixed = ChainComponent(F(1), v)
+    assert fixed.grassmann_degree == 0
     assert (fixed.kind, fixed.target_kind, fixed.target_index) == (
         ComponentKind.FIXED, "component", 1,
     )
@@ -425,11 +449,6 @@ def _drop_last_row(v):
             id="rank5",
         ),
         pytest.param(
-            lambda c: {"nodes": (_drop_last_row(c.nodes[0]),) + c.nodes[1:]},
-            "node 0 has dimension 1 in Q\\^6, expected 2",
-            id="node",
-        ),
-        pytest.param(
             lambda c: {
                 "components": (
                     dataclasses.replace(
@@ -458,13 +477,6 @@ def _with_base(chain, index, rows):
     return dataclasses.replace(chain, components=tuple(components))
 
 
-def _moved_node():
-    chain, p = orbit_orbit_chain()
-    nodes = list(chain.nodes)
-    nodes[p] = nodes[p - 1]
-    return dataclasses.replace(chain, nodes=tuple(nodes))
-
-
 def _shifted_interval():
     # 3/2 sits between fixed components; span(s^2, t^2 + s^3) lies in its
     # section space and has the same orbit degree but weight interval [0, 1]
@@ -484,28 +496,39 @@ def _scaled_base():
     return _with_base(chain, F(0), moved.rows)
 
 
-# One mutation per reported check. Some checks cannot fail alone: a moved
-# node breaks gluing too, and weight intervals that do not meet mean limits
-# that differ.
+def _refixed_last():
+    # the last component is fixed; another fixed space there keeps every
+    # block dimension and its section space but leaves the last node
+    chain = build_chain(random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5))
+    last = chain.components[-1]
+    return _with_base(chain, last.index, _another_fixed_space(chain, last))
+
+
+def _fixed_start():
+    # span(t) lies in the section space at 0 but is fixed, so no degree is left
+    return _with_base(build_chain(series_e4()), F(0), [(0, 1, 0, 0)])
+
+
+# One bad chain value per reported check. Some checks cannot fail alone: the
+# degree budget and the weight intervals follow from gluing and membership,
+# and orbits that meet away from the node leave it unglued.
 EVERY_CHECK_FAILS = [
     pytest.param(
-        lambda: dataclasses.replace(
-            build_chain(series_e4()), nodes=(Subspace.from_spanning(4, [(0, 1, 0, 0)]),)
-        ),
+        _refixed_last,
         [False, True, True, True, True],
-        ("node between 0 and 1 does not match both orbit limits",),
+        ("node between 7 and 8 does not match both orbit limits",),
         id="node gluing",
     ),
     pytest.param(
-        _degree_lie,
-        [True, False, False, True, True],
-        ("component 1 stores degree 1 but its orbit has degree 0",),
+        _fixed_start,
+        [False, False, True, False, True],
+        ("orbit degrees sum to 0, expected 1",),
         id="degree budget",
     ),
     pytest.param(
-        _moved_node,
-        [False, True, False, True, True],
-        ("pair (4/3, 5/3): orbit closures do not meet at the stored node",),
+        _swapped_orbits,
+        [False, True, False, False, True],
+        ("pair (4/3, 5/3): orbit closures do not meet at the node",),
         id="node transversality",
     ),
     pytest.param(

@@ -169,9 +169,11 @@ def test_verify_fails_on_non_exact_series(e5_file, capsys):
 def test_verify_fails_on_corrupted_chain(tmp_path, capsys):
     import dataclasses
 
+    # a bad chain value is written as it is and loads; its checks fail
     chain = build_chain(series_e4())
     wrong = Subspace.from_spanning(4, [(0, 1, 0, 0)])
-    corrupted = dataclasses.replace(chain, nodes=(wrong,))
+    start = dataclasses.replace(chain.components[0], base_space=wrong)
+    corrupted = dataclasses.replace(chain, components=(start,) + chain.components[1:])
     path = tmp_path / "bad_chain.json"
     save_instance(corrupted, path)
     assert main(["verify", str(path)]) == 1
@@ -487,7 +489,10 @@ def _exit_code_runs(tmp_path) -> dict[str, list[list[str]]]:
     chain = build_chain(series_e4())
     good_chain = saved("chain.json", chain)
     wrong = Subspace.from_spanning(4, [(0, 1, 0, 0)])
-    bad_chain = saved("bad_chain.json", dataclasses.replace(chain, nodes=(wrong,)))
+    start = dataclasses.replace(chain.components[0], base_space=wrong)
+    bad_chain = saved(
+        "bad_chain.json", dataclasses.replace(chain, components=(start,) + chain.components[1:])
+    )
     task = SubspaceTask(TorusSplit(2, 2), Subspace.from_spanning(4, [(1, 0, 1, 0)]))
     task = saved("task.json", task)
     above_cap = random_exact_lls(MAX_DEGREE + 1, 0, (1,) * (MAX_DEGREE + 1), seed=0)

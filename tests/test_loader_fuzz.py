@@ -2,8 +2,9 @@
 
 A small series, its chain and a subspace task are mutated (a value replaced
 from a pool of odd ones, a key or list element deleted or repeated, a token
-edited inside a row string) and each mutant goes through every file-reading
-command in-process, under a per-run time limit. Every run must end in exit
+edited inside a row string, or the same edit made to every equal row string
+of the file) and each mutant goes through every file-reading command
+in-process, under a per-run time limit. Every run must end in exit
 0, in exit 1 from a check that was reached, or in exit 2 with one line on
 stderr; no exception may escape ``cli.main``. Whole-file cases (bytes that
 are not UTF-8, deep nesting, a long integer, a long row) sit beside the
@@ -119,12 +120,18 @@ def _edit_tokens(row: str, rng: random.Random) -> str:
 
 
 def _mutate(payload: dict, rng: random.Random) -> str:
-    """Mutate the payload in place once; returns what was done, and where."""
+    """Mutate the payload in place once; returns what was done, and where.
+
+    An edit to every equal row string keeps a chain file's stored nodes in
+    step with the base spaces they equal, as a find-and-replace over the
+    file would, so such a mutant can load and then fail a check; an edit to
+    one base space usually moves the node beside it and is refused at load.
+    """
     paths = list(_paths(payload))
     rows = [p for p in paths if isinstance(_at(payload, p), str) and " " in _at(payload, p)]
-    kinds = ["replace", "delete", "repeat"] + (["token"] if rows else [])
+    kinds = ["replace", "delete", "repeat"] + (["token", "every-row"] if rows else [])
     kind = rng.choice(kinds)
-    path = rng.choice(rows if kind == "token" else paths)
+    path = rng.choice(rows if kind in ("token", "every-row") else paths)
     parent, key = _at(payload, path[:-1]), path[-1]
     if kind == "replace":
         parent[key] = rng.choice(VALUES)
@@ -135,8 +142,13 @@ def _mutate(payload: dict, rng: random.Random) -> str:
             parent.insert(key, parent[key])
         else:
             parent[key] = [parent[key]]
-    else:
+    elif kind == "token":
         parent[key] = _edit_tokens(parent[key], rng)
+    else:
+        old, new = parent[key], _edit_tokens(parent[key], rng)
+        for row in rows:
+            if _at(payload, row) == old:
+                _at(payload, row[:-1])[row[-1]] = new
     return f"{kind} at {list(path)}"
 
 

@@ -25,6 +25,7 @@ from nodalseries.torus import (
     Direction,
     TorusSplit,
     act,
+    block_profile,
     is_fixed,
     limit,
     orbit_degree,
@@ -387,13 +388,22 @@ def test_the_oracle_reads_only_the_nonzero_minors_at_d8_r7(monkeypatch):
         }
 
 
-def _relabel(chain, target, degree):
+def _relabel(chain, target, degree, monkeypatch):
+    """The chain with one component made again while its space's profile
+    reports ``degree``; the component keeps the degree it read then."""
+    profile = block_profile(chain.model.split, chain.components[target].base_space)
+    real = BlockProfile.degree.fget
     components = list(chain.components)
-    components[target] = dataclasses.replace(components[target], grassmann_degree=degree)
+    with monkeypatch.context() as m:
+        m.setattr(
+            BlockProfile, "degree", property(lambda p: degree if p is profile else real(p))
+        )
+        components[target] = dataclasses.replace(components[target])
+    assert components[target].grassmann_degree == degree
     return dataclasses.replace(chain, components=tuple(components))
 
 
-def test_sample_orbit_check_flags_a_moving_component_labelled_fixed():
+def test_sample_orbit_check_flags_a_moving_component_labelled_fixed(monkeypatch):
     chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
     target = next(
         k
@@ -401,19 +411,19 @@ def test_sample_orbit_check_flags_a_moving_component_labelled_fixed():
         if c.index.denominator == 1 and c.kind is ComponentKind.ORBIT
     )
     report = sample_orbit_check(
-        _relabel(chain, target, 0), samples_per_component=5, seed=0
+        _relabel(chain, target, 0, monkeypatch), samples_per_component=5, seed=0
     )
     assert not report.passed
     assert any("a fixed component moved" in msg for msg in report.failures)
 
 
-def test_sample_orbit_check_flags_a_fixed_component_labelled_moving():
+def test_sample_orbit_check_flags_a_fixed_component_labelled_moving(monkeypatch):
     chain = build_chain(random_exact_lls(1, 0, (1,), seed=1))
     target = next(
         k for k, c in enumerate(chain.components) if c.kind is ComponentKind.FIXED
     )
     report = sample_orbit_check(
-        _relabel(chain, target, 1), samples_per_component=5, seed=0
+        _relabel(chain, target, 1, monkeypatch), samples_per_component=5, seed=0
     )
     assert not report.passed
     assert any("distinct points on a moving orbit" in msg for msg in report.failures)

@@ -153,29 +153,29 @@ def test_lenient_rationals_rejected(entry):
     [
         pytest.param(
             4, lambda c: c["target"].update(index=0), "component 2 stores target index 0, but"
-            " its index and degree give 2", id="0",
+            " its index and base space give 2", id="0",
         ),
         pytest.param(
             0, lambda c: c["target"].update(index=-5), "component 0 stores target index -5,"
-            " but its index and degree give 0", id="-5",
+            " but its index and base space give 0", id="-5",
         ),
         pytest.param(
             0, lambda c: c["target"].update(index=3), "component 0 stores target index 3, but"
-            " its index and degree give 0", id="3",
+            " its index and base space give 0", id="3",
         ),
         pytest.param(
             1, lambda c: c["target"].update(kind="component"), "component 1/2 stores target"
-            " kind 'component', but its index and degree give 'node'", id="target-kind",
+            " kind 'component', but its index and base space give 'node'", id="target-kind",
         ),
         pytest.param(
             2, lambda c: c.update(kind="orbit"), "component 1 stores kind 'orbit', but its"
-            " index and degree give 'fixed'", id="kind",
+            " index and base space give 'fixed'", id="kind",
         ),
     ],
 )
 def test_chain_targets_outside_the_degree_rejected(position, defect, message, tmp_path, capsys):
     """A stored kind or target is re-derived from the component's index and
-    degree, and any other value, in range or not, is refused as malformed."""
+    base space, and any other value, in range or not, is refused as malformed."""
     chain = build_chain(random_exact_lls(2, 1, (2, 2), seed=3))
     for version in (2, 3):
         payload = in_version(json.loads(dumps_instance(chain)), version)
@@ -197,7 +197,9 @@ def test_chain_targets_outside_the_degree_rejected(position, defect, message, tm
         pytest.param(lambda p: p.update(r=-1), "rank must be nonnegative", id="rank-1"),
         pytest.param(lambda p: p.update(r=5), "base space at 0 has dimension 2", id="rank5"),
         pytest.param(
-            lambda p: p["nodes"][0].pop(), "node 0 has dimension 1 in Q\\^6, expected 2", id="node"
+            lambda p: p["nodes"][0].pop(),
+            "stored node 0 differs from the limit toward infinity of the base space at 0",
+            id="node",
         ),
     ],
 )
@@ -211,7 +213,76 @@ def test_chain_spaces_of_the_wrong_dimension_are_refused(defect, message, tmp_pa
         path = tmp_path / f"v{version}.json"
         path.write_text(json.dumps(payload))
         assert cli.main(["verify", str(path)]) == 2
-        assert "bad chain payload" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and re.search(message, err)
+
+
+def _refused_in_every_version(defect, message, tmp_path, capsys):
+    """The (2, 1, (2, 2)) chain's file in versions 1, 2 and 3, edited by
+    ``defect``, is refused: SchemaError, and exit 2 with one stderr line."""
+    for version in (1, 2, 3):
+        payload = _payload("chain-v1") if version == 1 else _payload("chain", version)
+        defect(payload)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            loads_instance(json.dumps(payload))
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "position, degree, message",
+    [
+        pytest.param(
+            1, 2, "component 1/2 stores degree 2, but its index and base space give 1",
+            id="orbit",
+        ),
+        pytest.param(
+            2, 1, "component 1 stores degree 1, but its index and base space give 0",
+            id="fixed",
+        ),
+    ],
+)
+def test_a_chain_file_with_an_edited_stored_degree_is_refused(
+    position, degree, message, tmp_path, capsys
+):
+    """The degree is read off the base space, so a stored degree that
+    differs is refused before the kind it would also contradict."""
+
+    def defect(payload):
+        payload["components"][position]["degree"] = degree
+
+    _refused_in_every_version(defect, message, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        pytest.param(
+            lambda nodes: nodes.__setitem__(0, nodes[1]),
+            "stored node 0 differs from the limit toward infinity of the base space at 0",
+            id="node-edited",
+        ),
+        pytest.param(
+            lambda nodes: nodes.pop(),
+            "the file stores 3 nodes, but its ladder has 4 consecutive pairs",
+            id="node-dropped",
+        ),
+        pytest.param(
+            lambda nodes: nodes.append(nodes[-1]),
+            "the file stores 5 nodes, but its ladder has 4 consecutive pairs",
+            id="node-added",
+        ),
+    ],
+)
+def test_a_chain_file_with_an_edited_stored_node_is_refused(defect, message, tmp_path, capsys):
+    """Node k is the limit toward infinity of base space k, so a stored node
+    that differs, or a node count other than one per pair, is refused."""
+    _refused_in_every_version(lambda payload: defect(payload["nodes"]), message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -563,20 +634,14 @@ def test_equal_entries_of_a_loaded_chain_are_one_object():
     chain = loads_instance(
         dumps_instance(build_chain(random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5)))
     )
-    spaces = [comp.base_space for comp in chain.components] + list(chain.nodes)
     first_seen = {}
-    for v in spaces:
-        for row in v.rows:
+    for comp in chain.components:
+        for row in comp.base_space.rows:
             for e in row:
                 assert first_seen.setdefault(e, e) is e
-    # a node beside a fixed component equals that base space, entry for entry
-    shared = 0
-    for k, node in enumerate(chain.nodes):
-        for comp in chain.components[k : k + 2]:
-            if comp.base_space == node:
-                pairs = zip(node.rows, comp.base_space.rows)
-                assert all(a is b for row, other in pairs for a, b in zip(row, other))
-                shared += 1
+    # a loaded chain's nodes are derived, not parsed: a node beside a fixed
+    # component on its left is that base space itself
+    shared = sum(node is comp.base_space for node, comp in zip(chain.nodes, chain.components))
     assert shared >= 8
 
 

@@ -460,6 +460,21 @@ def _drop_last_row(v):
             "base space at 0 has dimension 1",
             id="base-space",
         ),
+        # node 1 is read off the orbit space at 1/2, so a node of the wrong
+        # dimension can only come from a base space the chain refuses
+        pytest.param(
+            lambda c: {
+                "components": c.components[:1]
+                + (
+                    dataclasses.replace(
+                        c.components[1], base_space=_drop_last_row(c.components[1].base_space)
+                    ),
+                )
+                + c.components[2:]
+            },
+            "base space at 1/2 has dimension 1 in Q\\^6, expected 2",
+            id="node",
+        ),
     ],
 )
 def test_chain_refuses_spaces_that_are_not_of_dimension_rank_plus_one(change, message):

@@ -20,13 +20,17 @@ Construction reads the series' ``g.profiles``; validation reads the chain's
 keeps on each space. A profile is a function of the immutable space it is
 kept on; a chain built from a series holds the series' ``Subspace`` objects
 and finds their profiles already there, while a chain loaded from a file
-profiles its base spaces afresh when its components are made. A profile
-costs one elimination for a moving space and none for a fixed one, so plain
-``verify`` of a series makes one elimination per moving space in all, and
-``emit_dot`` makes none: every node is a fixed point. Limits come from
-``torus.limit`` on the space held, which returns a fixed space itself, so a
-node beside a fixed component on its left is that component's base space,
-the same object.
+profiles its base spaces afresh when its components are made, once per
+distinct matrix of the file. A profile costs one elimination for a moving
+space and none for a fixed one, so plain ``verify`` of a series makes one
+elimination per moving space in all, and ``emit_dot`` makes none: every
+node is a fixed point. Limits come from ``torus.limit`` on the space held,
+which returns a fixed space itself, so a node beside a fixed component on
+its left is that component's base space, the same object. A moving space's
+profile keeps each limit it assembles, so the gluing loop of
+:func:`build_chain`, the chain's nodes, the gluing check of
+:func:`validate_chain` and the meeting points share one value per moving
+space and direction.
 """
 
 from __future__ import annotations
@@ -73,19 +77,24 @@ class ChainComponent:
 
     Its orbit degree, ``grassmann_degree``, is read off the base space's
     block profile once, when the component is made, under the split whose
-    two blocks are each half the ambient width. It is not a field. The rest
-    is read off the index and degree. The component is fixed exactly when
-    its degree is 0. It maps to the unsubdivided target chain by its index:
-    an integer index covers the target component of that number, a
-    non-integer one collapses to the node numbered by the ceiling of the
-    index.
+    two blocks are each half the ambient width; a base space of odd width,
+    or of width 0, is refused. It is not a field. The rest is read off the
+    index and degree. The component is fixed exactly when its degree is 0.
+    It maps to the unsubdivided target chain by its index: an integer index
+    covers the target component of that number, a non-integer one collapses
+    to the node numbered by the ceiling of the index.
     """
 
     index: Fraction
     base_space: Subspace
 
     def __post_init__(self) -> None:
-        half = self.base_space.ambient_dim // 2
+        width = self.base_space.ambient_dim
+        if width <= 0 or width % 2:
+            raise ChainError(
+                f"a base space lives in Q^{width}, but a chain needs an even, positive width"
+            )
+        half = width // 2
         degree = block_profile(TorusSplit(half, half), self.base_space).degree
         object.__setattr__(self, "grassmann_degree", degree)
         if degree == 0 and self.index.denominator != 1:

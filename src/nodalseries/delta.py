@@ -63,7 +63,7 @@ def build_delta(d: int, delta: Sequence[int]) -> DeltaSet:
     indices = [Fraction(0)]
     for gap, count in enumerate(steps, start=1):
         for numerator in range(1, count + 1):
-            indices.append(gap - 1 + Fraction(numerator, count))
+            indices.append(Fraction((gap - 1) * count + numerator, count))
     return DeltaSet(d, steps, tuple(indices))
 
 

@@ -34,10 +34,11 @@ Besides its two fields, a ``Subspace`` keeps results derived from them in
 its instance dictionary: its pivot columns (``_pivots``, set by the
 canonicity guard) and the memos of the invariants other modules compute
 from it, ``_block_profiles`` (``torus.block_profile``, one per first-block
-size) and ``_minor_table`` (the oracle's nonzero minors of the basis, as a
-pair: a dict from column set to nonzero int, and the positive int scale
-that each of those ints is the true minor times). None of them is a
-field, so equality, hash, repr and file text are the fields' alone. Every
+size, each profile keeping the limits it assembles under ``_limits``) and
+``_minor_table`` (the oracle's nonzero minors of the basis, as a pair: a
+dict from column set to nonzero int, and the positive int scale that each
+of those ints is the true minor times). None of them is a field, so
+equality, hash, repr and file text are the fields' alone. Every
 constructor starts a value with no memo, and a pickle or copy carries
 ``ambient_dim``, ``rows`` and ``_pivots`` only.
 """

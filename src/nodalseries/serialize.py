@@ -11,9 +11,13 @@ what was saved reproduces the object bit-exactly.
 Each distinct entry text is parsed once per file: a loader keeps one token
 table for the whole file, so equal entries of different matrices (two base
 spaces of a chain, say) are one shared ``Fraction`` and compare by
-identity. Stored rows that are already a canonical basis, as written here,
-load as they are after one canonicity check; any other spanning rows are
-reduced to that basis.
+identity. Likewise each distinct matrix text is parsed and checked once per
+file, and equal matrices are one ``Subspace``: a loader keeps one matrix
+table next to the token table, so a fixed point written as a base space and
+again as a node, or as two glued base spaces, is profiled once. Both tables
+die when the load returns. Stored rows that are already a canonical basis,
+as written here, load as they are after one canonicity check; any other
+spanning rows are reduced to that basis.
 
 Versions 1 and 2 still load. They write a matrix as nested arrays, one
 string per entry, and a row string there is refused, as an array row is in
@@ -100,8 +104,19 @@ def _rational(token: Any, values: dict[str, Fraction]) -> Fraction:
 
 
 def _subspace_from_json(
-    ambient_dim: int, rows: Any, row_strings: bool, values: dict[str, Fraction]
+    ambient_dim: int,
+    rows: Any,
+    row_strings: bool,
+    values: dict[str, Fraction],
+    matrices: dict[tuple, Subspace],
 ) -> Subspace:
+    """The matrix as a subspace, parsed and checked once per file.
+
+    ``matrices`` is the file's matrix table, keyed by the ambient width and
+    the stored rows (row strings in version 3, rows of entries before), so
+    a repeated matrix is the ``Subspace`` its first occurrence made. Rows
+    with an array or object entry cannot be looked up; parsing refuses them.
+    """
     if not isinstance(rows, list):
         raise SchemaError("a matrix must be a list of rows")
     if row_strings:
@@ -109,16 +124,27 @@ def _subspace_from_json(
             raise SchemaError(
                 f"schema_version {SCHEMA_VERSION} writes each matrix row as one string"
             )
-        # split on single spaces only: any other whitespace leaves a token
-        # that is not a rational
-        rows = [r.split(" ") for r in rows]
+        key = (ambient_dim, tuple(rows))
     elif not all(isinstance(r, list) for r in rows):
         raise SchemaError("a matrix must be a list of rows, each an array of entries")
+    else:
+        key = (ambient_dim, tuple(map(tuple, rows)))
     try:
-        parsed = [[_rational(e, values) for e in row] for row in rows]
-        return Subspace.from_spanning(ambient_dim, parsed)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad matrix: {exc}") from exc
+        space = matrices.get(key)
+    except TypeError:  # an array or object entry, which parsing refuses
+        space = None
+    if space is None:
+        if row_strings:
+            # split on single spaces only: any other whitespace leaves a token
+            # that is not a rational
+            rows = [r.split(" ") for r in rows]
+        try:
+            parsed = [[_rational(e, values) for e in row] for row in rows]
+            space = Subspace.from_spanning(ambient_dim, parsed)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise SchemaError(f"bad matrix: {exc}") from exc
+        matrices[key] = space
+    return space
 
 
 def series_to_json(g: LimitLinearSeries) -> dict:
@@ -142,13 +168,16 @@ def series_from_json(payload: dict) -> LimitLinearSeries:
         row_strings = _row_strings(payload)
         ladder = _ladder(model.d, payload["delta"], len(raw_spaces), "spaces")
         values: dict[str, Fraction] = {}
+        matrices: dict[tuple, Subspace] = {}
         spaces = []
         for i in ladder.indices:
             key = format_rational(i)
             if key not in raw_spaces:
                 raise SchemaError(f"missing space at index {key}")
             spaces.append(
-                _subspace_from_json(model.ambient_dim, raw_spaces[key], row_strings, values)
+                _subspace_from_json(
+                    model.ambient_dim, raw_spaces[key], row_strings, values, matrices
+                )
             )
         extra = set(raw_spaces) - {format_rational(i) for i in ladder.indices}
         if extra:
@@ -209,11 +238,14 @@ def chain_from_json(payload: dict) -> ContinuousChain:
         ladder = _ladder(model.d, payload["delta"], len(payload["components"]), "components")
         row_strings = _row_strings(payload)
         values: dict[str, Fraction] = {}
+        matrices: dict[tuple, Subspace] = {}
         components = []
         for raw in payload["components"]:
             comp = ChainComponent(
                 _rational(raw["index"], values),
-                _subspace_from_json(model.ambient_dim, raw["basis"], row_strings, values),
+                _subspace_from_json(
+                    model.ambient_dim, raw["basis"], row_strings, values, matrices
+                ),
             )
             target = raw["target"]
             for field, stored, derived in (
@@ -236,7 +268,7 @@ def chain_from_json(payload: dict) -> ContinuousChain:
                 f" {len(chain.nodes)} consecutive pairs"
             )
         for k, (raw, node, left) in enumerate(zip(stored_nodes, chain.nodes, components)):
-            if _subspace_from_json(model.ambient_dim, raw, row_strings, values) != node:
+            if _subspace_from_json(model.ambient_dim, raw, row_strings, values, matrices) != node:
                 raise SchemaError(
                     f"stored node {k} differs from the limit toward infinity of the"
                     f" base space at {format_rational(left.index)}"
@@ -262,7 +294,7 @@ def subspace_task_from_json(payload: dict) -> SubspaceTask:
     try:
         split = TorusSplit(_integer(payload["dim1"], "dim1"), _integer(payload["dim2"], "dim2"))
         subspace = _subspace_from_json(
-            split.ambient_dim, payload["basis"], _row_strings(payload), {}
+            split.ambient_dim, payload["basis"], _row_strings(payload), {}, {}
         )
         return SubspaceTask(split, subspace)
     except SchemaError:

@@ -11,8 +11,9 @@ it once per ``Subspace`` value and split and keeps it on the value, so the
 limits, the degree, fixedness, the meetings and the block projections and
 intersections (:func:`project_block`, :func:`meet_block`) of one value
 together make one elimination if the value moves and none if it is a fixed
-point, whose limits are the value itself (:func:`limit`). Two linked orbit
-closures that meet always meet transversally (the weight argument of
+point, whose limits are the value itself (:func:`limit`). A moving value's
+profile keeps the limits it assembles, so each is built once. Two linked
+orbit closures that meet always meet transversally (the weight argument of
 :func:`meeting_is_transverse`), so the meeting point stands for
 transversality and no separate tangent certificate is computed.
 
@@ -97,13 +98,24 @@ class BlockProfile:
 
         Toward zero the first-block projection survives together with the
         part inside the second block; toward infinity the roles swap.
+
+        The profile keeps each limit it assembles in its instance dictionary
+        under ``_limits``, keyed by direction, so every later call on the
+        same profile returns the same ``Subspace`` object. It is not a
+        field: equality, hash and repr ignore it.
         """
-        split = TorusSplit(self.onto_first.ambient_dim, self.onto_second.ambient_dim)
-        if direction is Direction.ZERO:
-            return assemble_split_subspace(split, self.onto_first, self.inside_second)
-        if direction is Direction.INFINITY:
-            return assemble_split_subspace(split, self.inside_first, self.onto_second)
-        raise ValueError(f"unknown direction {direction!r}")
+        if not isinstance(direction, Direction):
+            raise ValueError(f"unknown direction {direction!r}")
+        memo = vars(self).setdefault("_limits", {})
+        space = memo.get(direction)
+        if space is None:
+            split = TorusSplit(self.onto_first.ambient_dim, self.onto_second.ambient_dim)
+            if direction is Direction.ZERO:
+                space = assemble_split_subspace(split, self.onto_first, self.inside_second)
+            else:
+                space = assemble_split_subspace(split, self.inside_first, self.onto_second)
+            memo[direction] = space
+        return space
 
     def meeting_point(self, other: BlockProfile) -> Subspace | None:
         """Common point of this orbit closure and ``other``'s; see
@@ -273,8 +285,10 @@ def limit(split: TorusSplit, v: Subspace, direction: Direction) -> Subspace:
 
     A fixed point is its own limit in both directions, so when v's block
     profile has degree 0 the value v itself comes back and nothing is built.
-    A moving v gets the limit that :meth:`BlockProfile.limit` assembles. A
-    direction that is not a :class:`Direction` raises ValueError either way.
+    A moving v gets the limit that :meth:`BlockProfile.limit` assembles once
+    and keeps on the profile, so every call on the same value and split
+    returns one object. A direction that is not a :class:`Direction` raises
+    ValueError either way.
     """
     if not isinstance(direction, Direction):
         raise ValueError(f"unknown direction {direction!r}")

@@ -305,6 +305,28 @@ def test_one_elimination_per_moving_space(eliminations, tmp_path, capsys):
         assert made(emit_dot, c) == 0
 
 
+def test_each_moving_limit_is_assembled_once(monkeypatch):
+    """The gluing loop, the nodes, gluing validation and the meetings read
+    the limits a moving space's profile keeps."""
+    g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
+    split = g.model.split
+    g = dataclasses.replace(g, spaces=[Subspace(v.ambient_dim, v.rows) for v in g.spaces])
+    assembled = []
+    real = torus.assemble_split_subspace
+    monkeypatch.setattr(
+        torus, "assemble_split_subspace", lambda *args: assembled.append(args) or real(*args)
+    )
+    chain = build_chain(g)
+    # one limit toward each neighbour of each of the four moving spaces
+    assert sum(not is_fixed(split, v) for v in g.spaces) == 4
+    assert len(assembled) == 8
+    assembled.clear()
+    assert validate_chain(chain).passed
+    assert assembled == []
+    for node, comp in zip(chain.nodes, chain.components):
+        assert node is limit(split, comp.base_space, Direction.INFINITY)
+
+
 def test_profiles_belong_to_the_value_they_were_computed_from():
     g = random_exact_lls(3, 2, (2, 2, 1), seed=8)
     chain = build_chain(g)
@@ -414,6 +436,18 @@ def test_component_consistency_is_enforced():
     assert fixed.grassmann_degree == 0
     assert (fixed.kind, fixed.target_kind, fixed.target_index) == (
         ComponentKind.FIXED, "component", 1,
+    )
+
+
+@pytest.mark.parametrize("width", [5, 0])
+def test_a_component_refuses_a_base_space_of_odd_or_zero_width(width):
+    # the chain splits a base space into two halves, so it names the width
+    # itself rather than leaving a split the caller never gave to refuse it
+    base = Subspace.from_spanning(width, [(1,) + (0,) * (width - 1)] if width else [])
+    with pytest.raises(ChainError) as refused:
+        ChainComponent(F(0), base)
+    assert str(refused.value) == (
+        f"a base space lives in Q^{width}, but a chain needs an even, positive width"
     )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -36,6 +37,21 @@ def test_build_delta_size_formula():
         assert list(ladder.indices) == sorted(ladder.indices)
         integers = [i for i in ladder.indices if i.denominator == 1]
         assert integers == [F(k) for k in range(d + 1)]
+
+
+def test_build_delta_matches_the_stated_formula():
+    # each index is (gap - 1) + numerator / count, as the ladder's definition
+    # writes it, for every profile with d <= 4 and steps <= 3
+    for d in range(5):
+        for delta in itertools.product((1, 2, 3), repeat=d):
+            expected = [F(0)] + [
+                gap - 1 + F(numerator, count)
+                for gap, count in enumerate(delta, start=1)
+                for numerator in range(1, count + 1)
+            ]
+            indices = build_delta(d, delta).indices
+            assert indices == tuple(expected)
+            assert {type(i) for i in indices} == {F}
 
 
 def test_build_delta_rejects_bad_input():

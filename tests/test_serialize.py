@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nodalseries import cli, curve, linalg, serialize
+from nodalseries import cli, curve, linalg, serialize, torus
 from nodalseries.chain import build_chain
 from nodalseries.generate import random_exact_lls, random_subspace
 from nodalseries.linalg import Subspace, format_rational, parse_rational
@@ -20,6 +21,7 @@ from nodalseries.serialize import (
     loads_instance,
     save_instance,
 )
+from nodalseries.series import check_exact
 from nodalseries.torus import TorusSplit
 
 
@@ -643,6 +645,68 @@ def test_equal_entries_of_a_loaded_chain_are_one_object():
     # component on its left is that base space itself
     shared = sum(node is comp.base_space for node, comp in zip(chain.nodes, chain.components))
     assert shared >= 8
+
+
+def _verify_large_payload(kind, version):
+    """The seed-5 series or chain of the benchmark's verify_large shape as a
+    file of the given version; a fixed point is written there many times."""
+    g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5)
+    text = dumps_instance(build_chain(g) if kind == "chain" else g)
+    payload = in_version(json.loads(text), version)
+    if kind == "chain" and version == 1:
+        payload["hilbert"] = {"grassmann": 4, "picard": 0, "targets": [1] * 9, "constant": 1}
+    return payload
+
+
+def _distinct_matrix_texts(payload):
+    return {json.dumps(rows) for rows in _matrices(payload)}
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["series", "chain"])
+def test_equal_matrices_of_a_file_load_as_one_subspace(kind, version):
+    payload = _verify_large_payload(kind, version)
+    loaded = loads_instance(json.dumps(payload))
+    if kind == "series":
+        texts = [json.dumps(payload["spaces"][format_rational(i)]) for i in loaded.delta]
+        spaces = loaded.spaces
+    else:
+        texts = [json.dumps(comp["basis"]) for comp in payload["components"]]
+        spaces = [comp.base_space for comp in loaded.components]
+    repeats = 0
+    for (a, text_a), (b, text_b) in itertools.combinations(zip(spaces, texts), 2):
+        assert (a is b) == (text_a == text_b)
+        repeats += a is b
+    assert repeats
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["series", "chain"])
+def test_each_distinct_matrix_is_built_once_per_file(kind, version, monkeypatch):
+    payload = _verify_large_payload(kind, version)
+    text = json.dumps(payload)
+    built = []
+    real = Subspace.from_spanning
+    monkeypatch.setattr(
+        Subspace, "from_spanning", lambda n, rows: built.append(rows) or real(n, rows)
+    )
+    loads_instance(text)
+    distinct = _distinct_matrix_texts(payload)
+    assert len(built) == len(distinct) < len(_matrices(payload))
+    # the table lives for one load: a second load builds every matrix again
+    loads_instance(text)
+    assert len(built) == 2 * len(distinct)
+
+
+def test_check_exact_on_a_loaded_series_profiles_each_distinct_space_once(monkeypatch):
+    payload = _verify_large_payload("series", 3)
+    loaded = loads_instance(json.dumps(payload))
+    made = []
+    real = torus.BlockProfile
+    monkeypatch.setattr(torus, "BlockProfile", lambda **parts: made.append(parts) or real(**parts))
+    assert check_exact(loaded).passed
+    distinct = _distinct_matrix_texts(payload)
+    assert len(made) == len({id(v) for v in loaded.spaces}) == len(distinct) < len(loaded.spaces)
 
 
 OLD_VERSION_NON_STRINGS = [1, None, 1.5, [], {}, True]

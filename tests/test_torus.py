@@ -369,6 +369,32 @@ def test_each_value_is_profiled_once_on_its_own(eliminations):
     assert calls == []
 
 
+def test_a_moving_value_assembles_each_limit_once(split_corpus, monkeypatch):
+    assembled = []
+    real = torus.assemble_split_subspace
+    monkeypatch.setattr(
+        torus, "assemble_split_subspace", lambda *args: assembled.append(args) or real(*args)
+    )
+    moving = [(split, v) for split, v in split_corpus if orbit_degree(split, v) != 0]
+    assert moving
+    for split, v in moving:
+        expected = {direction: block_profile(split, v).limit(direction) for direction in Direction}
+        fresh = Subspace(v.ambient_dim, v.rows)  # a value with no memo yet
+        assembled.clear()
+        for direction in Direction:
+            point = limit(split, fresh, direction)
+            assert limit(split, fresh, direction) is point
+            assert block_profile(split, fresh).limit(direction) is point
+            assert point == expected[direction]
+        assert len(assembled) == 2
+        # the kept limits are not fields of the profile
+        profile = block_profile(split, fresh)
+        assert set(vars(profile)["_limits"]) == set(Direction)
+        assert dataclasses.replace(profile) == profile
+        with pytest.raises(ValueError, match="unknown direction"):
+            profile.limit([])
+
+
 def test_is_fixed():
     assert is_fixed(SPLIT22, span((1, 0, 0, 0), (0, 0, 1, 0)))
     assert not is_fixed(SPLIT22, span((1, 0, 1, 0)))
@@ -405,8 +431,10 @@ def test_limit_of_fixed_point_is_itself(split_corpus):
         fixed_seen.add(fixed)
         for direction in Direction:
             point = limit(split, v, direction)
-            # the assembled path stays the reference for every value
-            assert point == block_profile(split, v).limit(direction)
+            # the assembled path stays the reference for every value; a
+            # moving v's profile keeps its limits, so assemble on a fresh copy
+            fresh = Subspace(v.ambient_dim, v.rows)
+            assert point == block_profile(split, fresh).limit(direction)
             assert (point is v) == fixed
         with pytest.raises(ValueError, match="unknown direction 'zero'"):
             limit(split, v, "zero")

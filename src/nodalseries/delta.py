@@ -146,9 +146,4 @@ def support_subset(
         inside = [i for i in survivors if gap - 1 < i <= gap]
         new_steps.append(len(inside))
     reduced = build_delta(ladder.d, new_steps)
-    reindex: dict[Fraction, Fraction] = {}
-    cursor = 0
-    for new_index in reduced.indices:
-        reindex[new_index] = survivors[cursor]
-        cursor += 1
-    return reduced, reindex
+    return reduced, dict(zip(reduced.indices, survivors))

@@ -13,10 +13,11 @@ them. ``Matrix`` is only the input of ``rref`` and ``kernel_basis`` (and of
 
 Entries are coerced once, at the boundary. ``Matrix.from_rows``,
 ``Subspace.from_spanning``, ``Subspace.residual`` and the file loaders take
-int, ``Fraction`` and ``"p/q"`` string entries, refuse floats and bools, and
-keep an entry that is already a ``Fraction`` as it is;
-``Subspace.from_spanning`` also keeps vectors of ``Fraction`` entries that
-already form a canonical basis as they are and reduces any others. Results
+int, ``Fraction`` and ``"p/q"`` (or ``"p"``) string entries, refuse floats,
+bools and any other string form, and keep an entry that is already a
+``Fraction`` as it is; ``Subspace.from_spanning`` also keeps vectors of
+``Fraction`` entries that already form a canonical basis as they are and
+reduces any others. Results
 computed inside the library are built as ``Subspace(n, rows)`` directly,
 and its ``__post_init__`` checks them again: every entry a ``Fraction``,
 every basis canonical. Sharing one ``Fraction`` object, or one row tuple,
@@ -87,9 +88,16 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def exact_rational(value: _Entry) -> Fraction:
-    """One exact value as a Fraction, refusing the floats and bools Fraction() takes."""
+    """One exact value as a Fraction, refusing the floats and bools Fraction() takes.
+
+    A string must be ``p`` or ``p/q`` (see ``parse_rational``): the decimals,
+    exponents, underscores and surrounding whitespace that Fraction() reads
+    raise ValueError.
+    """
     if type(value) is Fraction:
         return value
+    if isinstance(value, str):
+        return parse_rational(value)
     if isinstance(value, (float, bool)):
         raise TypeError(f"{type(value).__name__} values are not exact rationals")
     return Fraction(value)

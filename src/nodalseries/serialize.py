@@ -19,10 +19,9 @@ die when the load returns. Stored rows that are already a canonical basis,
 as written here, load as they are after one canonicity check; any other
 spanning rows are reduced to that basis.
 
-Versions 1 and 2 still load. They write a matrix as nested arrays, one
-string per entry, and a row string there is refused, as an array row is in
-version 3. Version 1 chains also store Hilbert data, which is checked and
-then discarded.
+Only version 3 loads; a file of any other ``schema_version`` is refused
+before its payload is read. Each object of a file may hold only the keys the
+schema defines for it, and any other key is refused by name.
 
 A chain file stores each component's ``index`` and ``basis``, and also its
 ``degree``, ``kind`` and ``target`` and the chain's ``nodes``, which are
@@ -80,20 +79,34 @@ def _ladder(d: int, steps: Any, listed: int, what: str) -> DeltaSet:
     return build_delta(d, steps)
 
 
+# the keys the schema defines for each object of a file
+_SERIES_KEYS = frozenset({"schema_version", "kind", "d", "r", "delta", "spaces"})
+_CHAIN_KEYS = frozenset({"schema_version", "kind", "d", "r", "delta", "components", "nodes"})
+_COMPONENT_KEYS = frozenset({"index", "kind", "target", "degree", "basis"})
+_TARGET_KEYS = frozenset({"kind", "index"})
+_SUBSPACE_KEYS = frozenset({"schema_version", "kind", "dim1", "dim2", "basis"})
+
+
+def _defined_keys(obj: Any, keys: frozenset[str], what: str) -> None:
+    """Refuse an object holding a key the schema does not define for it.
+
+    A value that is not an object is left to the reader, which refuses it.
+    """
+    if isinstance(obj, dict) and not obj.keys() <= keys:
+        key = min(obj.keys() - keys)
+        raise SchemaError(f"{what} has a key the schema does not define: {key!r}")
+
+
 def _matrix_json(v: Subspace) -> list[str]:
     return [" ".join(map(format_rational, row)) for row in v.rows]
-
-
-def _row_strings(payload: dict) -> bool:
-    """Whether the payload writes each matrix row as one string (version 3)."""
-    return payload.get("schema_version") == SCHEMA_VERSION
 
 
 def _rational(token: Any, values: dict[str, Fraction]) -> Fraction:
     """The value of one entry, parsed once per file through its token table.
 
-    A non-string entry of a version 1 or 2 file goes to parse_rational,
-    whose refusal names it.
+    Row strings split into string tokens only, so a non-string here is a
+    chain component's ``index``; it goes to parse_rational, whose refusal
+    names it.
     """
     if type(token) is not str:
         return parse_rational(token)
@@ -106,40 +119,26 @@ def _rational(token: Any, values: dict[str, Fraction]) -> Fraction:
 def _subspace_from_json(
     ambient_dim: int,
     rows: Any,
-    row_strings: bool,
     values: dict[str, Fraction],
     matrices: dict[tuple, Subspace],
 ) -> Subspace:
     """The matrix as a subspace, parsed and checked once per file.
 
     ``matrices`` is the file's matrix table, keyed by the ambient width and
-    the stored rows (row strings in version 3, rows of entries before), so
-    a repeated matrix is the ``Subspace`` its first occurrence made. Rows
-    with an array or object entry cannot be looked up; parsing refuses them.
+    the stored row strings, so a repeated matrix is the ``Subspace`` its
+    first occurrence made.
     """
     if not isinstance(rows, list):
         raise SchemaError("a matrix must be a list of rows")
-    if row_strings:
-        if not all(isinstance(r, str) for r in rows):
-            raise SchemaError(
-                f"schema_version {SCHEMA_VERSION} writes each matrix row as one string"
-            )
-        key = (ambient_dim, tuple(rows))
-    elif not all(isinstance(r, list) for r in rows):
-        raise SchemaError("a matrix must be a list of rows, each an array of entries")
-    else:
-        key = (ambient_dim, tuple(map(tuple, rows)))
-    try:
-        space = matrices.get(key)
-    except TypeError:  # an array or object entry, which parsing refuses
-        space = None
+    if not all(isinstance(r, str) for r in rows):
+        raise SchemaError(f"schema_version {SCHEMA_VERSION} writes each matrix row as one string")
+    key = (ambient_dim, tuple(rows))
+    space = matrices.get(key)
     if space is None:
-        if row_strings:
+        try:
             # split on single spaces only: any other whitespace leaves a token
             # that is not a rational
-            rows = [r.split(" ") for r in rows]
-        try:
-            parsed = [[_rational(e, values) for e in row] for row in rows]
+            parsed = [[_rational(e, values) for e in row.split(" ")] for row in rows]
             space = Subspace.from_spanning(ambient_dim, parsed)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad matrix: {exc}") from exc
@@ -161,11 +160,11 @@ def series_to_json(g: LimitLinearSeries) -> dict:
 
 
 def series_from_json(payload: dict) -> LimitLinearSeries:
+    _defined_keys(payload, _SERIES_KEYS, "a series file")
     try:
         model = CurveModel(_integer(payload["d"], "d"))
         rank = _integer(payload["r"], "r")
         raw_spaces = payload["spaces"]
-        row_strings = _row_strings(payload)
         ladder = _ladder(model.d, payload["delta"], len(raw_spaces), "spaces")
         values: dict[str, Fraction] = {}
         matrices: dict[tuple, Subspace] = {}
@@ -175,9 +174,7 @@ def series_from_json(payload: dict) -> LimitLinearSeries:
             if key not in raw_spaces:
                 raise SchemaError(f"missing space at index {key}")
             spaces.append(
-                _subspace_from_json(
-                    model.ambient_dim, raw_spaces[key], row_strings, values, matrices
-                )
+                _subspace_from_json(model.ambient_dim, raw_spaces[key], values, matrices)
             )
         extra = set(raw_spaces) - {format_rational(i) for i in ladder.indices}
         if extra:
@@ -218,36 +215,22 @@ def chain_to_json(c: ContinuousChain) -> dict:
 
 
 def chain_from_json(payload: dict) -> ContinuousChain:
+    _defined_keys(payload, _CHAIN_KEYS, "a chain file")
     try:
         model = CurveModel(_integer(payload["d"], "d"))
         rank = _integer(payload["r"], "r")
-        if payload.get("schema_version") == 1:
-            # every valid chain has the same value, which later versions re-derive
-            hil = payload["hilbert"]
-            stored = (
-                _integer(hil["grassmann"], "hilbert grassmann"),
-                _integer(hil["picard"], "hilbert picard"),
-                tuple(_integer(t, "a hilbert target") for t in hil["targets"]),
-                _integer(hil["constant"], "hilbert constant"),
-            )
-            expected = (rank + 1, 0, (1,) * (model.d + 1), 1)
-            if stored != expected:
-                raise SchemaError(f"stored Hilbert data {stored} differs from {expected}")
-        elif "hilbert" in payload:
-            raise SchemaError("only schema_version 1 chains carry hilbert data")
         ladder = _ladder(model.d, payload["delta"], len(payload["components"]), "components")
-        row_strings = _row_strings(payload)
         values: dict[str, Fraction] = {}
         matrices: dict[tuple, Subspace] = {}
         components = []
         for raw in payload["components"]:
+            _defined_keys(raw, _COMPONENT_KEYS, "a chain component")
             comp = ChainComponent(
                 _rational(raw["index"], values),
-                _subspace_from_json(
-                    model.ambient_dim, raw["basis"], row_strings, values, matrices
-                ),
+                _subspace_from_json(model.ambient_dim, raw["basis"], values, matrices),
             )
             target = raw["target"]
+            _defined_keys(target, _TARGET_KEYS, "a component target")
             for field, stored, derived in (
                 ("degree", _integer(raw["degree"], "a component degree"), comp.grassmann_degree),
                 ("kind", raw["kind"], comp.kind.value),
@@ -268,7 +251,7 @@ def chain_from_json(payload: dict) -> ContinuousChain:
                 f" {len(chain.nodes)} consecutive pairs"
             )
         for k, (raw, node, left) in enumerate(zip(stored_nodes, chain.nodes, components)):
-            if _subspace_from_json(model.ambient_dim, raw, row_strings, values, matrices) != node:
+            if _subspace_from_json(model.ambient_dim, raw, values, matrices) != node:
                 raise SchemaError(
                     f"stored node {k} differs from the limit toward infinity of the"
                     f" base space at {format_rational(left.index)}"
@@ -291,11 +274,10 @@ def subspace_task_to_json(task: SubspaceTask) -> dict:
 
 
 def subspace_task_from_json(payload: dict) -> SubspaceTask:
+    _defined_keys(payload, _SUBSPACE_KEYS, "a subspace file")
     try:
         split = TorusSplit(_integer(payload["dim1"], "dim1"), _integer(payload["dim2"], "dim2"))
-        subspace = _subspace_from_json(
-            split.ambient_dim, payload["basis"], _row_strings(payload), {}, {}
-        )
+        subspace = _subspace_from_json(split.ambient_dim, payload["basis"], {}, {})
         return SubspaceTask(split, subspace)
     except SchemaError:
         raise
@@ -335,10 +317,8 @@ def loads_instance(text: str) -> Instance:
     if not isinstance(payload, dict):
         raise SchemaError("top-level payload must be an object")
     version = payload.get("schema_version")
-    if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):  # True == 1
-        raise SchemaError(
-            f"unsupported schema_version {version!r}; expected 1, 2 or {SCHEMA_VERSION}"
-        )
+    if type(version) is not int or version != SCHEMA_VERSION:  # 3.0 == 3
+        raise SchemaError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
     kind = payload.get("kind")
     if type(kind) is not str or kind not in _FROM_JSON:
         raise SchemaError(f"unknown payload kind {kind!r}")

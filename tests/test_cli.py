@@ -21,7 +21,7 @@ from nodalseries.serialize import (
 from nodalseries.torus import Direction, TorusSplit
 
 from test_series import series_e4, series_e5
-from test_serialize import in_version
+from test_serialize import converted, in_version
 
 
 @pytest.fixture
@@ -270,19 +270,24 @@ def test_verify_fails_on_fabricated_chain_metadata(tmp_path, capsys):
 
 
 def test_verify_refuses_fabricated_v1_hilbert_data(tmp_path, capsys):
+    """A version 1 chain is refused for its version, its Hilbert data unread;
+    converted but with its ``hilbert`` kept, it is refused for that key."""
     chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=2))
-    payload = in_version(json.loads(dumps_instance(chain)), 1)
-    payload["hilbert"] = {"grassmann": 2, "picard": 0, "targets": [1, 1, 1, 1], "constant": 1}
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(payload))
-    assert main(["verify", str(path)]) == 0
-    payload["hilbert"] = {"grassmann": 99, "picard": 5, "targets": [7, 7, 7], "constant": -3}
-    path.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["verify", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "stored Hilbert data" in captured.err
+    hilbert = {"grassmann": 99, "picard": 5, "targets": [7, 7, 7], "constant": -3}
+    v1 = {**in_version(json.loads(dumps_instance(chain)), 1), "hilbert": hilbert}
+    v3 = converted(json.loads(json.dumps(v1)))
+    path = tmp_path / "chain.json"
+    for payload, exit_code, refusal in [
+        (v1, 2, "unsupported schema_version 1; expected 3"),
+        ({**v3, "hilbert": hilbert}, 2, "does not define: 'hilbert'"),
+        (v3, 0, ""),
+    ]:
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == exit_code
+        captured = capsys.readouterr()
+        assert refusal in captured.err
+        if exit_code:
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(

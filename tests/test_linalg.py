@@ -4,7 +4,9 @@ from itertools import permutations
 
 import pytest
 
+from nodalseries import curve, torus
 from nodalseries.chain import build_chain, validate_chain
+from nodalseries.curve import CurveModel
 from nodalseries.generate import random_exact_lls
 from nodalseries.linalg import (
     ONE,
@@ -22,7 +24,7 @@ from nodalseries.linalg import (
 )
 from nodalseries.oracle import minor_table, subspace_from_minors
 from nodalseries.series import check_exact
-from nodalseries.torus import Direction, block_profile, limit
+from nodalseries.torus import Direction, TorusSplit, block_profile, limit
 
 
 def rows_of(rows):
@@ -114,6 +116,40 @@ def test_residual_refuses_inexact_entries(entry):
     with pytest.raises(TypeError, match="not exact"):
         line.residual((entry, 0))
     assert line.residual((1, "1/2")) == (0, F(-1, 2))
+
+
+# the scalar entry points, each given one rational of its input as ``x``
+STRING_TAKERS = {
+    "from_spanning": lambda x: Subspace.from_spanning(2, [(1, x)]),
+    "from_rows": lambda x: Matrix.from_rows([[1, x]]),
+    "residual": lambda x: Subspace.from_spanning(2, [(1, 1)]).residual((x, 0)),
+    "act": lambda x: torus.act(TorusSplit(2, 2), x, Subspace.from_spanning(4, [(1, 0, 1, 0)])),
+    "section_space": lambda x: curve.section_space(CurveModel(2), x),
+}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "text", [" 1.0e0 ", "1.5", "1_000", "1e999999", "+1", "2/4", "-3", "0"]
+)
+@pytest.mark.parametrize("taker", STRING_TAKERS)
+def test_string_rationals_are_p_or_p_over_q(taker, text):
+    take = STRING_TAKERS[taker]
+    if text in ("2/4", "-3", "0"):
+        # the string acts as its Fraction: "-3" lies outside every ladder and
+        # "0" is no torus element, refused in the same words
+        assert _outcome(lambda: take(text)) == _outcome(lambda: take(F(text)))
+    else:
+        # Fraction() reads each of these: a decimal, an exponent, an
+        # underscore, surrounding whitespace or a plus sign
+        with pytest.raises(ValueError, match="not a rational of the form p or p/q"):
+            take(text)
 
 
 def test_from_spanning_scaling():

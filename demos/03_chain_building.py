@@ -29,8 +29,7 @@ print("components:")
 for comp in chain.components:
     print(
         f"  i = {format_rational(comp.index):>4}  {comp.kind.value:>5}"
-        f"  degree {comp.grassmann_degree}  -> target {comp.target_kind}"
-        f" {comp.target_index}"
+        f"  degree {comp.grassmann_degree}"
     )
 print("glued nodes:", len(chain.nodes))
 print("degree budget:", sum(c.grassmann_degree for c in chain.components), "= rank + 1")

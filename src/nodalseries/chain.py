@@ -8,12 +8,12 @@ The construction fails precisely where exactness fails, and the failing
 pair it reports is the same pair the exactness check reports.
 
 A chain holds its model, rank, ladder and components, and a component only
-its index and base space. Everything else is read off the base spaces once,
-when the value is made: a component's orbit degree from its space's block
-profile, its kind and target from its index and degree, and node k, where
-components k and k + 1 are glued, as the limit toward infinity of component
-k's space. So no value can hold a node or degree that disagrees with its
-spaces, and nothing checks one.
+its index and base space; a chain file holds the same (see ``serialize``).
+Everything else is read off the base spaces once, when the value is made: a
+component's orbit degree from its space's block profile, its kind from its
+degree, and node k, where components k and k + 1 are glued, as the limit
+toward infinity of component k's space. So no value or file can hold a node
+or degree that disagrees with its spaces, and nothing checks one.
 
 Construction reads the series' ``g.profiles``; validation reads the chain's
 ``c.profiles``. Both are the block profiles that ``torus.block_profile``
@@ -36,7 +36,6 @@ space and direction.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,11 +77,10 @@ class ChainComponent:
     Its orbit degree, ``grassmann_degree``, is read off the base space's
     block profile once, when the component is made, under the split whose
     two blocks are each half the ambient width; a base space of odd width,
-    or of width 0, is refused. It is not a field. The rest is read off the
-    index and degree. The component is fixed exactly when its degree is 0.
-    It maps to the unsubdivided target chain by its index: an integer index
-    covers the target component of that number, a non-integer one collapses
-    to the node numbered by the ceiling of the index.
+    or of width 0, is refused. It is not a field. Its ``kind`` is fixed
+    exactly when its degree is 0. It maps to the unsubdivided target chain
+    by its index: an integer index covers the target component of that
+    number, and any other index collapses to the node at its ceiling.
     """
 
     index: Fraction
@@ -103,15 +101,6 @@ class ChainComponent:
     @property
     def kind(self) -> ComponentKind:
         return ComponentKind.FIXED if self.grassmann_degree == 0 else ComponentKind.ORBIT
-
-    @property
-    def target_kind(self) -> str:
-        """``"component"`` for an integer index, ``"node"`` otherwise."""
-        return "component" if self.index.denominator == 1 else "node"
-
-    @property
-    def target_index(self) -> int:
-        return math.ceil(self.index)
 
 
 @dataclass(frozen=True)
@@ -197,6 +186,7 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
             f" expected {g.rank + 1}"
         )
     return ContinuousChain(g.model, g.rank, g.delta, components)
+
 
 @dataclass(frozen=True)
 class CheckResult:

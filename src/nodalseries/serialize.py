@@ -1,4 +1,4 @@
-"""JSON instance files: schema version 3, exact rationals as strings.
+"""JSON instance files: schema version 4, exact rationals as strings.
 
 Rationals serialize as "p/q" (or "p" when the denominator is 1); a matrix as
 a list of its rows, each row one string of such rationals separated by
@@ -13,22 +13,17 @@ table for the whole file, so equal entries of different matrices (two base
 spaces of a chain, say) are one shared ``Fraction`` and compare by
 identity. Likewise each distinct matrix text is parsed and checked once per
 file, and equal matrices are one ``Subspace``: a loader keeps one matrix
-table next to the token table, so a fixed point written as a base space and
-again as a node, or as two glued base spaces, is profiled once. Both tables
-die when the load returns. Stored rows that are already a canonical basis,
-as written here, load as they are after one canonicity check; any other
-spanning rows are reduced to that basis.
+table next to the token table, so a fixed point written as two glued base
+spaces is profiled once. Both tables die when the load returns. Stored rows
+that are already a canonical basis, as written here, load as they are after
+one canonicity check; any other spanning rows are reduced to that basis.
 
-Only version 3 loads; a file of any other ``schema_version`` is refused
+Only version 4 loads; a file of any other ``schema_version`` is refused
 before its payload is read. Each object of a file may hold only the keys the
 schema defines for it, and any other key is refused by name.
 
-A chain file stores each component's ``index`` and ``basis``, and also its
-``degree``, ``kind`` and ``target`` and the chain's ``nodes``, which are
-written for the reader but not kept. The loader builds the chain from the
-indices and bases alone, which derives the rest (see ``chain``), and refuses
-a file whose stored degree, kind, target or node differs from the derived
-one, or that stores a node count other than one per consecutive pair.
+A chain file holds what a chain value holds: its ladder and each
+component's ``index`` and ``basis``, from which ``chain`` derives the rest.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ from .linalg import Subspace, format_rational, parse_rational
 from .series import LimitLinearSeries, membership_failures
 from .torus import TorusSplit
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class SchemaError(ValueError):
@@ -81,9 +76,8 @@ def _ladder(d: int, steps: Any, listed: int, what: str) -> DeltaSet:
 
 # the keys the schema defines for each object of a file
 _SERIES_KEYS = frozenset({"schema_version", "kind", "d", "r", "delta", "spaces"})
-_CHAIN_KEYS = frozenset({"schema_version", "kind", "d", "r", "delta", "components", "nodes"})
-_COMPONENT_KEYS = frozenset({"index", "kind", "target", "degree", "basis"})
-_TARGET_KEYS = frozenset({"kind", "index"})
+_CHAIN_KEYS = frozenset({"schema_version", "kind", "d", "r", "delta", "components"})
+_COMPONENT_KEYS = frozenset({"index", "basis"})
 _SUBSPACE_KEYS = frozenset({"schema_version", "kind", "dim1", "dim2", "basis"})
 
 
@@ -201,16 +195,9 @@ def chain_to_json(c: ContinuousChain) -> dict:
         "r": c.rank,
         "delta": list(c.delta.steps),
         "components": [
-            {
-                "index": format_rational(comp.index),
-                "kind": comp.kind.value,
-                "target": {"kind": comp.target_kind, "index": comp.target_index},
-                "degree": comp.grassmann_degree,
-                "basis": _matrix_json(comp.base_space),
-            }
+            {"index": format_rational(comp.index), "basis": _matrix_json(comp.base_space)}
             for comp in c.components
         ],
-        "nodes": [_matrix_json(node) for node in c.nodes],
     }
 
 
@@ -225,38 +212,13 @@ def chain_from_json(payload: dict) -> ContinuousChain:
         components = []
         for raw in payload["components"]:
             _defined_keys(raw, _COMPONENT_KEYS, "a chain component")
-            comp = ChainComponent(
-                _rational(raw["index"], values),
-                _subspace_from_json(model.ambient_dim, raw["basis"], values, matrices),
-            )
-            target = raw["target"]
-            _defined_keys(target, _TARGET_KEYS, "a component target")
-            for field, stored, derived in (
-                ("degree", _integer(raw["degree"], "a component degree"), comp.grassmann_degree),
-                ("kind", raw["kind"], comp.kind.value),
-                ("target kind", target["kind"], comp.target_kind),
-                ("target index", _integer(target["index"], "a target index"), comp.target_index),
-            ):
-                if stored != derived:
-                    raise SchemaError(
-                        f"component {format_rational(comp.index)} stores {field}"
-                        f" {stored!r}, but its index and base space give {derived!r}"
-                    )
-            components.append(comp)
-        chain = ContinuousChain(model, rank, ladder, tuple(components))
-        stored_nodes = payload["nodes"]
-        if len(stored_nodes) != len(chain.nodes):
-            raise SchemaError(
-                f"the file stores {len(stored_nodes)} nodes, but its ladder has"
-                f" {len(chain.nodes)} consecutive pairs"
-            )
-        for k, (raw, node, left) in enumerate(zip(stored_nodes, chain.nodes, components)):
-            if _subspace_from_json(model.ambient_dim, raw, values, matrices) != node:
-                raise SchemaError(
-                    f"stored node {k} differs from the limit toward infinity of the"
-                    f" base space at {format_rational(left.index)}"
+            components.append(
+                ChainComponent(
+                    _rational(raw["index"], values),
+                    _subspace_from_json(model.ambient_dim, raw["basis"], values, matrices),
                 )
-        return chain
+            )
+        return ContinuousChain(model, rank, ladder, tuple(components))
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, ChainError) as exc:
@@ -317,7 +279,7 @@ def loads_instance(text: str) -> Instance:
     if not isinstance(payload, dict):
         raise SchemaError("top-level payload must be an object")
     version = payload.get("schema_version")
-    if type(version) is not int or version != SCHEMA_VERSION:  # 3.0 == 3
+    if type(version) is not int or version != SCHEMA_VERSION:  # 4.0 == 4
         raise SchemaError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
     kind = payload.get("kind")
     if type(kind) is not str or kind not in _FROM_JSON:

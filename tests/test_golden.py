@@ -34,39 +34,39 @@ GOLDEN = {
     "d8r7": {
         "build-chain": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "chain.dot": "195052fab8b5f946cc61690ad0cae09cbf2aedadeabaae972d16873e970be76f",
-        "chain.json": "57a7d05702f6ddaa3912ef1e947931d7551dfa31e51b098d9684c3a335b20759",
+        "chain.json": "c72d1cb60a343d812aff4ab7fd281ccb2f498638c219b35c6f620e9822dc0261",
         "check": "0 4c31bf2123cd1ddaf866328cccc8cacb90e80d0f46c2d65c5e6618e52e8458e7",
         "gen": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "numerical-data": "0 fb9d335d414d004bdf383990ae702d7ab03a4c8d77e285530be2fca04147c595",
-        "series.json": "d7e1d107d3a9c70a184fec5ed02a6d4b55cda1eaa98ac1e7bb532eff35a5fab5",
+        "series.json": "005bd7b6a0cab9d9fb701b822a6474feadf3c043f41352051849eb4cc8aafecd",
         "verify": "0 9adbb6f73f8123bbef36868732c37f249a5d27ab6523b4d3a8232208898f68ef",
         "verify --oracle": "0 52d51893d82cbc2dc73844895196dd498f6101c4ca5ed91c64175159c131cce4",
     },
     "d4r2": {
         "build-chain": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "chain.dot": "9c13f45c6bce567bfc4ec318edd38df370d68c1e580b95216c4a5d65fc2c7c5c",
-        "chain.json": "bf654f6fb096666a71120262bbc5e640cf6d1ed9d911290300c6f72f0d269478",
+        "chain.json": "f39754174a13fbc84b3211da9dfaef9f63ca58978a12c2f00e58c5a3ad3fd130",
         "check": "0 4c31bf2123cd1ddaf866328cccc8cacb90e80d0f46c2d65c5e6618e52e8458e7",
         "gen": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "numerical-data": "0 e7ed207784f4b2b8ce9b426ade116e6eb095217476c2391aeec008ba6d85f93b",
-        "series.json": "e64a1f751cc19412552b7abb71c8d8806923ab2f232682b5fd851b729e336a78",
+        "series.json": "0322a6cfa92f08a1a0a50792889f4a6f80a481c29cb4de22546ed1feabb3cbd7",
         "verify": "0 9adbb6f73f8123bbef36868732c37f249a5d27ab6523b4d3a8232208898f68ef",
         "verify --oracle": "0 52d51893d82cbc2dc73844895196dd498f6101c4ca5ed91c64175159c131cce4",
     },
     "d8r3": {
         "build-chain": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "chain.dot": "6421ef8cd0cf4ca678e7a1b6f037141e8d467477e7a2d97b00b51b4fe452fe7c",
-        "chain.json": "e1f73d0a81c0572a41f6f19cacd0a8779368c1fe259333bc01717202f3c9891e",
+        "chain.json": "e1cecdb22b2f5b3517d97abfb9467af0ee34d91233e59f5b97908de14578f18e",
         "check": "0 4c31bf2123cd1ddaf866328cccc8cacb90e80d0f46c2d65c5e6618e52e8458e7",
         "degree": "0 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
         "gen": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "limit --at infty": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "limit --at zero": "0 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "limit-infty.json": "4fb225fcddfe6dec6716c70682b1fc50242c2b26ead6985e04929675e2b45f21",
-        "limit-zero.json": "7b83f71c3259fcd68c32b17d1551ab81d63658ea8dff5a2700c13a60d46c3632",
+        "limit-infty.json": "308d46029824e46e94060be53d95d65046cdd83ad07f348b30a13f8f8b453ef8",
+        "limit-zero.json": "a219bd454e04894f659498f1ca448aa14a7bbcda2ff223fc5dc012c670727e25",
         "numerical-data": "0 55ad56e98e28868511571f8dae4cb687f5d63c2c8d80b47d105b85526be710b8",
-        "series.json": "8816763be07696599785b8ea8586ea8f75260b2c43e7a0f20e60f1e69fd0ab29",
-        "task.json": "39d83fcc905bae4bb778a560a9541294d472096e9a9643efe5f98aeb089f10c4",
+        "series.json": "237d61507c95ccfc678b035c961b08cccd96aae33f4b7e8351028c4b039fdebe",
+        "task.json": "785808040ef28c70336f95117df46ed6e46e569df46292c4521ba8073534fa69",
         "verify": "0 9adbb6f73f8123bbef36868732c37f249a5d27ab6523b4d3a8232208898f68ef",
         "verify --oracle": "0 52d51893d82cbc2dc73844895196dd498f6101c4ca5ed91c64175159c131cce4",
     },
@@ -124,10 +124,10 @@ def test_cli_outputs_are_byte_identical(name, tmp_path, capsys):
 # The generator's own outputs on a fixed set of draws, pinned the same way:
 # a change that keeps every canonical value keeps the random draws too.
 GENERATED = {
-    "exact": "1fe9e2a550346eb57b41e97a081ac33faeee9083a8b7416cb7e8c901fef53a6c",
-    "padded": "82ec23926e68fdf0bc9d092a648dece4d82dba16557b03128c7c7f2a37d31df3",
-    "corrupted": "6af497085616f79e3f46c14d4431bd1b22664db0d5315e26fa505d685b7d1024",
-    "linked": "61ffefdf754025e92d43ec486b93b556334a2d45662df4516e4c193b8070f90d",
+    "exact": "62793802d5510bb67845e5ad5087426d9368d2b9920d0d363652928fd09824c2",
+    "padded": "108b05c18f2f5567ac32cfb5b3ab6fe69dfbb1854bac3b696d45fe8daf673f54",
+    "corrupted": "7896a59cbdc25b0dd74086d6a4712b91860eace51e3367a79f258f3b8852e447",
+    "linked": "0685f053939c665a9e1bef1079fc87190c529b60f0df1339ef05fefc187479ac",
 }
 
 # (dim1, dim2, dim, meeting, mirrored), the linked-pair recipes of the

@@ -122,10 +122,10 @@ def _edit_tokens(row: str, rng: random.Random) -> str:
 def _mutate(payload: dict, rng: random.Random) -> str:
     """Mutate the payload in place once; returns what was done, and where.
 
-    An edit to every equal row string keeps a chain file's stored nodes in
-    step with the base spaces they equal, as a find-and-replace over the
-    file would, so such a mutant can load and then fail a check; an edit to
-    one base space usually moves the node beside it and is refused at load.
+    An edit to every equal row string changes each base space written
+    there, as a find-and-replace over the file would. A chain file holds no
+    node, so an edit to one base space or to every equal one may load, and
+    then fail a check (node gluing, say) with exit 1.
     """
     paths = list(_paths(payload))
     rows = [p for p in paths if isinstance(_at(payload, p), str) and " " in _at(payload, p)]

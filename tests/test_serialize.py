@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -57,7 +58,7 @@ def test_rationals_serialize_as_fraction_strings():
 def test_unknown_schema_version_rejected():
     g = random_exact_lls(1, 0, (1,), seed=0)
     payload = json.loads(dumps_instance(g))
-    payload["schema_version"] = 4
+    payload["schema_version"] = SCHEMA_VERSION + 1
     with pytest.raises(SchemaError):
         loads_instance(json.dumps(payload))
 
@@ -66,14 +67,23 @@ def test_unknown_schema_version_rejected():
 def test_schema_version_must_be_a_json_integer(version):
     payload = _payload("series")
     # the same non-integer form of the supported number
-    payload["schema_version"] = type(version)(3) if isinstance(version, (float, str)) else version
+    payload["schema_version"] = (
+        type(version)(SCHEMA_VERSION) if isinstance(version, (float, str)) else version
+    )
     with pytest.raises(SchemaError, match="unsupported schema_version"):
         loads_instance(json.dumps(payload))
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(SchemaError):
-        loads_instance(json.dumps({"schema_version": 3, "kind": "mystery"}))
+        loads_instance(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "mystery"}))
+
+
+def _subspace_payload(dim1, dim2, basis):
+    return {
+        "schema_version": SCHEMA_VERSION, "kind": "subspace", "dim1": dim1, "dim2": dim2,
+        "basis": basis,
+    }
 
 
 def test_not_json_rejected():
@@ -82,8 +92,8 @@ def test_not_json_rejected():
 
 
 def test_bad_matrix_entries_rejected():
-    payload = {"schema_version": 3, "kind": "subspace", "dim1": 1, "dim2": 1, "basis": ["1 x"]}
-    with pytest.raises(SchemaError):
+    payload = _subspace_payload(1, 1, ["1 x"])
+    with pytest.raises(SchemaError, match="bad matrix"):
         loads_instance(json.dumps(payload))
 
 
@@ -122,40 +132,10 @@ def test_dimension_mismatch_rejected_on_load():
 def test_lenient_rationals_rejected(entry):
     # a row string has no place for a bare JSON value, so one stands for the row
     row = f"1 {entry}" if isinstance(entry, str) else entry
-    payload = {"schema_version": 3, "kind": "subspace", "dim1": 1, "dim2": 1, "basis": [row]}
-    with pytest.raises(SchemaError):
+    payload = _subspace_payload(1, 1, [row])
+    # named, so a payload of a stale version cannot pass for its version
+    with pytest.raises(SchemaError, match="bad matrix|writes each matrix row as one string"):
         loads_instance(json.dumps(payload))
-
-
-@pytest.mark.parametrize(
-    "position, defect, message",
-    [
-        pytest.param(
-            4, lambda c: c["target"].update(index=0), "component 2 stores target index 0, but"
-            " its index and base space give 2", id="0",
-        ),
-        pytest.param(
-            0, lambda c: c["target"].update(index=-5), "component 0 stores target index -5,"
-            " but its index and base space give 0", id="-5",
-        ),
-        pytest.param(
-            0, lambda c: c["target"].update(index=3), "component 0 stores target index 3, but"
-            " its index and base space give 0", id="3",
-        ),
-        pytest.param(
-            1, lambda c: c["target"].update(kind="component"), "component 1/2 stores target"
-            " kind 'component', but its index and base space give 'node'", id="target-kind",
-        ),
-        pytest.param(
-            2, lambda c: c.update(kind="orbit"), "component 1 stores kind 'orbit', but its"
-            " index and base space give 'fixed'", id="kind",
-        ),
-    ],
-)
-def test_chain_targets_outside_the_degree_rejected(position, defect, message, tmp_path, capsys):
-    """A stored kind or target is re-derived from the component's index and
-    base space, and any other value, in range or not, is refused as malformed."""
-    _refused(lambda payload: defect(payload["components"][position]), message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
@@ -163,11 +143,6 @@ def test_chain_targets_outside_the_degree_rejected(position, defect, message, tm
     [
         pytest.param(lambda p: p.update(r=-1), "rank must be nonnegative", id="rank-1"),
         pytest.param(lambda p: p.update(r=5), "base space at 0 has dimension 2", id="rank5"),
-        pytest.param(
-            lambda p: p["nodes"][0].pop(),
-            "stored node 0 differs from the limit toward infinity of the base space at 0",
-            id="node",
-        ),
     ],
 )
 def test_chain_spaces_of_the_wrong_dimension_are_refused(defect, message, tmp_path, capsys):
@@ -199,74 +174,48 @@ def _refused(defect, message, tmp_path, capsys, kind="chain"):
     assert message in captured.err
 
 
-@pytest.mark.parametrize(
-    "position, degree, message",
-    [
-        pytest.param(
-            1, 2, "component 1/2 stores degree 2, but its index and base space give 1",
-            id="orbit",
-        ),
-        pytest.param(
-            2, 1, "component 1 stores degree 1, but its index and base space give 0",
-            id="fixed",
-        ),
-    ],
-)
-def test_a_chain_file_with_an_edited_stored_degree_is_refused(
-    position, degree, message, tmp_path, capsys
-):
-    """The degree is read off the base space, so a stored degree that
-    differs is refused before the kind it would also contradict."""
-
-    def defect(payload):
-        payload["components"][position]["degree"] = degree
-
-    _refused(defect, message, tmp_path, capsys)
-
-
-@pytest.mark.parametrize(
-    "defect, message",
-    [
-        pytest.param(
-            lambda nodes: nodes.__setitem__(0, nodes[1]),
-            "stored node 0 differs from the limit toward infinity of the base space at 0",
-            id="node-edited",
-        ),
-        pytest.param(
-            lambda nodes: nodes.pop(),
-            "the file stores 3 nodes, but its ladder has 4 consecutive pairs",
-            id="node-dropped",
-        ),
-        pytest.param(
-            lambda nodes: nodes.append(nodes[-1]),
-            "the file stores 5 nodes, but its ladder has 4 consecutive pairs",
-            id="node-added",
-        ),
-    ],
-)
-def test_a_chain_file_with_an_edited_stored_node_is_refused(defect, message, tmp_path, capsys):
-    """Node k is the limit toward infinity of base space k, so a stored node
-    that differs, or a node count other than one per pair, is refused."""
-    _refused(lambda payload: defect(payload["nodes"]), message, tmp_path, capsys)
+def test_a_chain_file_with_an_edited_base_space_loads_and_fails_verify(tmp_path, capsys):
+    """A file holds no node to contradict its base spaces, so one token
+    edited in the base space at 1/2 loads, and the node it moves no longer
+    matches the next space's limit: verify reports node gluing (exit 1)."""
+    payload = _payload("chain")
+    rows = payload["components"][1]["basis"]
+    assert (payload["components"][1]["index"], rows[1]) == ("1/2", "0 0 1 0 0 0")
+    rows[1] = "0 0 1 0 0 1"
+    loaded = loads_instance(json.dumps(payload))
+    assert loaded.components[1].base_space.rows[1][-1] == 1
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "node gluing: FAIL\n"
+        "  - node between 1/2 and 1 does not match both orbit limits\n"
+        "degree budget: pass\n"
+        "node transversality: pass\n"
+        "weight intervals: pass\n"
+        "section-space membership: pass\n"
+    )
 
 
 @pytest.mark.parametrize(
     "data, message",
     [
         pytest.param(
-            b'{"schema_version": 3, "kind": [], "dim1": 3, "dim2": 3, "basis": []}',
+            b'{"schema_version": 4, "kind": [], "dim1": 3, "dim2": 3, "basis": []}',
             "unknown payload kind",
             id="array-kind",
         ),
         pytest.param(
-            b'{"schema_version": 3, "kind": {}, "dim1": 3, "dim2": 3, "basis": []}',
+            b'{"schema_version": 4, "kind": {}, "dim1": 3, "dim2": 3, "basis": []}',
             "unknown payload kind",
             id="object-kind",
         ),
         pytest.param(b"\xff\xfe\x00", "not UTF-8", id="not-utf8"),
         pytest.param(b"[" * 200_000 + b"]" * 200_000, "not JSON", id="deep"),
         pytest.param(
-            b'{"schema_version": 3, "kind": "subspace", "dim1": 1%s, "dim2": 1, "basis": []}'
+            b'{"schema_version": 4, "kind": "subspace", "dim1": 1%s, "dim2": 1, "basis": []}'
             % (b"0" * getattr(sys, "get_int_max_str_digits", lambda: 0)()),
             "not JSON",
             id="long-integer",
@@ -300,18 +249,36 @@ def _map_matrices(payload, f):
     elif payload["kind"] == "chain":
         for comp in payload["components"]:
             comp["basis"] = f(comp["basis"])
-        payload["nodes"] = [f(rows) for rows in payload["nodes"]]
+        if "nodes" in payload:
+            payload["nodes"] = [f(rows) for rows in payload["nodes"]]
     else:
         payload["basis"] = f(payload["basis"])
     return payload
 
 
 def in_version(payload, version):
-    """A current payload rewritten as a file of version 1 or 2, which wrote
-    every matrix row as an array of entry strings; a version 1 chain also
-    stored its Hilbert data, the same for every chain of its d and r."""
+    """A current payload rewritten as a file of version 1, 2 or 3.
+
+    A chain file of those versions also stored each component's degree,
+    kind and target and the chain's nodes; versions 1 and 2 wrote every
+    matrix row as an array of entry strings; a version 1 chain also stored
+    its Hilbert data, the same for every chain of its d and r.
+    """
+    if payload["kind"] == "chain":
+        chain = loads_instance(json.dumps(payload))
+        for raw, comp in zip(payload["components"], chain.components):
+            integer = comp.index.denominator == 1
+            raw["degree"] = comp.grassmann_degree
+            raw["kind"] = comp.kind.value
+            raw["target"] = {
+                "kind": "component" if integer else "node", "index": math.ceil(comp.index)
+            }
+        payload["nodes"] = [
+            [" ".join(map(format_rational, row)) for row in node.rows] for node in chain.nodes
+        ]
     payload["schema_version"] = version
-    _map_matrices(payload, lambda rows: [row.split(" ") for row in rows])
+    if version < 3:
+        _map_matrices(payload, lambda rows: [row.split(" ") for row in rows])
     if payload["kind"] == "chain" and version == 1:
         targets = [1] * (payload["d"] + 1)
         payload["hilbert"] = {
@@ -321,11 +288,16 @@ def in_version(payload, version):
 
 
 def converted(payload):
-    """A version 1 or 2 payload converted as the README says: each row's
-    entries joined with single spaces, a version 1 chain's ``hilbert``
-    dropped and ``schema_version`` set to 3."""
-    _map_matrices(payload, lambda rows: [" ".join(row) for row in rows])
+    """A version 1, 2 or 3 payload converted as the README says: each row's
+    entries joined with single spaces where they are an array, a version 1
+    chain's ``hilbert`` dropped, a chain's ``nodes`` dropped and only each
+    component's ``index`` and ``basis`` kept, and ``schema_version`` set to 4."""
+    _map_matrices(payload, lambda rows: [r if isinstance(r, str) else " ".join(r) for r in rows])
     payload.pop("hilbert", None)
+    payload.pop("nodes", None)
+    for comp in payload.get("components", ()):
+        for key in ("degree", "kind", "target"):
+            comp.pop(key)
     payload["schema_version"] = SCHEMA_VERSION
     return payload
 
@@ -350,8 +322,6 @@ NON_INTEGERS = [
     pytest.param("series", ("r",), lambda r: r + 0.5, id="r-float"),
     pytest.param("series", ("delta",), lambda s: [s[0] - 0.3] + s[1:], id="delta-float"),
     pytest.param("subspace", ("dim1",), lambda n: n + 0.5, id="dim1-float"),
-    pytest.param("chain", ("components", 0, "degree"), float, id="degree-float"),
-    pytest.param("chain", ("components", 0, "target", "index"), float, id="target-float"),
 ]
 
 
@@ -382,8 +352,8 @@ def test_delta_is_bounded_by_the_file(kind, listed):
 def test_dumps_writes_the_current_version():
     for kind in ("series", "chain", "subspace"):
         payload = _payload(kind)
-        assert payload["schema_version"] == SCHEMA_VERSION == 3
-        assert "hilbert" not in payload
+        assert payload["schema_version"] == SCHEMA_VERSION == 4
+        assert "hilbert" not in payload and "nodes" not in payload
 
 
 def _unsupported(version):
@@ -398,7 +368,7 @@ _READERS = {
 }
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["series", "chain", "subspace"])
 def test_files_of_versions_1_and_2_are_refused(kind, version, tmp_path, capsys):
     payload = _payload(kind, version)
@@ -417,7 +387,7 @@ def test_files_of_versions_1_and_2_are_refused(kind, version, tmp_path, capsys):
 def test_old_files_load_once_converted_as_the_readme_says():
     for obj in _seeded_instances():
         text = dumps_instance(obj)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             payload = in_version(json.loads(text), version)
             with pytest.raises(SchemaError, match=_unsupported(version)):
                 loads_instance(json.dumps(payload))
@@ -460,7 +430,7 @@ def test_v1_chain_without_hilbert_data_is_refused():
 
 def test_v2_chain_with_hilbert_data_is_refused():
     hilbert = _payload("chain", 1)["hilbert"]
-    for version, message in ((2, _unsupported(2)), (3, _HILBERT_KEY)):
+    for version, message in ((2, _unsupported(2)), (SCHEMA_VERSION, _HILBERT_KEY)):
         payload = _payload("chain", version)
         payload["hilbert"] = hilbert
         with pytest.raises(SchemaError, match=re.escape(message)):
@@ -474,19 +444,25 @@ UNDEFINED_KEYS = [
     pytest.param(
         "chain", lambda p: p["components"][1], "note", "a chain component", id="component"
     ),
-    pytest.param(
-        "chain", lambda p: p["components"][1]["target"], "note", "a component target",
-        id="target",
-    ),
     pytest.param("subspace", lambda p: p, "note", "a subspace file", id="subspace"),
     pytest.param("chain", lambda p: p, "hilbert", "a chain file", id="chain-hilbert"),
+    # what a version 3 chain stored beside each index and basis
+    pytest.param("chain", lambda p: p, "nodes", "a chain file", id="chain-nodes"),
+    *(
+        pytest.param(
+            "chain", lambda p: p["components"][1], key, "a chain component", id=f"component-{key}"
+        )
+        for key in ("kind", "target", "degree")
+    ),
 ]
 
 
 @pytest.mark.parametrize("kind, where, key, what", UNDEFINED_KEYS)
 def test_keys_the_schema_does_not_define_are_refused(kind, where, key, what, tmp_path, capsys):
     def defect(payload):
-        where(payload)[key] = _payload("chain", 1)["hilbert"] if key == "hilbert" else "by hand"
+        # the value an older file holds there, if any
+        older = where(_payload(kind, 1 if key == "hilbert" else 3))
+        where(payload)[key] = older.get(key, "by hand")
 
     message = f"{what} has a key the schema does not define: {key!r}"
     _refused(defect, message, tmp_path, capsys, kind)
@@ -510,7 +486,7 @@ def _matrices(payload):
     if payload["kind"] == "level_delta_series":
         return list(payload["spaces"].values())
     if payload["kind"] == "chain":
-        return [comp["basis"] for comp in payload["components"]] + payload["nodes"]
+        return [comp["basis"] for comp in payload["components"]] + payload.get("nodes", [])
     return [payload["basis"]]
 
 
@@ -518,12 +494,12 @@ def _matrices(payload):
 _COMMAND = {"series": ["check"], "chain": ["verify"], "subspace": ["degree"]}
 
 ROW_FORM_DEFECTS = [
-    pytest.param(3, lambda row: row.replace(" ", "  ", 1), id="double-space"),
-    pytest.param(3, lambda row: " " + row, id="leading-space"),
-    pytest.param(3, lambda row: row + " ", id="trailing-space"),
-    pytest.param(3, lambda row: row.replace(" ", "\t", 1), id="tab"),
-    pytest.param(3, lambda row: "", id="empty-row-string"),
-    pytest.param(3, lambda row: row.split(" "), id="array-row-in-v3"),
+    pytest.param(SCHEMA_VERSION, lambda row: row.replace(" ", "  ", 1), id="double-space"),
+    pytest.param(SCHEMA_VERSION, lambda row: " " + row, id="leading-space"),
+    pytest.param(SCHEMA_VERSION, lambda row: row + " ", id="trailing-space"),
+    pytest.param(SCHEMA_VERSION, lambda row: row.replace(" ", "\t", 1), id="tab"),
+    pytest.param(SCHEMA_VERSION, lambda row: "", id="empty-row-string"),
+    pytest.param(SCHEMA_VERSION, lambda row: row.split(" "), id="array-row"),
     # rows joined but the version left at 2: a conversion half done
     pytest.param(2, lambda row: " ".join(row), id="row-string-in-v2"),
 ]
@@ -608,14 +584,14 @@ def test_other_spanning_sets_load_to_the_canonical_value(respan, eliminations):
     assert calls
 
 
-@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize("version", [1, 3, 4])
 @pytest.mark.parametrize(
     "lengths", [(3, 4), (3, 5), (5, 3), (4, 5)], ids=["short", "short-long", "long-short", "long"]
 )
 def test_rows_of_unequal_length_are_refused(version, lengths):
     # (3, 5) and (5, 3) hold 8 = 2 x 4 entries, as a 2-row basis of Q^4 does
     rows = [" ".join(["1"] + ["0"] * (k - 1)) for k in lengths]
-    payload = {"schema_version": 3, "kind": "subspace", "dim1": 2, "dim2": 2, "basis": rows}
+    payload = _subspace_payload(2, 2, rows)
     bad = next(k for k in lengths if k != 4)
     message = f"bad matrix: vector of length {bad} in ambient dimension 4"
     if version != SCHEMA_VERSION:
@@ -627,7 +603,7 @@ def test_rows_of_unequal_length_are_refused(version, lengths):
 
 
 def _file_tokens(payload):
-    """The distinct rational texts of a version 3 file: every entry of every
+    """The distinct rational texts of a current file: every entry of every
     row string, and a chain's component indices."""
     tokens = {comp["index"] for comp in payload.get("components", ())}
     for rows in _matrices(payload):
@@ -682,7 +658,7 @@ def _distinct_matrix_texts(payload):
     return {json.dumps(rows) for rows in _matrices(payload)}
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["series", "chain"])
 def test_equal_matrices_of_a_file_load_as_one_subspace(kind, version):
     payload = _verify_large_payload(kind, version)
@@ -700,7 +676,7 @@ def test_equal_matrices_of_a_file_load_as_one_subspace(kind, version):
     assert repeats
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize("kind", ["series", "chain"])
 def test_each_distinct_matrix_is_built_once_per_file(kind, version, monkeypatch):
     payload = _verify_large_payload(kind, version)

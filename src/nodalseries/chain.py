@@ -12,8 +12,9 @@ its index and base space; a chain file holds the same (see ``serialize``).
 Everything else is read off the base spaces once, when the value is made: a
 component's orbit degree from its space's block profile, its kind from its
 degree, and node k, where components k and k + 1 are glued, as the limit
-toward infinity of component k's space. So no value or file can hold a node
-or degree that disagrees with its spaces, and nothing checks one.
+toward infinity of component k's space. So no value can hold a node or
+degree that disagrees with its spaces, no file stores one, and nothing
+checks one.
 
 Construction reads the series' ``g.profiles``; validation reads the chain's
 ``c.profiles``. Both are the block profiles that ``torus.block_profile``

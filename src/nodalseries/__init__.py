@@ -61,7 +61,6 @@ from .chain import (
     ContinuousChain,
     build_chain,
     emit_dot,
-    evaluate_at_base_points,
     validate_chain,
 )
 from .oracle import (

@@ -4,34 +4,34 @@ An exact minimal series determines a chain with one component per ladder
 index: the component carries the series' subspace there as its base point,
 is either a fixed point or a genuine orbit curve in the Grassmannian, and
 consecutive components glue at the shared boundary limit of their orbits.
-The construction fails precisely where exactness fails, and the failing
-pair it reports is the same pair the exactness check reports.
+The construction fails precisely where exactness fails, at the pair the
+exactness check reports.
 
-A chain holds its model, rank, ladder and components, and a component only
-its index and base space; a chain file holds the same (see ``serialize``).
-Everything else is read off the base spaces once, when the value is made: a
-component's orbit degree from its space's block profile, its kind from its
-degree, and node k, where components k and k + 1 are glued, as the limit
-toward infinity of component k's space. So no value can hold a node or
-degree that disagrees with its spaces, no file stores one, and nothing
-checks one.
+A chain is its series: ``ContinuousChain`` has one field, ``series``, and
+its model, rank, ladder and spaces are the series' (``c.series.model`` and
+so on). A component holds only its index and base space, and a chain file
+holds the series' ladder and one index and basis per component (see
+``serialize``). Everything else is read off the base spaces once, when the
+value is made: a component's orbit degree from its space's block profile,
+its kind from its degree, and node k, where components k and k + 1 are
+glued, as the limit toward infinity of component k's space. So no value can
+hold a node or degree that disagrees with its spaces, no file stores one,
+and nothing checks one.
 
-Construction reads the series' ``g.profiles``; validation reads the chain's
-``c.profiles``. Both are the block profiles that ``torus.block_profile``
-keeps on each space. A profile is a function of the immutable space it is
-kept on; a chain built from a series holds the series' ``Subspace`` objects
-and finds their profiles already there, while a chain loaded from a file
-profiles its base spaces afresh when its components are made, once per
-distinct matrix of the file. A profile costs one elimination for a moving
-space and none for a fixed one, so plain ``verify`` of a series makes one
-elimination per moving space in all, and ``emit_dot`` makes none: every
-node is a fixed point. Limits come from ``torus.limit`` on the space held,
-which returns a fixed space itself, so a node beside a fixed component on
-its left is that component's base space, the same object. A moving space's
-profile keeps each limit it assembles, so the gluing loop of
-:func:`build_chain`, the chain's nodes, the gluing check of
-:func:`validate_chain` and the meeting points share one value per moving
-space and direction.
+Construction and validation read ``series.profiles``, the block profiles
+that ``torus.block_profile`` keeps on each space. A profile is a function of
+the immutable space it is kept on; a chain built from a series holds the
+series' ``Subspace`` objects and finds their profiles already there, while a
+chain loaded from a file profiles its base spaces afresh when its components
+are made, once per distinct matrix of the file. A profile costs one
+elimination for a moving space and none for a fixed one, so plain ``verify``
+of a series makes one elimination per moving space in all, and ``emit_dot``
+makes none: every node is a fixed point. Limits come from ``torus.limit`` on
+the space held, which returns a fixed space itself, so a node beside a fixed
+component on its left is that component's base space, the same object. A
+moving space's profile keeps each limit it assembles, so the chain's nodes,
+the gluing check of :func:`validate_chain` and the meeting points share one
+value per moving space and direction.
 """
 
 from __future__ import annotations
@@ -40,12 +40,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import CurveModel, is_generalized_linear_series
-from .delta import DeltaSet, consecutive_pairs
+from .delta import consecutive_pairs
 from .linalg import Subspace, format_rational
-from .series import LimitLinearSeries
+from .series import LimitLinearSeries, check_exact, membership_failures
 from .torus import (
-    BlockProfile,
     Direction,
     IntersectionHypothesisError,
     TorusSplit,
@@ -106,67 +104,55 @@ class ChainComponent:
 
 @dataclass(frozen=True)
 class ContinuousChain:
-    """The full chain: its components in ladder order.
+    """The chain of a series: one component per index, in ladder order.
 
-    ``nodes`` holds node k, where components k and k + 1 are glued, for each
-    consecutive pair. It is read off the base spaces once, when the chain is
-    made: node k is the limit toward infinity of component k's base space,
-    which is that space itself when it is fixed. It is not a field.
+    Its one field is the series, whose constructor checks the shape: one
+    space per index, each of dimension rank + 1 in the model's ambient
+    space, on a ladder of the model's degree. ``components`` holds one
+    :class:`ChainComponent` per ``series.items()``, and ``nodes`` holds node
+    k, where components k and k + 1 are glued, for each consecutive pair:
+    the limit toward infinity of component k's base space, which is that
+    space itself when it is fixed. Both are read off the series once, when
+    the chain is made, and neither is a field.
     """
 
-    model: CurveModel
-    rank: int
-    delta: DeltaSet
-    components: tuple[ChainComponent, ...]
+    series: LimitLinearSeries
 
     def __post_init__(self) -> None:
-        if type(self.rank) is not int:
-            raise TypeError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank < 0:
-            raise ChainError("rank must be nonnegative")
-        object.__setattr__(self, "components", tuple(self.components))
-        for c in self.components:
-            v = c.base_space
-            if (v.ambient_dim, v.dim) != (self.model.ambient_dim, self.rank + 1):
-                raise ChainError(
-                    f"base space at {format_rational(c.index)} has dimension {v.dim} in"
-                    f" Q^{v.ambient_dim}, expected {self.rank + 1} in Q^{self.model.ambient_dim}"
-                )
-        if len(self.components) != len(self.delta):
-            raise ChainError("one component per ladder index is required")
-        if tuple(c.index for c in self.components) != self.delta.indices:
-            raise ChainError("components are not aligned with the ladder")
-        split = self.model.split
-        nodes = tuple(
-            limit(split, c.base_space, Direction.INFINITY) for c in self.components[:-1]
-        )
+        g = self.series
+        components = tuple(ChainComponent(i, v) for i, v in g.items())
+        nodes = tuple(limit(g.model.split, v, Direction.INFINITY) for v in g.spaces[:-1])
+        object.__setattr__(self, "components", components)
         object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def profiles(self) -> tuple[BlockProfile, ...]:
-        """One block profile per base space, each read from its space's memo."""
-        return tuple(block_profile(self.model.split, c.base_space) for c in self.components)
 
 
 def build_chain(g: LimitLinearSeries) -> ContinuousChain:
     """Assemble the chain of an exact minimal series.
 
-    Gluing is attempted pair by pair: the outgoing limit of each space must
-    equal the incoming limit of the next one, which holds exactly when the
-    linking equalities do. Afterwards minimality is enforced so that no
-    non-integer component degenerates to a constant. Limits, minimality and
-    each component's degree are read off one block profile per space; the
-    chain reads its nodes off the same limits.
+    Gluing at a pair (i, j) asks the outgoing limit of V_i, inside_first(i)
+    + onto_second(i), to equal the incoming limit of V_j, onto_first(j) +
+    inside_second(j). That holds exactly when both linking equalities hold
+    there, so gluing fails first at :func:`series.check_exact`'s first
+    failing pair, and nothing compares the limits again. Then minimality is
+    enforced, so that no non-integer component degenerates to a constant.
+
+    The degree budget needs no check here; :func:`validate_chain` reports
+    it. A component's degree is dim onto_first - dim inside_first, and
+    exactness gives onto_first(j) = inside_first(i) at each pair, so the
+    degrees telescope to dim onto_first(0) - dim inside_first(d) = r + 1 -
+    dim(V_0 ∩ W2) - dim(V_d ∩ W1). That is r + 1 for any series that lies in
+    its section spaces: the one at index 0 meets W2 in 0 and the one at d
+    meets W1 in 0.
     """
-    split = g.model.split
-    for (i, j), left, right in zip(consecutive_pairs(g.delta), g.spaces, g.spaces[1:]):
-        if limit(split, left, Direction.INFINITY) != limit(split, right, Direction.ZERO):
-            raise ChainBuildError(
-                f"gluing failed at the pair ({format_rational(i)}, {format_rational(j)}):"
-                " the outgoing and incoming orbit limits differ, so the series"
-                " is not exact there",
-                failing_pair=(i, j),
-            )
+    pair = check_exact(g).first_failing_pair()
+    if pair is not None:
+        i, j = pair
+        raise ChainBuildError(
+            f"gluing failed at the pair ({format_rational(i)}, {format_rational(j)}):"
+            " the outgoing and incoming orbit limits differ, so the series"
+            " is not exact there",
+            failing_pair=pair,
+        )
     # an index's mobile dimension is its space's orbit degree
     lazy = [
         format_rational(i)
@@ -179,14 +165,7 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
             + ", ".join(lazy)
             + " carry no mobile dimension and would give constant components"
         )
-    components = tuple(ChainComponent(i, v) for i, v in g.items())
-    total_degree = sum(c.grassmann_degree for c in components)
-    if total_degree != g.rank + 1:
-        raise ChainBuildError(
-            f"degree budget violated: component degrees sum to {total_degree},"
-            f" expected {g.rank + 1}"
-        )
-    return ContinuousChain(g.model, g.rank, g.delta, components)
+    return ContinuousChain(g)
 
 
 @dataclass(frozen=True)
@@ -257,11 +236,13 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
     gluing, because the first-block parts of the two limits at a node are
     inside_first of the left space and onto_first of the right one.
 
-    Every check reads ``c.profiles``, the profiles kept on the base spaces.
+    Every check reads ``c.series.profiles``, the profiles kept on the base
+    spaces.
     """
-    split = c.model.split
-    pairs = consecutive_pairs(c.delta)
-    profiles = c.profiles
+    g = c.series
+    split = g.model.split
+    pairs = consecutive_pairs(g.delta)
+    profiles = g.profiles
 
     glue_failures: list[str] = []
     for (i, j), node, right in zip(pairs, c.nodes, c.components[1:]):
@@ -273,8 +254,8 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
 
     degree_failures: list[str] = []
     total = sum(profile.degree for profile in profiles)
-    if total != c.rank + 1:
-        degree_failures.append(f"orbit degrees sum to {total}, expected {c.rank + 1}")
+    if total != g.rank + 1:
+        degree_failures.append(f"orbit degrees sum to {total}, expected {g.rank + 1}")
 
     transversality_failures: list[str] = []
     steps = zip(pairs, c.nodes, c.components, c.components[1:], profiles, profiles[1:])
@@ -296,10 +277,10 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
 
     interval_failures: list[str] = []
     if profiles:
-        if profiles[0].onto_first.dim != c.rank + 1:
+        if profiles[0].onto_first.dim != g.rank + 1:
             interval_failures.append(
                 f"first component reaches first-block dimension"
-                f" {profiles[0].onto_first.dim}, expected {c.rank + 1}"
+                f" {profiles[0].onto_first.dim}, expected {g.rank + 1}"
             )
         if profiles[-1].inside_first.dim != 0:
             interval_failures.append(
@@ -314,13 +295,11 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
                 f" {right.onto_first.dim}"
             )
 
-    membership_failures: list[str] = []
-    for comp in c.components:
-        if not is_generalized_linear_series(c.model, comp.base_space, comp.index, c.rank):
-            membership_failures.append(
-                f"base space at {format_rational(comp.index)} is not an"
-                f" (r+1)-dimensional subspace of its section space"
-            )
+    outside = tuple(
+        f"base space at {format_rational(i)} is not an (r+1)-dimensional"
+        " subspace of its section space"
+        for i in membership_failures(g)
+    )
 
     return ChainValidationReport(
         gluing=CheckResult("node gluing", not glue_failures, tuple(glue_failures)),
@@ -331,16 +310,7 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
         weight_intervals=CheckResult(
             "weight intervals", not interval_failures, tuple(interval_failures)
         ),
-        membership=CheckResult(
-            "section-space membership", not membership_failures, tuple(membership_failures)
-        ),
-    )
-
-
-def evaluate_at_base_points(c: ContinuousChain) -> LimitLinearSeries:
-    """Read the series back off the chain's base points."""
-    return LimitLinearSeries(
-        c.model, c.rank, c.delta, tuple(comp.base_space for comp in c.components)
+        membership=CheckResult("section-space membership", not outside, outside),
     )
 
 
@@ -352,7 +322,7 @@ def emit_dot(c: ContinuousChain) -> str:
     fixed point) is read off its canonical basis with no elimination. Equal
     chains produce byte-identical output.
     """
-    split = c.model.split
+    split = c.series.model.split
     lines = ["digraph chain {", "  rankdir=LR;"]
     for comp in c.components:
         name = format_rational(comp.index)
@@ -361,7 +331,7 @@ def emit_dot(c: ContinuousChain) -> str:
             f'  "{name}" [shape={shape} label="i={name}\\n{comp.kind.value}'
             f' deg={comp.grassmann_degree}"];'
         )
-    for (i, j), node in zip(consecutive_pairs(c.delta), c.nodes):
+    for (i, j), node in zip(consecutive_pairs(c.series.delta), c.nodes):
         profile = block_profile(split, node)
         label = f"({profile.inside_first.dim}|{profile.inside_second.dim})"
         lines.append(

@@ -204,23 +204,22 @@ def _verify_chain(chain: ContinuousChain, use_oracle: bool, samples: int) -> int
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     obj = _load(args.file, _VERIFIABLE)
-    if obj.model.d > MAX_DEGREE:
+    g = obj if isinstance(obj, LimitLinearSeries) else obj.series
+    if g.model.d > MAX_DEGREE:
         print(
-            f"error: verify handles degrees 0 through {MAX_DEGREE}, got {obj.model.d}",
+            f"error: verify handles degrees 0 through {MAX_DEGREE}, got {g.model.d}",
             file=sys.stderr,
         )
         return 2
-    if isinstance(obj, LimitLinearSeries):
-        exact = check_exact(obj)
-        data = numerical_data(obj)
+    if obj is g:
+        exact = check_exact(g)
+        data = numerical_data(g)
         print(f"exact: {str(exact.passed).lower()}")
         print(f"minimal: {str(data.is_minimal()).lower()}")
         if not exact.passed or not data.is_minimal():
             return 1
-        chain = build_chain(obj)
-    else:
-        chain = obj
-    return _verify_chain(chain, args.oracle, args.samples)
+        obj = ContinuousChain(g)
+    return _verify_chain(obj, args.oracle, args.samples)
 
 
 def _sample_count(text: str) -> int:

@@ -30,9 +30,6 @@ class DeltaSet:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.indices)
 
-    def __contains__(self, i: object) -> bool:
-        return i in self.indices
-
     def position(self, i: Fraction) -> int:
         try:
             return self.indices.index(i)

@@ -216,7 +216,7 @@ def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
     ``orbit_intersection`` counts as no meeting): a meeting of linked orbits
     is always transverse (see :func:`chain.validate_chain`).
     """
-    split = chain.model.split
+    split = chain.series.model.split
     mismatch = []
     levels = [_levels(split, comp.base_space) for comp in chain.components]
     for comp, by_weight in zip(chain.components, levels):
@@ -286,13 +286,14 @@ def sample_orbit_check(
             f"samples per component must lie in 1..{MAX_SAMPLES},"
             f" got {samples_per_component}"
         )
-    split = chain.model.split
+    model = chain.series.model
+    split = model.split
     rng = random.Random(seed)
     failures: list[str] = []
     for comp in chain.components:
         stream = random.Random(rng.getrandbits(64))
         xs = _random_torus_elements(stream, samples_per_component)
-        fiber = section_space(chain.model, comp.index)
+        fiber = section_space(model, comp.index)
         seen: set[Subspace] = set()
         for x in xs:
             moved = act(split, x, comp.base_space)

@@ -22,8 +22,13 @@ Only version 4 loads; a file of any other ``schema_version`` is refused
 before its payload is read. Each object of a file may hold only the keys the
 schema defines for it, and any other key is refused by name.
 
-A chain file holds what a chain value holds: its ladder and each
-component's ``index`` and ``basis``, from which ``chain`` derives the rest.
+A chain file holds what a chain value holds, its series: the series'
+ladder and, in ladder order, each component's ``index`` and ``basis``. The
+loader reads them into a ``LimitLinearSeries``, refuses a component whose
+index is not the ladder's at its position, and makes the chain of that
+series, from which ``chain`` derives the rest. Unlike a series file, a chain
+file is not checked for section-space membership when it loads; ``verify``
+reports it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .chain import ChainComponent, ChainError, ContinuousChain
+from .chain import ContinuousChain
 from .curve import CurveModel
 from .delta import DeltaSet, build_delta
 from .linalg import Subspace, format_rational, parse_rational
@@ -95,15 +100,8 @@ def _matrix_json(v: Subspace) -> list[str]:
     return [" ".join(map(format_rational, row)) for row in v.rows]
 
 
-def _rational(token: Any, values: dict[str, Fraction]) -> Fraction:
-    """The value of one entry, parsed once per file through its token table.
-
-    Row strings split into string tokens only, so a non-string here is a
-    chain component's ``index``; it goes to parse_rational, whose refusal
-    names it.
-    """
-    if type(token) is not str:
-        return parse_rational(token)
+def _rational(token: str, values: dict[str, Fraction]) -> Fraction:
+    """The value of one entry, parsed once per file through its token table."""
     value = values.get(token)
     if value is None:
         value = values[token] = parse_rational(token)
@@ -170,9 +168,6 @@ def series_from_json(payload: dict) -> LimitLinearSeries:
             spaces.append(
                 _subspace_from_json(model.ambient_dim, raw_spaces[key], values, matrices)
             )
-        extra = set(raw_spaces) - {format_rational(i) for i in ladder.indices}
-        if extra:
-            raise SchemaError(f"spaces at indices outside the ladder: {sorted(extra)}")
         g = LimitLinearSeries(model, rank, ladder, tuple(spaces))
     except SchemaError:
         raise
@@ -188,15 +183,15 @@ def series_from_json(payload: dict) -> LimitLinearSeries:
 
 
 def chain_to_json(c: ContinuousChain) -> dict:
+    g = c.series
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "chain",
-        "d": c.model.d,
-        "r": c.rank,
-        "delta": list(c.delta.steps),
+        "d": g.model.d,
+        "r": g.rank,
+        "delta": list(g.delta.steps),
         "components": [
-            {"index": format_rational(comp.index), "basis": _matrix_json(comp.base_space)}
-            for comp in c.components
+            {"index": format_rational(i), "basis": _matrix_json(v)} for i, v in g.items()
         ],
     }
 
@@ -209,19 +204,22 @@ def chain_from_json(payload: dict) -> ContinuousChain:
         ladder = _ladder(model.d, payload["delta"], len(payload["components"]), "components")
         values: dict[str, Fraction] = {}
         matrices: dict[tuple, Subspace] = {}
-        components = []
-        for raw in payload["components"]:
+        spaces = []
+        for i, raw in zip(ladder.indices, payload["components"]):
             _defined_keys(raw, _COMPONENT_KEYS, "a chain component")
-            components.append(
-                ChainComponent(
-                    _rational(raw["index"], values),
-                    _subspace_from_json(model.ambient_dim, raw["basis"], values, matrices),
+            index = parse_rational(raw["index"])
+            if index != i:
+                raise SchemaError(
+                    f"component index {format_rational(index)} is not the ladder's"
+                    f" index {format_rational(i)} at its position"
                 )
+            spaces.append(
+                _subspace_from_json(model.ambient_dim, raw["basis"], values, matrices)
             )
-        return ContinuousChain(model, rank, ladder, tuple(components))
+        return ContinuousChain(LimitLinearSeries(model, rank, ladder, tuple(spaces)))
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError, ChainError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad chain payload: {exc}") from exc
 
 

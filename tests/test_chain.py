@@ -11,13 +11,13 @@ from nodalseries.chain import (
     ChainComponent,
     ChainError,
     ComponentKind,
+    ContinuousChain,
     build_chain,
     emit_dot,
-    evaluate_at_base_points,
     validate_chain,
 )
-from nodalseries.curve import section_shape
-from nodalseries.delta import consecutive_pairs
+from nodalseries.curve import CurveModel, section_shape
+from nodalseries.delta import build_delta, consecutive_pairs
 from nodalseries.generate import random_exact_lls, random_nonfixed_subspace
 from nodalseries.linalg import Subspace, format_rational
 from nodalseries import cli, torus
@@ -59,7 +59,7 @@ def test_build_chain_on_worked_example():
     ]
     # the glued node is the split space generated by (0, s)
     assert chain.nodes == (Subspace.from_spanning(4, [(0, 0, 0, 1)]),)
-    assert sum(c.grassmann_degree for c in chain.components) == chain.rank + 1
+    assert sum(c.grassmann_degree for c in chain.components) == chain.series.rank + 1
 
 
 def test_build_chain_rejects_non_exact_with_the_failing_pair():
@@ -108,9 +108,9 @@ def test_validate_chain_detects_wrong_node():
 
 def test_validate_chain_detects_scaled_integer_base():
     chain = build_chain(series_e4())
-    comp = chain.components[0]
-    moved = dataclasses.replace(comp, base_space=act(chain.model.split, F(2), comp.base_space))
-    corrupted = dataclasses.replace(chain, components=(moved, chain.components[1]))
+    g = chain.series
+    moved = act(g.model.split, F(2), g.spaces[0])
+    corrupted = _rechained(chain, spaces=(moved, g.spaces[1]))
     report = validate_chain(corrupted)
     assert not report.membership.passed
 
@@ -119,10 +119,11 @@ def _another_fixed_space(chain, comp):
     """Rows of a fixed space in comp's section space with comp's block
     dimensions but not comp's base space, or None: the leading or the
     trailing units of each flag."""
-    n = chain.model.ambient_dim
-    profile = block_profile(chain.model.split, comp.base_space)
+    model = chain.series.model
+    n = model.ambient_dim
+    profile = block_profile(model.split, comp.base_space)
     a, b = profile.inside_first.dim, profile.inside_second.dim
-    shape = section_shape(chain.model, comp.index)
+    shape = section_shape(model, comp.index)
     t, s = shape.t_flag, shape.s_flag
     for coords in (t[:a] + s[:b], t[len(t) - a :] + s[len(s) - b :]):
         rows = [tuple(int(k == c) for k in range(n)) for c in coords]
@@ -136,8 +137,8 @@ def test_a_fixed_node_beside_a_fixed_component_can_fail_gluing(tmp_path, capsys)
     # the limit that meets the node on its left; another fixed space of the
     # same block dimensions in its section space must fail gluing alone
     chain = build_chain(random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5))
-    split = chain.model.split
-    pairs = consecutive_pairs(chain.delta)
+    split = chain.series.model.split
+    pairs = consecutive_pairs(chain.series.delta)
     path = tmp_path / "chain.json"
     replaced = 0
     for k, comp in enumerate(chain.components):
@@ -210,20 +211,16 @@ def _swapped_orbits():
     left one begins, so not at the node, the left space's infinity limit.
     """
     chain, p = orbit_orbit_chain()
-    left, right = chain.components[p : p + 2]
-    components = list(chain.components)
-    components[p : p + 2] = (
-        dataclasses.replace(left, base_space=right.base_space),
-        dataclasses.replace(right, base_space=left.base_space),
-    )
-    return dataclasses.replace(chain, components=tuple(components))
+    spaces = list(chain.series.spaces)
+    spaces[p : p + 2] = spaces[p + 1], spaces[p]
+    return _rechained(chain, spaces=tuple(spaces))
 
 
 def test_validate_transversality_detects_a_moved_node():
     chain, p = orbit_orbit_chain()
     swapped = _swapped_orbits()
     assert swapped.nodes[p] != chain.nodes[p]
-    split = chain.model.split
+    split = chain.series.model.split
     left, right = (c.base_space for c in swapped.components[p : p + 2])
     assert orbit_intersection(split, left, right) == limit(split, left, Direction.ZERO)
     report = validate_chain(swapped)
@@ -234,14 +231,14 @@ def test_validate_transversality_detects_a_moved_node():
 
 def test_validate_transversality_detects_an_unlinked_orbit():
     chain, p = orbit_orbit_chain()
-    split = chain.model.split
+    split = chain.series.model.split
     left, right = chain.components[p], chain.components[p + 1]
     unlinked = random_nonfixed_subspace(split, right.base_space.dim, random.Random(0))
     with pytest.raises(IntersectionHypothesisError):
         orbit_intersection(split, left.base_space, unlinked)
-    components = list(chain.components)
-    components[p + 1] = dataclasses.replace(right, base_space=unlinked)
-    report = validate_chain(dataclasses.replace(chain, components=tuple(components)))
+    spaces = list(chain.series.spaces)
+    spaces[p + 1] = unlinked
+    report = validate_chain(_rechained(chain, spaces=tuple(spaces)))
     assert report.transversality.failures == (
         "pair (4/3, 5/3): neither block condition links the two orbits; the"
         " dichotomy is only available when one orbit ends where the other begins",
@@ -305,8 +302,8 @@ def test_one_elimination_per_moving_space(eliminations, tmp_path, capsys):
 
 
 def test_each_moving_limit_is_assembled_once(monkeypatch):
-    """The gluing loop, the nodes, gluing validation and the meetings read
-    the limits a moving space's profile keeps."""
+    """The nodes, gluing validation and the meetings read the limits a
+    moving space's profile keeps."""
     g = random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=7)
     split = g.model.split
     g = dataclasses.replace(g, spaces=[Subspace(v.ambient_dim, v.rows) for v in g.spaces])
@@ -316,9 +313,14 @@ def test_each_moving_limit_is_assembled_once(monkeypatch):
         torus, "assemble_split_subspace", lambda *args: assembled.append(args) or real(*args)
     )
     chain = build_chain(g)
-    # one limit toward each neighbour of each of the four moving spaces
+    # construction reads exactness off the profiles and assembles only the
+    # nodes: one limit toward infinity of each of the four moving spaces
     assert sum(not is_fixed(split, v) for v in g.spaces) == 4
-    assert len(assembled) == 8
+    assert len(assembled) == 4
+    assembled.clear()
+    # gluing validation assembles the limit toward zero of each, once
+    assert validate_chain(chain).passed
+    assert len(assembled) == 4
     assembled.clear()
     assert validate_chain(chain).passed
     assert assembled == []
@@ -348,7 +350,7 @@ def _spaces(value):
         return value.spaces
     if isinstance(value, SubspaceTask):
         return (value.subspace,)
-    return tuple(c.base_space for c in value.components)
+    return value.series.spaces
 
 
 def test_profiled_and_unprofiled_values_are_equal():
@@ -385,13 +387,13 @@ def test_profiled_and_unprofiled_values_are_equal():
 
 def test_evaluate_round_trip_on_the_nose():
     chain = build_chain(series_e4())
-    assert evaluate_at_base_points(chain) == series_e4()
+    assert chain.series == series_e4()
 
 
 def test_round_trip_up_to_torus_scaling():
     g = random_exact_lls(3, 2, (2, 2, 1), seed=8)
     chain = build_chain(g)
-    back = evaluate_at_base_points(chain)
+    back = chain.series
     assert torus_equivalent(back, g)
     # scaling the base points on non-integer slots moves the chain's base
     # data but not its nodes or degrees
@@ -446,86 +448,89 @@ def test_a_component_refuses_a_base_space_of_odd_or_zero_width(width):
 
 
 def test_chain_rejects_targets_outside_the_degree():
-    """A target is read off the index, so a component whose target lies
-    outside 0..d sits off the ladder and the chain refuses it."""
-    chain = build_chain(series_e4())
+    """A target is read off the index, and a chain's indices are its
+    series' ladder, so a component whose target lies outside 0..d needs a
+    ladder of another degree than the model's, which the series refuses."""
+    g = series_e4()
     for index in (F(-1), F(2), F(3)):
-        moved = dataclasses.replace(chain.components[1], index=index)
-        assert not 0 <= math.ceil(moved.index) <= chain.delta.d
-        with pytest.raises(ChainError, match="not aligned with the ladder"):
-            dataclasses.replace(chain, components=(chain.components[0], moved))
+        target = math.ceil(index)
+        assert not 0 <= target <= g.model.d
+        if target < 0:
+            # no ladder holds a negative index
+            with pytest.raises(ValueError, match="degree must be nonnegative"):
+                build_delta(target, ())
+            continue
+        ladder = build_delta(target, (1,) * target)
+        assert index in ladder.indices
+        with pytest.raises(ValueError, match="ladder degree does not match the model degree"):
+            ContinuousChain(dataclasses.replace(g, delta=ladder))
 
 
 @pytest.mark.parametrize("rank", [pytest.param(True, id="bool"), pytest.param(1.0, id="float")])
 def test_chain_refuses_a_non_integer_rank(rank):
     chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
     with pytest.raises(TypeError, match="rank must be an integer"):
-        dataclasses.replace(chain, rank=rank)
+        _rechained(chain, rank=rank)
 
 
 def _drop_last_row(v):
     return Subspace.from_spanning(v.ambient_dim, v.rows[:-1])
 
 
+def _with_space(g, pos, v):
+    return {"spaces": g.spaces[:pos] + (v,) + g.spaces[pos + 1 :]}
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
-        pytest.param(lambda c: {"rank": -1}, "rank must be nonnegative", id="rank-1"),
+        pytest.param(lambda g: {"rank": -1}, "rank must be nonnegative", id="rank-1"),
         pytest.param(
-            lambda c: {"rank": 5},
-            "base space at 0 has dimension 2 in Q\\^6, expected 6",
-            id="rank5",
+            lambda g: {"rank": 5}, "space at index 0 has dimension 2, expected 6", id="rank5"
         ),
         pytest.param(
-            lambda c: {
-                "components": (
-                    dataclasses.replace(
-                        c.components[0], base_space=_drop_last_row(c.components[0].base_space)
-                    ),
-                )
-                + c.components[1:]
-            },
-            "base space at 0 has dimension 1",
+            lambda g: _with_space(g, 0, _drop_last_row(g.spaces[0])),
+            "space at index 0 has dimension 1, expected 2",
             id="base-space",
         ),
         # node 1 is read off the orbit space at 1/2, so a node of the wrong
-        # dimension can only come from a base space the chain refuses
+        # dimension can only come from a base space the series refuses
         pytest.param(
-            lambda c: {
-                "components": c.components[:1]
-                + (
-                    dataclasses.replace(
-                        c.components[1], base_space=_drop_last_row(c.components[1].base_space)
-                    ),
-                )
-                + c.components[2:]
-            },
-            "base space at 1/2 has dimension 1 in Q\\^6, expected 2",
+            lambda g: _with_space(g, 1, _drop_last_row(g.spaces[1])),
+            "space at index 1/2 has dimension 1, expected 2",
             id="node",
+        ),
+        pytest.param(
+            lambda g: _with_space(g, 0, Subspace.from_spanning(4, [(1, 0, 0, 0), (0, 1, 0, 0)])),
+            "space at index 0 lives in the wrong ambient space",
+            id="ambient",
         ),
     ],
 )
 def test_chain_refuses_spaces_that_are_not_of_dimension_rank_plus_one(change, message):
     chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
-    with pytest.raises(ChainError, match=message):
-        dataclasses.replace(chain, **change(chain))
+    with pytest.raises(ValueError, match=message):
+        _rechained(chain, **change(chain.series))
+
+
+def _rechained(chain, **changes):
+    """The chain of the chain's series with ``changes`` made to its fields."""
+    return ContinuousChain(dataclasses.replace(chain.series, **changes))
 
 
 def _with_base(chain, index, rows):
     """The chain with the base space at ``index`` replaced by the span of rows."""
-    pos = chain.delta.position(index)
-    components = list(chain.components)
-    base = Subspace.from_spanning(chain.model.ambient_dim, rows)
-    components[pos] = dataclasses.replace(components[pos], base_space=base)
-    return dataclasses.replace(chain, components=tuple(components))
+    g = chain.series
+    base = Subspace.from_spanning(g.model.ambient_dim, rows)
+    return _rechained(chain, **_with_space(g, g.delta.position(index), base))
 
 
 def _shifted_interval():
     # 3/2 sits between fixed components; span(s^2, t^2 + s^3) lies in its
     # section space and has the same orbit degree but weight interval [0, 1]
     chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=3))
-    split = chain.model.split
-    pos = chain.delta.position(F(3, 2))
+    split = chain.series.model.split
+    pos = chain.series.delta.position(F(3, 2))
     assert [c.kind for c in chain.components[pos - 1 : pos + 2]] == [
         ComponentKind.FIXED, ComponentKind.ORBIT, ComponentKind.FIXED,
     ]
@@ -535,7 +540,7 @@ def _shifted_interval():
 
 def _scaled_base():
     chain = build_chain(series_e4())
-    moved = act(chain.model.split, F(2), chain.components[0].base_space)
+    moved = act(chain.series.model.split, F(2), chain.components[0].base_space)
     return _with_base(chain, F(0), moved.rows)
 
 
@@ -598,3 +603,48 @@ def test_every_reported_check_can_fail(corrupt, passed, failures, request):
     assert [c.passed for c in report.checks] == passed
     (failing,) = [c for c in report.checks if c.name == request.node.callspec.id]
     assert failing.failures == failures
+
+
+def test_a_chain_on_a_ladder_of_another_degree_is_refused():
+    # three spaces of rank 1 in Q^8 on the ladder 0, 1, 2 of degree 2: a file
+    # of degree 3 would hold two subdivision counts, which no loader accepts
+    spaces = random_exact_lls(3, 1, (1, 1, 1), seed=0).spaces[:3]
+    with pytest.raises(ValueError, match="ladder degree does not match the model degree"):
+        ContinuousChain(LimitLinearSeries(CurveModel(3), 1, build_delta(2, (1, 1)), spaces))
+
+
+def test_every_chain_written_loads_back_equal():
+    chains = [
+        build_chain(random_exact_lls(d, r, delta, seed=seed))
+        for seed, (d, r, delta) in enumerate(
+            [(0, 0, ()), (1, 0, (1,)), (2, 1, (2, 1)), (3, 1, (1, 3, 1)), (4, 2, (1, 1, 2, 1))]
+        )
+    ]
+    # chains that fail a check are chains all the same, and are written as such
+    chains += [param.values[0]() for param in EVERY_CHECK_FAILS]
+    for chain in chains:
+        text = dumps_instance(chain)
+        back = loads_instance(text)
+        assert back == chain and dumps_instance(back) == text
+        assert back.components == chain.components and back.nodes == chain.nodes
+
+
+def test_the_degree_budget_is_validated_not_built():
+    # V_0 = span(s^0) at d = 0 is exact and minimal, having no pair and no
+    # non-integer index, but lies outside the section space span(t^0 + s^0);
+    # so it builds, and only validation sees the degrees sum to 0, not 1
+    s0 = Subspace.from_spanning(2, [(0, 1)])
+    g = LimitLinearSeries(CurveModel(0), 0, build_delta(0, ()), (s0,))
+    assert check_exact(g).passed and numerical_data(g).is_minimal()
+    report = validate_chain(build_chain(g))
+    assert [(c.name, c.passed) for c in report.checks] == [
+        ("node gluing", True),
+        ("degree budget", False),
+        ("node transversality", True),
+        ("weight intervals", False),
+        ("section-space membership", False),
+    ]
+    assert report.degree.failures == ("orbit degrees sum to 0, expected 1",)
+    assert report.membership.failures == (
+        "base space at 0 is not an (r+1)-dimensional subspace of its section space",
+    )

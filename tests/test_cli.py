@@ -7,7 +7,7 @@ import pytest
 
 import nodalseries
 from nodalseries import cli
-from nodalseries.chain import build_chain
+from nodalseries.chain import ContinuousChain, build_chain
 from nodalseries.cli import MAX_DEGREE, main
 from nodalseries.generate import random_exact_lls
 from nodalseries.linalg import Subspace
@@ -170,10 +170,9 @@ def test_verify_fails_on_corrupted_chain(tmp_path, capsys):
     import dataclasses
 
     # a bad chain value is written as it is and loads; its checks fail
-    chain = build_chain(series_e4())
+    g = series_e4()
     wrong = Subspace.from_spanning(4, [(0, 1, 0, 0)])
-    start = dataclasses.replace(chain.components[0], base_space=wrong)
-    corrupted = dataclasses.replace(chain, components=(start,) + chain.components[1:])
+    corrupted = ContinuousChain(dataclasses.replace(g, spaces=(wrong,) + g.spaces[1:]))
     path = tmp_path / "bad_chain.json"
     save_instance(corrupted, path)
     assert main(["verify", str(path)]) == 1
@@ -476,12 +475,11 @@ def _exit_code_runs(tmp_path) -> dict[str, list[list[str]]]:
     exact = saved("exact.json", series_e4())
     not_exact = saved("not_exact.json", series_e5())
     padded = saved("padded.json", pad_with_trivial_slots(series_e4(), (3,), seed=0))
-    chain = build_chain(series_e4())
-    good_chain = saved("chain.json", chain)
+    g = series_e4()
+    good_chain = saved("chain.json", build_chain(g))
     wrong = Subspace.from_spanning(4, [(0, 1, 0, 0)])
-    start = dataclasses.replace(chain.components[0], base_space=wrong)
     bad_chain = saved(
-        "bad_chain.json", dataclasses.replace(chain, components=(start,) + chain.components[1:])
+        "bad_chain.json", ContinuousChain(dataclasses.replace(g, spaces=(wrong,) + g.spaces[1:]))
     )
     task = SubspaceTask(TorusSplit(2, 2), Subspace.from_spanning(4, [(1, 0, 1, 0)]))
     task = saved("task.json", task)

@@ -106,7 +106,7 @@ def _outputs(name: str, tmp_path, capsys) -> dict[str, str]:
         c = load_instance(chain)
         comp = next(comp for comp in c.components if comp.kind is ComponentKind.ORBIT)
         task = tmp_path / "task.json"
-        save_instance(SubspaceTask(c.model.split, comp.base_space), task)
+        save_instance(SubspaceTask(c.series.model.split, comp.base_space), task)
         out["task.json"] = _sha(task.read_text())
         for at in ("zero", "infty"):
             moved = tmp_path / f"limit-{at}.json"

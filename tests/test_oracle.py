@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from nodalseries.chain import ComponentKind, build_chain
+from nodalseries.chain import ComponentKind, ContinuousChain, build_chain
 from nodalseries.generate import random_exact_lls, random_subspace
 from nodalseries import oracle
 from nodalseries.linalg import Subspace, format_rational
@@ -362,7 +362,7 @@ def test_the_oracle_reads_only_the_nonzero_minors_at_d8_r7(monkeypatch):
     # C(18, 8) = 43,758 column sets per base space, of which 1 to 4 have a
     # nonzero minor: the oracle's work follows the nonzero ones
     chain = build_chain(random_exact_lls(8, 7, (2, 1, 2, 1, 2, 1, 2, 1), seed=1))
-    split = chain.model.split
+    split = chain.series.model.split
     drawn = [0]
     real = oracle.combinations
 
@@ -389,18 +389,17 @@ def test_the_oracle_reads_only_the_nonzero_minors_at_d8_r7(monkeypatch):
 
 
 def _relabel(chain, target, degree, monkeypatch):
-    """The chain with one component made again while its space's profile
-    reports ``degree``; the component keeps the degree it read then."""
-    profile = block_profile(chain.model.split, chain.components[target].base_space)
+    """The chain made again while one component's space's profile reports
+    ``degree``; that component keeps the degree it read then."""
+    profile = block_profile(chain.series.model.split, chain.components[target].base_space)
     real = BlockProfile.degree.fget
-    components = list(chain.components)
     with monkeypatch.context() as m:
         m.setattr(
             BlockProfile, "degree", property(lambda p: degree if p is profile else real(p))
         )
-        components[target] = dataclasses.replace(components[target])
-    assert components[target].grassmann_degree == degree
-    return dataclasses.replace(chain, components=tuple(components))
+        relabelled = ContinuousChain(chain.series)
+    assert relabelled.components[target].grassmann_degree == degree
+    return relabelled
 
 
 def test_sample_orbit_check_flags_a_moving_component_labelled_fixed(monkeypatch):
@@ -446,7 +445,7 @@ def test_sample_orbit_check_tests_the_moved_points(monkeypatch):
     # an action that moves the series one way and the sections the other
     # keeps every base space in its fiber but not the moved points
     chain = build_chain(random_exact_lls(3, 1, (2, 1, 1), seed=4))
-    fiber_dim = chain.model.d + 1
+    fiber_dim = chain.series.model.d + 1
 
     def skewed(split, x, v):
         return act(split, x if v.dim == fiber_dim else 1 / x, v)
@@ -464,20 +463,17 @@ def test_sample_orbit_check_passes_on_built_chain():
 
 
 def test_sample_orbit_check_flags_corrupted_base():
-    chain = build_chain(random_exact_lls(2, 1, (1, 1), seed=6))
+    g = random_exact_lls(2, 1, (1, 1), seed=6)
     target = None
-    for k, comp in enumerate(chain.components):
-        if not is_fixed(chain.model.split, comp.base_space):
+    for k, v in enumerate(g.spaces):
+        if not is_fixed(g.model.split, v):
             target = k
             break
-    comp = chain.components[target]
-    rows = list(comp.base_space.rows)
+    rows = list(g.spaces[target].rows)
     rows[0] = tuple(e + 1 for e in rows[0])
-    broken_space = Subspace.from_spanning(chain.model.ambient_dim, rows)
-    broken = dataclasses.replace(comp, base_space=broken_space)
-    components = list(chain.components)
-    components[target] = broken
-    corrupted = dataclasses.replace(chain, components=tuple(components))
+    broken = Subspace.from_spanning(g.model.ambient_dim, rows)
+    spaces = g.spaces[:target] + (broken,) + g.spaces[target + 1 :]
+    corrupted = ContinuousChain(dataclasses.replace(g, spaces=spaces))
     report = sample_orbit_check(corrupted, samples_per_component=10, seed=0)
     assert not report.passed
     assert any("leaves the twisted" in msg for msg in report.failures)
@@ -506,7 +502,7 @@ def test_compare_chain_agrees_on_built_chains():
 
 def test_compare_chain_reports_wrong_structural_formulas(monkeypatch):
     chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
-    split = chain.model.split
+    split = chain.series.model.split
     moving = [c for c in chain.components if not is_fixed(split, c.base_space)]
     assert moving
     # a limit with its directions swapped is wrong exactly on the orbit components
@@ -548,9 +544,7 @@ def test_compare_chain_checks_the_tangent_certificate_at_orbit_nodes(monkeypatch
     assert compare_chain(chain) == ("transversality mismatch at (4/3, 5/3)",)
     monkeypatch.undo()
     # an orbit glued to a copy of itself has no node where its ends meet
-    components = list(chain.components)
-    components[p + 1] = dataclasses.replace(
-        components[p + 1], base_space=components[p].base_space
-    )
-    copied = dataclasses.replace(chain, components=tuple(components))
+    spaces = list(chain.series.spaces)
+    spaces[p + 1] = spaces[p]
+    copied = ContinuousChain(dataclasses.replace(chain.series, spaces=tuple(spaces)))
     assert compare_chain(copied) == ("tangent certificate fails at (4/3, 5/3)",)

@@ -142,7 +142,9 @@ def test_lenient_rationals_rejected(entry):
     "defect, message",
     [
         pytest.param(lambda p: p.update(r=-1), "rank must be nonnegative", id="rank-1"),
-        pytest.param(lambda p: p.update(r=5), "base space at 0 has dimension 2", id="rank5"),
+        pytest.param(
+            lambda p: p.update(r=5), "space at index 0 has dimension 2, expected 6", id="rank5"
+        ),
     ],
 )
 def test_chain_spaces_of_the_wrong_dimension_are_refused(defect, message, tmp_path, capsys):
@@ -603,13 +605,14 @@ def test_rows_of_unequal_length_are_refused(version, lengths):
 
 
 def _file_tokens(payload):
-    """The distinct rational texts of a current file: every entry of every
-    row string, and a chain's component indices."""
-    tokens = {comp["index"] for comp in payload.get("components", ())}
+    """The rational texts a loader parses from a current file: each distinct
+    entry of the row strings once, then each of a chain's component indices,
+    which are read apart from the entries."""
+    tokens = set()
     for rows in _matrices(payload):
         for row in rows:
             tokens.update(row.split(" "))
-    return tokens
+    return sorted(tokens) + [comp["index"] for comp in payload.get("components", ())]
 
 
 @pytest.mark.parametrize("kind", ["series", "chain"])
@@ -729,3 +732,35 @@ def test_a_non_string_component_index_is_refused_as_before(index):
         loads_instance(json.dumps(payload))
     message = f"bad chain payload: not a rational of the form p or p/q: {index!r}"
     assert str(excinfo.value) == message
+
+
+def test_a_space_at_an_index_off_the_ladder_is_refused_as_missing(tmp_path, capsys):
+    # the file lists as many spaces as its ladder has indices, so a space at
+    # an index off the ladder leaves a ladder index without one
+    def defect(payload):
+        payload["spaces"]["1/3"] = payload["spaces"].pop("1/2")
+
+    _refused(defect, "missing space at index 1/2", tmp_path, capsys, kind="series")
+
+
+def _set_indices(indices):
+    def defect(payload):
+        for position, index in indices.items():
+            payload["components"][position]["index"] = index
+
+    return defect
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        pytest.param(_set_indices({1: "1/3"}), "index 1/3 is not the ladder's index 1/2", id="moved"),
+        pytest.param(_set_indices({4: "3"}), "index 3 is not the ladder's index 2", id="off-degree"),
+        pytest.param(
+            _set_indices({0: "1/2", 1: "0"}), "index 1/2 is not the ladder's index 0", id="swapped"
+        ),
+    ],
+)
+def test_a_component_index_off_its_ladder_position_is_refused(defect, message, tmp_path, capsys):
+    # the ladder of the chain file is 0, 1/2, 1, 3/2, 2
+    _refused(defect, f"component {message} at its position", tmp_path, capsys)

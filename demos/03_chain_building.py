@@ -24,14 +24,14 @@ print("indices:", [format_rational(i) for i in g.delta.indices])
 print()
 
 chain = build_chain(g)
+# a component is an index of the series; it is fixed when its orbit degree is 0
+degrees = [profile.degree for profile in chain.series.profiles]
 print("components:")
-for comp in chain.components:
-    print(
-        f"  i = {format_rational(comp.index):>4}  {comp.kind.value:>5}"
-        f"  degree {comp.grassmann_degree}"
-    )
+for (i, _), degree in zip(chain.series.items(), degrees):
+    kind = "fixed" if degree == 0 else "orbit"
+    print(f"  i = {format_rational(i):>4}  {kind:>5}  degree {degree}")
 print("glued nodes:", len(chain.nodes))
-print("degree budget:", sum(c.grassmann_degree for c in chain.components), "= rank + 1")
+print("degree budget:", sum(degrees), "= rank + 1")
 print()
 
 report = validate_chain(chain)

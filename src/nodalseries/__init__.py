@@ -55,9 +55,7 @@ from .series import (
 )
 from .chain import (
     ChainBuildError,
-    ChainComponent,
     ChainError,
-    ComponentKind,
     ContinuousChain,
     build_chain,
     emit_dot,

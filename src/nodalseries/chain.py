@@ -9,21 +9,22 @@ exactness check reports.
 
 A chain is its series: ``ContinuousChain`` has one field, ``series``, and
 its model, rank, ladder and spaces are the series' (``c.series.model`` and
-so on). A component holds only its index and base space, and a chain file
-holds the series' ladder and one index and basis per component (see
-``serialize``). Everything else is read off the base spaces once, when the
-value is made: a component's orbit degree from its space's block profile,
-its kind from its degree, and node k, where components k and k + 1 are
-glued, as the limit toward infinity of component k's space. So no value can
-hold a node or degree that disagrees with its spaces, no file stores one,
-and nothing checks one.
+so on). Component k is no value of its own but position k of the series:
+its index and base space are what ``series.items()`` gives there, and its
+orbit degree is ``series.profiles[k].degree``, 0 exactly when it is fixed.
+A chain file holds the series' ladder and one index and basis per
+component (see ``serialize``). The nodes are read off the base spaces once,
+when the value is made: node k, where components k and k + 1 are glued, is
+the limit toward infinity of component k's space. So no value can hold a
+node or degree that disagrees with its spaces, no file stores one, and
+nothing checks one.
 
 Construction and validation read ``series.profiles``, the block profiles
 that ``torus.block_profile`` keeps on each space. A profile is a function of
 the immutable space it is kept on; a chain built from a series holds the
 series' ``Subspace`` objects and finds their profiles already there, while a
-chain loaded from a file profiles its base spaces afresh when its components
-are made, once per distinct matrix of the file. A profile costs one
+chain loaded from a file profiles its base spaces afresh when the chain is
+made, once per distinct matrix of the file. A profile costs one
 elimination for a moving space and none for a fixed one, so plain ``verify``
 of a series makes one elimination per moving space in all, and ``emit_dot``
 makes none: every node is a fixed point. Limits come from ``torus.limit`` on
@@ -36,17 +37,15 @@ value per moving space and direction.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .delta import consecutive_pairs
-from .linalg import Subspace, format_rational
+from .linalg import format_rational
 from .series import LimitLinearSeries, check_exact, membership_failures
 from .torus import (
     Direction,
     IntersectionHypothesisError,
-    TorusSplit,
     block_profile,
     limit,
 )
@@ -64,65 +63,42 @@ class ChainBuildError(ChainError):
         self.failing_pair = failing_pair
 
 
-class ComponentKind(enum.Enum):
-    FIXED = "fixed"
-    ORBIT = "orbit"
-
-
-@dataclass(frozen=True)
-class ChainComponent:
-    """One component of the chain: its index and base subspace.
-
-    Its orbit degree, ``grassmann_degree``, is read off the base space's
-    block profile once, when the component is made, under the split whose
-    two blocks are each half the ambient width; a base space of odd width,
-    or of width 0, is refused. It is not a field. Its ``kind`` is fixed
-    exactly when its degree is 0. It maps to the unsubdivided target chain
-    by its index: an integer index covers the target component of that
-    number, and any other index collapses to the node at its ceiling.
-    """
-
-    index: Fraction
-    base_space: Subspace
-
-    def __post_init__(self) -> None:
-        width = self.base_space.ambient_dim
-        if width <= 0 or width % 2:
-            raise ChainError(
-                f"a base space lives in Q^{width}, but a chain needs an even, positive width"
-            )
-        half = width // 2
-        degree = block_profile(TorusSplit(half, half), self.base_space).degree
-        object.__setattr__(self, "grassmann_degree", degree)
-        if degree == 0 and self.index.denominator != 1:
-            raise ChainError("a fixed component is only allowed at an integer index")
-
-    @property
-    def kind(self) -> ComponentKind:
-        return ComponentKind.FIXED if self.grassmann_degree == 0 else ComponentKind.ORBIT
-
-
 @dataclass(frozen=True)
 class ContinuousChain:
     """The chain of a series: one component per index, in ladder order.
 
     Its one field is the series, whose constructor checks the shape: one
     space per index, each of dimension rank + 1 in the model's ambient
-    space, on a ladder of the model's degree. ``components`` holds one
-    :class:`ChainComponent` per ``series.items()``, and ``nodes`` holds node
-    k, where components k and k + 1 are glued, for each consecutive pair:
-    the limit toward infinity of component k's base space, which is that
-    space itself when it is fixed. Both are read off the series once, when
-    the chain is made, and neither is a field.
+    space, on a ladder of the model's degree. Component k is the pair
+    ``series.items()`` gives at position k, and its orbit degree is
+    ``series.profiles[k].degree``, 0 exactly when it is fixed. A series
+    with a fixed space at a non-integer index is refused: that component
+    would be constant. ``nodes`` holds node k, where components k and k + 1
+    are glued, for each consecutive pair: the limit toward infinity of
+    component k's base space, which is that space itself when it is fixed.
+    It is read off the series once, when the chain is made, and is not a
+    field. A component maps to the unsubdivided target chain by its index:
+    an integer index covers the target component of that number, and any
+    other index collapses to the node at its ceiling.
     """
 
     series: LimitLinearSeries
 
     def __post_init__(self) -> None:
         g = self.series
-        components = tuple(ChainComponent(i, v) for i, v in g.items())
+        # an index's mobile dimension is its space's orbit degree
+        lazy = [
+            format_rational(i)
+            for i, profile in zip(g.delta.indices, g.profiles)
+            if i.denominator != 1 and profile.degree == 0
+        ]
+        if lazy:
+            raise ChainBuildError(
+                "series is not minimal: non-integer indices "
+                + ", ".join(lazy)
+                + " carry no mobile dimension and would give constant components"
+            )
         nodes = tuple(limit(g.model.split, v, Direction.INFINITY) for v in g.spaces[:-1])
-        object.__setattr__(self, "components", components)
         object.__setattr__(self, "nodes", nodes)
 
 
@@ -133,8 +109,9 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
     + onto_second(i), to equal the incoming limit of V_j, onto_first(j) +
     inside_second(j). That holds exactly when both linking equalities hold
     there, so gluing fails first at :func:`series.check_exact`'s first
-    failing pair, and nothing compares the limits again. Then minimality is
-    enforced, so that no non-integer component degenerates to a constant.
+    failing pair, and nothing compares the limits again. Then
+    :class:`ContinuousChain` enforces minimality, so that no non-integer
+    component degenerates to a constant.
 
     The degree budget needs no check here; :func:`validate_chain` reports
     it. A component's degree is dim onto_first - dim inside_first, and
@@ -152,18 +129,6 @@ def build_chain(g: LimitLinearSeries) -> ContinuousChain:
             " the outgoing and incoming orbit limits differ, so the series"
             " is not exact there",
             failing_pair=pair,
-        )
-    # an index's mobile dimension is its space's orbit degree
-    lazy = [
-        format_rational(i)
-        for i, profile in zip(g.delta.indices, g.profiles)
-        if i.denominator != 1 and profile.degree == 0
-    ]
-    if lazy:
-        raise ChainBuildError(
-            "series is not minimal: non-integer indices "
-            + ", ".join(lazy)
-            + " carry no mobile dimension and would give constant components"
         )
     return ContinuousChain(g)
 
@@ -245,8 +210,8 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
     profiles = g.profiles
 
     glue_failures: list[str] = []
-    for (i, j), node, right in zip(pairs, c.nodes, c.components[1:]):
-        if node != limit(split, right.base_space, Direction.ZERO):
+    for (i, j), node, right in zip(pairs, c.nodes, g.spaces[1:]):
+        if node != limit(split, right, Direction.ZERO):
             glue_failures.append(
                 f"node between {format_rational(i)} and {format_rational(j)}"
                 " does not match both orbit limits"
@@ -258,9 +223,8 @@ def validate_chain(c: ContinuousChain) -> ChainValidationReport:
         degree_failures.append(f"orbit degrees sum to {total}, expected {g.rank + 1}")
 
     transversality_failures: list[str] = []
-    steps = zip(pairs, c.nodes, c.components, c.components[1:], profiles, profiles[1:])
-    for (i, j), node, left, right, left_profile, right_profile in steps:
-        if left.kind is not ComponentKind.ORBIT or right.kind is not ComponentKind.ORBIT:
+    for (i, j), node, left_profile, right_profile in zip(pairs, c.nodes, profiles, profiles[1:]):
+        if left_profile.degree == 0 or right_profile.degree == 0:
             continue
         try:
             point = left_profile.meeting_point(right_profile)
@@ -324,12 +288,11 @@ def emit_dot(c: ContinuousChain) -> str:
     """
     split = c.series.model.split
     lines = ["digraph chain {", "  rankdir=LR;"]
-    for comp in c.components:
-        name = format_rational(comp.index)
-        shape = "box" if comp.kind is ComponentKind.FIXED else "ellipse"
+    for i, profile in zip(c.series.delta.indices, c.series.profiles):
+        name = format_rational(i)
+        shape, kind = ("box", "fixed") if profile.degree == 0 else ("ellipse", "orbit")
         lines.append(
-            f'  "{name}" [shape={shape} label="i={name}\\n{comp.kind.value}'
-            f' deg={comp.grassmann_degree}"];'
+            f'  "{name}" [shape={shape} label="i={name}\\n{kind} deg={profile.degree}"];'
         )
     for (i, j), node in zip(consecutive_pairs(c.series.delta), c.nodes):
         profile = block_profile(split, node)

@@ -18,11 +18,25 @@ from typing import Iterator, Sequence
 
 @dataclass(frozen=True)
 class DeltaSet:
-    """Ordered index ladder for a fixed degree and subdivision profile."""
+    """Ordered index ladder for a fixed degree and subdivision profile.
+
+    Its fields are the degree and the subdivision counts, checked by
+    :func:`check_steps`. ``indices`` is derived from them when the value is
+    made and is not a field, so no ladder lists indices its counts do not
+    give.
+    """
 
     d: int
     steps: tuple[int, ...]
-    indices: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        steps = check_steps(self.d, self.steps)
+        indices = [Fraction(0)]
+        for gap, count in enumerate(steps, start=1):
+            for numerator in range(1, count + 1):
+                indices.append(Fraction((gap - 1) * count + numerator, count))
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "indices", tuple(indices))
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -56,12 +70,7 @@ def check_steps(d: int, delta: Sequence[int]) -> tuple[int, ...]:
 
 def build_delta(d: int, delta: Sequence[int]) -> DeltaSet:
     """Construct the ladder; delta must list one positive count per gap."""
-    steps = check_steps(d, delta)
-    indices = [Fraction(0)]
-    for gap, count in enumerate(steps, start=1):
-        for numerator in range(1, count + 1):
-            indices.append(Fraction((gap - 1) * count + numerator, count))
-    return DeltaSet(d, steps, tuple(indices))
+    return DeltaSet(d, tuple(delta))
 
 
 def consecutive_pairs(ladder: DeltaSet) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -8,7 +8,10 @@ incidence conditions. The first-order tangent certificate at each node of a
 chain is read from the same weights. Agreement with the structural formulas
 (the public ``torus.limit``, ``torus.orbit_degree`` and
 ``torus.orbit_intersection``) is exact, with zero tolerance;
-:func:`compare_chain` checks it on a chain.
+:func:`compare_chain` checks it on a chain. Both chain checks walk the
+chain's series, ``chain.series.items()``, and read whether a component is
+fixed with ``torus.is_fixed``, off its space's block profile, so that
+:func:`sample_orbit_check` tabulates no minors.
 
 The nonzero minors of a ``Subspace`` are tabulated once, as integers over
 one scale, and kept on the value. Every question about one value reads them
@@ -31,10 +34,10 @@ from operator import lt
 from types import MappingProxyType
 from typing import Collection, Mapping, Sequence
 
-from .chain import ComponentKind, ContinuousChain
+from .chain import ContinuousChain
 from .curve import section_space
 from .linalg import ONE, ZERO, Subspace, format_rational
-from .torus import Direction, TorusSplit, act, limit, orbit_degree, orbit_intersection
+from .torus import Direction, TorusSplit, act, is_fixed, limit, orbit_degree, orbit_intersection
 
 Minors = Mapping[tuple[int, ...], Fraction | int]
 
@@ -210,35 +213,35 @@ def compare_chain(chain: ContinuousChain) -> tuple[str, ...]:
     returns one line per disagreement; empty when everything agrees. The
     structural side is the public :func:`torus.limit`,
     :func:`torus.orbit_degree` and :func:`torus.orbit_intersection`. At each
-    node between two orbit components, the tangent certificate read from the
+    node between two orbit components, those whose spaces
+    :func:`torus.is_fixed` finds moving, the tangent certificate read from the
     two weight sets must hold and must agree with the structural side, which
     is that the two orbit closures meet (a ValueError from
     ``orbit_intersection`` counts as no meeting): a meeting of linked orbits
     is always transverse (see :func:`chain.validate_chain`).
     """
-    split = chain.series.model.split
+    g = chain.series
+    split = g.model.split
     mismatch = []
-    levels = [_levels(split, comp.base_space) for comp in chain.components]
-    for comp, by_weight in zip(chain.components, levels):
-        v = comp.base_space
+    items = tuple(g.items())
+    levels = [_levels(split, v) for v in g.spaces]
+    for (i, v), by_weight in zip(items, levels):
         top, bottom = max(by_weight), min(by_weight)
         for direction, kept in ((Direction.ZERO, top), (Direction.INFINITY, bottom)):
             if limit(split, v, direction) != subspace_from_minors(
                 v.ambient_dim, v.dim, by_weight[kept]
             ):
-                mismatch.append(
-                    f"limit mismatch at {format_rational(comp.index)} ({direction.value})"
-                )
+                mismatch.append(f"limit mismatch at {format_rational(i)} ({direction.value})")
         if orbit_degree(split, v) != top - bottom:
-            mismatch.append(f"degree mismatch at {format_rational(comp.index)}")
-    steps = zip(chain.components, chain.components[1:], levels, levels[1:])
-    for left, right, left_levels, right_levels in steps:
-        if left.kind is not ComponentKind.ORBIT or right.kind is not ComponentKind.ORBIT:
+            mismatch.append(f"degree mismatch at {format_rational(i)}")
+    steps = zip(items, items[1:], levels, levels[1:])
+    for (i, left), (j, right), left_levels, right_levels in steps:
+        if is_fixed(split, left) or is_fixed(split, right):
             continue
-        pair = f"({format_rational(left.index)}, {format_rational(right.index)})"
+        pair = f"({format_rational(i)}, {format_rational(j)})"
         certified = _tangent_certificate(left_levels.keys(), right_levels.keys())
         try:
-            structural = orbit_intersection(split, left.base_space, right.base_space) is not None
+            structural = orbit_intersection(split, left, right) is not None
         except ValueError:
             structural = False
         if not certified:
@@ -278,8 +281,10 @@ def sample_orbit_check(
     For random torus elements x, the moved base space must lie inside the
     matching twisted section space, which is the component's section space
     (built once per component) moved by the same x. On orbit components
-    distinct x must give distinct points. Fixed components must not move at
-    all. Takes 1 to MAX_SAMPLES samples per component.
+    distinct x must give distinct points. Fixed components, those whose
+    spaces :func:`torus.is_fixed` finds fixed, must not move at all:
+    fixedness is read off the block profile, so no minor is tabulated. Takes
+    1 to MAX_SAMPLES samples per component.
     """
     if not 1 <= samples_per_component <= MAX_SAMPLES:
         raise ValueError(
@@ -290,26 +295,22 @@ def sample_orbit_check(
     split = model.split
     rng = random.Random(seed)
     failures: list[str] = []
-    for comp in chain.components:
+    for i, v in chain.series.items():
         stream = random.Random(rng.getrandbits(64))
         xs = _random_torus_elements(stream, samples_per_component)
-        fiber = section_space(model, comp.index)
+        fiber = section_space(model, i)
         seen: set[Subspace] = set()
         for x in xs:
-            moved = act(split, x, comp.base_space)
+            moved = act(split, x, v)
             if not act(split, x, fiber).contains(moved):
-                failures.append(
-                    f"component {comp.index}: sample x={x} leaves the twisted"
-                    " section space"
-                )
+                failures.append(f"component {i}: sample x={x} leaves the twisted section space")
             seen.add(moved)
-        if comp.kind is ComponentKind.ORBIT and len(seen) != len(xs):
+        fixed = is_fixed(split, v)
+        if not fixed and len(seen) != len(xs):
             failures.append(
-                f"component {comp.index}: {len(xs)} samples gave only"
+                f"component {i}: {len(xs)} samples gave only"
                 f" {len(seen)} distinct points on a moving orbit"
             )
-        if comp.kind is ComponentKind.FIXED and seen != {comp.base_space}:
-            failures.append(
-                f"component {comp.index}: a fixed component moved under sampling"
-            )
+        if fixed and seen != {v}:
+            failures.append(f"component {i}: a fixed component moved under sampling")
     return OrbitSampleReport(not failures, samples_per_component, tuple(failures))

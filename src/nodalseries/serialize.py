@@ -26,9 +26,10 @@ A chain file holds what a chain value holds, its series: the series'
 ladder and, in ladder order, each component's ``index`` and ``basis``. The
 loader reads them into a ``LimitLinearSeries``, refuses a component whose
 index is not the ladder's at its position, and makes the chain of that
-series, from which ``chain`` derives the rest. Unlike a series file, a chain
-file is not checked for section-space membership when it loads; ``verify``
-reports it.
+series. The chain reads each component's degree off its base space and
+refuses a fixed one at a non-integer index, and derives the nodes. Unlike a
+series file, a chain file is not checked for section-space membership when
+it loads; ``verify`` reports it.
 """
 
 from __future__ import annotations

@@ -168,7 +168,7 @@ def test_criterion_6_chain_construction(exact_corpus):
         report = validate_chain(chain)
         if not report.passed:
             failures.append(("validate", g, report.summary()))
-        if sum(c.grassmann_degree for c in chain.components) != g.rank + 1:
+        if sum(p.degree for p in chain.series.profiles) != g.rank + 1:
             failures.append(("degree sum", g))
     _report(
         6,
@@ -197,8 +197,8 @@ def test_criterion_7_fiber_property(exact_corpus):
         chain2 = build_chain(scaled)
         if chain2.nodes != chain.nodes:
             failures.append(("nodes moved", g))
-        if [c.grassmann_degree for c in chain2.components] != [
-            c.grassmann_degree for c in chain.components
+        if [p.degree for p in chain2.series.profiles] != [
+            p.degree for p in chain.series.profiles
         ]:
             failures.append(("degrees moved", g))
     _report(

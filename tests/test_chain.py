@@ -8,9 +8,6 @@ import pytest
 
 from nodalseries.chain import (
     ChainBuildError,
-    ChainComponent,
-    ChainError,
-    ComponentKind,
     ContinuousChain,
     build_chain,
     emit_dot,
@@ -52,14 +49,15 @@ from test_series import series_e4, series_e5
 
 def test_build_chain_on_worked_example():
     chain = build_chain(series_e4())
-    kinds = [(c.index, c.kind, c.grassmann_degree) for c in chain.components]
+    g = chain.series
+    kinds = [(i, p.degree == 0, p.degree) for i, p in zip(g.delta.indices, g.profiles)]
     assert kinds == [
-        (F(0), ComponentKind.ORBIT, 1),
-        (F(1), ComponentKind.FIXED, 0),
+        (F(0), False, 1),
+        (F(1), True, 0),
     ]
     # the glued node is the split space generated by (0, s)
     assert chain.nodes == (Subspace.from_spanning(4, [(0, 0, 0, 1)]),)
-    assert sum(c.grassmann_degree for c in chain.components) == chain.series.rank + 1
+    assert sum(p.degree for p in g.profiles) == g.rank + 1
 
 
 def test_build_chain_rejects_non_exact_with_the_failing_pair():
@@ -82,9 +80,9 @@ def test_build_chain_rejects_non_minimal():
 def test_degree_zero_instance():
     g = random_exact_lls(0, 0, (), seed=0)
     chain = build_chain(g)
-    assert len(chain.components) == 1
+    assert len(chain.series.spaces) == 1
     assert chain.nodes == ()
-    assert chain.components[0].grassmann_degree == 1  # rank + 1
+    assert chain.series.profiles[0].degree == 1  # rank + 1
     assert validate_chain(chain).passed
 
 
@@ -115,19 +113,20 @@ def test_validate_chain_detects_scaled_integer_base():
     assert not report.membership.passed
 
 
-def _another_fixed_space(chain, comp):
-    """Rows of a fixed space in comp's section space with comp's block
-    dimensions but not comp's base space, or None: the leading or the
-    trailing units of each flag."""
+def _another_fixed_space(chain, pos):
+    """Rows of a fixed space in the section space at position pos with the
+    block dimensions of the base space there but not that space, or None:
+    the leading or the trailing units of each flag."""
     model = chain.series.model
     n = model.ambient_dim
-    profile = block_profile(model.split, comp.base_space)
+    base = chain.series.spaces[pos]
+    profile = block_profile(model.split, base)
     a, b = profile.inside_first.dim, profile.inside_second.dim
-    shape = section_shape(model, comp.index)
+    shape = section_shape(model, chain.series.delta.indices[pos])
     t, s = shape.t_flag, shape.s_flag
     for coords in (t[:a] + s[:b], t[len(t) - a :] + s[len(s) - b :]):
         rows = [tuple(int(k == c) for k in range(n)) for c in coords]
-        if Subspace.from_spanning(n, rows) != comp.base_space:
+        if Subspace.from_spanning(n, rows) != base:
             return rows
     return None
 
@@ -141,16 +140,17 @@ def test_a_fixed_node_beside_a_fixed_component_can_fail_gluing(tmp_path, capsys)
     pairs = consecutive_pairs(chain.series.delta)
     path = tmp_path / "chain.json"
     replaced = 0
-    for k, comp in enumerate(chain.components):
-        if comp.kind is not ComponentKind.FIXED:
+    g = chain.series
+    for k, ((index, base), profile) in enumerate(zip(g.items(), g.profiles)):
+        if profile.degree != 0:
             continue
-        if k + 1 < len(chain.components):
-            assert chain.nodes[k] is comp.base_space
-        rows = _another_fixed_space(chain, comp)
+        if k + 1 < len(g.spaces):
+            assert chain.nodes[k] is base
+        rows = _another_fixed_space(chain, k)
         if rows is None:
             continue
-        corrupted = _with_base(chain, comp.index, rows)
-        assert is_fixed(split, corrupted.components[k].base_space)
+        corrupted = _with_base(chain, index, rows)
+        assert is_fixed(split, corrupted.series.spaces[k])
         report = validate_chain(corrupted)
         assert [c.passed for c in report.checks] == [False, True, True, True, True]
         assert report.gluing.failures == tuple(
@@ -191,11 +191,10 @@ def orbit_orbit_chain():
     """A chain with one node between two orbit components, and its position."""
     # two non-integer slots in the same gap force an orbit-orbit node
     chain = build_chain(random_exact_lls(3, 1, (1, 3, 1), seed=4))
-    pair_kinds = [
-        (a.kind, b.kind) for a, b in zip(chain.components, chain.components[1:])
-    ]
-    assert pair_kinds.count((ComponentKind.ORBIT, ComponentKind.ORBIT)) == 1
-    return chain, pair_kinds.index((ComponentKind.ORBIT, ComponentKind.ORBIT))
+    fixed = [p.degree == 0 for p in chain.series.profiles]
+    pair_kinds = list(zip(fixed, fixed[1:]))
+    assert pair_kinds.count((False, False)) == 1
+    return chain, pair_kinds.index((False, False))
 
 
 def test_validate_transversality_on_adjacent_orbit_pairs():
@@ -221,7 +220,7 @@ def test_validate_transversality_detects_a_moved_node():
     swapped = _swapped_orbits()
     assert swapped.nodes[p] != chain.nodes[p]
     split = chain.series.model.split
-    left, right = (c.base_space for c in swapped.components[p : p + 2])
+    left, right = swapped.series.spaces[p : p + 2]
     assert orbit_intersection(split, left, right) == limit(split, left, Direction.ZERO)
     report = validate_chain(swapped)
     assert report.transversality.failures == (
@@ -232,10 +231,10 @@ def test_validate_transversality_detects_a_moved_node():
 def test_validate_transversality_detects_an_unlinked_orbit():
     chain, p = orbit_orbit_chain()
     split = chain.series.model.split
-    left, right = chain.components[p], chain.components[p + 1]
-    unlinked = random_nonfixed_subspace(split, right.base_space.dim, random.Random(0))
+    left, right = chain.series.spaces[p], chain.series.spaces[p + 1]
+    unlinked = random_nonfixed_subspace(split, right.dim, random.Random(0))
     with pytest.raises(IntersectionHypothesisError):
-        orbit_intersection(split, left.base_space, unlinked)
+        orbit_intersection(split, left, unlinked)
     spaces = list(chain.series.spaces)
     spaces[p + 1] = unlinked
     report = validate_chain(_rechained(chain, spaces=tuple(spaces)))
@@ -271,7 +270,7 @@ def test_one_elimination_per_moving_space(eliminations, tmp_path, capsys):
         assert made(first, fresh) == moving, first.__name__
         for again in reports:
             assert made(again, fresh) == 0, (first.__name__, again.__name__)
-    # loading a chain makes its components, which profiles their spaces
+    # loading a chain profiles its spaces when the chain is made
     assert made(load_instance, chain_path) == moving
     chain = load_instance(chain_path)
     assert made(validate_chain, chain) == 0
@@ -280,19 +279,20 @@ def test_one_elimination_per_moving_space(eliminations, tmp_path, capsys):
     assert made(cli.main, ["check", str(series_path)]) == moving
     assert "exact: true" in capsys.readouterr().out
     assert made(cli.main, ["verify", str(series_path)]) == moving
-    # the oracle profiles the components through its own binding, and reads
+    # the oracle profiles the spaces through its own binding, and reads
     # the profiles validation left on them
     oracle_run = ["verify", "--oracle", "--samples", "1", str(chain_path)]
     assert made(cli.main, oracle_run) == moving
     assert "FAIL" not in capsys.readouterr().out
+    profiles = chain.series.profiles
     position = next(
         k
-        for k, (a, b) in enumerate(zip(chain.components, chain.components[1:]))
-        if a.kind is b.kind is ComponentKind.ORBIT
+        for k, (a, b) in enumerate(zip(profiles, profiles[1:]))
+        if a.degree != 0 and b.degree != 0
     )
-    pair = [comp.base_space for comp in chain.components[position : position + 2]]
+    pair = list(chain.series.spaces[position : position + 2])
     for fn in (torus.orbit_intersection, torus.meeting_is_transverse):
-        # the chain's components were profiled; fresh copies of their spaces were not
+        # the chain's spaces were profiled; fresh copies of them were not
         fresh = [Subspace(v.ambient_dim, v.rows) for v in pair]
         for (left, right), expected in ((pair, 0), (fresh, 2)):
             assert made(fn, split, left, right) == expected, fn.__name__
@@ -324,8 +324,8 @@ def test_each_moving_limit_is_assembled_once(monkeypatch):
     assembled.clear()
     assert validate_chain(chain).passed
     assert assembled == []
-    for node, comp in zip(chain.nodes, chain.components):
-        assert node is limit(split, comp.base_space, Direction.INFINITY)
+    for node, v in zip(chain.nodes, chain.series.spaces):
+        assert node is limit(split, v, Direction.INFINITY)
 
 
 def test_profiles_belong_to_the_value_they_were_computed_from():
@@ -339,10 +339,11 @@ def test_profiles_belong_to_the_value_they_were_computed_from():
     spaces = g.spaces[:pos] + (collapsed,) + g.spaces[pos + 1 :]
     report = check_exact(dataclasses.replace(g, spaces=spaces))
     assert report.first_failing_pair() == (g.delta.indices[pos - 1], g.delta.indices[pos])
-    # and a replaced component reads the collapsed space's degree, 0, which a
-    # non-integer index refuses
-    with pytest.raises(ChainError, match="only allowed at an integer index"):
-        dataclasses.replace(chain.components[pos], base_space=collapsed)
+    # and the chain of a replaced series reads the collapsed space's degree,
+    # 0, which a non-integer index refuses
+    lazy = format_rational(g.delta.indices[pos])
+    with pytest.raises(ChainBuildError, match=f"non-integer indices {lazy} carry no mobile"):
+        _rechained(chain, spaces=spaces)
 
 
 def _spaces(value):
@@ -362,14 +363,13 @@ def test_profiled_and_unprofiled_values_are_equal():
     memos = {"_block_profiles", "_minor_table"}
     assert memos.isdisjoint(f.name for f in dataclasses.fields(Subspace))
     split = g.model.split
-    # a loaded chain's components profile their spaces when they are made,
-    # but hold no minors
+    # a loaded chain profiles its spaces when it is made, but holds no minors
     unprofiled = [
         (g, loads_instance(dumps_instance(g)), set()),
         (chain, loads_instance(dumps_instance(chain)), {"_block_profiles"}),
         (SubspaceTask(split, v), SubspaceTask(split, Subspace(v.ambient_dim, v.rows)), set()),
     ]
-    assert "_minor_table" in vars(chain.components[1].base_space)
+    assert "_minor_table" in vars(chain.series.spaces[1])
     for profiled, twin, twin_memos in unprofiled:
         assert all("_block_profiles" in vars(w) for w in _spaces(profiled))
         assert all(memos & vars(w).keys() == twin_memos for w in _spaces(twin))
@@ -404,8 +404,8 @@ def test_round_trip_up_to_torus_scaling():
     scaled = LimitLinearSeries(g.model, g.rank, g.delta, scaled_spaces)
     chain2 = build_chain(scaled)
     assert chain2.nodes == chain.nodes
-    assert [c.grassmann_degree for c in chain2.components] == [
-        c.grassmann_degree for c in chain.components
+    assert [p.degree for p in chain2.series.profiles] == [
+        p.degree for p in chain.series.profiles
     ]
 
 
@@ -423,28 +423,16 @@ def test_emit_dot_is_deterministic_and_structured():
 def test_component_consistency_is_enforced():
     v = Subspace.from_spanning(4, [(0, 1, 0, 0)])
     w = Subspace.from_spanning(4, [(0, 1, 1, 0)])
-    # the degree is read off the base space and the kind off the degree, so
-    # only these two are fields
-    assert [f.name for f in dataclasses.fields(ChainComponent)] == ["index", "base_space"]
-    with pytest.raises(ChainError, match="only allowed at an integer index"):
+    # a component is an index of the series and its degree is read off the
+    # base space, so the series is the chain's one field
+    assert [f.name for f in dataclasses.fields(ContinuousChain)] == ["series"]
+    model, ladder = CurveModel(1), build_delta(1, (2,))
+    with pytest.raises(ChainBuildError, match="non-integer indices 1/2 carry no mobile"):
         # fixed component at a non-integer index is never allowed
-        ChainComponent(F(1, 2), v)
-    moving = ChainComponent(F(3, 2), w)
-    assert (moving.grassmann_degree, moving.kind) == (1, ComponentKind.ORBIT)
-    fixed = ChainComponent(F(1), v)
-    assert (fixed.grassmann_degree, fixed.kind) == (0, ComponentKind.FIXED)
-
-
-@pytest.mark.parametrize("width", [5, 0])
-def test_a_component_refuses_a_base_space_of_odd_or_zero_width(width):
-    # the chain splits a base space into two halves, so it names the width
-    # itself rather than leaving a split the caller never gave to refuse it
-    base = Subspace.from_spanning(width, [(1,) + (0,) * (width - 1)] if width else [])
-    with pytest.raises(ChainError) as refused:
-        ChainComponent(F(0), base)
-    assert str(refused.value) == (
-        f"a base space lives in Q^{width}, but a chain needs an even, positive width"
-    )
+        ContinuousChain(LimitLinearSeries(model, 0, ladder, (w, v, w)))
+    chain = ContinuousChain(LimitLinearSeries(model, 0, ladder, (v, w, v)))
+    # the moving space at 1/2 has degree 1, the fixed ones at 0 and 1 degree 0
+    assert [p.degree for p in chain.series.profiles] == [0, 1, 0]
 
 
 def test_chain_rejects_targets_outside_the_degree():
@@ -531,16 +519,16 @@ def _shifted_interval():
     chain = build_chain(random_exact_lls(3, 1, (1, 2, 1), seed=3))
     split = chain.series.model.split
     pos = chain.series.delta.position(F(3, 2))
-    assert [c.kind for c in chain.components[pos - 1 : pos + 2]] == [
-        ComponentKind.FIXED, ComponentKind.ORBIT, ComponentKind.FIXED,
+    assert [p.degree == 0 for p in chain.series.profiles[pos - 1 : pos + 2]] == [
+        True, False, True,
     ]
-    assert block_profile(split, chain.components[pos].base_space).inside_first.dim == 1
+    assert block_profile(split, chain.series.spaces[pos]).inside_first.dim == 1
     return _with_base(chain, F(3, 2), [(0, 0, 0, 0, 0, 0, 1, 0), (0, 0, 1, 0, 0, 0, 0, 1)])
 
 
 def _scaled_base():
     chain = build_chain(series_e4())
-    moved = act(chain.series.model.split, F(2), chain.components[0].base_space)
+    moved = act(chain.series.model.split, F(2), chain.series.spaces[0])
     return _with_base(chain, F(0), moved.rows)
 
 
@@ -548,8 +536,7 @@ def _refixed_last():
     # the last component is fixed; another fixed space there keeps every
     # block dimension and its section space but leaves the last node
     chain = build_chain(random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5))
-    last = chain.components[-1]
-    return _with_base(chain, last.index, _another_fixed_space(chain, last))
+    return _with_base(chain, chain.series.delta.indices[-1], _another_fixed_space(chain, -1))
 
 
 def _fixed_start():
@@ -626,7 +613,8 @@ def test_every_chain_written_loads_back_equal():
         text = dumps_instance(chain)
         back = loads_instance(text)
         assert back == chain and dumps_instance(back) == text
-        assert back.components == chain.components and back.nodes == chain.nodes
+        assert tuple(back.series.items()) == tuple(chain.series.items())
+        assert back.nodes == chain.nodes
 
 
 def test_the_degree_budget_is_validated_not_built():

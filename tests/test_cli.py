@@ -179,6 +179,28 @@ def test_verify_fails_on_corrupted_chain(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_chain_file_with_a_fixed_space_at_a_non_integer_index(
+    tmp_path, capsys
+):
+    from nodalseries.generate import pad_with_trivial_slots
+
+    # the padded slot at 1/2 repeats the fixed space at 1, so its component
+    # would be constant: the chain made from the file refuses it
+    padded = pad_with_trivial_slots(series_e4(), (2,), seed=0)
+    payload = json.loads(dumps_instance(padded))
+    spaces = payload.pop("spaces")
+    assert spaces["1/2"] == spaces["1"]
+    payload["kind"] = "chain"
+    payload["components"] = [{"index": i, "basis": spaces[i]} for i in ("0", "1/2", "1")]
+    path = tmp_path / "lazy_chain.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "malformed input: bad chain payload: series is not minimal: non-integer"
+        " indices 1/2 carry no mobile dimension and would give constant components\n"
+    )
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

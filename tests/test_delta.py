@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -87,8 +88,49 @@ def test_consecutive_pairs():
     assert consecutive_pairs(build_delta(0, ())) == ()
 
 
+def test_a_ladder_derives_its_indices_from_its_degree_and_counts():
+    # the indices are not a field, so no ladder lists indices that its
+    # degree and counts do not give
+    assert [f.name for f in dataclasses.fields(DeltaSet)] == ["d", "steps"]
+    with pytest.raises(TypeError):
+        DeltaSet(1, (1,), (F(0), F(2)))
+    ladder = DeltaSet(2, (2, 1))
+    assert ladder == build_delta(2, (2, 1))
+    assert ladder.indices == (F(0), F(1, 2), F(1), F(2))
+    with pytest.raises(ValueError, match="^expected 1 subdivision counts, got 2$"):
+        DeltaSet(1, (1, 1))
+    with pytest.raises(ValueError, match="^subdivision counts must be positive$"):
+        DeltaSet(1, (0,))
+
+
+def test_position_refuses_an_index_off_the_ladder():
+    ladder = build_delta(1, (1,))
+    assert ladder.position(F(1)) == 1
+    with pytest.raises(KeyError, match="index 1/2 not in the ladder"):
+        ladder.position(F(1, 2))
+
+
 def _data(ladder: DeltaSet, rank: int, down, up) -> NumericalData:
     return NumericalData(rank, ladder.indices, tuple(down), tuple(up))
+
+
+@pytest.mark.parametrize(
+    "down, up, message",
+    [
+        pytest.param((0, 0), (0,), "per-index sequences have unequal lengths", id="lengths"),
+        pytest.param((-1, 0), (0, 0), "kernel dimensions must be nonnegative", id="down"),
+        pytest.param((0, 0), (0, -1), "kernel dimensions must be nonnegative", id="up"),
+    ],
+)
+def test_numerical_data_refuses_unequal_lengths_and_negative_kernels(down, up, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _data(build_delta(1, (1,)), 0, down, up)
+
+
+def test_support_subset_refuses_data_of_another_ladder():
+    data = _data(build_delta(1, (1,)), 0, (0, 1), (0, 0))
+    with pytest.raises(ValueError, match="^numerical data is indexed by a different ladder$"):
+        support_subset(build_delta(1, (2,)), data)
 
 
 def test_numerical_data_mobile_and_predicates():

@@ -535,7 +535,7 @@ def test_internal_results_never_pass_through_from_rows(monkeypatch):
         raise AssertionError("Matrix.from_rows re-coerced internal data")
 
     monkeypatch.setattr(Matrix, "from_rows", classmethod(refuse))
-    spaces = [comp.base_space for comp in chain.components]
+    spaces = chain.series.spaces
     for v, w in zip(spaces, spaces[1:]):
         flat = tuple(e for row in v.rows for e in row)
         assert rref(Matrix(v.dim, v.ambient_dim, flat)) == v.rows

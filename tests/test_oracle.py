@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from nodalseries.chain import ComponentKind, ContinuousChain, build_chain
+from nodalseries.chain import ContinuousChain, build_chain
 from nodalseries.generate import random_exact_lls, random_subspace
 from nodalseries import oracle
 from nodalseries.linalg import Subspace, format_rational
@@ -355,7 +355,7 @@ def test_compare_chain_builds_one_minor_table_per_component(monkeypatch):
 
     monkeypatch.setattr(oracle, "_kept_minors", counting)
     assert compare_chain(chain) == ()
-    assert calls == [c.base_space for c in chain.components]
+    assert calls == list(chain.series.spaces)
 
 
 def test_the_oracle_reads_only_the_nonzero_minors_at_d8_r7(monkeypatch):
@@ -373,14 +373,13 @@ def test_the_oracle_reads_only_the_nonzero_minors_at_d8_r7(monkeypatch):
 
     monkeypatch.setattr(oracle, "combinations", counting)
     assert compare_chain(chain) == ()
-    for comp in chain.components:
+    for v in chain.series.spaces:
         for direction in Direction:
-            limit_via_pluecker(split, comp.base_space, direction)
-        degree_via_pluecker(split, comp.base_space)
+            limit_via_pluecker(split, v, direction)
+        degree_via_pluecker(split, v)
     assert drawn[0] < 1000
     monkeypatch.undo()
-    for comp in chain.components:
-        v = comp.base_space
+    for v in chain.series.spaces:
         minors, scale = vars(v)["_minor_table"]
         table = minor_table(v)
         assert {cols: F(value, scale) for cols, value in minors.items()} == {
@@ -389,25 +388,23 @@ def test_the_oracle_reads_only_the_nonzero_minors_at_d8_r7(monkeypatch):
 
 
 def _relabel(chain, target, degree, monkeypatch):
-    """The chain made again while one component's space's profile reports
-    ``degree``; that component keeps the degree it read then."""
-    profile = block_profile(chain.series.model.split, chain.components[target].base_space)
+    """The chain, with one component's space's profile reporting ``degree``
+    until the test ends."""
+    profile = block_profile(chain.series.model.split, chain.series.spaces[target])
     real = BlockProfile.degree.fget
-    with monkeypatch.context() as m:
-        m.setattr(
-            BlockProfile, "degree", property(lambda p: degree if p is profile else real(p))
-        )
-        relabelled = ContinuousChain(chain.series)
-    assert relabelled.components[target].grassmann_degree == degree
-    return relabelled
+    monkeypatch.setattr(
+        BlockProfile, "degree", property(lambda p: degree if p is profile else real(p))
+    )
+    assert chain.series.profiles[target].degree == degree
+    return chain
 
 
 def test_sample_orbit_check_flags_a_moving_component_labelled_fixed(monkeypatch):
     chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
     target = next(
         k
-        for k, c in enumerate(chain.components)
-        if c.index.denominator == 1 and c.kind is ComponentKind.ORBIT
+        for k, (i, p) in enumerate(zip(chain.series.delta.indices, chain.series.profiles))
+        if i.denominator == 1 and p.degree != 0
     )
     report = sample_orbit_check(
         _relabel(chain, target, 0, monkeypatch), samples_per_component=5, seed=0
@@ -418,9 +415,7 @@ def test_sample_orbit_check_flags_a_moving_component_labelled_fixed(monkeypatch)
 
 def test_sample_orbit_check_flags_a_fixed_component_labelled_moving(monkeypatch):
     chain = build_chain(random_exact_lls(1, 0, (1,), seed=1))
-    target = next(
-        k for k, c in enumerate(chain.components) if c.kind is ComponentKind.FIXED
-    )
+    target = next(k for k, p in enumerate(chain.series.profiles) if p.degree == 0)
     report = sample_orbit_check(
         _relabel(chain, target, 1, monkeypatch), samples_per_component=5, seed=0
     )
@@ -438,7 +433,7 @@ def test_sample_orbit_check_builds_one_section_space_per_component(monkeypatch):
 
     monkeypatch.setattr(oracle, "section_space", counting)
     assert sample_orbit_check(chain, samples_per_component=7, seed=0).passed
-    assert calls == [c.index for c in chain.components]
+    assert calls == list(chain.series.delta.indices)
 
 
 def test_sample_orbit_check_tests_the_moved_points(monkeypatch):
@@ -481,8 +476,8 @@ def test_sample_orbit_check_flags_corrupted_base():
 
 def test_sample_orbit_check_accepts_fixed_components():
     chain = build_chain(random_exact_lls(1, 0, (1,), seed=1))
-    kinds = {c.kind.value for c in chain.components}
-    assert "fixed" in kinds
+    degrees = {p.degree for p in chain.series.profiles}
+    assert 0 in degrees
     report = sample_orbit_check(chain, samples_per_component=8, seed=3)
     assert report.passed
 
@@ -503,7 +498,7 @@ def test_compare_chain_agrees_on_built_chains():
 def test_compare_chain_reports_wrong_structural_formulas(monkeypatch):
     chain = build_chain(random_exact_lls(2, 1, (2, 1), seed=6))
     split = chain.series.model.split
-    moving = [c for c in chain.components if not is_fixed(split, c.base_space)]
+    moving = [i for i, v in chain.series.items() if not is_fixed(split, v)]
     assert moving
     # a limit with its directions swapped is wrong exactly on the orbit components
     real_limit = BlockProfile.limit
@@ -512,26 +507,28 @@ def test_compare_chain_reports_wrong_structural_formulas(monkeypatch):
         BlockProfile, "limit", lambda self, direction: real_limit(self, opposite[direction])
     )
     assert compare_chain(chain) == tuple(
-        f"limit mismatch at {format_rational(c.index)} ({direction})"
-        for c in moving
+        f"limit mismatch at {format_rational(i)} ({direction})"
+        for i in moving
         for direction in ("zero", "infinity")
     )
     monkeypatch.undo()
-    monkeypatch.setattr(BlockProfile, "degree", property(lambda self: 7))
+    monkeypatch.setattr(oracle, "orbit_degree", lambda split, v: 7)
     assert compare_chain(chain) == tuple(
-        f"degree mismatch at {format_rational(c.index)}" for c in chain.components
+        f"degree mismatch at {format_rational(i)}" for i in chain.series.delta.indices
     )
     monkeypatch.undo()
     # fixed components are compared too: a limit wrong only on one of them
-    fixed = next(c for c in chain.components if c.kind is ComponentKind.FIXED)
+    index, fixed = next(
+        (i, v) for (i, v), p in zip(chain.series.items(), chain.series.profiles) if p.degree == 0
+    )
     real = oracle.limit
 
     def wrong_on_fixed(split, v, direction):
-        return Subspace.zero(v.ambient_dim) if v is fixed.base_space else real(split, v, direction)
+        return Subspace.zero(v.ambient_dim) if v is fixed else real(split, v, direction)
 
     monkeypatch.setattr(oracle, "limit", wrong_on_fixed)
     assert compare_chain(chain) == tuple(
-        f"limit mismatch at {format_rational(fixed.index)} ({direction})"
+        f"limit mismatch at {format_rational(index)} ({direction})"
         for direction in ("zero", "infinity")
     )
 

@@ -11,6 +11,7 @@ import pytest
 
 from nodalseries import cli, curve, linalg, serialize, torus
 from nodalseries.chain import build_chain
+from nodalseries.delta import build_delta
 from nodalseries.generate import random_exact_lls, random_subspace
 from nodalseries.linalg import Subspace, format_rational, parse_rational
 from nodalseries.serialize import (
@@ -185,7 +186,7 @@ def test_a_chain_file_with_an_edited_base_space_loads_and_fails_verify(tmp_path,
     assert (payload["components"][1]["index"], rows[1]) == ("1/2", "0 0 1 0 0 0")
     rows[1] = "0 0 1 0 0 1"
     loaded = loads_instance(json.dumps(payload))
-    assert loaded.components[1].base_space.rows[1][-1] == 1
+    assert loaded.series.spaces[1].rows[1][-1] == 1
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(payload))
     assert cli.main(["verify", str(path)]) == 1
@@ -268,12 +269,13 @@ def in_version(payload, version):
     """
     if payload["kind"] == "chain":
         chain = loads_instance(json.dumps(payload))
-        for raw, comp in zip(payload["components"], chain.components):
-            integer = comp.index.denominator == 1
-            raw["degree"] = comp.grassmann_degree
-            raw["kind"] = comp.kind.value
+        items = zip(payload["components"], chain.series.delta.indices, chain.series.profiles)
+        for raw, index, profile in items:
+            integer = index.denominator == 1
+            raw["degree"] = profile.degree
+            raw["kind"] = "fixed" if profile.degree == 0 else "orbit"
             raw["target"] = {
-                "kind": "component" if integer else "node", "index": math.ceil(comp.index)
+                "kind": "component" if integer else "node", "index": math.ceil(index)
             }
         payload["nodes"] = [
             [" ".join(map(format_rational, row)) for row in node.rows] for node in chain.nodes
@@ -633,13 +635,13 @@ def test_equal_entries_of_a_loaded_chain_are_one_object():
         dumps_instance(build_chain(random_exact_lls(8, 3, (1, 1, 1, 1, 3, 1, 3, 1), seed=5)))
     )
     first_seen = {}
-    for comp in chain.components:
-        for row in comp.base_space.rows:
+    for v in chain.series.spaces:
+        for row in v.rows:
             for e in row:
                 assert first_seen.setdefault(e, e) is e
     # a loaded chain's nodes are derived, not parsed: a node beside a fixed
     # component on its left is that base space itself
-    shared = sum(node is comp.base_space for node, comp in zip(chain.nodes, chain.components))
+    shared = sum(node is v for node, v in zip(chain.nodes, chain.series.spaces))
     assert shared >= 8
 
 
@@ -671,7 +673,7 @@ def test_equal_matrices_of_a_file_load_as_one_subspace(kind, version):
         spaces = loaded.spaces
     else:
         texts = [json.dumps(comp["basis"]) for comp in payload["components"]]
-        spaces = [comp.base_space for comp in loaded.components]
+        spaces = loaded.series.spaces
     repeats = 0
     for (a, text_a), (b, text_b) in itertools.combinations(zip(spaces, texts), 2):
         assert (a is b) == (text_a == text_b)
@@ -764,3 +766,29 @@ def _set_indices(indices):
 def test_a_component_index_off_its_ladder_position_is_refused(defect, message, tmp_path, capsys):
     # the ladder of the chain file is 0, 1/2, 1, 3/2, 2
     _refused(defect, f"component {message} at its position", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("kind", ["series", "chain", "subspace"])
+def test_a_matrix_that_is_not_a_list_of_rows_is_refused(kind):
+    payload = _payload(kind)
+    if kind == "series":
+        payload["spaces"]["0"] = " ".join(payload["spaces"]["0"])
+    elif kind == "chain":
+        payload["components"][0]["basis"] = " ".join(payload["components"][0]["basis"])
+    else:
+        payload["basis"] = payload["basis"][0]
+    with pytest.raises(SchemaError, match="^a matrix must be a list of rows$"):
+        loads_instance(json.dumps(payload))
+
+
+def test_a_subspace_file_without_a_block_dimension_is_refused_by_name():
+    payload = _payload("subspace")
+    del payload["dim2"]
+    with pytest.raises(SchemaError, match="^bad subspace payload: 'dim2'$"):
+        loads_instance(json.dumps(payload))
+
+
+@pytest.mark.parametrize("obj", [object(), build_delta(1, (1,))], ids=["object", "ladder"])
+def test_only_instances_are_serialized(obj):
+    with pytest.raises(TypeError, match=f"^cannot serialize {type(obj).__name__}$"):
+        dumps_instance(obj)

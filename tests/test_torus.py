@@ -257,10 +257,23 @@ def test_block_helpers_reject_wrong_blocks():
     for helper in (project_block, meet_block):
         with pytest.raises(ValueError):
             helper(SPLIT22, v, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subspace does not live in the requested block$"):
         embed_block(SPLIT22, Subspace.full(3), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^subspace does not live in the requested block$"):
         assemble_split_subspace(SPLIT22, Subspace.full(2), Subspace.full(3))
+
+
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        ((-1, 2), "block dimensions must be nonnegative"),
+        ((2, -1), "block dimensions must be nonnegative"),
+        ((0, 0), "ambient dimension must be positive"),
+    ],
+)
+def test_a_split_refuses_negative_blocks_and_an_empty_ambient_space(dims, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TorusSplit(*dims)
 
 
 def test_act_rejects_zero():
@@ -416,7 +429,7 @@ def _golden_spaces():
         delta = tuple(int(step) for step in opts["--delta"].split(","))
         g = random_exact_lls(int(opts["--d"]), int(opts["--r"]), delta, seed=int(opts["--seed"]))
         for chain in (build_chain(g), loads_instance(dumps_instance(build_chain(g)))):
-            for v in tuple(c.base_space for c in chain.components) + chain.nodes:
+            for v in chain.series.spaces + chain.nodes:
                 yield g.model.split, v
 
 
